@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CertificateError,
     IndexOutOfRangeError,
     InvalidAlphaError,
     NoDiversityError,
@@ -108,7 +109,9 @@ class ReducedGamePayoff:
     def __post_init__(self):
         parts = math.fsum(
             (self.unblocked_term, self.blocked_term, self.linear_t_term))
-        assert abs(self.value - parts) <= 1e-12 * max(1.0, abs(self.value))
+        if abs(self.value - parts) > 1e-12 * max(1.0, abs(self.value)):
+            raise CertificateError(
+                f"payoff {self.value!r} is not the sum of its parts {parts!r}")
 
 
 def reduced_objective(
@@ -174,18 +177,22 @@ def reduced_payoff_for_split(
 # ===========================================================================
 
 
-def diversity_system_age(policy: SchedulingPolicy, alpha: float,
-                         N_sub: int) -> float:
-    """User-average age under uniform sub-carrier blocking of the middle window.
+def diversity_user_ages(policy: SchedulingPolicy, alpha: float,
+                        N_sub: int) -> np.ndarray:
+    """Per-user ages under uniform sub-carrier blocking of the middle window.
 
-    (1/N) sum_i [ (1-alpha)/p_i + alpha/(p_i(1-1/N_sub)) ]: outside the window
-    user i renews at rate p_i, inside at rate p_i(1-1/N_sub) since one of
-    N_sub sub-carriers is jammed.  Independent of the sub-carrier
-    distribution q.
+    (1-alpha)/p_i + alpha/(p_i(1-1/N_sub)): outside the window user i renews
+    at rate p_i, inside at rate p_i(1-1/N_sub) since one of N_sub
+    sub-carriers is jammed.  Independent of the sub-carrier distribution q.
     """
     if N_sub < 2:
         raise NoDiversityError(f"N_sub = {N_sub} must be >= 2")
     _check_alpha(alpha)
     p = policy.probs
-    per_user = (1 - alpha) / p + alpha / (p * (1 - 1.0 / N_sub))
-    return float(per_user.mean())
+    return (1 - alpha) / p + alpha / (p * (1 - 1.0 / N_sub))
+
+
+def diversity_system_age(policy: SchedulingPolicy, alpha: float,
+                         N_sub: int) -> float:
+    """User average of diversity_user_ages."""
+    return float(diversity_user_ages(policy, alpha, N_sub).mean())

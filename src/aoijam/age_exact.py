@@ -7,19 +7,15 @@ Each user's expected age follows the linear recursion
 where delivery_prob(t) is the probability the user receives an update in slot
 t: its scheduling probability when the channel is clear, damped by the
 blocking probability otherwise.  The equivalent sum form (a sum of survival
-products over all possible last-delivery slots) is quadratic in T and kept
-only as a cross-check; all public operations run in O(N*T).
+products over all possible last-delivery slots) is quadratic in T; it lives
+in the tests as a cross-check.  All public operations run in O(N*T).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidRangeError,
-    NonPositiveProbabilityError,
-)
+from .errors import CertificateError, DimensionMismatchError
 from .model import (
     BlockingPlan,
     SchedulingPolicy,
@@ -57,34 +53,13 @@ class AgeSeries:
 def _make_series(per_user: np.ndarray) -> AgeSeries:
     per_user = np.asarray(per_user, dtype=float)
     t_grid = np.arange(1, per_user.shape[1] + 1)
-    assert np.all(per_user >= 1.0 - 1e-9) and np.all(
-        per_user <= t_grid + 1e-9), "age outside [1, t]"
+    if not (np.all(per_user >= 1.0 - 1e-9)
+            and np.all(per_user <= t_grid + 1e-9)):
+        raise CertificateError("expected age outside [1, t]")
     per_user.setflags(write=False)
     per_user_avg = per_user.mean(axis=1)
     per_user_avg.setflags(write=False)
     return AgeSeries(per_user, per_user_avg, float(per_user_avg.mean()))
-
-
-# ===========================================================================
-#  Survival products (sum-form building block)
-# ===========================================================================
-
-
-def survival_product(p_i: float, blocked, k: int, l: int) -> float:
-    """Probability user i misses every update in slots k..l (1-based, inclusive).
-
-    `blocked` holds per-slot blocking probabilities for this user's channel
-    (1 = surely blocked, so the slot contributes factor 1; 0 = clear, factor
-    1 - p_i; fractions interpolate).
-    """
-    if p_i <= 0.0:
-        raise NonPositiveProbabilityError(f"p_i = {p_i} must be > 0")
-    r = np.asarray(blocked, dtype=float).ravel()
-    if not 1 <= k <= l <= r.size:
-        raise InvalidRangeError(
-            f"slot range [{k}, {l}] invalid for horizon {r.size}")
-    factors = 1.0 - p_i * (1.0 - r[k - 1:l])
-    return float(np.prod(factors))
 
 
 # ===========================================================================

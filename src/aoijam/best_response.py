@@ -22,6 +22,7 @@ from scipy.optimize import isotonic_regression
 from .age_asymptotic import AsymptoticValidityWarning, reduced_objective
 from .age_exact import expected_age_trajectory
 from .errors import (
+    CertificateError,
     ConvergenceFailureError,
     InstanceTooLargeError,
     InvalidAlphaError,
@@ -175,18 +176,6 @@ def numeric_simplex_minimizer(weights) -> SchedulingPolicy:
     return validate_policy(numeric)
 
 
-def stackelberg_bs_policy(N: int, alpha: float) -> SchedulingPolicy:
-    """Leader policy when the adversary moves second: uniform 1/N.
-
-    Any asymmetry hands the adversary a more damaging target, so the
-    ordering-constrained optimum pools every user; see ordered_kkt_solver
-    for the numeric version of the same statement.
-    """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    return validate_policy(np.full(N, 1.0 / N))
-
-
 def ordered_kkt_solver(N: int, alpha: float) -> SchedulingPolicy:
     """Numerically solve the leader's problem with an explicit ordering cone.
 
@@ -308,7 +297,10 @@ def adversary_oracle(policy: SchedulingPolicy, config: SystemConfig,
     best_plan = to_plan(best_actions)
     # re-evaluate through the public trajectory path as a consistency check
     check = expected_age_trajectory(policy, best_plan, config).system_avg
-    assert abs(check - best_value) <= 1e-9 * max(1.0, abs(best_value))
+    if abs(check - best_value) > 1e-9 * max(1.0, abs(best_value)):
+        raise CertificateError(
+            f"oracle payoff {best_value!r} does not match its plan's exact "
+            f"age {check!r}")
     return AdversaryResponse(
         plan=best_plan, payoff=best_value, method="exhaustive",
         tied_plans=tuple(to_plan(a) for a in ties))

@@ -11,6 +11,10 @@ fixed schemas:
     sim.csv           runs, mean, std_error, seed
     equilibrium.csv   kind, holds, payoff, witness-serialized
     dynamics.csv      iteration, blocked_user, p_vector, payoff
+    asymptotic.csv    user, asymptotic_age
+
+Each experiment is one REGISTRY entry: its subcommand, the models it
+accepts, its experiment-block fields (validator and default) and its runner.
 
 Exit codes: 0 success, 2 scenario parse/validation failure, 3 runtime error.
 """
@@ -20,13 +24,14 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .age_asymptotic import (
     blocked_user_age,
-    diversity_system_age,
+    diversity_user_ages,
     reduced_objective,
     system_age_no_diversity,
     unblocked_user_age,
@@ -45,7 +50,6 @@ from .montecarlo import estimate_average_age
 from .equilibrium import (
     DeviationWitness,
     best_response_dynamics,
-    diversity_nash_point,
     is_nash_no_diversity,
     stackelberg_equilibrium,
     verify_diversity_nash,
@@ -76,11 +80,6 @@ OUT_DIR_ENV = "AOIJAM_OUT_DIR"
 POLICY_SOURCES = ("uniform", "explicit", "counter-block")
 PLAN_SOURCES = ("none", "middle-block", "uniform-subcarrier", "explicit",
                 "oracle")
-EXPERIMENTS = ("exact", "asymptotic", "montecarlo", "best-response", "oracle",
-               "br-dynamics", "stackelberg", "nash-verify")
-# subcommand name -> experiment name (identity except for `simulate`)
-SUBCOMMANDS = {name: name for name in EXPERIMENTS if name != "montecarlo"}
-SUBCOMMANDS["simulate"] = "montecarlo"
 
 
 @dataclass(frozen=True)
@@ -104,12 +103,13 @@ def _fail(field: str, problem: str):
     raise ScenarioValidationError(f"field {field!r}: {problem}")
 
 
-def _require_int(obj, field, minimum=None):
-    value = obj.get(field.split(".")[-1])
+def _require_int(field, value, minimum=None, maximum=None):
     if not isinstance(value, int) or isinstance(value, bool):
         _fail(field, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         _fail(field, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        _fail(field, f"must be <= {maximum}, got {value}")
     return value
 
 
@@ -135,14 +135,13 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     system_raw = raw.get("system")
     if not isinstance(system_raw, dict):
         _fail("system", "required object is missing")
-    horizon = _require_int(system_raw, "system.horizon_T", minimum=1)
-    users = _require_int(system_raw, "system.num_users", minimum=1)
+    horizon = _require_int("system.horizon_T", system_raw.get("horizon_T"), 1)
+    users = _require_int("system.num_users", system_raw.get("num_users"), 1)
     alpha = _require_number(system_raw, "system.alpha")
     if not 0.0 < alpha < 1.0:
         _fail("system.alpha", f"must lie in (0, 1), got {alpha}")
-    nsub = system_raw.get("num_subcarriers", 1)
-    if not isinstance(nsub, int) or nsub < 1:
-        _fail("system.num_subcarriers", f"must be a positive integer, got {nsub!r}")
+    nsub = _require_int("system.num_subcarriers",
+                        system_raw.get("num_subcarriers", 1), minimum=1)
     if model == "diversity" and nsub < 2:
         _fail("system.num_subcarriers", "diversity model needs >= 2")
     if model == "no-diversity" and nsub != 1:
@@ -161,9 +160,8 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         if not isinstance(probs, list) or len(probs) != users:
             _fail("policy.probs", f"need a list of {users} numbers")
     if source == "counter-block":
-        target = policy_spec.get("target", 0)
-        if not isinstance(target, int) or not 0 <= target < users:
-            _fail("policy.target", f"must index a user 0..{users - 1}")
+        _require_int("policy.target", policy_spec.get("target", 0), 0,
+                     users - 1)
 
     subpolicy_spec = raw.get("subcarrier_policy")
     if subpolicy_spec is not None:
@@ -190,10 +188,8 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     if plan_source not in PLAN_SOURCES:
         _fail("plan.source", f"must be one of {PLAN_SOURCES}, got {plan_source!r}")
     if plan_source == "middle-block":
-        target = plan_spec.get("target", 0)
-        if not isinstance(target, int) or not 0 <= target < system.num_channels:
-            _fail("plan.target",
-                  f"must index a channel 0..{system.num_channels - 1}")
+        _require_int("plan.target", plan_spec.get("target", 0), 0,
+                     system.num_channels - 1)
     if plan_source == "uniform-subcarrier" and model != "diversity":
         _fail("plan.source", "'uniform-subcarrier' needs the diversity model")
     if plan_source == "oracle" and model != "no-diversity":
@@ -208,48 +204,32 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
 
     experiment = raw.get("experiment")
     if experiment is not None:
-        experiment = _validate_experiment(experiment, system)
+        experiment = _validate_experiment(experiment, model, system)
 
     return ScenarioConfig(model=model, system=system, policy_spec=policy_spec,
                           subpolicy_spec=subpolicy_spec, plan_spec=plan_spec,
                           experiment=experiment)
 
 
-def _validate_experiment(exp, system: SystemConfig) -> dict:
+def _validate_experiment(exp, model: str, system: SystemConfig,
+                         in_file: bool = True) -> dict:
+    """Check an experiment block against its REGISTRY entry; fill defaults."""
     if not isinstance(exp, dict):
         _fail("experiment", "must be an object")
     name = exp.get("name")
-    if name not in EXPERIMENTS:
-        _fail("experiment.name", f"must be one of {EXPERIMENTS}, got {name!r}")
+    if not isinstance(name, str) or name not in REGISTRY:
+        _fail("experiment.name",
+              f"must be one of {tuple(REGISTRY)}, got {name!r}")
+    models = REGISTRY[name].models
+    if model not in models:
+        _fail("experiment.name",
+              f"{name!r} needs the {' or '.join(models)} model")
     out = {"name": name}
-    if name == "montecarlo":
-        out["runs"] = _require_int(exp, "experiment.runs", minimum=2)
-        seed = exp.get("seed", 0)
-        if not isinstance(seed, int):
-            _fail("experiment.seed", f"expected an integer, got {seed!r}")
-        out["seed"] = seed
-    elif name == "br-dynamics":
-        iters = exp.get("iterations", 20)
-        if not isinstance(iters, int) or iters < 2:
-            _fail("experiment.iterations", f"must be an integer >= 2, got {iters!r}")
-        out["iterations"] = iters
-    elif name == "stackelberg":
-        target = exp.get("target", 0)
-        if not isinstance(target, int) or not 0 <= target < system.num_users:
-            _fail("experiment.target",
-                  f"must index a user 0..{system.num_users - 1}")
-        samples = exp.get("certify_samples", 200)
-        if not isinstance(samples, int) or samples < 1:
-            _fail("experiment.certify_samples", f"must be >= 1, got {samples!r}")
-        out.update(target=target, certify_samples=samples,
-                   seed=exp.get("seed", 0))
-    elif name == "nash-verify":
-        for key in ("bs_samples", "adv_samples"):
-            value = exp.get(key, 500)
-            if not isinstance(value, int) or value < 0:
-                _fail(f"experiment.{key}", f"must be >= 0, got {value!r}")
-            out[key] = value
-        out["seed"] = exp.get("seed", 0)
+    for key, spec in REGISTRY[name].fields.items():
+        field = f"experiment.{key}"
+        if in_file and spec.required and key not in exp:
+            _fail(field, "required in an experiment block")
+        out[key] = spec.check(field, exp.get(key, spec.default), system)
     return out
 
 
@@ -295,12 +275,23 @@ def scenario_to_dict(sc: ScenarioConfig) -> dict:
 # ===========================================================================
 
 
+def _explicit(field: str, build, raw):
+    """build(raw as a float array); a model ValueError names `field`."""
+    try:
+        values = np.asarray(raw, dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("entries must be finite numbers")
+        return build(values)
+    except (TypeError, ValueError) as exc:
+        _fail(field, str(exc))
+
+
 def resolve_policy(sc: ScenarioConfig) -> SchedulingPolicy:
     spec = sc.policy_spec
     if spec["source"] == "uniform":
         return uniform_policy(sc.system.num_users)
     if spec["source"] == "explicit":
-        return validate_policy(spec["probs"])
+        return _explicit("policy.probs", validate_policy, spec["probs"])
     # counter-block: closed-form best response permuted onto the target
     target = spec.get("target", 0)
     base = bs_best_response_single_block(sc.system.num_users, sc.system.alpha)
@@ -315,7 +306,8 @@ def resolve_subpolicy(sc: ScenarioConfig) -> SubcarrierPolicy | None:
         return None
     if sc.subpolicy_spec["source"] == "uniform":
         return uniform_subcarrier_policy(sc.system.num_subcarriers)
-    return validate_subcarrier_policy(sc.subpolicy_spec["probs"])
+    return _explicit("subcarrier_policy.probs", validate_subcarrier_policy,
+                     sc.subpolicy_spec["probs"])
 
 
 def resolve_plan(sc: ScenarioConfig, policy: SchedulingPolicy) -> BlockingPlan:
@@ -329,12 +321,13 @@ def resolve_plan(sc: ScenarioConfig, policy: SchedulingPolicy) -> BlockingPlan:
         return make_uniform_subcarrier_block(sc.system)
     if source == "oracle":
         return adversary_oracle(policy, sc.system).plan
-    plan = BlockingPlan(spec.get("mode", "deterministic"),
-                        np.asarray(spec["block_prob"], dtype=float))
-    if not blocking_feasible(plan, sc.system):
-        raise ScenarioValidationError(
-            "field 'plan.block_prob': plan exceeds the blocking budget")
-    return plan
+
+    def build(matrix):
+        plan = BlockingPlan(spec.get("mode", "deterministic"), matrix)
+        if not blocking_feasible(plan, sc.system):
+            raise ValueError("plan exceeds the blocking budget")
+        return plan
+    return _explicit("plan.block_prob", build, spec["block_prob"])
 
 
 # ===========================================================================
@@ -411,17 +404,14 @@ def write_dynamics_csv(path, trace):
 # ===========================================================================
 
 
-def _exact_series(sc, policy, subpolicy, plan):
-    if sc.model == "diversity":
-        return expected_age_trajectory_diversity(
-            policy, subpolicy, plan, sc.system)
-    return expected_age_trajectory(policy, plan, sc.system)
-
-
 def _run_exact(sc, out_dir, emit):
     policy = resolve_policy(sc)
     plan = resolve_plan(sc, policy)
-    series = _exact_series(sc, policy, resolve_subpolicy(sc), plan)
+    if sc.model == "diversity":
+        series = expected_age_trajectory_diversity(
+            policy, resolve_subpolicy(sc), plan, sc.system)
+    else:
+        series = expected_age_trajectory(policy, plan, sc.system)
     write_trajectories_csv(os.path.join(out_dir, "trajectories.csv"), series)
     emit(f"exact system average age: {series.system_avg:.6f}")
     for i, avg in enumerate(series.per_user_avg):
@@ -432,16 +422,14 @@ def _run_asymptotic(sc, out_dir, emit):
     policy = resolve_policy(sc)
     system = sc.system
     if sc.model == "diversity":
-        value = diversity_system_age(policy, system.alpha,
-                                     system.num_subcarriers)
-        per_user = [(1 - system.alpha) / p
-                    + system.alpha / (p * (1 - 1 / system.num_subcarriers))
-                    for p in policy.probs]
+        per_user = diversity_user_ages(policy, system.alpha,
+                                       system.num_subcarriers)
+        value = float(np.mean(per_user))
         emit(f"asymptotic diversity system age: {value:.6f}")
     else:
         source = sc.plan_spec["source"]
+        per_user = [unblocked_user_age(p) for p in policy.probs]
         if source == "none":
-            per_user = [unblocked_user_age(p) for p in policy.probs]
             value = float(np.mean(per_user))
             emit(f"asymptotic system age (no blocking): {value:.6f}")
         elif source == "middle-block":
@@ -450,7 +438,6 @@ def _run_asymptotic(sc, out_dir, emit):
                 policy, target, system.alpha, system.horizon_T)
             reduced = reduced_objective(
                 policy, target, system.alpha, system.horizon_T)
-            per_user = [unblocked_user_age(p) for p in policy.probs]
             per_user[target] = blocked_user_age(
                 policy.probs[target], system.alpha, system.horizon_T)
             emit(f"asymptotic system age (user {target} blocked): {value:.6f}")
@@ -464,13 +451,12 @@ def _run_asymptotic(sc, out_dir, emit):
                ("user", "asymptotic_age"), rows)
 
 
-def _run_montecarlo(sc, out_dir, emit, seed_override):
+def _run_montecarlo(sc, out_dir, emit):
     policy = resolve_policy(sc)
     plan = resolve_plan(sc, policy)
     exp = sc.experiment
-    seed = seed_override if seed_override is not None else exp["seed"]
     sim = estimate_average_age(policy, resolve_subpolicy(sc), plan, sc.system,
-                               exp["runs"], seed)
+                               exp["runs"], exp["seed"])
     write_sim_csv(os.path.join(out_dir, "sim.csv"), sim)
     emit(f"simulated mean system age: {sim.mean_system_age:.6f} "
          f"(std error {sim.std_error:.2e}, {sim.runs} runs, seed {sim.seed})")
@@ -524,14 +510,12 @@ def _run_br_dynamics(sc, out_dir, emit):
          + ("yes" if report.holds else "no"))
 
 
-def _run_stackelberg(sc, out_dir, emit, seed_override):
-    exp = sc.experiment or {"name": "stackelberg", "target": 0,
-                            "certify_samples": 200, "seed": 0}
-    seed = seed_override if seed_override is not None else exp["seed"]
+def _run_stackelberg(sc, out_dir, emit):
+    exp = sc.experiment
     leader, plan, payoff = stackelberg_equilibrium(
         sc.system.num_users, sc.system.alpha, sc.system.horizon_T,
         target=exp["target"], certify_samples=exp["certify_samples"],
-        seed=seed)
+        seed=exp["seed"])
     write_equilibrium_csv(
         os.path.join(out_dir, "equilibrium.csv"),
         [("stackelberg", None, payoff,
@@ -540,15 +524,14 @@ def _run_stackelberg(sc, out_dir, emit, seed_override):
     emit(f"leader reduced payoff: {payoff:.6f}")
 
 
-def _run_nash_verify(sc, out_dir, emit, seed_override):
+def _run_nash_verify(sc, out_dir, emit):
     policy = resolve_policy(sc)
     plan = resolve_plan(sc, policy)
     exp = sc.experiment
     if sc.model == "diversity":
-        seed = seed_override if seed_override is not None else exp["seed"]
         report = verify_diversity_nash(
             (policy, resolve_subpolicy(sc), plan), sc.system,
-            exp["bs_samples"], exp["adv_samples"], seed=seed)
+            exp["bs_samples"], exp["adv_samples"], seed=exp["seed"])
     else:
         report = is_nash_no_diversity(policy, plan, sc.system)
     write_equilibrium_csv(
@@ -562,21 +545,56 @@ def _run_nash_verify(sc, out_dir, emit, seed_override):
 
 
 # ===========================================================================
-#  Orchestration
+#  Experiment registry and orchestration
 # ===========================================================================
 
 
-_DEFAULT_EXPERIMENTS = {
-    "exact": {"name": "exact"},
-    "asymptotic": {"name": "asymptotic"},
-    "montecarlo": {"name": "montecarlo", "runs": 1000, "seed": 0},
-    "best-response": {"name": "best-response"},
-    "oracle": {"name": "oracle"},
-    "br-dynamics": {"name": "br-dynamics", "iterations": 20},
-    "stackelberg": {"name": "stackelberg", "target": 0,
-                    "certify_samples": 200, "seed": 0},
-    "nash-verify": {"name": "nash-verify", "bs_samples": 500,
-                    "adv_samples": 500, "seed": 0},
+class Field(NamedTuple):
+    """One experiment-block field: check(field, value, system) -> value."""
+
+    check: Callable
+    default: object
+    required: bool = False  # a file `experiment` block must give it
+
+
+class Experiment(NamedTuple):
+    """What the CLI knows about one experiment."""
+
+    command: str  # subcommand name
+    run: Callable  # run(sc, out_dir, emit)
+    models: tuple = ("no-diversity", "diversity")
+    fields: dict = {}  # experiment-block key -> Field
+
+
+def _count(minimum):
+    return lambda field, value, system: _require_int(field, value, minimum)
+
+
+def _user_index(field, value, system):
+    return _require_int(field, value, 0, system.num_users - 1)
+
+
+_NO_DIVERSITY = ("no-diversity",)
+_SEED = Field(_count(0), 0)
+_SAMPLES = Field(_count(0), 500)
+
+# experiment name -> entry; argparse lists the subcommands in this order
+REGISTRY = {
+    "exact": Experiment("exact", _run_exact),
+    "asymptotic": Experiment("asymptotic", _run_asymptotic),
+    "montecarlo": Experiment("simulate", _run_montecarlo, fields={
+        "runs": Field(_count(2), 1000, required=True), "seed": _SEED}),
+    "best-response": Experiment("best-response", _run_best_response,
+                                _NO_DIVERSITY),
+    "oracle": Experiment("oracle", _run_oracle, _NO_DIVERSITY),
+    "br-dynamics": Experiment("br-dynamics", _run_br_dynamics, _NO_DIVERSITY,
+                              {"iterations": Field(_count(2), 20)}),
+    "stackelberg": Experiment("stackelberg", _run_stackelberg, _NO_DIVERSITY,
+                              {"target": Field(_user_index, 0),
+                               "certify_samples": Field(_count(1), 200),
+                               "seed": _SEED}),
+    "nash-verify": Experiment("nash-verify", _run_nash_verify, fields={
+        "bs_samples": _SAMPLES, "adv_samples": _SAMPLES, "seed": _SEED}),
 }
 
 
@@ -586,61 +604,38 @@ def run_scenario(path: str, out_dir: str | None = None,
     """Execute a scenario file; returns the process exit code.
 
     `experiment` (from the subcommand) must agree with the file's experiment
-    name when both are present; either alone suffices.
+    name when both are present; either alone suffices.  `seed_override`
+    replaces the seed of experiments that have one, after scenario.json.
     """
     def emit(line):
         if not quiet:
             print(line)
 
-    try:
-        sc = parse_scenario(path)
-        name = sc.experiment["name"] if sc.experiment else None
-        if experiment is not None and name is not None and experiment != name:
-            raise ScenarioValidationError(
-                f"field 'experiment.name': file says {name!r} but the "
-                f"subcommand runs {experiment!r}")
-        if name is None:
-            if experiment is None:
-                raise ScenarioValidationError(
-                    "field 'experiment.name': missing (no subcommand context)")
-            sc = ScenarioConfig(
-                model=sc.model, system=sc.system, policy_spec=sc.policy_spec,
-                subpolicy_spec=sc.subpolicy_spec, plan_spec=sc.plan_spec,
-                experiment=dict(_DEFAULT_EXPERIMENTS[experiment]))
-        name = sc.experiment["name"]
-        if name in ("best-response", "oracle", "br-dynamics", "stackelberg") \
-                and sc.model != "no-diversity":
-            raise ScenarioValidationError(
-                f"field 'experiment.name': {name!r} needs the no-diversity model")
-    except (ScenarioParseError, ScenarioValidationError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-
     if out_dir is None:
         out_dir = os.environ.get(OUT_DIR_ENV, ".")
     try:
+        if seed_override is not None:
+            _SEED.check("--seed-override", seed_override, None)
+        sc = parse_scenario(path)
+        name = sc.experiment["name"] if sc.experiment else None
+        if experiment is not None and name not in (None, experiment):
+            _fail("experiment.name", f"file says {name!r} but the "
+                  f"subcommand runs {experiment!r}")
+        if name is None:
+            if experiment is None:
+                _fail("experiment.name", "missing (no subcommand context)")
+            sc = replace(sc, experiment=_validate_experiment(
+                {"name": experiment}, sc.model, sc.system, in_file=False))
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "scenario.json"), "w",
                   encoding="utf-8") as fh:
             json.dump(scenario_to_dict(sc), fh, indent=2, sort_keys=True)
             fh.write("\n")
-        if name == "exact":
-            _run_exact(sc, out_dir, emit)
-        elif name == "asymptotic":
-            _run_asymptotic(sc, out_dir, emit)
-        elif name == "montecarlo":
-            _run_montecarlo(sc, out_dir, emit, seed_override)
-        elif name == "best-response":
-            _run_best_response(sc, out_dir, emit)
-        elif name == "oracle":
-            _run_oracle(sc, out_dir, emit)
-        elif name == "br-dynamics":
-            _run_br_dynamics(sc, out_dir, emit)
-        elif name == "stackelberg":
-            _run_stackelberg(sc, out_dir, emit, seed_override)
-        else:
-            _run_nash_verify(sc, out_dir, emit, seed_override)
-    except ScenarioValidationError as exc:
+        if seed_override is not None and "seed" in sc.experiment:
+            sc = replace(sc, experiment={**sc.experiment,
+                                         "seed": seed_override})
+        REGISTRY[sc.experiment["name"]].run(sc, out_dir, emit)
+    except (ScenarioParseError, ScenarioValidationError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     except (AoijamError, OSError, ValueError) as exc:
@@ -656,21 +651,21 @@ def main(argv=None) -> int:
                     "jammer: exact/asymptotic ages, simulation, best "
                     "responses, and equilibrium analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in ("exact", "asymptotic", "simulate", "best-response",
-                    "oracle", "br-dynamics", "stackelberg", "nash-verify"):
-        p = sub.add_parser(command)
+    for name, entry in REGISTRY.items():
+        p = sub.add_parser(entry.command)
+        p.set_defaults(experiment=name)
         p.add_argument("--config", required=True,
                        help="path to the scenario JSON file")
         p.add_argument("--out-dir", default=None,
                        help=f"output directory (default: ${OUT_DIR_ENV} or .)")
         p.add_argument("--seed-override", type=int, default=None,
-                       help="replace the experiment's random seed")
+                       help="replace the experiment's seed (an integer >= 0)")
         p.add_argument("--quiet", action="store_true",
                        help="suppress the stdout summary")
     args = parser.parse_args(argv)
     return run_scenario(args.config, out_dir=args.out_dir,
                         seed_override=args.seed_override, quiet=args.quiet,
-                        experiment=SUBCOMMANDS[args.command])
+                        experiment=args.experiment)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .best_response import (
     bs_best_response_single_block,
     numeric_simplex_minimizer,
 )
-from .errors import NoDiversityError
+from .errors import CertificateError, NoDiversityError
 from .model import (
     BlockingPlan,
     BudgetSplit,
@@ -93,8 +93,10 @@ class EquilibriumReport:
     trace: tuple = field(default=())
 
     def __post_init__(self):
-        if self.holds is False and self.kind != "br-dynamics":
-            assert self.witness is not None, "failed check must carry a witness"
+        if (self.holds is False and self.kind != "br-dynamics"
+                and self.witness is None):
+            raise CertificateError(
+                f"failed {self.kind} check must carry a witness")
 
 
 # ===========================================================================
@@ -256,8 +258,11 @@ def stackelberg_equilibrium(N: int, alpha: float, T: int, target: int = 0,
         payoff = reduced_objective(leader, target, alpha, T).value
     plan = make_middle_block(config, target)
     for rival in _certification_policies(N, certify_samples, seed):
-        assert payoff <= follower_aware_payoff(rival, alpha, T) + IMPROVEMENT_TOL, \
-            "a sampled policy beat the uniform leader"
+        rival_payoff = follower_aware_payoff(rival, alpha, T)
+        if payoff > rival_payoff + IMPROVEMENT_TOL:
+            raise CertificateError(
+                f"sampled policy {rival.probs} gives the leader "
+                f"{rival_payoff!r}, below the uniform leader's {payoff!r}")
     return leader, plan, payoff
 
 

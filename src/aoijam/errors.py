@@ -31,10 +31,6 @@ class DimensionMismatchError(AoijamError, ValueError):
 
 # ---- age formulas ----
 
-class InvalidRangeError(AoijamError, ValueError):
-    """Slot range [k, l] is empty or out of bounds."""
-
-
 class NonPositiveProbabilityError(AoijamError, ValueError):
     """A per-slot probability must be strictly positive."""
 
@@ -55,6 +51,10 @@ class NonPositiveWeightError(AoijamError, ValueError):
 
 class ConvergenceFailureError(AoijamError, RuntimeError):
     """Iterative solver stalled above its stated tolerance."""
+
+
+class CertificateError(AoijamError, RuntimeError):
+    """An internal consistency certificate failed (a result is untrustworthy)."""
 
 
 class InsufficientRunsError(AoijamError, ValueError):

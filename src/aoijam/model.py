@@ -61,7 +61,15 @@ class SystemConfig:
 
     @property
     def budget_B(self) -> int:
-        return math.floor(self.alpha * self.horizon_T)
+        """floor(alpha * T), read through float error: a product within a
+        relative 1e-9 of an integer counts as that integer, so alpha=0.29
+        at T=100 gives 29 although 0.29 * 100 evaluates to 28.999999999999996.
+        """
+        product = self.alpha * self.horizon_T
+        nearest = round(product)
+        if math.isclose(product, nearest, rel_tol=1e-9):
+            return nearest
+        return math.floor(product)
 
     @property
     def has_diversity(self) -> bool:

@@ -18,7 +18,6 @@ from aoijam.best_response import (
     ordered_kkt_solver,
     project_decreasing_sum_one,
     project_simplex,
-    stackelberg_bs_policy,
 )
 from aoijam.errors import (
     InstanceTooLargeError,
@@ -180,11 +179,6 @@ def test_ordered_solver_validates_inputs():
         ordered_kkt_solver(1, 0.5)
     with pytest.raises(InvalidAlphaError):
         ordered_kkt_solver(3, 1.2)
-
-
-def test_stackelberg_policy_is_uniform():
-    np.testing.assert_allclose(stackelberg_bs_policy(4, 0.3).probs, 0.25)
-    np.testing.assert_allclose(stackelberg_bs_policy(1, 0.3).probs, [1.0])
 
 
 # ===========================================================================

@@ -1,0 +1,82 @@
+"""Certificates raise CertificateError, also under `python -O`.
+
+Each internal consistency check is forced to fail, by monkeypatching the
+value it compares against or by constructing the inconsistent object
+directly.  (The EquilibriumReport witness invariant is covered in
+test_equilibrium.py.)
+"""
+
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import aoijam.age_exact as age_exact
+import aoijam.best_response as best_response
+import aoijam.equilibrium as equilibrium
+from aoijam import (
+    AoijamError,
+    CertificateError,
+    ReducedGamePayoff,
+    SystemConfig,
+    adversary_oracle,
+    empty_plan,
+    expected_age_trajectory,
+    stackelberg_equilibrium,
+    validate_policy,
+)
+
+
+def test_certificate_error_is_a_package_runtime_error():
+    assert issubclass(CertificateError, AoijamError)
+    assert issubclass(CertificateError, RuntimeError)
+
+
+def test_age_range_check_fires(monkeypatch):
+    cfg = SystemConfig(horizon_T=4, num_users=2, alpha=0.25)
+    monkeypatch.setattr(age_exact, "_recurse_ages",
+                        lambda delivery: np.zeros(delivery.shape))
+    with pytest.raises(CertificateError, match=r"outside \[1, t\]"):
+        expected_age_trajectory(validate_policy([0.5, 0.5]), empty_plan(cfg),
+                                cfg)
+
+
+def test_oracle_reevaluation_check_fires(monkeypatch):
+    cfg = SystemConfig(horizon_T=4, num_users=2, alpha=0.25)
+    policy = validate_policy([0.6, 0.4])
+    real = best_response.expected_age_trajectory
+
+    def off_by_one(*args):
+        series = real(*args)
+        return age_exact.AgeSeries(series.per_user, series.per_user_avg,
+                                   series.system_avg + 1.0)
+
+    monkeypatch.setattr(best_response, "expected_age_trajectory", off_by_one)
+    with pytest.raises(CertificateError, match="oracle payoff"):
+        adversary_oracle(policy, cfg)
+
+
+def test_stackelberg_dominance_check_fires(monkeypatch):
+    monkeypatch.setattr(equilibrium, "follower_aware_payoff",
+                        lambda policy, alpha, T: 0.0)
+    with pytest.raises(CertificateError, match="uniform leader"):
+        stackelberg_equilibrium(3, 0.3, 200, certify_samples=4)
+
+
+def test_reduced_payoff_parts_check_fires():
+    with pytest.raises(CertificateError, match="sum of its parts"):
+        ReducedGamePayoff(5.0, 1.0, 1.0, 1.0)
+    ReducedGamePayoff(3.0, 1.0, 1.0, 1.0)  # consistent parts pass
+
+
+def test_certificate_survives_optimized_mode():
+    code = ("from aoijam import CertificateError, ReducedGamePayoff\n"
+            "try:\n"
+            "    ReducedGamePayoff(5.0, 1.0, 1.0, 1.0)\n"
+            "except CertificateError:\n"
+            "    print('raised')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"

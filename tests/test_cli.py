@@ -82,6 +82,10 @@ def test_missing_file_is_a_parse_error():
     (lambda d: d.update(plan={"source": "everywhere"}), "plan.source"),
     (lambda d: d.update(plan={"source": "uniform-subcarrier"}), "plan.source"),
     (lambda d: d.update(experiment={"name": "guess"}), "experiment.name"),
+    pytest.param(lambda d: d.update(experiment={"name": ["exact"]}),
+                 "experiment.name", id="list-experiment-name"),
+    (lambda d: d.update(plan={"source": "middle-block", "target": True}),
+     "plan.target"),
     (lambda d: d.update(experiment={"name": "montecarlo"}), "experiment.runs"),
     (lambda d: d.update(subcarrier_policy={"source": "uniform"}),
      "subcarrier_policy"),
@@ -381,3 +385,135 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "trajectories.csv").exists()
+
+
+# ---------------------------------------------------------------- field errors
+
+
+def div_doc(**overrides):
+    doc = base_doc(
+        model="diversity",
+        system={"horizon_T": 20, "num_users": 2, "alpha": 0.25,
+                "num_subcarriers": 2},
+        plan={"source": "uniform-subcarrier"},
+    )
+    doc.update(overrides)
+    return doc
+
+
+def explicit_plan(matrix, mode="deterministic"):
+    return {"plan": {"source": "explicit", "mode": mode, "block_prob": matrix}}
+
+
+def seeded(name, seed, **fields):
+    return {"experiment": {"name": name, "seed": seed, **fields}}
+
+
+_MC = {"runs": 20}
+_NASH = {"bs_samples": 2, "adv_samples": 2}
+BAD_SEEDS = {"string": "7", "float": 1.5, "bool": True, "negative": -1}
+PLAN, POLICY = "plan.block_prob", "policy.probs"
+
+
+def case(id, command, doc, field, *extra):
+    return pytest.param(command, doc, list(extra), field, id=id)
+
+
+@pytest.mark.parametrize("command, doc, extra, field", [
+    case("ragged-plan", "exact",
+         base_doc(**explicit_plan([[0, 0, 0], [0, 0]])), PLAN),
+    case("3d-plan", "exact",
+         base_doc(**explicit_plan([[[0, 0, 0]], [[0, 0, 0]]])), PLAN),
+    case("wrong-shape-plan", "exact",
+         base_doc(**explicit_plan([[0, 0], [0, 0]])), PLAN),
+    case("plan-above-1", "exact",
+         base_doc(**explicit_plan([[1.5, 0, 0], [0, 0, 0]], "randomized")),
+         PLAN),
+    case("fractional-deterministic-plan", "exact",
+         base_doc(**explicit_plan([[0.5, 0, 0], [0, 0, 0]])), PLAN),
+    case("non-numeric-plan", "exact",
+         base_doc(**explicit_plan([["x", 0, 0], [0, 0, 0]])), PLAN),
+    case("over-budget-plan", "exact",
+         base_doc(**explicit_plan([[1, 1, 0], [0, 0, 0]])), PLAN),
+    case("non-numeric-policy", "exact",
+         base_doc(policy={"source": "explicit", "probs": ["a", 0.5]}), POLICY),
+    case("null-policy", "exact",
+         base_doc(policy={"source": "explicit", "probs": [None, 1.0]}), POLICY),
+    case("zero-policy", "exact",
+         base_doc(policy={"source": "explicit", "probs": [0.0, 1.0]}), POLICY),
+    case("unnormalized-policy", "exact",
+         base_doc(policy={"source": "explicit", "probs": [0.3, 0.3]}), POLICY),
+    case("non-numeric-subcarrier-policy", "exact",
+         div_doc(subcarrier_policy={"source": "explicit", "probs": ["x", 0.5]}),
+         "subcarrier_policy.probs"),
+    *[case(f"{kind}-seed-simulate", "simulate",
+           base_doc(**seeded("montecarlo", seed, **_MC)), "experiment.seed")
+      for kind, seed in BAD_SEEDS.items()],
+    *[case(f"{kind}-seed-stackelberg", "stackelberg",
+           base_doc(**seeded("stackelberg", seed)), "experiment.seed")
+      for kind, seed in BAD_SEEDS.items()],
+    *[case(f"{kind}-seed-nash-verify", "nash-verify",
+           div_doc(**seeded("nash-verify", seed, **_NASH)), "experiment.seed")
+      for kind, seed in BAD_SEEDS.items()],
+    case("negative-seed-override", "simulate", base_doc(), "--seed-override",
+         "--seed-override", "-1"),
+])
+def test_malformed_field_exits_2_and_names_it(tmp_path, capsys, command, doc,
+                                              extra, field):
+    path = write_scenario(tmp_path, doc)
+    code = main([command, "--config", path, "--out-dir", str(tmp_path),
+                 "--quiet", *extra])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"field '{field}'" in err
+    assert "Traceback" not in err and "runtime error" not in err
+
+
+def test_unused_strategies_are_not_validated(tmp_path):
+    doc = base_doc(policy={"source": "explicit", "probs": ["a", 0.5]},
+                   **explicit_plan([[0, 0, 0], [0, 0]]))
+    path = write_scenario(tmp_path, doc)
+    assert main(["stackelberg", "--config", path, "--out-dir", str(tmp_path),
+                 "--quiet"]) == 0
+
+
+def test_oversized_oracle_plan_source_exits_3(tmp_path, capsys):
+    doc = base_doc(system={"horizon_T": 400, "num_users": 3, "alpha": 0.5},
+                   policy={"source": "uniform"}, plan={"source": "oracle"})
+    path = write_scenario(tmp_path, doc)
+    assert main(["exact", "--config", path, "--out-dir", str(tmp_path)]) == 3
+    assert "InstanceTooLargeError" in capsys.readouterr().err
+
+
+def test_simulate_without_experiment_block_uses_registry_defaults(tmp_path):
+    path = write_scenario(tmp_path, base_doc())
+    assert main(["simulate", "--config", path, "--out-dir", str(tmp_path),
+                 "--quiet"]) == 0
+    row = (tmp_path / "sim.csv").read_text().splitlines()[1]
+    assert row.startswith("1000,") and row.endswith(",0")
+    scenario = json.loads((tmp_path / "scenario.json").read_text())
+    assert scenario["experiment"] == {"name": "montecarlo", "runs": 1000,
+                                      "seed": 0}
+
+
+def test_seed_override_leaves_scenario_json_seed(tmp_path):
+    path = write_scenario(tmp_path, sim_doc(seed=11))
+    assert main(["simulate", "--config", path, "--out-dir", str(tmp_path),
+                 "--seed-override", "99", "--quiet"]) == 0
+    scenario = json.loads((tmp_path / "scenario.json").read_text())
+    assert scenario["experiment"]["seed"] == 11
+
+
+def test_asymptotic_diversity_csv_matches_library(tmp_path):
+    from aoijam import diversity_user_ages, validate_policy
+
+    doc = div_doc(system={"horizon_T": 1000, "num_users": 3, "alpha": 0.3,
+                          "num_subcarriers": 3},
+                  policy={"source": "explicit", "probs": [0.2, 0.3, 0.5]})
+    path = write_scenario(tmp_path, doc)
+    assert main(["asymptotic", "--config", path, "--out-dir", str(tmp_path),
+                 "--quiet"]) == 0
+    lines = (tmp_path / "asymptotic.csv").read_text().splitlines()
+    expected = diversity_user_ages(validate_policy([0.2, 0.3, 0.5]), 0.3, 3)
+    assert lines == ["user,asymptotic_age"] + [
+        f"{i},{float(v)!r}" for i, v in enumerate(expected)]

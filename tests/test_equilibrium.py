@@ -17,7 +17,7 @@ from aoijam.equilibrium import (
     stackelberg_equilibrium,
     verify_diversity_nash,
 )
-from aoijam.errors import NoDiversityError
+from aoijam.errors import CertificateError, NoDiversityError
 from aoijam.model import (
     SystemConfig,
     empty_plan,
@@ -103,7 +103,7 @@ def test_nash_check_rejects_diversity_and_infeasible_inputs():
 
 
 def test_failed_report_must_carry_witness():
-    with pytest.raises(AssertionError):
+    with pytest.raises(CertificateError, match="witness"):
         EquilibriumReport(kind="nash-check", holds=False)
 
 

@@ -43,6 +43,18 @@ def test_budget_rounds_down():
     assert SystemConfig(horizon_T=7, num_users=3, alpha=0.5).budget_B == 3
 
 
+@pytest.mark.parametrize("alpha, horizon, budget", [
+    (0.29, 100, 29),  # 0.29 * 100 evaluates to 28.999999999999996
+    (0.57, 100, 57),
+    (0.58, 100, 58),
+    (1 / 3, 3, 1),
+    (0.295, 100, 29),  # a genuine fraction still rounds down
+])
+def test_budget_survives_float_error(alpha, horizon, budget):
+    assert SystemConfig(horizon_T=horizon, num_users=2,
+                        alpha=alpha).budget_B == budget
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5])
 def test_alpha_outside_open_interval_rejected(alpha):
     with pytest.raises(ValueError):
