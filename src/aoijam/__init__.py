@@ -36,14 +36,6 @@ from .best_response import (
     project_decreasing_sum_one,
     project_simplex,
 )
-from .cli import (
-    ScenarioConfig,
-    main,
-    parse_scenario,
-    run_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-)
 from .equilibrium import (
     DeviationWitness,
     EquilibriumReport,
@@ -97,6 +89,26 @@ from .montecarlo import (
 )
 
 __version__ = "0.1.0"
+
+# The CLI's names load on first access (PEP 562), so that
+# `python -m aoijam.cli` does not find aoijam.cli already imported by this
+# package, which makes runpy warn on every run.
+_CLI_NAMES = frozenset({
+    "ScenarioConfig",
+    "main",
+    "parse_scenario",
+    "run_scenario",
+    "scenario_from_dict",
+    "scenario_to_dict",
+})
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ASYMPTOTIC_REGIME_MIN",

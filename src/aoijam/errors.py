@@ -8,7 +8,9 @@ class AoijamError(Exception):
 # ---- policy validation ----
 
 class NonPositiveEntryError(AoijamError, ValueError):
-    """A scheduling probability is <= 0 (asymptotic ages would be unbounded)."""
+    """A probability entry is NaN, infinite or out of range: a scheduling
+    probability <= 0 (asymptotic ages would be unbounded) or a sub-carrier
+    probability < 0."""
 
 
 class NotNormalizedError(AoijamError, ValueError):

@@ -29,6 +29,11 @@ SUM_STORED_TOL = 1e-12
 ENTRY_TOL = 1e-12
 
 
+def _first_non_finite(a: np.ndarray) -> tuple:
+    """Index of the first NaN or infinite entry of `a` (which must have one)."""
+    return np.unravel_index(int(np.argmin(np.isfinite(a))), a.shape)
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -100,6 +105,10 @@ class SchedulingPolicy:
             raise NonPositiveEntryError(
                 f"p[{bad}] = {p[bad]} must be > 0 (unscheduled users age forever)")
         s = math.fsum(p)
+        if not math.isfinite(s):  # a NaN or +inf entry; -inf failed above
+            bad, = _first_non_finite(p)
+            raise NonPositiveEntryError(
+                f"p[{bad}] = {p[bad]} must be a finite number > 0")
         if abs(s - 1.0) > SUM_ACCEPT_TOL:
             raise NotNormalizedError(f"probabilities sum to {s}, expected 1")
         object.__setattr__(self, "probs", _freeze(p / s))
@@ -127,6 +136,10 @@ class SubcarrierPolicy:
             bad = int(np.argmin(q))
             raise NonPositiveEntryError(f"q[{bad}] = {q[bad]} must be >= 0")
         s = math.fsum(q)
+        if not math.isfinite(s):  # a NaN or +inf entry; -inf failed above
+            bad, = _first_non_finite(q)
+            raise NonPositiveEntryError(
+                f"q[{bad}] = {q[bad]} must be a finite number >= 0")
         if abs(s - 1.0) > SUM_ACCEPT_TOL:
             raise NotNormalizedError(f"probabilities sum to {s}, expected 1")
         object.__setattr__(self, "probs", _freeze(q / s))
@@ -161,6 +174,11 @@ class BlockingPlan:
         if m.ndim != 2:
             raise DimensionMismatchError(
                 f"block_prob must be 2-D (channels x slots), got shape {m.shape}")
+        if not np.isfinite(m).all():
+            bad = _first_non_finite(m)
+            raise ValueError(
+                f"block_prob[{bad[0]}, {bad[1]}] = {m[bad]} is not a finite "
+                "probability")
         if np.any(m < -ENTRY_TOL) or np.any(m > 1.0 + ENTRY_TOL):
             raise ValueError("block probabilities must lie in [0, 1]")
         if self.mode == "deterministic" and not np.all((m == 0.0) | (m == 1.0)):

@@ -387,6 +387,26 @@ def test_console_entry_point(tmp_path):
     assert (tmp_path / "trajectories.csv").exists()
 
 
+def test_module_entry_point_is_silent():
+    # runpy warns when the package has already imported aoijam.cli
+    proc = subprocess.run([sys.executable, "-m", "aoijam.cli", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_package_resolves_cli_names():
+    import aoijam
+    from aoijam import cli
+
+    for name in ("ScenarioConfig", "main", "parse_scenario", "run_scenario",
+                 "scenario_from_dict", "scenario_to_dict"):
+        assert name in aoijam.__all__
+        assert getattr(aoijam, name) is getattr(cli, name)
+    with pytest.raises(AttributeError):
+        aoijam.no_such_name
+
+
 # ---------------------------------------------------------------- field errors
 
 

@@ -93,6 +93,20 @@ def test_validate_policy_rejects_nonpositive_entry():
         validate_policy([-0.2, 1.2])
 
 
+@pytest.mark.parametrize("build, raw, message", [
+    (validate_policy, [math.nan, 1.0], "p[0] = nan"),
+    (validate_policy, [0.5, math.inf], "p[1] = inf"),
+    (validate_policy, [0.5, -math.inf, 0.5], "p[1] = -inf"),
+    (validate_subcarrier_policy, [1.0, math.nan], "q[1] = nan"),
+    (validate_subcarrier_policy, [math.inf, 0.0], "q[0] = inf"),
+    (validate_subcarrier_policy, [0.5, 0.5, -math.inf], "q[2] = -inf"),
+])
+def test_policies_reject_non_finite_entries(build, raw, message):
+    with pytest.raises(NonPositiveEntryError) as info:
+        build(raw)
+    assert message in str(info.value)
+
+
 def test_validate_policy_normalizes_tiny_drift():
     # off by ~3e-10 in the sum: accepted and renormalized
     raw = np.array([0.3, 0.3, 0.4]) * (1.0 + 3e-10)
@@ -206,6 +220,18 @@ def test_plan_rejects_two_channels_same_slot():
     m[1, 1] = 1.0
     with pytest.raises(ValueError):
         BlockingPlan("deterministic", m)
+
+
+@pytest.mark.parametrize("mode, raw, message", [
+    ("randomized", [[math.nan, 0.1]], "block_prob[0, 0] = nan"),
+    ("randomized", [[0.0, 0.1], [0.2, math.nan]], "block_prob[1, 1] = nan"),
+    ("randomized", [[0.0, math.inf]], "block_prob[0, 1] = inf"),
+    ("deterministic", [[0.0, 1.0], [-math.inf, 0.0]], "block_prob[1, 0] = -inf"),
+])
+def test_plan_rejects_non_finite_entries(mode, raw, message):
+    with pytest.raises(ValueError) as info:
+        BlockingPlan(mode, raw)
+    assert message in str(info.value)
 
 
 def test_plan_rejects_fractional_deterministic_entries():

@@ -1,6 +1,8 @@
 """Monte Carlo simulation: determinism, seeding, and agreement with the
 exact recursion."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,10 @@ from aoijam.model import (
     middle_window,
     uniform_subcarrier_policy,
     validate_policy,
+    validate_subcarrier_policy,
 )
 from aoijam.montecarlo import (
+    BLOCK_CELLS,
     SimResult,
     estimate_average_age,
     mix_seed,
@@ -181,3 +185,70 @@ def test_std_error_shrinks_like_sqrt_runs():
     se_small = estimate_average_age(pol, None, plan, cfg, 2000, 1).std_error
     se_big = estimate_average_age(pol, None, plan, cfg, 8000, 2).std_error
     assert se_small / se_big == pytest.approx(2.0, rel=0.2)
+
+
+# ===========================================================================
+#  Seed-to-output lock: block evaluation against the per-run loop
+# ===========================================================================
+
+_LOCK_PROBS = [0.5, 0.3, 0.2]
+_RUNS_AT_500 = max(1, BLOCK_CELLS // 500)  # runs in one block at T=500
+
+
+def _per_run_reference(policy, subpolicy, plan, config, runs, master_seed):
+    """The estimator as a plain loop: one simulate_run per run, its ages
+    averaged over slots, then the same compensated aggregation."""
+    per_run_user = np.empty((runs, policy.n))
+    for k in range(runs):
+        ages = simulate_run(policy, subpolicy, plan, config,
+                            mix_seed(master_seed, k))
+        per_run_user[k] = ages.mean(axis=1)
+    per_user_mean = np.array(
+        [math.fsum(per_run_user[:, i]) / runs for i in range(policy.n)])
+    system_per_run = per_run_user.mean(axis=1)
+    mean_system = math.fsum(system_per_run) / runs
+    centered = system_per_run - mean_system
+    sample_var = math.fsum(centered * centered) / (runs - 1)
+    return mean_system, per_user_mean, math.sqrt(sample_var / runs)
+
+
+def _lock_scenario(plan_kind, horizon):
+    pol = validate_policy(_LOCK_PROBS)
+    if plan_kind == "diversity":
+        cfg = SystemConfig(horizon, 3, 0.3, num_subcarriers=3)
+        return (pol, validate_subcarrier_policy([0.5, 0.25, 0.25]),
+                make_uniform_subcarrier_block(cfg), cfg)
+    cfg = SystemConfig(horizon, 3, 0.3)
+    plan = empty_plan(cfg) if plan_kind == "empty" else make_middle_block(cfg, 2)
+    return pol, None, plan, cfg
+
+
+@pytest.mark.parametrize("plan_kind", ["empty", "middle", "diversity"])
+@pytest.mark.parametrize("horizon,runs", [
+    (500, _RUNS_AT_500 - 1),
+    (500, _RUNS_AT_500),
+    (500, _RUNS_AT_500 + 1),
+    (500, 3 * _RUNS_AT_500 + 5),
+    (1, 40),
+    (BLOCK_CELLS + 1, 3),  # a block holds a single run
+])
+def test_estimate_matches_per_run_loop_bit_for_bit(plan_kind, horizon, runs):
+    pol, q, plan, cfg = _lock_scenario(plan_kind, horizon)
+    est = estimate_average_age(pol, q, plan, cfg, runs, 31337)
+    mean, per_user, se = _per_run_reference(pol, q, plan, cfg, runs, 31337)
+    assert repr(est.mean_system_age) == repr(mean)
+    assert repr(est.std_error) == repr(se)
+    assert est.per_user_mean.tobytes() == per_user.tobytes()
+
+
+@pytest.mark.parametrize("plan_kind,mean,se", [
+    ("empty", "3.4629494949494948", "0.03270954244439598"),
+    ("middle", "11.28608080808081", "0.08347638609209448"),
+    ("diversity", "4.0184444444444445", "0.04252838888119944"),
+])
+def test_estimate_pinned_to_seed_mapping(plan_kind, mean, se):
+    """Values of the per-run implementation this estimator replaced."""
+    pol, q, plan, cfg = _lock_scenario(plan_kind, 500)
+    est = estimate_average_age(pol, q, plan, cfg, 33, 2024)
+    assert repr(est.mean_system_age) == mean
+    assert repr(est.std_error) == se
