@@ -30,17 +30,35 @@ class AsymptoticValidityWarning(UserWarning):
     """T * min_i p_i is too small for the large-horizon formulas to be tight."""
 
 
-def _warn_if_small_horizon(T: float, p_min: float) -> None:
+def _warn_if_small_horizon(T: float, p_min: float,
+                           stacklevel: int = 3) -> None:
+    """Warn when T*p_min is too small; the default stacklevel points at the
+    caller of the public function that calls this one."""
     if T * p_min < ASYMPTOTIC_REGIME_MIN:
         warnings.warn(
             f"T*min(p) = {T * p_min:.4g} < {ASYMPTOTIC_REGIME_MIN:g}; "
             "large-horizon age formulas may be off by more than ~1%",
-            AsymptoticValidityWarning, stacklevel=3)
+            AsymptoticValidityWarning, stacklevel=stacklevel)
 
 
 def _check_alpha(alpha: float) -> None:
     if not 0.0 <= alpha < 1.0:
         raise InvalidAlphaError(f"alpha must lie in [0, 1), got {alpha}")
+
+
+def _spared_users_sum(p: np.ndarray, blocked_user: int, alpha: float,
+                      T: int) -> float:
+    """sum of 1/p_j over the users other than `blocked_user`.
+
+    Also the argument checks and the regime warning shared by the payoffs
+    of a single middle-blocked user; the warning points at their caller.
+    """
+    if not 0 <= blocked_user < p.size:
+        raise IndexOutOfRangeError(
+            f"blocked_user {blocked_user} outside 0..{p.size - 1}")
+    _check_alpha(alpha)
+    _warn_if_small_horizon(T, float(p.min()), stacklevel=4)
+    return math.fsum(1.0 / p[j] for j in range(p.size) if j != blocked_user)
 
 
 # ===========================================================================
@@ -75,12 +93,7 @@ def system_age_no_diversity(
         T: int) -> float:
     """User-average age when one user absorbs the whole middle-block budget."""
     p = policy.probs
-    if not 0 <= blocked_user < p.size:
-        raise IndexOutOfRangeError(
-            f"blocked_user {blocked_user} outside 0..{p.size - 1}")
-    _check_alpha(alpha)
-    _warn_if_small_horizon(T, float(p.min()))
-    unblocked = math.fsum(1.0 / p[j] for j in range(p.size) if j != blocked_user)
+    unblocked = _spared_users_sum(p, blocked_user, alpha, T)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AsymptoticValidityWarning)
         blocked = blocked_user_age(float(p[blocked_user]), alpha, T)
@@ -124,12 +137,7 @@ def reduced_objective(
     their argmax in the target.
     """
     p = policy.probs
-    if not 0 <= blocked_user < p.size:
-        raise IndexOutOfRangeError(
-            f"blocked_user {blocked_user} outside 0..{p.size - 1}")
-    _check_alpha(alpha)
-    _warn_if_small_horizon(T, float(p.min()))
-    unblocked = math.fsum(1.0 / p[j] for j in range(p.size) if j != blocked_user)
+    unblocked = _spared_users_sum(p, blocked_user, alpha, T)
     blocked = (1 + alpha) / float(p[blocked_user]) - alpha
     linear = alpha * (1 + alpha * T) / 2
     return ReducedGamePayoff(

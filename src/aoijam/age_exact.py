@@ -8,7 +8,19 @@ where delivery_prob(t) is the probability the user receives an update in slot
 t: its scheduling probability when the channel is clear, damped by the
 blocking probability otherwise.  The equivalent sum form (a sum of survival
 products over all possible last-delivery slots) is quadratic in T; it lives
-in the tests as a cross-check.  All public operations run in O(N*T).
+in the tests as a cross-check.
+
+The recursion is evaluated in floating point exactly as the per-slot loop
+would, but it skips work the loop would repeat.  A row is cut into runs of
+constant survival s = 1 - delivery_prob.  For s >= 0 the rounded map
+age -> age*s + 1.0 is monotone, so inside a run the ages move monotonically
+and reach a float that the map sends to itself; from there on every slot of
+the run holds that float, and the rest of the run is filled without
+iterating.  Structured plans (middle blocks, uniform sub-carrier blocking,
+the audit's deviation families) are a few runs per row, so most slots are
+filled this way.  A run that ends before its fixed point (the s = 1 ramp of
+a surely blocked window, a tiny delivery probability) is iterated slot by
+slot, so the worst case stays O(N*T), as do all public operations.
 """
 
 from dataclasses import dataclass
@@ -68,18 +80,43 @@ def _make_series(per_user: np.ndarray) -> AgeSeries:
 
 
 def _recurse_ages(delivery_prob: np.ndarray) -> np.ndarray:
-    """Run age(t+1) = age(t)*(1 - s(t)) + 1 per row of an (N, T) matrix."""
+    """Run age(t+1) = age(t)*s(t) + 1, s = 1 - delivery, per row of an
+    (N, T) matrix, bit for bit as the plain per-slot loop would.
+
+    Each row is cut into runs of equal s.  Inside a run the loop stops at
+    the first slot where age*s + 1.0 == age: the rounded map has reached a
+    fixed point, so every later slot of the run holds the same float and is
+    filled by one slice assignment.
+    """
     n, horizon = delivery_prob.shape
     out = np.empty((n, horizon))
-    surv = 1.0 - delivery_prob
+    out[:, 0] = 1.0
+    if horizon == 1:
+        return out
     for i in range(n):
-        row_s = surv[i].tolist()  # scalar loop: ~100x faster than per-slot numpy
+        surv = 1.0 - delivery_prob[i, :-1]  # surv[t-1] carries slot t to t+1
+        starts = [0, *(np.flatnonzero(surv[1:] != surv[:-1]) + 1).tolist()]
         row_out = out[i]
         age = 1.0
-        row_out[0] = age
-        for t in range(1, horizon):
-            age = age * row_s[t - 1] + 1.0
-            row_out[t] = age
+        done = 1  # row_out[:done] is written; `ages` holds the slots after it
+        ages = []
+        for s, start, stop in zip(surv[starts].tolist(), starts,
+                                  starts[1:] + [horizon - 1]):
+            if stop - start == 1:  # most runs of a dense plan
+                age = age * s + 1.0
+                ages.append(age)
+                continue
+            for _ in range(stop - start):
+                nxt = age * s + 1.0
+                if nxt == age:  # every later slot of the run holds `age`
+                    row_out[done:done + len(ages)] = ages
+                    row_out[done + len(ages):stop + 1] = age
+                    done = stop + 1
+                    ages = []
+                    break
+                age = nxt
+                ages.append(age)
+        row_out[done:] = ages
     return out
 
 

@@ -352,8 +352,9 @@ def serialize_strategy(obj) -> str:
     if isinstance(obj, SubcarrierPolicy):
         return "q=" + _vec(obj.probs)
     if isinstance(obj, BlockingPlan):
-        cells = [f"{r}:{t}={_fmt(v)}"
-                 for (r, t), v in np.ndenumerate(obj.block_prob) if v != 0.0]
+        rows, cols = np.nonzero(obj.block_prob)  # row by row, slots ascending
+        cells = [f"{r}:{t}={_fmt(v)}" for r, t, v in zip(
+            rows.tolist(), cols.tolist(), obj.block_prob[rows, cols].tolist())]
         return f"plan[{obj.mode}]{{{'|'.join(cells)}}}"
     if isinstance(obj, tuple):
         return "&".join(serialize_strategy(o) for o in obj)
@@ -372,10 +373,31 @@ def _write_csv(path, header, rows):
 
 
 def write_trajectories_csv(path, series):
-    rows = [(user, slot + 1, _fmt(series.per_user[user, slot]))
-            for user in range(series.num_users)
-            for slot in range(series.horizon)]
-    _write_csv(path, ("user", "slot", "expected_age"), rows)
+    """One `user,slot,repr(age)` line per user-slot, one write per user.
+
+    The bytes are those csv.writer gives for these rows.  A row's reprs are
+    taken once per run of equal ages (ages settle within a few hundred
+    slots) and once per distinct value; equal floats share a repr here
+    because every age is >= 1, so 0.0 and -0.0 never meet.
+    """
+    horizon = series.horizon
+    parts = [""] * (3 * horizon)  # user, ",slot,", "age\n" for every slot
+    parts[1::3] = [f",{t}," for t in range(1, horizon + 1)]
+    memo = {}
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("user,slot,expected_age\n")
+        for user, row in enumerate(series.per_user):
+            starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+            texts = []
+            for age in row[starts].tolist():
+                text = memo.get(age)
+                if text is None:
+                    text = memo[age] = f"{age!r}\n"
+                texts.append(text)
+            parts[0::3] = [str(user)] * horizon
+            parts[2::3] = np.repeat(np.array(texts, dtype=object),
+                                    np.diff(starts, append=horizon)).tolist()
+            fh.write("".join(parts))
 
 
 def write_sim_csv(path, result):

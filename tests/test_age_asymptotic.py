@@ -288,3 +288,25 @@ def test_no_warning_in_valid_regime():
         warnings.simplefilter("error", AsymptoticValidityWarning)
         blocked_user_age(0.5, 0.3, 1000)
         reduced_objective(uniform_policy(2), 0, 0.5, 400)
+
+
+def test_warning_points_at_the_caller():
+    for call in (lambda: blocked_user_age(0.5, 0.3, 100),
+                 lambda: system_age_no_diversity(uniform_policy(4), 0, 0.3, 300),
+                 lambda: reduced_objective(uniform_policy(4), 0, 0.3, 300)):
+        with pytest.warns(AsymptoticValidityWarning) as record:
+            call()
+        assert [w.filename for w in record] == [__file__]
+
+
+def test_single_blocked_user_values_are_pinned():
+    # repr of each value, taken before the two payoffs shared their code
+    pol = validate_policy([0.2, 0.5, 0.3])
+    payoff = reduced_objective(pol, 1, 0.25, 1000)
+    assert (repr(payoff.value), repr(payoff.unblocked_term),
+            repr(payoff.blocked_term), repr(payoff.linear_t_term)) == (
+        "41.958333333333336", "8.333333333333334", "2.25", "31.375")
+    assert repr(system_age_no_diversity(pol, 1, 0.25, 1000)) == (
+        "13.986111111111112")
+    assert repr(system_age_no_diversity(pol, 0, 0.37, 777)) == (
+        "21.727994444444445")

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from aoijam.age_exact import (
+    _recurse_ages,
     expected_age_trajectory,
     expected_age_trajectory_diversity,
 )
+from aoijam.equilibrium import ADV_DEVIATION_FAMILIES, _sample_adv_deviations
 from aoijam.errors import DimensionMismatchError
 from aoijam.model import (
     BlockingPlan,
@@ -227,3 +229,97 @@ def test_diversity_plan_rows_must_match_subcarriers():
         expected_age_trajectory_diversity(
             validate_policy([0.5, 0.5]), uniform_subcarrier_policy(3),
             BlockingPlan("randomized", np.zeros((3, 10))), cfg)
+
+
+# ===========================================================================
+#  Recursion lock: _recurse_ages against the plain per-slot loop
+# ===========================================================================
+
+
+def _recurse_reference(delivery_prob):
+    """age(t+1) = age(t)*(1 - d(t)) + 1, one slot at a time."""
+    n, horizon = delivery_prob.shape
+    out = np.empty((n, horizon))
+    surv = 1.0 - delivery_prob
+    for i in range(n):
+        row_s = surv[i].tolist()
+        age = 1.0
+        out[i, 0] = age
+        for t in range(1, horizon):
+            age = age * row_s[t - 1] + 1.0
+            out[i, t] = age
+    return out
+
+
+_LOCK_P = np.array([0.5, 0.3, 0.2])
+
+
+def _middle_block():
+    cfg = _no_div_cfg(2000, 3, alpha=0.3)
+    return _LOCK_P[:, None] * (1.0 - make_middle_block(cfg, 1).block_prob)
+
+
+def _diversity_delivery(q, block_prob):
+    return _LOCK_P[:, None] * (1.0 - np.asarray(q) @ block_prob)[None, :]
+
+
+def _uniform_subcarrier():
+    cfg = SystemConfig(horizon_T=2000, num_users=3, alpha=0.3,
+                       num_subcarriers=3)
+    return _diversity_delivery([0.2, 0.5, 0.3],
+                               make_uniform_subcarrier_block(cfg).block_prob)
+
+
+def _deviation_family(k):
+    """Plan k of a sample that takes one plan from each family, in order."""
+    def build():
+        cfg = SystemConfig(horizon_T=1500, num_users=3, alpha=0.2,
+                           num_subcarriers=3)
+        plans = _sample_adv_deviations(
+            cfg, len(ADV_DEVIATION_FAMILIES), np.random.default_rng(17))
+        return _diversity_delivery([0.2, 0.5, 0.3], plans[k].block_prob)
+    return build
+
+
+def _dense(values):
+    def build():
+        rng = np.random.default_rng(23)
+        return _LOCK_P[:, None] * (1.0 - rng.choice(values, (3, 3000)))
+    return build
+
+
+def _random_delivery():
+    return np.random.default_rng(29).random((2, 3000))
+
+
+_LOCK_CASES = {
+    "middle-block": _middle_block,
+    "uniform-subcarrier": _uniform_subcarrier,
+    **{f"family-{name}": _deviation_family(k)
+       for k, name in enumerate(ADV_DEVIATION_FAMILIES)},
+    "dense-0/1": _dense([0.0, 1.0]),
+    "dense-0/0.5": _dense([0.0, 0.5]),
+    "random-delivery": _random_delivery,
+    # the rounded map reaches its fixed point at slot 276,086 of 300,000
+    "tiny-p-late-fixed-point": lambda: np.full((1, 300_000), 1e-4),
+    "tiny-p-no-fixed-point": lambda: np.full((1, 200_000), 1e-4),
+    "ramp": lambda: np.zeros((2, 1000)),
+    "T=1": lambda: np.array([[0.5], [0.0]]),
+    "T=2": lambda: np.array([[0.5, 0.5], [0.0, 1.0]]),
+    "N=1": lambda: np.array([[0.7] * 50 + [0.0] * 50 + [0.7] * 50]),
+}
+
+
+@pytest.mark.parametrize("name", list(_LOCK_CASES))
+def test_recursion_is_bit_identical_to_reference(name):
+    delivery = _LOCK_CASES[name]()
+    got = _recurse_ages(delivery)
+    assert got.shape == delivery.shape
+    assert got.tobytes() == _recurse_reference(delivery).tobytes()
+
+
+def test_tiny_p_cases_straddle_the_fixed_point():
+    late = _recurse_ages(_LOCK_CASES["tiny-p-late-fixed-point"]())[0]
+    assert late[276_084] < late[276_085] == late[-1]
+    never = _recurse_ages(_LOCK_CASES["tiny-p-no-fixed-point"]())[0]
+    assert never[-2] < never[-1]

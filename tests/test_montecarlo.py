@@ -24,6 +24,9 @@ from aoijam.model import (
 from aoijam.montecarlo import (
     BLOCK_CELLS,
     SimResult,
+    _delivery_sampler,
+    _last_delivery,
+    _slots,
     estimate_average_age,
     mix_seed,
     simulate_run,
@@ -166,16 +169,22 @@ def test_estimate_matches_diversity_recursion():
 def test_mean_trajectory_matches_recursion_pointwise():
     cfg = SystemConfig(horizon_T=3, num_users=2, alpha=0.1)
     pol = validate_policy([0.5, 0.5])
+    plan = empty_plan(cfg)
     runs = 20_000
-    acc = np.zeros((2, 3))
-    sq = np.zeros((2, 3))
-    for k in range(runs):
-        v = simulate_run(pol, None, empty_plan(cfg), cfg, mix_seed(4242, k))
-        acc += v
-        sq += v.astype(float) ** 2
-    mean = acc / runs
-    se = np.sqrt((sq / runs - mean**2) / runs)
-    np.testing.assert_allclose(mean[0], [1.0, 1.5, 1.75], atol=3 * se[0].max())
+    seeds = [mix_seed(4242, k) for k in range(runs)]
+    codes = _delivery_sampler(pol, None, plan, cfg.horizon_T)(seeds)
+    slots = _slots(cfg.horizon_T)
+    ages = np.empty((runs, 2, 3), dtype=np.int64)
+    for i in range(2):
+        last = _last_delivery(codes, i, slots)
+        ages[:, i] = np.where(last > 0, slots - last + 1, slots)
+    for k in (0, 1, 9_999, runs - 1):
+        np.testing.assert_array_equal(
+            ages[k], simulate_run(pol, None, plan, cfg, seeds[k]))
+    mean = ages.mean(axis=0)
+    se = ages.std(axis=0) / math.sqrt(runs)
+    exact = expected_age_trajectory(pol, plan, cfg).per_user
+    assert np.all(np.abs(mean - exact) <= 3 * se.max(axis=1, keepdims=True))
 
 
 def test_std_error_shrinks_like_sqrt_runs():
