@@ -27,13 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateError, DimensionMismatchError
+from .errors import CertificateError
 from .model import (
     BlockingPlan,
     SchedulingPolicy,
     SubcarrierPolicy,
     SystemConfig,
-    blocking_feasible,
+    check_profile,
 )
 
 # ===========================================================================
@@ -128,11 +128,7 @@ def expected_age_trajectory(
     Plan rows index users; randomized plans are allowed, with per-slot
     delivery probability p_i * (1 - block_prob[i, t]).
     """
-    if plan.channels != policy.n:
-        raise DimensionMismatchError(
-            f"plan has {plan.channels} rows, policy has {policy.n} users")
-    if not blocking_feasible(plan, config):
-        raise ValueError("blocking plan exceeds the adversary's budget")
+    check_profile(policy, None, plan, config)
     delivery = policy.probs[:, None] * (1.0 - plan.block_prob)
     return _make_series(_recurse_ages(delivery))
 
@@ -147,11 +143,7 @@ def expected_age_trajectory_diversity(
     update unless the drawn sub-carrier is blocked.  When every sub-carrier is
     blocked with the same probability the q-dependence cancels.
     """
-    if plan.channels != subpolicy.n:
-        raise DimensionMismatchError(
-            f"plan has {plan.channels} rows, {subpolicy.n} sub-carriers given")
-    if not blocking_feasible(plan, config):
-        raise ValueError("blocking plan exceeds the adversary's budget")
+    check_profile(policy, subpolicy, plan, config)
     intercepted = subpolicy.probs @ plan.block_prob  # per-slot hit probability
     delivery = policy.probs[:, None] * (1.0 - intercepted)[None, :]
     return _make_series(_recurse_ages(delivery))

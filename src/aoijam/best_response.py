@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 
 from .age_asymptotic import AsymptoticValidityWarning, reduced_objective
 from .age_exact import expected_age_trajectory
@@ -81,24 +80,25 @@ def project_decreasing_sum_one(v: np.ndarray) -> np.ndarray:
     the hyperplane's normal direction, so isotonic regression followed by
     recentering is the exact joint projection.
     """
+    # lazy: scipy is most of `import aoijam`; only ordered_kkt_solver needs it
+    from scipy.optimize import isotonic_regression
     iso = isotonic_regression(v, increasing=False).x
     return iso + (1.0 - iso.sum()) / v.size
 
 
-def _bb_projected_descent(fun, grad, project, x0, tol=DESCENT_TOL,
-                          max_iter=DESCENT_MAX_ITER):
+def _bb_projected_descent(fun, grad, project, x0):
     """Minimize fun over a convex set via projected gradient descent.
 
     Barzilai-Borwein step lengths with Armijo backtracking; stops when the
-    gradient-mapping norm ||x - P(x - t*g)|| / t falls below tol.  fun must
-    return +inf outside its domain so backtracking cannot step out of it.
+    gradient-mapping norm ||x - P(x - t*g)|| / t falls below DESCENT_TOL.
+    fun must return +inf outside its domain so backtracking cannot leave it.
     """
     x = np.asarray(x0, dtype=float)
     fx = fun(x)
     g = grad(x)
     step = 1.0
     prev_x = prev_g = None
-    for _ in range(max_iter):
+    for _ in range(DESCENT_MAX_ITER):
         if prev_x is not None:
             s = x - prev_x
             y = g - prev_g
@@ -114,11 +114,12 @@ def _bb_projected_descent(fun, grad, project, x0, tol=DESCENT_TOL,
         gap = float(np.linalg.norm(x - x_new)) / step
         prev_x, prev_g = x, g
         x, fx = x_new, f_new
-        if gap <= tol:
+        if gap <= DESCENT_TOL:
             return x
         g = grad(x)
     raise ConvergenceFailureError(
-        f"projected descent still above tolerance after {max_iter} iterations")
+        f"projected descent still above tolerance after {DESCENT_MAX_ITER} "
+        "iterations")
 
 
 def _inverse_weight_objective(weights: np.ndarray):
@@ -153,6 +154,17 @@ def bs_best_response_single_block(N: int, alpha: float) -> SchedulingPolicy:
     p = np.full(N, 1.0 / denom)
     p[0] = root / denom
     return validate_policy(p)
+
+
+def counter_block_policy(N: int, alpha: float,
+                         target: int) -> SchedulingPolicy:
+    """bs_best_response_single_block with the blocked user moved to `target`,
+    the others in order; the permuted vector is validated again."""
+    base = bs_best_response_single_block(N, alpha).probs
+    probs = np.empty(N)
+    probs[target] = base[0]
+    probs[np.arange(N) != target] = base[1:]
+    return validate_policy(probs)
 
 
 def numeric_simplex_minimizer(weights) -> SchedulingPolicy:
@@ -227,9 +239,8 @@ def oracle_plan_count(N: int, T: int, B: int) -> int:
     return sum(math.comb(T, k) * N**k for k in range(min(B, T) + 1))
 
 
-def adversary_oracle(policy: SchedulingPolicy, config: SystemConfig,
-                     objective: str = "exact-age",
-                     max_plans: int = ORACLE_MAX_PLANS) -> AdversaryResponse:
+def adversary_oracle(policy: SchedulingPolicy,
+                     config: SystemConfig) -> AdversaryResponse:
     """Exhaustively search every feasible deterministic plan on a small instance.
 
     Per-slot actions are {idle, block user 0, ..., block user N-1} with at
@@ -237,17 +248,16 @@ def adversary_oracle(policy: SchedulingPolicy, config: SystemConfig,
     finite-horizon system average age.  Enumeration is lexicographic
     (idle < block 0 < block 1 < ..., slot by slot), the reported plan is the
     lexicographically smallest maximizer, and every tie within relative 1e-12
-    rides along in tied_plans.
+    rides along in tied_plans.  More than ORACLE_MAX_PLANS candidate plans
+    raise InstanceTooLargeError.
     """
-    if objective != "exact-age":
-        raise ValueError(f"unsupported oracle objective {objective!r}")
     if config.has_diversity:
         raise ValueError("oracle applies to the no-diversity model")
     n, horizon, budget = policy.n, config.horizon_T, config.budget_B
     count = oracle_plan_count(n, horizon, budget)
-    if count > max_plans:
+    if count > ORACLE_MAX_PLANS:
         raise InstanceTooLargeError(
-            f"{count} candidate plans exceed the cap of {max_plans}")
+            f"{count} candidate plans exceed the cap of {ORACLE_MAX_PLANS}")
 
     probs = policy.probs.tolist()
     best_value = -np.inf

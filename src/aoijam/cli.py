@@ -16,7 +16,7 @@ fixed schemas:
 Each experiment is one REGISTRY entry: its subcommand, the models it
 accepts, its experiment-block fields (validator and default) and its runner.
 
-Exit codes: 0 success, 2 scenario parse/validation failure, 3 runtime error.
+Exit codes: 0 success, 2 invalid scenario, 3 runtime error or out of memory.
 """
 
 import argparse
@@ -43,7 +43,7 @@ from .age_exact import (
 from .best_response import (
     adversary_best_response,
     adversary_oracle,
-    bs_best_response_single_block,
+    counter_block_policy,
     numeric_simplex_minimizer,
 )
 from .montecarlo import estimate_average_age
@@ -292,13 +292,8 @@ def resolve_policy(sc: ScenarioConfig) -> SchedulingPolicy:
         return uniform_policy(sc.system.num_users)
     if spec["source"] == "explicit":
         return _explicit("policy.probs", validate_policy, spec["probs"])
-    # counter-block: closed-form best response permuted onto the target
-    target = spec.get("target", 0)
-    base = bs_best_response_single_block(sc.system.num_users, sc.system.alpha)
-    probs = np.empty(sc.system.num_users)
-    probs[target] = base.probs[0]
-    probs[np.arange(sc.system.num_users) != target] = base.probs[1:]
-    return validate_policy(probs)
+    return counter_block_policy(sc.system.num_users, sc.system.alpha,
+                                spec.get("target", 0))
 
 
 def resolve_subpolicy(sc: ScenarioConfig) -> SubcarrierPolicy | None:
@@ -660,7 +655,7 @@ def run_scenario(path: str, out_dir: str | None = None,
     except (ScenarioParseError, ScenarioValidationError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    except (AoijamError, OSError, ValueError) as exc:
+    except (AoijamError, OSError, ValueError, MemoryError) as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -23,10 +23,7 @@ from .age_asymptotic import (
     reduced_payoff_for_split,
 )
 from .age_exact import expected_age_trajectory_diversity
-from .best_response import (
-    bs_best_response_single_block,
-    numeric_simplex_minimizer,
-)
+from .best_response import counter_block_policy, numeric_simplex_minimizer
 from .errors import CertificateError, NoDiversityError
 from .model import (
     BlockingPlan,
@@ -34,7 +31,7 @@ from .model import (
     SchedulingPolicy,
     SubcarrierPolicy,
     SystemConfig,
-    blocking_feasible,
+    check_profile,
     make_middle_block,
     make_uniform_subcarrier_block,
     middle_window,
@@ -147,10 +144,7 @@ def is_nash_no_diversity(policy: SchedulingPolicy, plan: BlockingPlan,
     spending its budget off-center is treated as its same-split middle
     placement.
     """
-    if config.has_diversity:
-        raise ValueError("Nash check applies to the no-diversity model")
-    if not blocking_feasible(plan, config):
-        raise ValueError("candidate plan is not budget-feasible")
+    check_profile(policy, None, plan, config)
     current = _reduced_plan_payoff(policy, plan, config)
 
     # adversary side: does any middle-block target strictly raise the payoff?
@@ -203,12 +197,7 @@ def best_response_dynamics(N: int, alpha: float, T: int,
             target = int(np.argmin(policy.probs))
             payoff = reduced_objective(policy, target, alpha, T).value
             steps.append(TraceStep(it, policy, target, payoff))
-            response = bs_best_response_single_block(N, alpha).probs
-            nxt = np.empty(N)
-            nxt[target] = response[0]
-            rest = np.delete(np.arange(N), target)
-            nxt[rest] = response[1:]
-            policy = validate_policy(nxt)
+            policy = counter_block_policy(N, alpha, target)
 
     fixed = any(
         a.blocked_user == b.blocked_user
@@ -346,10 +335,7 @@ def verify_diversity_nash(point, config: SystemConfig, bs_samples: int,
     the exact finite-horizon recursion at the candidate's (p, q).
     """
     policy, subpolicy, plan = point
-    if not config.has_diversity:
-        raise NoDiversityError("verification needs the diversity model")
-    if not blocking_feasible(plan, config):
-        raise ValueError("candidate plan is not budget-feasible")
+    check_profile(policy, subpolicy, plan, config)
     rng = np.random.default_rng(seed)
     alpha, n_sub = config.alpha, config.num_subcarriers
 

@@ -299,14 +299,41 @@ def make_uniform_subcarrier_block(config: SystemConfig) -> BlockingPlan:
 
 
 def blocking_feasible(plan: BlockingPlan, config: SystemConfig) -> bool:
-    """True iff the plan fits the config's budget and per-slot constraints."""
+    """True iff the plan fits the config's budget; DimensionMismatchError if
+    it is not channels x T.  BlockingPlan enforces the per-slot limit."""
     if plan.channels != config.num_channels or plan.horizon != config.horizon_T:
         raise DimensionMismatchError(
             f"plan is {plan.channels}x{plan.horizon}, config expects "
             f"{config.num_channels}x{config.horizon_T}")
-    if plan.total_blocked() > config.budget_B + SUM_ACCEPT_TOL:
-        return False
-    return bool(np.all(plan.block_prob.sum(axis=0) <= 1.0 + SUM_ACCEPT_TOL))
+    return plan.total_blocked() <= config.budget_B + SUM_ACCEPT_TOL
+
+
+def check_profile(policy: SchedulingPolicy,
+                  subpolicy: SubcarrierPolicy | None, plan: BlockingPlan,
+                  config: SystemConfig) -> None:
+    """Raise unless (policy, subpolicy, plan) is a strategy profile of config.
+
+    subpolicy is None exactly in the no-diversity model.  Sizes fail first
+    (DimensionMismatchError, NoDiversityError), then the plan's shape, then
+    its budget (ValueError).
+    """
+    if policy.n != config.num_users:
+        raise DimensionMismatchError(
+            f"policy has {policy.n} users, config expects {config.num_users}")
+    if subpolicy is None:
+        if config.has_diversity:
+            raise DimensionMismatchError(
+                f"config has {config.num_subcarriers} sub-carriers but no "
+                "sub-carrier policy was given")
+    elif not config.has_diversity:
+        raise NoDiversityError(
+            "a sub-carrier policy needs the diversity model (N_sub >= 2)")
+    elif subpolicy.n != config.num_subcarriers:
+        raise DimensionMismatchError(
+            f"sub-carrier policy has {subpolicy.n} entries, config expects "
+            f"{config.num_subcarriers}")
+    if not blocking_feasible(plan, config):
+        raise ValueError("blocking plan exceeds the adversary's budget")
 
 
 def empty_plan(config: SystemConfig) -> BlockingPlan:

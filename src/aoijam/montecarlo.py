@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InsufficientRunsError
+from .errors import InsufficientRunsError
 from .model import (
     BlockingPlan,
     SchedulingPolicy,
     SubcarrierPolicy,
     SystemConfig,
-    blocking_feasible,
+    check_profile,
 )
 
 # Slots simulated at once: estimate_average_age draws max(1, BLOCK_CELLS // T)
@@ -71,18 +71,6 @@ class SimResult:
 # ===========================================================================
 #  Sampling
 # ===========================================================================
-
-
-def _check_inputs(policy, subpolicy, plan, config):
-    if subpolicy is None:
-        if plan.channels != policy.n:
-            raise DimensionMismatchError(
-                f"plan has {plan.channels} rows, policy has {policy.n} users")
-    elif plan.channels != subpolicy.n:
-        raise DimensionMismatchError(
-            f"plan has {plan.channels} rows, {subpolicy.n} sub-carriers given")
-    if not blocking_feasible(plan, config):
-        raise ValueError("blocking plan exceeds the adversary's budget")
 
 
 def _categories(cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -175,7 +163,7 @@ def simulate_run(policy: SchedulingPolicy, subpolicy, plan: BlockingPlan,
     adversary randomness come from independent streams derived from `seed`,
     so the adversary's draws never depend on the realized schedule.
     """
-    _check_inputs(policy, subpolicy, plan, config)
+    check_profile(policy, subpolicy, plan, config)
     horizon = config.horizon_T
     codes = _delivery_sampler(policy, subpolicy, plan, horizon)([seed])[0]
     slots = _slots(horizon)
@@ -208,7 +196,7 @@ def estimate_average_age(policy: SchedulingPolicy, subpolicy, plan: BlockingPlan
     if runs < 2:
         raise InsufficientRunsError(
             f"runs = {runs}; need >= 2 for a standard error")
-    _check_inputs(policy, subpolicy, plan, config)
+    check_profile(policy, subpolicy, plan, config)
     horizon = config.horizon_T
     draw = _delivery_sampler(policy, subpolicy, plan, horizon)
     slots = _slots(horizon)

@@ -16,6 +16,7 @@ from aoijam.model import (
     empty_plan,
     make_middle_block,
     make_uniform_subcarrier_block,
+    uniform_policy,
     uniform_subcarrier_policy,
     validate_policy,
     validate_subcarrier_policy,
@@ -229,6 +230,23 @@ def test_diversity_plan_rows_must_match_subcarriers():
         expected_age_trajectory_diversity(
             validate_policy([0.5, 0.5]), uniform_subcarrier_policy(3),
             BlockingPlan("randomized", np.zeros((3, 10))), cfg)
+
+
+def test_diversity_evaluator_rejects_wrong_user_count():
+    cfg = SystemConfig(horizon_T=10, num_users=2, alpha=0.3,
+                       num_subcarriers=2)
+    with pytest.raises(DimensionMismatchError, match="policy has 5 users"):
+        expected_age_trajectory_diversity(
+            uniform_policy(5), uniform_subcarrier_policy(2),
+            make_uniform_subcarrier_block(cfg), cfg)
+
+
+def test_no_diversity_evaluator_rejects_diversity_config():
+    # N == N_sub, so the plan's shape alone cannot tell the models apart
+    cfg = SystemConfig(horizon_T=10, num_users=2, alpha=0.3,
+                       num_subcarriers=2)
+    with pytest.raises(DimensionMismatchError, match="sub-carrier policy"):
+        expected_age_trajectory(uniform_policy(2), empty_plan(cfg), cfg)
 
 
 # ===========================================================================

@@ -13,6 +13,7 @@ from aoijam.best_response import (
     adversary_best_response,
     adversary_oracle,
     bs_best_response_single_block,
+    counter_block_policy,
     numeric_simplex_minimizer,
     oracle_plan_count,
     ordered_kkt_solver,
@@ -97,6 +98,19 @@ def test_single_block_rejects_bad_alpha():
 def test_single_block_single_user():
     np.testing.assert_allclose(
         bs_best_response_single_block(1, 0.5).probs, [1.0])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.44, 0.9])
+def test_counter_block_permutes_the_validated_response(n, alpha):
+    # validate, permute, validate again: dynamics.csv pins these bits
+    base = bs_best_response_single_block(n, alpha).probs
+    for target in range(n):
+        order = [target] + [i for i in range(n) if i != target]
+        probs = np.empty(n)
+        probs[order] = base
+        assert counter_block_policy(n, alpha, target).probs.tobytes() == (
+            validate_policy(probs).probs.tobytes())
 
 
 def test_numeric_minimizer_uniform_weights():
@@ -294,9 +308,3 @@ def test_oracle_respects_instance_cap():
     cfg = SystemConfig(horizon_T=40, num_users=3, alpha=0.5)
     with pytest.raises(InstanceTooLargeError):
         adversary_oracle(validate_policy([0.3, 0.3, 0.4]), cfg)
-
-
-def test_oracle_rejects_unknown_objective():
-    cfg = SystemConfig(horizon_T=4, num_users=1, alpha=0.3)
-    with pytest.raises(ValueError):
-        adversary_oracle(validate_policy([1.0]), cfg, objective="reduced")

@@ -395,6 +395,15 @@ def test_module_entry_point_is_silent():
     assert proc.stderr == ""
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only ordered_kkt_solver, which no subcommand calls
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, aoijam.cli; assert 'scipy' not in sys.modules"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_package_resolves_cli_names():
     import aoijam
     from aoijam import cli
@@ -503,6 +512,15 @@ def test_oversized_oracle_plan_source_exits_3(tmp_path, capsys):
     path = write_scenario(tmp_path, doc)
     assert main(["exact", "--config", path, "--out-dir", str(tmp_path)]) == 3
     assert "InstanceTooLargeError" in capsys.readouterr().err
+
+
+def test_out_of_memory_exits_3(tmp_path, capsys):
+    # a 2 x 1e17 plan needs 1.39 EiB, beyond any address space: the
+    # allocation fails at once
+    doc = base_doc(system={"horizon_T": 10**17, "num_users": 2, "alpha": 0.4})
+    path = write_scenario(tmp_path, doc)
+    assert main(["exact", "--config", path, "--out-dir", str(tmp_path)]) == 3
+    assert "runtime error: MemoryError" in capsys.readouterr().err
 
 
 def test_simulate_without_experiment_block_uses_registry_defaults(tmp_path):

@@ -17,7 +17,11 @@ from aoijam.equilibrium import (
     stackelberg_equilibrium,
     verify_diversity_nash,
 )
-from aoijam.errors import CertificateError, NoDiversityError
+from aoijam.errors import (
+    CertificateError,
+    DimensionMismatchError,
+    NoDiversityError,
+)
 from aoijam.model import (
     SystemConfig,
     empty_plan,
@@ -269,6 +273,14 @@ def test_verify_requires_diversity_and_feasible_plan():
     big = diversity_nash_point(2, 2, 0.5, 100)  # spends 50 > B = 20
     with pytest.raises(ValueError):
         verify_diversity_nash(big, cfg, 5, 5)
+
+
+def test_verify_rejects_wrong_user_count():
+    cfg = SystemConfig(horizon_T=100, num_users=2, alpha=0.2,
+                       num_subcarriers=2)
+    _, q, plan = diversity_nash_point(2, 2, 0.2, 100)
+    with pytest.raises(DimensionMismatchError, match="policy has 5 users"):
+        verify_diversity_nash((uniform_policy(5), q, plan), cfg, 5, 5)
 
 
 def test_witness_dataclass_shape():

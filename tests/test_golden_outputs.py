@@ -1,4 +1,5 @@
-"""Golden outputs: the bytes the CLI writes for a few small scenarios.
+"""Golden outputs: the bytes the CLI writes for small scenarios, at least
+one per subcommand and, where a subcommand takes both, one per model.
 
 Each scenario's output files and stdout are pinned by sha256.  A change to
 any of them is a change to the seed-to-output mapping, which has to be
@@ -68,14 +69,94 @@ SCENARIOS = {
         "experiment": {"name": "nash-verify", "bs_samples": 10,
                        "adv_samples": 10, "seed": 4},
     },
+    "simulate-no-diversity": {
+        "model": "no-diversity",
+        "system": {"horizon_T": 120, "num_users": 3, "alpha": 0.25},
+        "policy": {"source": "explicit", "probs": [0.5, 0.3, 0.2]},
+        "plan": {"source": "middle-block", "target": 2},
+        "experiment": {"name": "montecarlo", "runs": 70, "seed": 9},
+    },
+    # randomized plan: the adversary draws its own stream
+    "simulate-diversity": {
+        "model": "diversity",
+        "system": {"horizon_T": 120, "num_users": 2, "alpha": 0.3,
+                   "num_subcarriers": 3},
+        "policy": {"source": "explicit", "probs": [0.45, 0.55]},
+        "subcarrier_policy": {"source": "explicit", "probs": [0.5, 0.3, 0.2]},
+        "plan": {"source": "uniform-subcarrier"},
+        "experiment": {"name": "montecarlo", "runs": 70, "seed": 10},
+    },
+    "asymptotic-no-diversity": {
+        "model": "no-diversity",
+        "system": {"horizon_T": 1000, "num_users": 3, "alpha": 0.3},
+        "policy": {"source": "explicit", "probs": [0.5, 0.3, 0.2]},
+        "plan": {"source": "middle-block", "target": 2},
+        "experiment": {"name": "asymptotic"},
+    },
+    "asymptotic-diversity": {
+        "model": "diversity",
+        "system": {"horizon_T": 1000, "num_users": 3, "alpha": 0.3,
+                   "num_subcarriers": 2},
+        "policy": {"source": "explicit", "probs": [0.5, 0.3, 0.2]},
+        "experiment": {"name": "asymptotic"},
+    },
+    "oracle": {
+        "model": "no-diversity",
+        "system": {"horizon_T": 8, "num_users": 2, "alpha": 0.25},
+        "policy": {"source": "explicit", "probs": [0.6, 0.4]},
+        "experiment": {"name": "oracle"},
+    },
+    "br-dynamics": {
+        "model": "no-diversity",
+        "system": {"horizon_T": 500, "num_users": 3, "alpha": 0.35},
+        "experiment": {"name": "br-dynamics", "iterations": 6},
+    },
+    # no blocking is not a best response: the witness is a middle block
+    "nash-verify-no-diversity-witness": {
+        "model": "no-diversity",
+        "system": {"horizon_T": 200, "num_users": 3, "alpha": 0.2},
+        "policy": {"source": "explicit", "probs": [0.5, 0.3, 0.2]},
+        "plan": {"source": "none"},
+        "experiment": {"name": "nash-verify"},
+    },
+    "exact-counter-block-explicit-plan": {
+        "model": "no-diversity",
+        "system": {"horizon_T": 6, "num_users": 3, "alpha": 0.5},
+        "policy": {"source": "counter-block", "target": 1},
+        "plan": {"source": "explicit", "mode": "randomized",
+                 "block_prob": [[0.0, 0.5, 0.25, 0.0, 0.0, 0.0],
+                                [0.0, 0.25, 0.5, 0.75, 0.0, 0.0],
+                                [0.0, 0.0, 0.0, 0.25, 0.5, 0.0]]},
+        "experiment": {"name": "exact"},
+    },
 }
 
 # sha256 of each output file and of stdout
 GOLDEN = {
+    "asymptotic-diversity": {
+        "asymptotic.csv": "2797983d28b8f8004bb6588ab7d9181049ec0105267063e3c233f2eca5867252",
+        "scenario.json": "a9f3f8670ba515ef9269082cb3957e339c552ac13c6dd80a674f8558f52b3a2f",
+        "stdout": "ee0c7e854f467b6f79cf2575234a65d91adaf8f99184294d18e0d8a97007fa32",
+    },
+    "asymptotic-no-diversity": {
+        "asymptotic.csv": "8858f626f26eff98b638e5c5b97ac4bc5597ee7ba205f9098af643e63e54cd9a",
+        "scenario.json": "5beaa601ae813e9b377cf79f5a1b25cc2b4d59791e71b42b15af56c35fb775fe",
+        "stdout": "70f9ea287dffb85b7c5bdf40ea8bf5eafb5c99939b657f7e2bdf2f2a9f226add",
+    },
     "best-response": {
         "equilibrium.csv": "8c0737937177de8531112104cd3444ff4097d110f887e9f88a550011e9f1957b",
         "scenario.json": "1633b86b75195bdbbcb3b2ba1acf460a4d41442dcba813c5b61d07cc280f1daa",
         "stdout": "9c091eb4da4b2b6d9ede988884b7bb6bdf098485d48563c07ed52936d63f8a8b",
+    },
+    "br-dynamics": {
+        "dynamics.csv": "6d034e4577a7a238bd7a0ad2327832e3919df7e8203e52700e384fc954bb5ee3",
+        "scenario.json": "bfb0443bf4f77f184178d46001e148a1c8f9694fbd1f6aacce7fa7dc94651beb",
+        "stdout": "c2a0d00ed8624ffdb7c63a7f15d049a2058fe981678259fbcb6b210055b2ca47",
+    },
+    "exact-counter-block-explicit-plan": {
+        "scenario.json": "ef4244eaeafddb182011b07885b31fb7d06cfaa57696014e48fb5e5b0ca527a8",
+        "trajectories.csv": "7f20fd89cfd85653dd464d83b75adad7f1c4ad0b1a1c94362b6e3699465a7f00",
+        "stdout": "7e7f735224ba5069c30f4b858d20e757e25d08f538f7ce7fdfa1ef080134a113",
     },
     "exact-diversity": {
         "scenario.json": "ee4bb8ae9473b8b7e7ed7186a8cc5c573f091f1bc163248c823f2f93d65d0acd",
@@ -96,6 +177,26 @@ GOLDEN = {
         "equilibrium.csv": "c3180d36d6870ba1b973524c1c8eca1e57d158ac7e00e429715739893d3af964",
         "scenario.json": "c7c39165db8b0fbe727e4b866f5862a2f8479bfd7fc26667f7cec456b105243d",
         "stdout": "6d0426d20d486c97431ad382640922badf0dd4c5152142252f378b123a6515b7",
+    },
+    "nash-verify-no-diversity-witness": {
+        "equilibrium.csv": "7145f7fbb6c6afc222d9580fac5870ec7592c99df71f1d0357104f01372faf3e",
+        "scenario.json": "1f5d81e30dbf327fd27e82882696231cb8d3b0898dfb3e894d131dc089adbf18",
+        "stdout": "8278d0b1735a2f6b9e352e059f74277e3bae081621dda65aaabd2d6b799f9443",
+    },
+    "oracle": {
+        "equilibrium.csv": "905f02f8e717c390ae1ccac111b28d06a880e306371c3a5ac2816199819363b0",
+        "scenario.json": "8fb79036a81d4d18bea87355bbf00aa6d28d63a9f5f6d8a1fd09877b4354b16c",
+        "stdout": "5a2dd0cc76cede53e6c5119b236e7e5fa39c32c38e72e08f58605417fc21ecb7",
+    },
+    "simulate-diversity": {
+        "scenario.json": "a655e3e01f7dc43597e028b8b3cab74d04ac52cce7588948fe177c91dddc4290",
+        "sim.csv": "32580bdf9411e977e401585c1e9db5ebab3e1ab42a0c2e58bd941b6973a0b468",
+        "stdout": "c6f227d1a5b5d4260a3cf65b954a43fb26949cae67f0f29d3343e5e74a35d05f",
+    },
+    "simulate-no-diversity": {
+        "scenario.json": "634875e1577e960cf9876ea39676b3a09e319311b75f20d25e9cc40fd3a383ab",
+        "sim.csv": "9d7415595d6d5c702c177fe7c6fb70e6b3c0d063e1b80c2d48fdf5adc307335b",
+        "stdout": "918d6f8ad14e97e679837433927d7842678db05c4946d2ee5a4d6c3eeea8c8bb",
     },
     "stackelberg": {
         "equilibrium.csv": "fc839e2df780ca2008cfbfb56d1a2760b4243bda199360bb9794d5b79a096d75",

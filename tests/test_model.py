@@ -18,11 +18,13 @@ from aoijam.model import (
     SchedulingPolicy,
     SystemConfig,
     blocking_feasible,
+    check_profile,
     empty_plan,
     make_middle_block,
     make_uniform_subcarrier_block,
     middle_window,
     uniform_policy,
+    uniform_subcarrier_policy,
     validate_policy,
     validate_subcarrier_policy,
 )
@@ -275,6 +277,52 @@ def test_randomized_budget_counts_expected_mass():
     m[0, :8] = 0.25
     m[0, 8:] = 0.0
     assert blocking_feasible(BlockingPlan("randomized", m), cfg)
+
+
+# ===========================================================================
+#  Strategy profiles
+# ===========================================================================
+
+_FLAT = SystemConfig(horizon_T=10, num_users=2, alpha=0.4)  # B = 4
+_DIV = SystemConfig(horizon_T=10, num_users=2, alpha=0.4, num_subcarriers=3)
+
+
+def _over_budget(config):
+    m = np.zeros((config.num_channels, config.horizon_T))
+    m[0, :5] = 1.0
+    return BlockingPlan("deterministic", m)
+
+
+@pytest.mark.parametrize("profile, config, error, message", [
+    ((uniform_policy(3), None, empty_plan(_FLAT)), _FLAT,
+     DimensionMismatchError, "policy has 3 users"),
+    ((uniform_policy(5), uniform_subcarrier_policy(3), empty_plan(_DIV)), _DIV,
+     DimensionMismatchError, "policy has 5 users"),
+    ((uniform_policy(2), None, empty_plan(_DIV)), _DIV,
+     DimensionMismatchError, "no sub-carrier policy"),
+    ((uniform_policy(2), uniform_subcarrier_policy(2), empty_plan(_FLAT)),
+     _FLAT, NoDiversityError, "diversity model"),
+    ((uniform_policy(2), uniform_subcarrier_policy(2), empty_plan(_DIV)), _DIV,
+     DimensionMismatchError, "sub-carrier policy has 2"),
+    ((uniform_policy(2), uniform_subcarrier_policy(3), empty_plan(_FLAT)),
+     _DIV, DimensionMismatchError, "plan is 2x10"),
+    ((uniform_policy(2), None, _over_budget(_FLAT)), _FLAT,
+     ValueError, "budget"),
+    ((uniform_policy(2), uniform_subcarrier_policy(3), _over_budget(_DIV)),
+     _DIV, ValueError, "budget"),
+], ids=["user-count", "user-count-diversity", "missing-subpolicy",
+        "subpolicy-without-diversity", "subcarrier-count", "plan-shape",
+        "over-budget", "over-budget-diversity"])
+def test_check_profile_names_the_mismatch(profile, config, error, message):
+    with pytest.raises(error, match=message):
+        check_profile(*profile, config)
+
+
+def test_check_profile_accepts_both_models():
+    assert check_profile(uniform_policy(2), None, make_middle_block(_FLAT, 1),
+                         _FLAT) is None
+    assert check_profile(uniform_policy(2), uniform_subcarrier_policy(3),
+                         make_uniform_subcarrier_block(_DIV), _DIV) is None
 
 
 # ===========================================================================

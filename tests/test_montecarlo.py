@@ -17,6 +17,7 @@ from aoijam.model import (
     make_middle_block,
     make_uniform_subcarrier_block,
     middle_window,
+    uniform_policy,
     uniform_subcarrier_policy,
     validate_policy,
     validate_subcarrier_policy,
@@ -118,6 +119,33 @@ def test_randomized_plan_uses_adversary_stream():
     np.testing.assert_array_equal(a, b)
     # a blocked draw must actually bite sometimes: some age > 1 inside window
     assert a.max() > 1
+
+
+_DIV_CFG = SystemConfig(horizon_T=10, num_users=2, alpha=0.2,
+                        num_subcarriers=2)
+
+
+_SAMPLERS = [
+    pytest.param(lambda *profile: simulate_run(*profile, _DIV_CFG, 0),
+                 id="simulate_run"),
+    pytest.param(lambda *profile: estimate_average_age(*profile, _DIV_CFG, 2,
+                                                       0),
+                 id="estimate_average_age"),
+]
+
+
+@pytest.mark.parametrize("simulate", _SAMPLERS)
+def test_sampler_rejects_wrong_user_count(simulate):
+    with pytest.raises(DimensionMismatchError, match="policy has 5 users"):
+        simulate(uniform_policy(5), uniform_subcarrier_policy(2),
+                 make_uniform_subcarrier_block(_DIV_CFG))
+
+
+@pytest.mark.parametrize("simulate", _SAMPLERS)
+def test_no_diversity_sampler_rejects_diversity_config(simulate):
+    # N == N_sub, so the plan's shape alone cannot tell the models apart
+    with pytest.raises(DimensionMismatchError, match="sub-carrier policy"):
+        simulate(uniform_policy(2), None, empty_plan(_DIV_CFG))
 
 
 # ===========================================================================
