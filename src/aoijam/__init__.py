@@ -33,7 +33,6 @@ from .best_response import (
     numeric_simplex_minimizer,
     oracle_plan_count,
     ordered_kkt_solver,
-    project_decreasing_sum_one,
     project_simplex,
 )
 from .equilibrium import (
@@ -166,7 +165,6 @@ __all__ = [
     "oracle_plan_count",
     "ordered_kkt_solver",
     "parse_scenario",
-    "project_decreasing_sum_one",
     "project_simplex",
     "reduced_objective",
     "reduced_payoff_for_split",

@@ -31,6 +31,8 @@ from .model import (
     BlockingPlan,
     SchedulingPolicy,
     SystemConfig,
+    check_profile,
+    empty_plan,
     make_middle_block,
     validate_policy,
 )
@@ -73,21 +75,8 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def project_decreasing_sum_one(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x_1 >= ... >= x_n, sum x = 1}.
-
-    The monotone cone is invariant under adding constants, which is exactly
-    the hyperplane's normal direction, so isotonic regression followed by
-    recentering is the exact joint projection.
-    """
-    # lazy: scipy is most of `import aoijam`; only ordered_kkt_solver needs it
-    from scipy.optimize import isotonic_regression
-    iso = isotonic_regression(v, increasing=False).x
-    return iso + (1.0 - iso.sum()) / v.size
-
-
-def _bb_projected_descent(fun, grad, project, x0):
-    """Minimize fun over a convex set via projected gradient descent.
+def _bb_projected_descent(fun, grad, x0):
+    """Minimize fun over the probability simplex by projected gradient descent.
 
     Barzilai-Borwein step lengths with Armijo backtracking; stops when the
     gradient-mapping norm ||x - P(x - t*g)|| / t falls below DESCENT_TOL.
@@ -106,7 +95,7 @@ def _bb_projected_descent(fun, grad, project, x0):
             step = float(s @ s) / sy if sy > 1e-30 else 1.0
             step = min(max(step, 1e-12), 1e12)
         while True:
-            x_new = project(x - step * g)
+            x_new = project_simplex(x - step * g)
             f_new = fun(x_new)
             if f_new <= fx - 1e-4 * float(g @ (x - x_new)) or step < 1e-16:
                 break
@@ -178,8 +167,7 @@ def numeric_simplex_minimizer(weights) -> SchedulingPolicy:
     if w.size == 0 or np.any(w <= 0.0):
         raise NonPositiveWeightError("weights must be strictly positive")
     fun, grad = _inverse_weight_objective(w)
-    numeric = _bb_projected_descent(fun, grad, project_simplex,
-                                    np.full(w.size, 1.0 / w.size))
+    numeric = _bb_projected_descent(fun, grad, np.full(w.size, 1.0 / w.size))
     closed = np.sqrt(w) / np.sqrt(w).sum()
     drift = float(np.max(np.abs(numeric - closed)))
     if drift > CLOSED_FORM_AGREEMENT:
@@ -195,6 +183,11 @@ def ordered_kkt_solver(N: int, alpha: float) -> SchedulingPolicy:
     and p_1 >= ... >= p_N (the blocked user is, without loss of generality,
     the least-scheduled one).  The optimum is uniform; this routine exists to
     certify that instead of assuming it.
+
+    The ordered set is the image of the simplex under p = A e, with
+    A[k, j] = 1/(j+1) for j >= k in 0-based indices (so e_k is (k+1) times
+    the drop from p_k to the next entry), and the descent runs on e with the
+    simplex projection, then returns A e.
     """
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
@@ -203,11 +196,14 @@ def ordered_kkt_solver(N: int, alpha: float) -> SchedulingPolicy:
     w = np.ones(N)
     w[-1] = 1.0 + alpha
     fun, grad = _inverse_weight_objective(w)
-    # strictly decreasing start so the ordering constraint is genuinely explored
-    x0 = np.arange(N, 0, -1, dtype=float)
-    x0 /= x0.sum()
-    numeric = _bb_projected_descent(fun, grad, project_decreasing_sum_one, x0)
-    return validate_policy(numeric)
+    A = np.triu(np.broadcast_to(1.0 / np.arange(1, N + 1), (N, N)))
+    # e0 ~ (1, ..., N) maps to the strictly decreasing p0 ~ (N, ..., 1), so
+    # the ordering constraint is genuinely explored
+    e0 = np.arange(1, N + 1, dtype=float)
+    e0 /= e0.sum()
+    e = _bb_projected_descent(lambda x: fun(A @ x),
+                              lambda x: A.T @ grad(A @ x), e0)
+    return validate_policy(A @ e)
 
 
 # ===========================================================================
@@ -222,8 +218,7 @@ def adversary_best_response(policy: SchedulingPolicy,
     Payoff is the reduced large-horizon objective; ties in argmin p break to
     the lowest index.
     """
-    if config.has_diversity:
-        raise ValueError("structured response applies to the no-diversity model")
+    check_profile(policy, None, empty_plan(config), config)
     target = int(np.argmin(policy.probs))
     plan = make_middle_block(config, target)
     with warnings.catch_warnings():
@@ -251,8 +246,7 @@ def adversary_oracle(policy: SchedulingPolicy,
     rides along in tied_plans.  More than ORACLE_MAX_PLANS candidate plans
     raise InstanceTooLargeError.
     """
-    if config.has_diversity:
-        raise ValueError("oracle applies to the no-diversity model")
+    check_profile(policy, None, empty_plan(config), config)
     n, horizon, budget = policy.n, config.horizon_T, config.budget_B
     count = oracle_plan_count(n, horizon, budget)
     if count > ORACLE_MAX_PLANS:

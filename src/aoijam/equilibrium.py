@@ -131,27 +131,21 @@ def follower_aware_payoff(policy: SchedulingPolicy, alpha: float,
 
 
 def is_nash_no_diversity(policy: SchedulingPolicy, plan: BlockingPlan,
-                         config: SystemConfig,
-                         deviation_budget: int | None = None
-                         ) -> EquilibriumReport:
+                         config: SystemConfig) -> EquilibriumReport:
     """Witness-check a candidate (policy, plan) pair under the reduced payoff.
 
-    Adversary deviations tried: single-user middle-block plans, most
-    promising targets (ascending scheduling probability) first, at most
-    `deviation_budget` of them (default: all users).  Base-station deviation
-    tried: the exact best response to the plan's budget split.  Plans are
-    compared through their per-user budget fractions, so a feasible plan
-    spending its budget off-center is treated as its same-split middle
-    placement.
+    Adversary deviations tried: a single-user middle-block plan on every
+    user, most promising targets (ascending scheduling probability) first.
+    Base-station deviation tried: the exact best response to the plan's
+    budget split.  Plans are compared through their per-user budget
+    fractions, so a feasible plan spending its budget off-center is treated
+    as its same-split middle placement.
     """
     check_profile(policy, None, plan, config)
     current = _reduced_plan_payoff(policy, plan, config)
 
     # adversary side: does any middle-block target strictly raise the payoff?
-    order = sorted(range(policy.n), key=lambda i: (policy.probs[i], i))
-    if deviation_budget is not None:
-        order = order[:max(deviation_budget, 0)]
-    for target in order:
+    for target in sorted(range(policy.n), key=lambda i: (policy.probs[i], i)):
         candidate = make_middle_block(config, target)
         value = _reduced_plan_payoff(policy, candidate, config)
         if value > current + IMPROVEMENT_TOL:

@@ -161,7 +161,8 @@ class BlockingPlan:
     blocked in slot t+1.  "deterministic" restricts entries to {0, 1}.  At most
     one channel can be blocked per slot, so each column sums to <= 1.  The
     total-budget constraint depends on the config and is checked by
-    blocking_feasible().
+    blocking_feasible().  Entries within 1e-12 outside [0, 1] are accepted
+    and stored clipped to [0, 1]; the caller's array is left as it is.
     """
 
     mode: str  # "deterministic" | "randomized"
@@ -170,7 +171,7 @@ class BlockingPlan:
     def __post_init__(self):
         if self.mode not in ("deterministic", "randomized"):
             raise ValueError(f"unknown plan mode {self.mode!r}")
-        m = np.asarray(self.block_prob, dtype=float)
+        m = np.array(self.block_prob, dtype=float)  # own copy, clipped below
         if m.ndim != 2:
             raise DimensionMismatchError(
                 f"block_prob must be 2-D (channels x slots), got shape {m.shape}")
@@ -188,7 +189,9 @@ class BlockingPlan:
             raise ValueError(
                 f"slot {t + 1}: per-slot blocking mass exceeds 1 "
                 "(the adversary blocks at most one channel per slot)")
-        object.__setattr__(self, "block_prob", _freeze(m))
+        np.clip(m, 0.0, 1.0, out=m)
+        m.setflags(write=False)
+        object.__setattr__(self, "block_prob", m)
 
     @property
     def channels(self) -> int:

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from aoijam import best_response
 from aoijam.age_exact import expected_age_trajectory
 from aoijam.best_response import (
     AdversaryResponse,
@@ -17,10 +18,11 @@ from aoijam.best_response import (
     numeric_simplex_minimizer,
     oracle_plan_count,
     ordered_kkt_solver,
-    project_decreasing_sum_one,
     project_simplex,
 )
 from aoijam.errors import (
+    ConvergenceFailureError,
+    DimensionMismatchError,
     InstanceTooLargeError,
     InvalidAlphaError,
     NonPositiveWeightError,
@@ -48,21 +50,6 @@ def test_simplex_projection_is_feasible_and_optimal(seed):
 def test_simplex_projection_fixes_feasible_points():
     v = np.array([0.2, 0.5, 0.3])
     np.testing.assert_allclose(project_simplex(v), v, atol=1e-15)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_ordered_projection_feasible_and_optimal(seed):
-    rng = np.random.default_rng(50 + seed)
-    n = int(rng.integers(2, 9))
-    v = rng.normal(size=n) * 2
-    x = project_decreasing_sum_one(v)
-    assert np.all(np.diff(x) <= 1e-12)
-    assert x.sum() == pytest.approx(1.0, abs=1e-12)
-    # optimality within the decreasing/sum-1 set
-    for _ in range(30):
-        z = np.sort(rng.normal(size=n))[::-1]
-        z = z + (1 - z.sum()) / n
-        assert np.sum((x - v) ** 2) <= np.sum((z - v) ** 2) + 1e-12
 
 
 # ===========================================================================
@@ -195,6 +182,16 @@ def test_ordered_solver_validates_inputs():
         ordered_kkt_solver(3, 1.2)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda: numeric_simplex_minimizer([1.0, 2.0, 3.0]),
+    lambda: ordered_kkt_solver(4, 0.5),
+], ids=["simplex", "ordered"])
+def test_descent_out_of_iterations_raises(monkeypatch, solve):
+    monkeypatch.setattr(best_response, "DESCENT_MAX_ITER", 1)
+    with pytest.raises(ConvergenceFailureError, match="after 1 iterations"):
+        solve()
+
+
 # ===========================================================================
 #  Structured adversary response
 # ===========================================================================
@@ -232,6 +229,24 @@ def test_structured_response_rejects_diversity_config():
     cfg = SystemConfig(horizon_T=100, num_users=2, alpha=0.2, num_subcarriers=2)
     with pytest.raises(ValueError):
         adversary_best_response(validate_policy([0.5, 0.5]), cfg)
+
+
+@pytest.mark.parametrize("policy, cfg", [
+    (validate_policy([0.2, 0.5, 0.3]),
+     SystemConfig(horizon_T=8, num_users=2, alpha=0.2)),
+    (validate_policy([0.5, 0.5]),
+     SystemConfig(horizon_T=8, num_users=2, alpha=0.2, num_subcarriers=2)),
+], ids=["wrong-user-count", "diversity-config"])
+def test_adversary_replies_check_the_profile(monkeypatch, policy, cfg):
+    with pytest.raises(DimensionMismatchError):
+        adversary_best_response(policy, cfg)
+
+    def no_enumeration(*args):
+        raise AssertionError("oracle sized its search before the check")
+
+    monkeypatch.setattr(best_response, "oracle_plan_count", no_enumeration)
+    with pytest.raises(DimensionMismatchError):
+        adversary_oracle(policy, cfg)
 
 
 # ===========================================================================
@@ -302,6 +317,25 @@ def test_oracle_ties_contain_best_and_respect_symmetry():
     mirrored = resp.plan.block_prob[::-1]
     assert any(np.array_equal(t.block_prob, mirrored)
                for t in resp.tied_plans)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_oracle_maximizers_start_at_or_just_before_the_middle(seed):
+    # short horizons: every tie is one window of all B >= 1 slots on one
+    # user, starting at middle_window(T, B) or one slot earlier, never later
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        n, horizon = int(rng.integers(2, 4)), int(rng.integers(6, 11))
+        cfg = SystemConfig(horizon_T=horizon, num_users=n,
+                           alpha=float(rng.uniform(0.17, 0.45)))
+        pol = validate_policy(rng.dirichlet(np.ones(n)))
+        start = middle_window(horizon, cfg.budget_B)[0]
+        for plan in adversary_oracle(pol, cfg).tied_plans:
+            rows, cols = np.nonzero(plan.block_prob)
+            assert len(set(rows)) == 1
+            assert cols.tolist() == list(range(cols[0],
+                                               cols[0] + cfg.budget_B))
+            assert cols[0] in (start - 1, start)
 
 
 def test_oracle_respects_instance_cap():

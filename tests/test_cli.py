@@ -396,10 +396,11 @@ def test_module_entry_point_is_silent():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy serves only ordered_kkt_solver, which no subcommand calls
+    # numpy is the only dependency, the ordered leader solver included
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, aoijam.cli; assert 'scipy' not in sys.modules"],
+         "import sys, aoijam, aoijam.cli; aoijam.ordered_kkt_solver(4, 0.3); "
+         "assert 'scipy' not in sys.modules"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -504,6 +505,16 @@ def test_unused_strategies_are_not_validated(tmp_path):
     path = write_scenario(tmp_path, doc)
     assert main(["stackelberg", "--config", path, "--out-dir", str(tmp_path),
                  "--quiet"]) == 0
+
+
+def test_plan_entry_within_tolerance_below_zero_runs(tmp_path, capsys):
+    # stored clipped to 0: the plan's budget split is not negative
+    doc = base_doc(**explicit_plan([[-1e-13, 0, 0], [0, 0.5, 0]],
+                                   "randomized"))
+    path = write_scenario(tmp_path, doc)
+    assert main(["nash-verify", "--config", path, "--out-dir", str(tmp_path),
+                 "--quiet"]) == 0, capsys.readouterr().err
+    assert (tmp_path / "equilibrium.csv").exists()
 
 
 def test_oversized_oracle_plan_source_exits_3(tmp_path, capsys):

@@ -80,18 +80,6 @@ def test_zero_budget_nonuniform_still_fails_bs_side():
     assert report.witness.player == "base-station"
 
 
-def test_deviation_budget_limits_adversary_candidates():
-    cfg = _cfg()
-    policy = bs_best_response_single_block(2, 0.5)
-    plan = make_middle_block(cfg, 0)
-    # adversary candidates suppressed: only the BS check remains, which the
-    # best-response policy passes
-    report = is_nash_no_diversity(policy, plan, cfg, deviation_budget=0)
-    assert report.holds is True
-    full = is_nash_no_diversity(policy, plan, cfg, deviation_budget=2)
-    assert full.holds is False
-
-
 def test_nash_check_rejects_diversity_and_infeasible_inputs():
     div_cfg = SystemConfig(horizon_T=100, num_users=2, alpha=0.5,
                            num_subcarriers=2)

@@ -245,6 +245,13 @@ def test_plan_rejects_fractional_deterministic_entries():
     BlockingPlan("randomized", m)
 
 
+def test_plan_stores_tolerated_entries_clipped():
+    raw = np.array([[-1e-13, 1 + 1e-13]])
+    plan = BlockingPlan("randomized", raw)
+    assert plan.block_prob.tolist() == [[0.0, 1.0]]
+    assert raw.tolist() == [[-1e-13, 1 + 1e-13]]  # the caller's copy
+
+
 def test_feasibility_rejects_over_budget():
     cfg = SystemConfig(horizon_T=10, num_users=2, alpha=0.4)  # B = 4
     m = np.zeros((2, 10))
