@@ -9,7 +9,11 @@ numerically so the closed form is never trusted on its own.
 Adversary side: the structured response concentrates the whole budget on the
 most starved user in one consecutive middle window; an exhaustive oracle
 enumerates every per-slot action sequence on small instances and certifies
-how far that structure is from the true finite-horizon optimum.
+how far that structure is from the true finite-horizon optimum.  The oracle
+expands its search tree level by level in numpy, one subtree of at most
+ORACLE_CHUNK_PLANS plans at a time, so its memory is bounded by the chunk,
+not the plan count; each plan's payoff is its own slot-ordered age sum,
+math.fsum over users.
 """
 
 import math
@@ -32,7 +36,6 @@ from .model import (
     SchedulingPolicy,
     SystemConfig,
     check_profile,
-    empty_plan,
     make_middle_block,
     validate_policy,
 )
@@ -41,6 +44,8 @@ DESCENT_TOL = 1e-10  # gradient-mapping norm at termination
 DESCENT_MAX_ITER = 100_000
 CLOSED_FORM_AGREEMENT = 1e-8
 ORACLE_MAX_PLANS = 10_000_000
+ORACLE_CHUNK_PLANS = 2**15  # leaves the oracle expands at once
+ORACLE_TIE_REL = 1e-12  # oracle maximizers within this relative gap tie
 
 
 @dataclass(frozen=True)
@@ -218,7 +223,7 @@ def adversary_best_response(policy: SchedulingPolicy,
     Payoff is the reduced large-horizon objective; ties in argmin p break to
     the lowest index.
     """
-    check_profile(policy, None, empty_plan(config), config)
+    check_profile(policy, None, None, config)
     target = int(np.argmin(policy.probs))
     plan = make_middle_block(config, target)
     with warnings.catch_warnings():
@@ -234,6 +239,29 @@ def oracle_plan_count(N: int, T: int, B: int) -> int:
     return sum(math.comb(T, k) * N**k for k in range(min(B, T) + 1))
 
 
+def _subtree_plans(n: int, slots: int, budget: int) -> np.ndarray:
+    """table[r, b] = oracle_plan_count(n, r, b) for r <= slots, b <= budget:
+    with r slots and b blocks left, the plans start idle or block one of n
+    users, so table[r, b] = 1 + n * (table[0, b-1] + ... + table[r-1, b-1])."""
+    table = np.ones((slots + 1, budget + 1), dtype=np.int64)
+    for b in range(1, budget + 1):
+        table[1:, b] += n * table[:-1, b - 1].cumsum()
+    return table
+
+
+def _expand(ages, sums, left, factors):
+    """Every child of every node, parents in order and each parent's
+    children in action order: idle, then block user 0 .. N-1 while the
+    node has budget left.  Returns (parent, action, ages, sums, left)."""
+    counts = np.where(left > 0, factors.shape[0], 1)
+    parent = np.arange(left.size).repeat(counts)
+    ends = counts.cumsum()
+    action = np.arange(ends[-1]) - (ends - counts).repeat(counts)
+    sums = (sums + ages).repeat(counts, axis=0)
+    ages = ages.repeat(counts, axis=0) * factors.take(action, axis=0) + 1.0
+    return parent, action, ages, sums, left.repeat(counts) - (action > 0)
+
+
 def adversary_oracle(policy: SchedulingPolicy,
                      config: SystemConfig) -> AdversaryResponse:
     """Exhaustively search every feasible deterministic plan on a small instance.
@@ -245,51 +273,88 @@ def adversary_oracle(policy: SchedulingPolicy,
     lexicographically smallest maximizer, and every tie within relative 1e-12
     rides along in tied_plans.  More than ORACLE_MAX_PLANS candidate plans
     raise InstanceTooLargeError.
+
+    A plan's payoff is its own slot-ordered sum: per user, starting from
+    age 1, each slot adds the running expected age to the user's age sum and
+    then sets age = age*(1 - s) + 1.0 (s = 0 on a blocked slot, p_i
+    otherwise); the payoff is math.fsum of the N age sums over N*T.
+
+    Slot prefixes are branched one node at a time, in order, until a node
+    has at most ORACLE_CHUNK_PLANS plans below it.  That subtree is then
+    expanded level by level in numpy: a frontier holds the nodes' running
+    ages and age sums (rows x N) and budget left, and each level keeps one
+    (parent, action) pair of arrays, so only candidate leaves get their
+    action rows rebuilt.  Memory stays O(ORACLE_CHUNK_PLANS * (N + T))
+    whatever the plan count.
+
+    The sequential rule (reset when value > best*(1+1e-12), otherwise join
+    the ties when value >= best*(1-1e-12)) runs, in order, only on the
+    leaves whose np.sum over users is within relative 4e-12 + 4*N*eps of
+    the largest such sum so far, this leaf included.  Any other leaf x
+    follows a leaf w with value(w) > value(x)/(1-4e-12): the N*eps terms
+    cover np.sum's rounding against fsum's and the division by N*T.  When w
+    was met, best became value(w) or already exceeded value(w)/(1+1e-12),
+    and best never falls; values are positive, so at x,
+    value(x) < best*(1-1e-12) with room for the rounding of the products,
+    and x neither resets nor joins the ties.  A leaf that changes nothing
+    can be dropped, so the rule ends with the same best and the same ties
+    on the kept leaves as on all of them.
     """
-    check_profile(policy, None, empty_plan(config), config)
+    check_profile(policy, None, None, config)
     n, horizon, budget = policy.n, config.horizon_T, config.budget_B
     count = oracle_plan_count(n, horizon, budget)
     if count > ORACLE_MAX_PLANS:
         raise InstanceTooLargeError(
             f"{count} candidate plans exceed the cap of {ORACLE_MAX_PLANS}")
 
-    probs = policy.probs.tolist()
-    best_value = -np.inf
-    best_actions: list | None = None
-    ties: list[tuple] = []
+    subtree = _subtree_plans(n, horizon, budget)
+    # factors[a, i] = 1 - s for user i under action a (0 = idle, 1+j = block j)
+    factors = np.tile(1.0 - policy.probs, (n + 1, 1))
+    factors[np.arange(1, n + 1), np.arange(n)] = 1.0
+    keep = 1.0 - 4 * ORACLE_TIE_REL - 4 * n * np.finfo(float).eps
+    scale = n * horizon
+    best_value = -math.inf
+    ties: list[list[int]] = []
+    record = -math.inf
 
-    actions = [0] * horizon  # 0 = idle, 1+i = block user i
-    ages = [1.0] * n  # running expected ages along the current prefix
-    age_sums = [0.0] * n
+    # a node at slot t: its ages, sums and budget left as one-row arrays,
+    # and its trail, the linked list (parent, action, trail above) of the
+    # levels leading to it
+    stack = [(0, np.ones((1, n)), np.zeros((1, n)), np.array([budget]), None)]
+    while stack:
+        t, ages, sums, left, trail = stack.pop()
+        if subtree[horizon - t, left[0]] > ORACLE_CHUNK_PLANS:
+            parent, action, ages, sums, left = _expand(ages, sums, left,
+                                                       factors)
+            for k in reversed(range(left.size)):
+                stack.append((t + 1, ages[k:k + 1], sums[k:k + 1],
+                              left[k:k + 1],
+                              (parent[k:k + 1], action[k:k + 1], trail)))
+            continue
 
-    def recurse(t: int, used: int):
-        nonlocal best_value, best_actions, ties
-        if t == horizon:
-            value = math.fsum(age_sums) / (n * horizon)
-            if value > best_value * (1 + 1e-12):
+        for _ in range(t, horizon):
+            parent, action, ages, sums, left = _expand(ages, sums, left,
+                                                       factors)
+            trail = (parent, action, trail)
+        approx = sums.sum(axis=1)
+        running = np.maximum.accumulate(approx)
+        np.maximum(running, record, out=running)
+        record = running[-1]
+        rows = np.flatnonzero(approx >= running * keep)
+        values = [math.fsum(row) / scale for row in sums[rows].tolist()]
+        acts = np.empty((rows.size, horizon), dtype=np.intp)
+        level = horizon
+        while trail is not None:
+            parent, action, trail = trail
+            level -= 1
+            acts[:, level] = action[rows]
+            rows = parent[rows]
+        for value, act in zip(values, acts.tolist()):
+            if value > best_value * (1 + ORACLE_TIE_REL):
                 best_value = value
-                best_actions = actions.copy()
-                ties = [tuple(actions)]
-            elif value >= best_value * (1 - 1e-12):
-                ties.append(tuple(actions))
-            return
-        saved = ages.copy()
-        for act in range(0, n + 1):
-            if act > 0 and used == budget:
-                break
-            actions[t] = act
-            for i in range(n):
-                s = 0.0 if act == i + 1 else probs[i]
-                age_sums[i] += ages[i]
-                ages[i] = ages[i] * (1.0 - s) + 1.0
-            recurse(t + 1, used + (1 if act > 0 else 0))
-            for i in range(n):
-                ages[i] = saved[i]
-                age_sums[i] -= saved[i]
-        actions[t] = 0
-
-    recurse(0, 0)
-    assert best_actions is not None
+                ties = [act]
+            elif value >= best_value * (1 - ORACLE_TIE_REL):
+                ties.append(act)
 
     def to_plan(acts) -> BlockingPlan:
         m = np.zeros((n, horizon))
@@ -298,7 +363,7 @@ def adversary_oracle(policy: SchedulingPolicy,
                 m[act - 1, t] = 1.0
         return BlockingPlan("deterministic", m)
 
-    best_plan = to_plan(best_actions)
+    best_plan = to_plan(ties[0])
     # re-evaluate through the public trajectory path as a consistency check
     check = expected_age_trajectory(policy, best_plan, config).system_avg
     if abs(check - best_value) > 1e-9 * max(1.0, abs(best_value)):

@@ -312,13 +312,14 @@ def blocking_feasible(plan: BlockingPlan, config: SystemConfig) -> bool:
 
 
 def check_profile(policy: SchedulingPolicy,
-                  subpolicy: SubcarrierPolicy | None, plan: BlockingPlan,
-                  config: SystemConfig) -> None:
+                  subpolicy: SubcarrierPolicy | None,
+                  plan: BlockingPlan | None, config: SystemConfig) -> None:
     """Raise unless (policy, subpolicy, plan) is a strategy profile of config.
 
-    subpolicy is None exactly in the no-diversity model.  Sizes fail first
-    (DimensionMismatchError, NoDiversityError), then the plan's shape, then
-    its budget (ValueError).
+    subpolicy is None exactly in the no-diversity model; plan=None checks
+    the sizes and the model only (for a caller that has no plan yet).  Sizes
+    fail first (DimensionMismatchError, NoDiversityError), then the plan's
+    shape, then its budget (ValueError).
     """
     if policy.n != config.num_users:
         raise DimensionMismatchError(
@@ -335,7 +336,7 @@ def check_profile(policy: SchedulingPolicy,
         raise DimensionMismatchError(
             f"sub-carrier policy has {subpolicy.n} entries, config expects "
             f"{config.num_subcarriers}")
-    if not blocking_feasible(plan, config):
+    if plan is not None and not blocking_feasible(plan, config):
         raise ValueError("blocking plan exceeds the adversary's budget")
 
 

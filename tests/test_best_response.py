@@ -1,13 +1,15 @@
 """Best responses: closed forms vs. numeric descent, structured adversary
 vs. exhaustive oracle."""
 
+import functools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from aoijam import best_response
+from aoijam import best_response, model
 from aoijam.age_exact import expected_age_trajectory
 from aoijam.best_response import (
     AdversaryResponse,
@@ -27,7 +29,12 @@ from aoijam.errors import (
     InvalidAlphaError,
     NonPositiveWeightError,
 )
-from aoijam.model import SystemConfig, middle_window, validate_policy
+from aoijam.model import (
+    SystemConfig,
+    middle_window,
+    uniform_policy,
+    validate_policy,
+)
 
 # ===========================================================================
 #  Projections
@@ -249,6 +256,18 @@ def test_adversary_replies_check_the_profile(monkeypatch, policy, cfg):
         adversary_oracle(policy, cfg)
 
 
+def test_adversary_replies_build_no_plan_to_check_the_profile(monkeypatch):
+    def no_plan(config):
+        raise AssertionError("a reply built a plan only to check the profile")
+
+    monkeypatch.setattr(model, "empty_plan", no_plan)
+    monkeypatch.setattr(best_response, "empty_plan", no_plan, raising=False)
+    cfg = SystemConfig(horizon_T=8, num_users=2, alpha=0.25)
+    pol = validate_policy([0.6, 0.4])
+    assert adversary_best_response(pol, cfg).target == 1
+    assert adversary_oracle(pol, cfg).method == "exhaustive"
+
+
 # ===========================================================================
 #  Exhaustive oracle
 # ===========================================================================
@@ -342,3 +361,151 @@ def test_oracle_respects_instance_cap():
     cfg = SystemConfig(horizon_T=40, num_users=3, alpha=0.5)
     with pytest.raises(InstanceTooLargeError):
         adversary_oracle(validate_policy([0.3, 0.3, 0.4]), cfg)
+
+
+def test_oracle_handles_long_horizons():
+    # one plan, 5000 slots: the search walks the levels in a loop, so the
+    # horizon is not bounded by the interpreter's recursion limit
+    cfg = SystemConfig(horizon_T=5000, num_users=2, alpha=1e-4)  # B = 0
+    pol = validate_policy([0.6, 0.4])
+    resp = adversary_oracle(pol, cfg)
+    assert resp.plan.total_blocked() == 0.0
+    assert len(resp.tied_plans) == 1
+    assert resp.payoff == pytest.approx(
+        expected_age_trajectory(pol, resp.plan, cfg).system_avg, rel=1e-12)
+
+
+# ===========================================================================
+#  Oracle lock: the level-synchronous search against a depth-first one
+# ===========================================================================
+
+
+def _oracle_reference(policy, config):
+    """Depth-first oracle: (payoff, tied plans), each plan a tuple of
+    per-slot actions (0 = idle, 1+i = block user i), in lexicographic order.
+
+    A branch restores the running ages and age sums from saved copies, so
+    every leaf carries its own slot-ordered sums, whatever was visited
+    before it.
+    """
+    n, horizon, budget = policy.n, config.horizon_T, config.budget_B
+    probs = policy.probs.tolist()
+    best_value = -np.inf
+    ties = []
+    actions = [0] * horizon
+    ages = [1.0] * n
+    age_sums = [0.0] * n
+
+    def recurse(t, used):
+        nonlocal best_value, ties
+        if t == horizon:
+            value = math.fsum(age_sums) / (n * horizon)
+            if value > best_value * (1 + 1e-12):
+                best_value = value
+                ties = [tuple(actions)]
+            elif value >= best_value * (1 - 1e-12):
+                ties.append(tuple(actions))
+            return
+        saved_ages, saved_sums = ages.copy(), age_sums.copy()
+        for act in range(0, n + 1):
+            if act > 0 and used == budget:
+                break
+            actions[t] = act
+            for i in range(n):
+                s = 0.0 if act == i + 1 else probs[i]
+                age_sums[i] += ages[i]
+                ages[i] = ages[i] * (1.0 - s) + 1.0
+            recurse(t + 1, used + (1 if act > 0 else 0))
+            ages[:], age_sums[:] = saved_ages, saved_sums
+        actions[t] = 0
+
+    recurse(0, 0)
+    return best_value, ties
+
+
+def _actions(plan) -> tuple:
+    """Per-slot actions of a deterministic plan (0 = idle, 1+i = block i)."""
+    blocked = plan.block_prob.max(axis=0) > 0.0
+    return tuple(np.where(blocked, plan.block_prob.argmax(axis=0) + 1,
+                          0).tolist())
+
+
+def _lock_policy(n, kind):
+    if kind == "uniform":  # every user symmetric: many tied maximizers
+        return uniform_policy(n)
+    if kind == "tiny-p":
+        return validate_policy([1e-9] + [(1.0 - 1e-9) / (n - 1)] * (n - 1))
+    return validate_policy(np.arange(n, 0, -1) / (n * (n + 1) / 2))
+
+
+LOCK_POLICIES = {1: ("uniform",),
+                 2: ("uniform", "tiny-p", "skewed"),
+                 3: ("uniform", "tiny-p", "skewed")}
+LOCK_MAX_PLANS = 300  # per instance, so the grid runs in about a second
+
+
+def _lock_grid(n):
+    """(T, B) for T = 1..12 and B = 0..T-1, up to LOCK_MAX_PLANS plans."""
+    for horizon in range(1, 13):
+        for budget in range(horizon):
+            if oracle_plan_count(n, horizon, budget) <= LOCK_MAX_PLANS:
+                yield horizon, budget
+
+
+@functools.cache
+def _locked(n, horizon, budget, kind):
+    policy = _lock_policy(n, kind)
+    config = SystemConfig(horizon_T=horizon, num_users=n,
+                          alpha=(budget + 0.5) / horizon)
+    assert config.budget_B == budget
+    return policy, config, _oracle_reference(policy, config)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7],
+                         ids=["default-chunk", "chunk-1", "chunk-7"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_oracle_matches_depth_first_reference(monkeypatch, n, chunk):
+    # chunks of 1 and 7 plans put chunk boundaries between tied plans
+    if chunk is not None:
+        monkeypatch.setattr(best_response, "ORACLE_CHUNK_PLANS", chunk)
+    for horizon, budget in _lock_grid(n):
+        for kind in LOCK_POLICIES[n]:
+            policy, config, (payoff, ties) = _locked(n, horizon, budget, kind)
+            resp = adversary_oracle(policy, config)
+            where = f"N={n} T={horizon} B={budget} {kind}"
+            assert repr(resp.payoff) == repr(payoff), where
+            assert [_actions(p) for p in resp.tied_plans] == ties, where
+            assert _actions(resp.plan) == ties[0], where
+
+
+def test_oracle_payoff_is_its_plans_own_sum():
+    # the golden `oracle` scenario: N=2, T=8, B=2
+    cfg = SystemConfig(horizon_T=8, num_users=2, alpha=0.25)
+    pol = validate_policy([0.6, 0.4])
+    resp = adversary_oracle(pol, cfg)
+    sums = []
+    for i, p in enumerate(pol.probs.tolist()):
+        age, total = 1.0, 0.0
+        for t in range(cfg.horizon_T):
+            s = 0.0 if resp.plan.block_prob[i, t] == 1.0 else p
+            total += age
+            age = age * (1.0 - s) + 1.0
+        sums.append(total)
+    own = math.fsum(sums) / (pol.n * cfg.horizon_T)
+    assert repr(resp.payoff) == repr(own)
+
+
+ORACLE_MEMORY_BOUND = 8_000_000  # bytes; unchunked, this search peaks ~22 MB
+
+
+def test_oracle_memory_is_bounded_by_the_chunk():
+    cfg = SystemConfig(horizon_T=22, num_users=2, alpha=4.5 / 22)  # B = 4
+    assert oracle_plan_count(2, 22, cfg.budget_B) == 130_329
+    pol = validate_policy([0.6, 0.4])
+    tracemalloc.start()
+    try:
+        adversary_oracle(pol, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ORACLE_MEMORY_BOUND

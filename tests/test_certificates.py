@@ -6,12 +6,15 @@ directly.  (The EquilibriumReport witness invariant is covered in
 test_equilibrium.py.)
 """
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aoijam
 import aoijam.age_exact as age_exact
 import aoijam.best_response as best_response
 import aoijam.equilibrium as equilibrium
@@ -26,6 +29,16 @@ from aoijam import (
     stackelberg_equilibrium,
     validate_policy,
 )
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips assert statements, so a check written as one
+    # vanishes; checks raise typed errors instead
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(aoijam.__file__).parent.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_certificate_error_is_a_package_runtime_error():

@@ -184,9 +184,9 @@ GOLDEN = {
         "stdout": "8278d0b1735a2f6b9e352e059f74277e3bae081621dda65aaabd2d6b799f9443",
     },
     "oracle": {
-        "equilibrium.csv": "905f02f8e717c390ae1ccac111b28d06a880e306371c3a5ac2816199819363b0",
+        "equilibrium.csv": "c0bcd0dfd726c99ca3691f010fdde64e1b8da673de2bd9c6e5e680d7eecc2fa0",
         "scenario.json": "8fb79036a81d4d18bea87355bbf00aa6d28d63a9f5f6d8a1fd09877b4354b16c",
-        "stdout": "5a2dd0cc76cede53e6c5119b236e7e5fa39c32c38e72e08f58605417fc21ecb7",
+        "stdout": "7618f5b237f56cce0b4c907446cf67e006f2a6c57021ec54ea8d3531fdfef0a9",
     },
     "simulate-diversity": {
         "scenario.json": "a655e3e01f7dc43597e028b8b3cab74d04ac52cce7588948fe177c91dddc4290",
