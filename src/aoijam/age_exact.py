@@ -141,9 +141,11 @@ def expected_age_trajectory_diversity(
     Delivery probability for user i in slot t is
     p_i * sum_j q_j * (1 - block_prob[j, t]): the scheduled user receives the
     update unless the drawn sub-carrier is blocked.  When every sub-carrier is
-    blocked with the same probability the q-dependence cancels.
+    blocked with the same probability the q-dependence cancels.  A row
+    depends on p_i alone, so the recursion runs once per distinct p_i.
     """
     check_profile(policy, subpolicy, plan, config)
     intercepted = subpolicy.probs @ plan.block_prob  # per-slot hit probability
-    delivery = policy.probs[:, None] * (1.0 - intercepted)[None, :]
-    return _make_series(_recurse_ages(delivery))
+    probs, user_row = np.unique(policy.probs, return_inverse=True)
+    delivery = probs[:, None] * (1.0 - intercepted)[None, :]
+    return _make_series(_recurse_ages(delivery)[user_row])

@@ -52,17 +52,16 @@ ORACLE_TIE_REL = 1e-12  # oracle maximizers within this relative gap tie
 class AdversaryResponse:
     """A blocking plan the adversary picked, with the payoff it achieves.
 
-    method is "structured" (single middle-block window, asymptotic payoff) or
-    "exhaustive" (oracle search, exact finite-horizon payoff).  For the
-    oracle, tied_plans lists every maximizer within relative 1e-12 of the
-    best, lexicographically smallest first.
+    The structured reply sets target, its blocked user (asymptotic payoff).
+    The oracle's payoff is exact; its tied_actions is a (ties, T) integer
+    array, one row per maximizer within relative 1e-12 of the best, smallest
+    first, whose entry t is 0 for idle, 1+i for blocking user i in slot t+1.
     """
 
     plan: BlockingPlan
     payoff: float
-    method: str
     target: int | None = None
-    tied_plans: tuple = ()
+    tied_actions: np.ndarray | None = None
 
 
 # ===========================================================================
@@ -230,8 +229,7 @@ def adversary_best_response(policy: SchedulingPolicy,
         warnings.simplefilter("ignore", AsymptoticValidityWarning)
         payoff = reduced_objective(policy, target, config.alpha,
                                    config.horizon_T).value
-    return AdversaryResponse(plan=plan, payoff=payoff, method="structured",
-                             target=target)
+    return AdversaryResponse(plan=plan, payoff=payoff, target=target)
 
 
 def oracle_plan_count(N: int, T: int, B: int) -> int:
@@ -271,7 +269,7 @@ def adversary_oracle(policy: SchedulingPolicy,
     finite-horizon system average age.  Enumeration is lexicographic
     (idle < block 0 < block 1 < ..., slot by slot), the reported plan is the
     lexicographically smallest maximizer, and every tie within relative 1e-12
-    rides along in tied_plans.  More than ORACLE_MAX_PLANS candidate plans
+    is a row of tied_actions.  More than ORACLE_MAX_PLANS candidate plans
     raise InstanceTooLargeError.
 
     A plan's payoff is its own slot-ordered sum: per user, starting from
@@ -314,7 +312,7 @@ def adversary_oracle(policy: SchedulingPolicy,
     keep = 1.0 - 4 * ORACLE_TIE_REL - 4 * n * np.finfo(float).eps
     scale = n * horizon
     best_value = -math.inf
-    ties: list[list[int]] = []
+    ties: list[np.ndarray] = []  # action rows of the tied leaves, by chunk
     record = -math.inf
 
     # a node at slot t: its ages, sums and budget left as one-row arrays,
@@ -349,27 +347,26 @@ def adversary_oracle(policy: SchedulingPolicy,
             level -= 1
             acts[:, level] = action[rows]
             rows = parent[rows]
-        for value, act in zip(values, acts.tolist()):
+        chosen = []
+        for k, value in enumerate(values):
             if value > best_value * (1 + ORACLE_TIE_REL):
                 best_value = value
-                ties = [act]
+                ties.clear()
+                chosen = [k]
             elif value >= best_value * (1 - ORACLE_TIE_REL):
-                ties.append(act)
+                chosen.append(k)
+        ties.append(acts[chosen])
 
-    def to_plan(acts) -> BlockingPlan:
-        m = np.zeros((n, horizon))
-        for t, act in enumerate(acts):
-            if act > 0:
-                m[act - 1, t] = 1.0
-        return BlockingPlan("deterministic", m)
-
-    best_plan = to_plan(ties[0])
+    tied_actions = np.concatenate(ties)
+    tied_actions.setflags(write=False)
+    m = np.zeros((n + 1, horizon))  # row 0 collects the idle slots
+    m[tied_actions[0], np.arange(horizon)] = 1.0
+    best_plan = BlockingPlan(m[1:])
     # re-evaluate through the public trajectory path as a consistency check
     check = expected_age_trajectory(policy, best_plan, config).system_avg
     if abs(check - best_value) > 1e-9 * max(1.0, abs(best_value)):
         raise CertificateError(
             f"oracle payoff {best_value!r} does not match its plan's exact "
             f"age {check!r}")
-    return AdversaryResponse(
-        plan=best_plan, payoff=best_value, method="exhaustive",
-        tied_plans=tuple(to_plan(a) for a in ties))
+    return AdversaryResponse(plan=best_plan, payoff=best_value,
+                             tied_actions=tied_actions)

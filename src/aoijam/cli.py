@@ -318,7 +318,11 @@ def resolve_plan(sc: ScenarioConfig, policy: SchedulingPolicy) -> BlockingPlan:
         return adversary_oracle(policy, sc.system).plan
 
     def build(matrix):
-        plan = BlockingPlan(spec.get("mode", "deterministic"), matrix)
+        plan = BlockingPlan(matrix)
+        # the optional plan.mode only constrains this input, checked raw
+        if (spec.get("mode", "deterministic") == "deterministic"
+                and not np.isin(matrix, (0.0, 1.0)).all()):
+            raise ValueError("deterministic plans admit only {0, 1} entries")
         if not blocking_feasible(plan, sc.system):
             raise ValueError("plan exceeds the blocking budget")
         return plan
@@ -350,7 +354,8 @@ def serialize_strategy(obj) -> str:
         rows, cols = np.nonzero(obj.block_prob)  # row by row, slots ascending
         cells = [f"{r}:{t}={_fmt(v)}" for r, t, v in zip(
             rows.tolist(), cols.tolist(), obj.block_prob[rows, cols].tolist())]
-        return f"plan[{obj.mode}]{{{'|'.join(cells)}}}"
+        mode = "deterministic" if obj.is_deterministic else "randomized"
+        return f"plan[{mode}]{{{'|'.join(cells)}}}"
     if isinstance(obj, tuple):
         return "&".join(serialize_strategy(o) for o in obj)
     if isinstance(obj, DeviationWitness):
@@ -510,7 +515,7 @@ def _run_oracle(sc, out_dir, emit):
     ]
     write_equilibrium_csv(os.path.join(out_dir, "equilibrium.csv"), rows)
     emit(f"oracle max exact age: {oracle.payoff:.9f} "
-         f"({len(oracle.tied_plans)} tied maximizer(s))")
+         f"({len(oracle.tied_actions)} tied maximizer(s))")
     emit(f"structured middle-block exact age: {structured_exact:.9f}")
     emit(f"gap (oracle - structured): {gap:.3e}")
 

@@ -288,7 +288,7 @@ def _sample_adv_deviations(config: SystemConfig, adv_samples, rng):
         family = ADV_DEVIATION_FAMILIES[len(plans) % len(ADV_DEVIATION_FAMILIES)]
         m = np.zeros((n_sub, horizon))
         if budget == 0:
-            plans.append(BlockingPlan("randomized", m))
+            plans.append(BlockingPlan(m))
             continue
         if family == "window-shift":
             start = int(rng.integers(0, horizon - budget + 1))
@@ -313,7 +313,7 @@ def _sample_adv_deviations(config: SystemConfig, adv_samples, rng):
             short = int(rng.integers(0, budget))
             start, _ = middle_window(horizon, short)
             m[:, start:start + short] = 1.0 / n_sub
-        plans.append(BlockingPlan("randomized", m))
+        plans.append(BlockingPlan(m))
     return plans
 
 

@@ -158,19 +158,17 @@ class BlockingPlan:
     """The adversary's full schedule of (channel, slot) blocking probabilities.
 
     block_prob is channels x T; entry (j, t) is the probability channel j is
-    blocked in slot t+1.  "deterministic" restricts entries to {0, 1}.  At most
-    one channel can be blocked per slot, so each column sums to <= 1.  The
+    blocked in slot t+1.  The matrix is the whole plan: it is deterministic
+    when every entry is exactly 0 or 1, randomized otherwise.  At most one
+    channel can be blocked per slot, so each column sums to <= 1.  The
     total-budget constraint depends on the config and is checked by
     blocking_feasible().  Entries within 1e-12 outside [0, 1] are accepted
     and stored clipped to [0, 1]; the caller's array is left as it is.
     """
 
-    mode: str  # "deterministic" | "randomized"
     block_prob: np.ndarray
 
     def __post_init__(self):
-        if self.mode not in ("deterministic", "randomized"):
-            raise ValueError(f"unknown plan mode {self.mode!r}")
         m = np.array(self.block_prob, dtype=float)  # own copy, clipped below
         if m.ndim != 2:
             raise DimensionMismatchError(
@@ -182,8 +180,6 @@ class BlockingPlan:
                 "probability")
         if np.any(m < -ENTRY_TOL) or np.any(m > 1.0 + ENTRY_TOL):
             raise ValueError("block probabilities must lie in [0, 1]")
-        if self.mode == "deterministic" and not np.all((m == 0.0) | (m == 1.0)):
-            raise ValueError("deterministic plans admit only {0, 1} entries")
         if m.shape[0] > 0 and np.any(m.sum(axis=0) > 1.0 + SUM_ACCEPT_TOL):
             t = int(np.argmax(m.sum(axis=0)))
             raise ValueError(
@@ -201,13 +197,18 @@ class BlockingPlan:
     def horizon(self) -> int:
         return self.block_prob.shape[1]
 
+    @property
+    def is_deterministic(self) -> bool:
+        """True iff every entry is exactly 0 or 1 (no draw is needed)."""
+        return bool(np.isin(self.block_prob, (0.0, 1.0)).all())
+
     def total_blocked(self) -> float:
         """Expected number of blocked slots (counts against the budget)."""
         return float(self.block_prob.sum())
 
     def __eq__(self, other):
-        return (isinstance(other, BlockingPlan) and self.mode == other.mode
-                and np.array_equal(self.block_prob, other.block_prob))
+        return isinstance(other, BlockingPlan) and np.array_equal(
+            self.block_prob, other.block_prob)
 
 
 @dataclass(frozen=True)
@@ -283,7 +284,7 @@ def make_middle_block(config: SystemConfig, target: int) -> BlockingPlan:
     m = np.zeros((channels, config.horizon_T))
     start, stop = middle_window(config.horizon_T, config.budget_B)
     m[target, start:stop] = 1.0
-    return BlockingPlan("deterministic", m)
+    return BlockingPlan(m)
 
 
 def make_uniform_subcarrier_block(config: SystemConfig) -> BlockingPlan:
@@ -298,7 +299,7 @@ def make_uniform_subcarrier_block(config: SystemConfig) -> BlockingPlan:
     m = np.zeros((config.num_subcarriers, config.horizon_T))
     start, stop = middle_window(config.horizon_T, config.budget_B)
     m[:, start:stop] = 1.0 / config.num_subcarriers
-    return BlockingPlan("randomized", m)
+    return BlockingPlan(m)
 
 
 def blocking_feasible(plan: BlockingPlan, config: SystemConfig) -> bool:
@@ -341,6 +342,5 @@ def check_profile(policy: SchedulingPolicy,
 
 
 def empty_plan(config: SystemConfig) -> BlockingPlan:
-    """All-zeros deterministic plan (the adversary idles)."""
-    return BlockingPlan(
-        "deterministic", np.zeros((config.num_channels, config.horizon_T)))
+    """All-zeros plan (the adversary idles)."""
+    return BlockingPlan(np.zeros((config.num_channels, config.horizon_T)))

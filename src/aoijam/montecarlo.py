@@ -2,19 +2,16 @@
 
 Each run realizes the sampled age process v_i(t): the base station schedules
 one user per slot (and one sub-carrier under diversity), the adversary blocks
-per its plan, and a user's age resets to 1 on delivery or grows by 1
-otherwise.  Runs are reproducible: run k of a batch draws from two
-generator streams (base station and adversary) seeded by a splitmix64 hash of
-(master_seed, k), so any execution order or degree of parallelism yields the
-same result.
+per its plan, and a user's age is age(t) = t - last(t-1), age(1) = 1, with
+last(t) the latest slot up to t that delivered its update (0 if none): the
+slot convention of the exact recursion.  Runs are reproducible: run k of a
+batch draws from two generator streams (base station and adversary) seeded
+by a splitmix64 hash of (master_seed, k), so any execution order or degree
+of parallelism yields the same result.
 
-estimate_average_age evaluates runs in blocks of max(1, BLOCK_CELLS // T).
-Each run still fills its own row of the block from its own streams, so
-blocking leaves the seed-to-output mapping unchanged; the category lookups,
-the blocked channels and the delivery mask are then computed for the whole
-block at once.  Per-run averages come from exact integer age sums, which
-match the mean of simulate_run's ages bit for bit while T(T+1)/2 < 2**53.
-simulate_run and the estimator share one sampling path (_delivery_sampler).
+estimate_average_age evaluates runs in blocks, each run still drawing from
+its own streams, so its output is that of simulate_run called run by run;
+both share one sampling path (_delivery_sampler).
 """
 
 import math
@@ -96,23 +93,23 @@ def _delivery_sampler(policy: SchedulingPolicy,
     draw(seeds) realizes one run per seed and returns, per run and slot, the
     user whose update got through: shape (len(seeds), horizon), -1 where
     the transmission was blocked.  The code N (a uniform at or above a
-    cumulative sum that rounds below 1) matches no user.  Run k fills row k of each uniform buffer from its own
-    streams: the base station's default_rng(mix_seed(seed, 0)) draws the
-    schedule uniforms and then the sub-carrier uniforms; the adversary's
-    default_rng(mix_seed(seed, 1)) is created only for a randomized plan
-    with nonzero mass.  Everything after the draws is vectorised over the
-    block, and a deterministic plan's blocked channels are found once here.
+    cumulative sum that rounds below 1) matches no user.  Run k fills row k
+    of each uniform buffer from its own streams: the base station's
+    default_rng(mix_seed(seed, 0)) draws the schedule uniforms and then the
+    sub-carrier uniforms; the adversary's default_rng(mix_seed(seed, 1)) is
+    created only when some plan entry lies strictly between 0 and 1.
+    Everything after the draws is vectorised over the block, and a 0/1
+    plan's blocked channels are found once here.
     """
     sched_cum = np.cumsum(policy.probs)
     sub_cum = None if subpolicy is None else np.cumsum(subpolicy.probs)
     m = plan.block_prob
     blocked = adv_cum = None
-    if plan.total_blocked() != 0.0:
-        if plan.mode == "deterministic":
-            hit = m.argmax(axis=0)
-            blocked = np.where(m[hit, np.arange(horizon)] == 1.0, hit, -1)
-        else:
-            adv_cum = np.cumsum(m, axis=0)
+    if not plan.is_deterministic:
+        adv_cum = np.cumsum(m, axis=0)
+    elif plan.total_blocked() != 0.0:
+        hit = m.argmax(axis=0)
+        blocked = np.where(m[hit, np.arange(horizon)] == 1.0, hit, -1)
 
     def draw(seeds) -> np.ndarray:
         shape = (len(seeds), horizon)
@@ -167,10 +164,9 @@ def simulate_run(policy: SchedulingPolicy, subpolicy, plan: BlockingPlan,
     horizon = config.horizon_T
     codes = _delivery_sampler(policy, subpolicy, plan, horizon)([seed])[0]
     slots = _slots(horizon)
-    ages = np.empty((policy.n, horizon), dtype=np.int64)
+    ages = np.ones((policy.n, horizon), dtype=np.int64)
     for i in range(policy.n):
-        last = _last_delivery(codes, i, slots)
-        ages[i] = np.where(last > 0, slots - last + 1, slots)
+        ages[i, 1:] = slots[1:] - _last_delivery(codes, i, slots)[:-1]
     return ages
 
 
@@ -188,7 +184,7 @@ def estimate_average_age(policy: SchedulingPolicy, subpolicy, plan: BlockingPlan
     as simulate_run with that seed.  Runs are evaluated in blocks of
     max(1, BLOCK_CELLS // T).  A user's time-average age in a run is its
     exact integer age sum divided by T: with last(t) the latest delivery
-    slot up to t (0 if none), the sum is T(T+1)/2 - sum(last) + #(last > 0).
+    slot up to t (0 if none), the sum is T(T+1)/2 - sum(last(1..T-1)).
     While T(T+1)/2 < 2**53 every partial sum is an exact float, so this
     equals the mean of simulate_run's ages bit for bit.  Aggregation uses
     exact compensated sums, so the estimate is independent of run order.
@@ -209,8 +205,7 @@ def estimate_average_age(policy: SchedulingPolicy, subpolicy, plan: BlockingPlan
         codes = draw([mix_seed(master_seed, k) for k in range(start, stop)])
         for i in range(policy.n):
             last = _last_delivery(codes, i, slots)
-            age_sum = (full_sum - last.sum(axis=1, dtype=np.int64)
-                       + np.count_nonzero(last, axis=1))
+            age_sum = full_sum - last[:, :-1].sum(axis=1, dtype=np.int64)
             per_run_user[start:stop, i] = age_sum / horizon
 
     per_user_mean = np.array(

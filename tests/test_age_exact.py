@@ -107,7 +107,7 @@ def test_blocked_slot_freezes_decay():
     m = np.zeros((2, 3))
     m[0, 1] = 1.0
     series = expected_age_trajectory(
-        validate_policy([0.5, 0.5]), BlockingPlan("deterministic", m), cfg)
+        validate_policy([0.5, 0.5]), BlockingPlan(m), cfg)
     np.testing.assert_allclose(series.per_user[0], [1.0, 1.5, 2.5])
 
 
@@ -144,7 +144,7 @@ def test_recursion_matches_sum_form(seed):
     slots = rng.permutation(horizon)[:cfg.budget_B]
     for t in slots:
         m[rng.integers(users), t] = 1.0
-    series = expected_age_trajectory(policy, BlockingPlan("deterministic", m), cfg)
+    series = expected_age_trajectory(policy, BlockingPlan(m), cfg)
     for i in range(users):
         np.testing.assert_allclose(
             series.per_user[i],
@@ -156,10 +156,10 @@ def test_extra_blocked_slot_never_lowers_age():
     policy = validate_policy([0.7, 0.3])
     m = np.zeros((2, 15))
     m[0, 5:8] = 1.0
-    base = expected_age_trajectory(policy, BlockingPlan("deterministic", m), cfg)
+    base = expected_age_trajectory(policy, BlockingPlan(m), cfg)
     m2 = m.copy()
     m2[0, 8] = 1.0
-    more = expected_age_trajectory(policy, BlockingPlan("deterministic", m2), cfg)
+    more = expected_age_trajectory(policy, BlockingPlan(m2), cfg)
     assert np.all(more.per_user >= base.per_user - 1e-15)
     assert more.system_avg > base.system_avg
 
@@ -170,7 +170,7 @@ def test_over_budget_plan_rejected():
     m[0, :3] = 1.0
     with pytest.raises(ValueError):
         expected_age_trajectory(
-            validate_policy([0.5, 0.5]), BlockingPlan("deterministic", m), cfg)
+            validate_policy([0.5, 0.5]), BlockingPlan(m), cfg)
 
 
 def test_row_count_must_match_users():
@@ -178,7 +178,7 @@ def test_row_count_must_match_users():
     with pytest.raises(DimensionMismatchError):
         expected_age_trajectory(
             validate_policy([0.5, 0.5]),
-            BlockingPlan("deterministic", np.zeros((3, 10))), cfg)
+            BlockingPlan(np.zeros((3, 10))), cfg)
 
 
 # ===========================================================================
@@ -229,7 +229,7 @@ def test_diversity_plan_rows_must_match_subcarriers():
     with pytest.raises(DimensionMismatchError):
         expected_age_trajectory_diversity(
             validate_policy([0.5, 0.5]), uniform_subcarrier_policy(3),
-            BlockingPlan("randomized", np.zeros((3, 10))), cfg)
+            BlockingPlan(np.zeros((3, 10))), cfg)
 
 
 def test_diversity_evaluator_rejects_wrong_user_count():

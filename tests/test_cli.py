@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from aoijam.cli import (
@@ -13,8 +14,10 @@ from aoijam.cli import (
     run_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    serialize_strategy,
 )
 from aoijam.errors import ScenarioParseError, ScenarioValidationError
+from aoijam.model import BlockingPlan
 
 
 def write_scenario(tmp_path, doc, name="scenario_in.json"):
@@ -237,6 +240,35 @@ def test_seed_override_replaces_config_seed(tmp_path):
           "--seed-override", "99", "--quiet"])
     row = (tmp_path / "sim.csv").read_text().splitlines()[1]
     assert row.endswith(",99")
+
+
+@pytest.mark.parametrize("model", ["no-diversity", "diversity"])
+def test_zero_one_plan_simulates_alike_under_either_label(tmp_path, model):
+    # plan.mode only gates the input: a 0/1 matrix is the same plan
+    matrix = [[0, 0, 0, 1, 1, 1, 0, 0, 0, 0], [0] * 6 + [1, 0, 0, 0]]
+    system = {"horizon_T": 10, "num_users": 2, "alpha": 0.4}
+    if model == "diversity":
+        system["num_subcarriers"] = 2
+    written = []
+    for mode in ("deterministic", "randomized"):
+        doc = base_doc(model=model, system=system,
+                       experiment={"name": "montecarlo", "runs": 200,
+                                   "seed": 3},
+                       **explicit_plan(matrix, mode))
+        out = tmp_path / mode
+        assert main(["simulate", "--config", write_scenario(tmp_path, doc),
+                     "--out-dir", str(out), "--quiet"]) == 0
+        written.append((out / "sim.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_serialized_plan_is_labelled_by_its_entries():
+    assert serialize_strategy(BlockingPlan(np.zeros((2, 2)))) == (
+        "plan[deterministic]{}")
+    assert serialize_strategy(BlockingPlan([[0.0, 1.0], [0.0, 0.0]])) == (
+        "plan[deterministic]{0:1=1.0}")
+    assert serialize_strategy(BlockingPlan([[0.0, 1.0], [0.5, 0.0]])) == (
+        "plan[randomized]{0:1=1.0|1:0=0.5}")
 
 
 # ---------------------------------------------------------------- analysis

@@ -91,7 +91,7 @@ def test_nash_check_rejects_diversity_and_infeasible_inputs():
     over[0, :30] = 1.0  # B = 20
     with pytest.raises(ValueError):
         is_nash_no_diversity(
-            uniform_policy(2), BlockingPlan("deterministic", over), cfg)
+            uniform_policy(2), BlockingPlan(over), cfg)
 
 
 def test_failed_report_must_carry_witness():

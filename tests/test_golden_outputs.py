@@ -76,7 +76,7 @@ SCENARIOS = {
         "plan": {"source": "middle-block", "target": 2},
         "experiment": {"name": "montecarlo", "runs": 70, "seed": 9},
     },
-    # randomized plan: the adversary draws its own stream
+    # fractional plan entries: the adversary draws its own stream
     "simulate-diversity": {
         "model": "diversity",
         "system": {"horizon_T": 120, "num_users": 2, "alpha": 0.3,
@@ -190,13 +190,13 @@ GOLDEN = {
     },
     "simulate-diversity": {
         "scenario.json": "a655e3e01f7dc43597e028b8b3cab74d04ac52cce7588948fe177c91dddc4290",
-        "sim.csv": "32580bdf9411e977e401585c1e9db5ebab3e1ab42a0c2e58bd941b6973a0b468",
-        "stdout": "c6f227d1a5b5d4260a3cf65b954a43fb26949cae67f0f29d3343e5e74a35d05f",
+        "sim.csv": "eaa1c05b9e9daedc2225fa144bdde7dfc7f9354a432c58a75e84eeeb8bd38ab4",
+        "stdout": "54ada7a26d94694d193e9cd1f1b9b9eefac1adf3046fd9e8c9717fc8fa226aee",
     },
     "simulate-no-diversity": {
         "scenario.json": "634875e1577e960cf9876ea39676b3a09e319311b75f20d25e9cc40fd3a383ab",
-        "sim.csv": "9d7415595d6d5c702c177fe7c6fb70e6b3c0d063e1b80c2d48fdf5adc307335b",
-        "stdout": "918d6f8ad14e97e679837433927d7842678db05c4946d2ee5a4d6c3eeea8c8bb",
+        "sim.csv": "ecbcf8ab0fe1eeeaf439e416c6480edd5ba7c8f8c2263bdd998bbae550240ece",
+        "stdout": "bbcf091afaeb29fb0374c7cc03051851dcb2b355a3292d5099d582b70b8f9768",
     },
     "stackelberg": {
         "equilibrium.csv": "fc839e2df780ca2008cfbfb56d1a2760b4243bda199360bb9794d5b79a096d75",

@@ -1,5 +1,6 @@
 """Core types: policies, blocking plans, budgets, feasibility."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -142,7 +143,7 @@ def test_middle_block_T10_alpha04():
     blocked = np.flatnonzero(plan.block_prob[0]) + 1
     assert blocked.tolist() == [4, 5, 6, 7]
     assert plan.block_prob[1].sum() == 0.0
-    assert plan.mode == "deterministic"
+    assert plan.is_deterministic
 
 
 def test_middle_block_T4_alpha05_target1():
@@ -221,34 +222,43 @@ def test_plan_rejects_two_channels_same_slot():
     m[0, 1] = 1.0
     m[1, 1] = 1.0
     with pytest.raises(ValueError):
-        BlockingPlan("deterministic", m)
+        BlockingPlan(m)
 
 
-@pytest.mark.parametrize("mode, raw, message", [
+# the first field says whether the finite entries are all 0 or 1: the
+# check fires either way
+@pytest.mark.parametrize("kind, raw, message", [
     ("randomized", [[math.nan, 0.1]], "block_prob[0, 0] = nan"),
     ("randomized", [[0.0, 0.1], [0.2, math.nan]], "block_prob[1, 1] = nan"),
-    ("randomized", [[0.0, math.inf]], "block_prob[0, 1] = inf"),
+    ("randomized", [[0.1, math.inf]], "block_prob[0, 1] = inf"),
     ("deterministic", [[0.0, 1.0], [-math.inf, 0.0]], "block_prob[1, 0] = -inf"),
 ])
-def test_plan_rejects_non_finite_entries(mode, raw, message):
+def test_plan_rejects_non_finite_entries(kind, raw, message):
+    finite = np.asarray(raw)[np.isfinite(raw)]
+    assert np.all((finite == 0.0) | (finite == 1.0)) == (
+        kind == "deterministic")
     with pytest.raises(ValueError) as info:
-        BlockingPlan(mode, raw)
+        BlockingPlan(raw)
     assert message in str(info.value)
 
 
-def test_plan_rejects_fractional_deterministic_entries():
+def test_plan_is_its_matrix():
     m = np.zeros((2, 4))
-    m[0, 1] = 0.5
-    with pytest.raises(ValueError):
-        BlockingPlan("deterministic", m)
-    # same matrix is fine as a randomized plan
-    BlockingPlan("randomized", m)
+    m[0, 1] = 1.0
+    assert BlockingPlan(m).is_deterministic
+    m[1, 2] = 0.5
+    plan = BlockingPlan(m)
+    assert not plan.is_deterministic
+    assert plan == BlockingPlan(m.copy())
+    assert [f.name for f in dataclasses.fields(BlockingPlan)] == [
+        "block_prob"]
 
 
 def test_plan_stores_tolerated_entries_clipped():
     raw = np.array([[-1e-13, 1 + 1e-13]])
-    plan = BlockingPlan("randomized", raw)
+    plan = BlockingPlan(raw)
     assert plan.block_prob.tolist() == [[0.0, 1.0]]
+    assert plan.is_deterministic  # judged on the stored entries
     assert raw.tolist() == [[-1e-13, 1 + 1e-13]]  # the caller's copy
 
 
@@ -256,17 +266,17 @@ def test_feasibility_rejects_over_budget():
     cfg = SystemConfig(horizon_T=10, num_users=2, alpha=0.4)  # B = 4
     m = np.zeros((2, 10))
     m[0, :5] = 1.0  # 5 blocked slots
-    assert not blocking_feasible(BlockingPlan("deterministic", m), cfg)
+    assert not blocking_feasible(BlockingPlan(m), cfg)
     m[0, 4] = 0.0
-    assert blocking_feasible(BlockingPlan("deterministic", m), cfg)
+    assert blocking_feasible(BlockingPlan(m), cfg)
 
 
 def test_feasibility_checks_dimensions():
     cfg = SystemConfig(horizon_T=10, num_users=2, alpha=0.4)
-    wrong = BlockingPlan("deterministic", np.zeros((3, 10)))
+    wrong = BlockingPlan(np.zeros((3, 10)))
     with pytest.raises(DimensionMismatchError):
         blocking_feasible(wrong, cfg)
-    short = BlockingPlan("deterministic", np.zeros((2, 9)))
+    short = BlockingPlan(np.zeros((2, 9)))
     with pytest.raises(DimensionMismatchError):
         blocking_feasible(short, cfg)
 
@@ -280,10 +290,10 @@ def test_randomized_budget_counts_expected_mass():
     cfg = SystemConfig(horizon_T=10, num_users=2, alpha=0.2)  # B = 2
     m = np.zeros((2, 10))
     m[0, :] = 0.25  # expected blocked mass 2.5 > 2
-    assert not blocking_feasible(BlockingPlan("randomized", m), cfg)
+    assert not blocking_feasible(BlockingPlan(m), cfg)
     m[0, :8] = 0.25
     m[0, 8:] = 0.0
-    assert blocking_feasible(BlockingPlan("randomized", m), cfg)
+    assert blocking_feasible(BlockingPlan(m), cfg)
 
 
 # ===========================================================================
@@ -297,7 +307,7 @@ _DIV = SystemConfig(horizon_T=10, num_users=2, alpha=0.4, num_subcarriers=3)
 def _over_budget(config):
     m = np.zeros((config.num_channels, config.horizon_T))
     m[0, :5] = 1.0
-    return BlockingPlan("deterministic", m)
+    return BlockingPlan(m)
 
 
 @pytest.mark.parametrize("profile, config, error, message", [
