@@ -278,10 +278,7 @@ def scenario_to_dict(sc: ScenarioConfig) -> dict:
 def _explicit(field: str, build, raw):
     """build(raw as a float array); a model ValueError names `field`."""
     try:
-        values = np.asarray(raw, dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("entries must be finite numbers")
-        return build(values)
+        return build(np.asarray(raw, dtype=float))
     except (TypeError, ValueError) as exc:
         _fail(field, str(exc))
 

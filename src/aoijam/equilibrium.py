@@ -298,7 +298,10 @@ def _sample_adv_deviations(config: SystemConfig, adv_samples, rng):
             start = int(rng.integers(0, horizon - budget + 1))
             m[j, start:start + budget] = 1.0
         elif family == "two-window":
-            first = int(rng.integers(1, budget)) if budget > 1 else budget
+            # each window fits its half of the horizon: [0, T//2), [T//2, T)
+            first = budget if budget == 1 else int(rng.integers(
+                max(1, budget - (horizon + 1) // 2),
+                min(budget - 1, horizon // 2) + 1))
             second = budget - first
             s1 = int(rng.integers(0, max(1, horizon // 2 - first)))
             s2 = int(rng.integers(horizon // 2, horizon - second + 1))

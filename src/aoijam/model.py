@@ -11,7 +11,7 @@ against the budget.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,9 +23,8 @@ from .errors import (
     TargetOutOfRangeError,
 )
 
-# Loose tolerance for accepting raw vectors, tight one for stored invariants.
+# Tolerances for a raw vector's sum and for a plan entry outside [0, 1].
 SUM_ACCEPT_TOL = 1e-9
-SUM_STORED_TOL = 1e-12
 ENTRY_TOL = 1e-12
 
 
@@ -87,70 +86,62 @@ class SystemConfig:
 
 
 @dataclass(frozen=True)
-class SchedulingPolicy:
-    """Stationary distribution over the N users; every entry strictly positive.
+class _ProbabilityVector:
+    """A 1-D probability vector; the two policy types below differ only in
+    the entry floor (POSITIVE: > 0 rather than >= 0) and the entry symbol.
 
     The constructor normalizes a vector whose sum is within 1e-9 of 1 and
     rejects anything farther off; the stored vector sums to 1 within 1e-12.
+    Any input that is not 1-D raises DimensionMismatchError.  A subclass
+    sets SYMBOL (the entry's name in messages) and POSITIVE.
     """
 
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float).ravel()
-        if p.size == 0:
+        x = np.asarray(self.probs, dtype=float)
+        if x.ndim != 1:
+            raise DimensionMismatchError(
+                f"probability vector must be 1-D, got shape {x.shape}")
+        if x.size == 0:
             raise NotNormalizedError("empty probability vector")
-        if np.any(p <= 0.0):
-            bad = int(np.argmin(p))
+        floor = "> 0" if self.POSITIVE else ">= 0"
+        if np.any(x <= 0.0 if self.POSITIVE else x < 0.0):
+            bad = int(np.argmin(x))
+            why = " (unscheduled users age forever)" if self.POSITIVE else ""
             raise NonPositiveEntryError(
-                f"p[{bad}] = {p[bad]} must be > 0 (unscheduled users age forever)")
-        s = math.fsum(p)
+                f"{self.SYMBOL}[{bad}] = {x[bad]} must be {floor}{why}")
+        s = math.fsum(x)
         if not math.isfinite(s):  # a NaN or +inf entry; -inf failed above
-            bad, = _first_non_finite(p)
+            bad, = _first_non_finite(x)
             raise NonPositiveEntryError(
-                f"p[{bad}] = {p[bad]} must be a finite number > 0")
+                f"{self.SYMBOL}[{bad}] = {x[bad]} must be a finite number "
+                f"{floor}")
         if abs(s - 1.0) > SUM_ACCEPT_TOL:
             raise NotNormalizedError(f"probabilities sum to {s}, expected 1")
-        object.__setattr__(self, "probs", _freeze(p / s))
+        object.__setattr__(self, "probs", _freeze(x / s))
 
     @property
     def n(self) -> int:
         return self.probs.size
 
     def __eq__(self, other):
-        return isinstance(other, SchedulingPolicy) and np.array_equal(
+        return type(other) is type(self) and np.array_equal(
             self.probs, other.probs)
 
 
-@dataclass(frozen=True)
-class SubcarrierPolicy:
+class SchedulingPolicy(_ProbabilityVector):
+    """Stationary distribution over the N users; every entry strictly positive."""
+
+    SYMBOL = "p"
+    POSITIVE = True
+
+
+class SubcarrierPolicy(_ProbabilityVector):
     """Stationary distribution over the N_sub sub-carriers; zeros allowed."""
 
-    probs: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.probs, dtype=float).ravel()
-        if q.size == 0:
-            raise NotNormalizedError("empty probability vector")
-        if np.any(q < 0.0):
-            bad = int(np.argmin(q))
-            raise NonPositiveEntryError(f"q[{bad}] = {q[bad]} must be >= 0")
-        s = math.fsum(q)
-        if not math.isfinite(s):  # a NaN or +inf entry; -inf failed above
-            bad, = _first_non_finite(q)
-            raise NonPositiveEntryError(
-                f"q[{bad}] = {q[bad]} must be a finite number >= 0")
-        if abs(s - 1.0) > SUM_ACCEPT_TOL:
-            raise NotNormalizedError(f"probabilities sum to {s}, expected 1")
-        object.__setattr__(self, "probs", _freeze(q / s))
-
-    @property
-    def n(self) -> int:
-        return self.probs.size
-
-    def __eq__(self, other):
-        return isinstance(other, SubcarrierPolicy) and np.array_equal(
-            self.probs, other.probs)
+    SYMBOL = "q"
+    POSITIVE = False
 
 
 @dataclass(frozen=True)
@@ -213,22 +204,15 @@ class BlockingPlan:
 
 @dataclass(frozen=True)
 class BudgetSplit:
-    """Per-user jamming fractions alpha_i >= 0 with sum(alpha_i) = alpha."""
+    """Per-user jamming fractions alpha_i >= 0; their sum is the total."""
 
     alphas: np.ndarray
-    alpha: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         a = np.asarray(self.alphas, dtype=float).ravel()
         if np.any(a < 0.0):
             raise ValueError("split fractions must be >= 0")
-        total = math.fsum(a)
-        target = total if self.alpha is None else float(self.alpha)
-        if abs(total - target) > SUM_STORED_TOL:
-            raise ValueError(
-                f"split fractions sum to {total}, expected {target}")
         object.__setattr__(self, "alphas", _freeze(a))
-        object.__setattr__(self, "alpha", target)
 
     @property
     def n(self) -> int:
@@ -242,15 +226,16 @@ class BudgetSplit:
 def validate_policy(raw) -> SchedulingPolicy:
     """Turn a raw vector into a SchedulingPolicy, normalizing near-1 sums.
 
-    Raises NonPositiveEntryError for any entry <= 0 and NotNormalizedError
-    when the sum deviates from 1 by more than 1e-9.
+    Raises DimensionMismatchError unless the input is 1-D,
+    NonPositiveEntryError for any entry <= 0 and NotNormalizedError when the
+    sum deviates from 1 by more than 1e-9.
     """
-    return SchedulingPolicy(np.asarray(raw, dtype=float))
+    return SchedulingPolicy(raw)
 
 
 def validate_subcarrier_policy(raw) -> SubcarrierPolicy:
     """Counterpart of validate_policy for sub-carrier distributions."""
-    return SubcarrierPolicy(np.asarray(raw, dtype=float))
+    return SubcarrierPolicy(raw)
 
 
 def uniform_policy(n: int) -> SchedulingPolicy:

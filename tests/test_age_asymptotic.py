@@ -179,8 +179,8 @@ def test_split_concentration_beats_uniform_by_known_gap():
     # at uniform p the gap is alpha^2*T/2*(1 - 1/N)
     n, alpha, T = 4, 0.6, 2000
     pol = uniform_policy(n)
-    conc = BudgetSplit(np.eye(n)[0] * alpha, alpha=alpha)
-    unif = BudgetSplit(np.full(n, alpha / n), alpha=alpha)
+    conc = BudgetSplit(np.eye(n)[0] * alpha)
+    unif = BudgetSplit(np.full(n, alpha / n))
     gap = _quiet(split_objective, pol, conc, T) - _quiet(
         split_objective, pol, unif, T)
     assert gap == pytest.approx(alpha**2 * T / 2 * (1 - 1 / n), rel=1e-12)
@@ -196,12 +196,12 @@ def test_split_grid_maximum_is_concentration_on_slowest_user():
         for j in range(steps + 1 - i):
             k = steps - i - j
             split = BudgetSplit(
-                alpha * np.array([i, j, k]) / steps, alpha=alpha)
+                alpha * np.array([i, j, k]) / steps)
             val = _quiet(split_objective, pol, split, T)
             if val > best_val:
                 best_val, best_split = val, split
     np.testing.assert_allclose(best_split.alphas, [0.0, 0.0, alpha])
-    conc = BudgetSplit(alpha * np.eye(3)[2], alpha=alpha)
+    conc = BudgetSplit(alpha * np.eye(3)[2])
     assert best_val == pytest.approx(_quiet(split_objective, pol, conc, T))
 
 
@@ -215,7 +215,7 @@ def test_reduced_payoff_for_split_matches_single_target(seed):
     alpha = float(rng.uniform(0.05, 0.9))
     T = int(rng.integers(100, 50_000))
     b = int(rng.integers(n))
-    split = BudgetSplit(alpha * np.eye(n)[b], alpha=alpha)
+    split = BudgetSplit(alpha * np.eye(n)[b])
     assert _quiet(reduced_payoff_for_split, pol, split, T) == pytest.approx(
         _quiet(reduced_objective, pol, b, alpha, T).value, rel=1e-12)
 

@@ -1,8 +1,8 @@
-"""The benchmark's view of the package: every aoijam name that bench/ uses
-still exists.
+"""The benchmark's and the demos' view of the package: every aoijam name
+that bench/ or demos/ uses still exists.
 
-bench/ is read as source (ast), never imported or edited, so an API cleanup
-that would break a benchmark run fails here first.
+Both are read as source (ast), never imported, run or edited, so an API
+cleanup that would break a benchmark run or a demo fails here first.
 """
 
 import ast
@@ -12,27 +12,30 @@ from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 # tracing.py's module-level names whose strings are "<module>.<function>"
 TRACED_NAMES = ("_MEASURES", "_PLAN_BUILDS", "_DESCENT", "_NASH_CHECKS",
                 "_STACKELBERG")
 
 
-def _tree(name):
-    return ast.parse((BENCH / name).read_text(encoding="utf-8"), name)
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), path.name)
 
 
 def _aoijam_imports():
-    """Sorted (file, module, name or "") of every aoijam import."""
+    """Sorted (file, module, name or "") of every aoijam import; a demo's
+    file is named demos/<file>."""
     found = set()
-    for path in BENCH.glob("*.py"):
-        for node in ast.walk(_tree(path.name)):
+    for path in [*BENCH.glob("*.py"), *(ROOT / "demos").glob("*.py")]:
+        file = path.name if path.parent == BENCH else f"demos/{path.name}"
+        for node in ast.walk(_tree(path)):
             if isinstance(node, ast.ImportFrom) and node.level == 0 and (
                     node.module.split(".")[0] == "aoijam"):
-                found.update((path.name, node.module, alias.name)
+                found.update((file, node.module, alias.name)
                              for alias in node.names)
             elif isinstance(node, ast.Import):
-                found.update((path.name, alias.name, "")
+                found.update((file, alias.name, "")
                              for alias in node.names
                              if alias.name.split(".")[0] == "aoijam")
     return sorted(found)
@@ -41,7 +44,7 @@ def _aoijam_imports():
 def _traced_names():
     """Sorted (table, "<module>.<function>") of tracing.py's span names."""
     found = set()
-    for node in _tree("tracing.py").body:
+    for node in _tree(BENCH / "tracing.py").body:
         if not (isinstance(node, ast.Assign) and len(node.targets) == 1
                 and getattr(node.targets[0], "id", None) in TRACED_NAMES):
             continue
@@ -54,8 +57,11 @@ def _traced_names():
 
 def test_bench_is_read():
     # the parsers below found what they look for
-    assert {module for _, module, _ in _aoijam_imports()} >= {
-        "aoijam.cli", "aoijam.model"}
+    imports = _aoijam_imports()
+    assert {module for _, module, _ in imports} >= {
+        "aoijam", "aoijam.cli", "aoijam.model"}
+    assert {file.startswith("demos/") for file, _, _ in imports} == {
+        False, True}
     assert {table for table, _ in _traced_names()} == set(TRACED_NAMES)
 
 

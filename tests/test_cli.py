@@ -385,6 +385,19 @@ def test_nash_verify_diversity_point_holds(tmp_path):
     assert witness == ""
 
 
+def test_nash_verify_runs_when_the_budget_exceeds_half_the_horizon(
+        tmp_path, capsys):
+    # B = 24 of T = 40: a two-window deviation once found no room for its
+    # second window and the audit exited 3
+    doc = div_doc(system={"horizon_T": 40, "num_users": 2, "alpha": 0.6,
+                          "num_subcarriers": 2},
+                  **seeded("nash-verify", 0, bs_samples=20, adv_samples=50))
+    path = write_scenario(tmp_path, doc)
+    assert main(["nash-verify", "--config", path, "--out-dir", str(tmp_path),
+                 "--quiet"]) == 0, capsys.readouterr().err
+    assert (tmp_path / "equilibrium.csv").exists()
+
+
 def test_counter_block_policy_source(tmp_path):
     doc = base_doc(system={"horizon_T": 100, "num_users": 2, "alpha": 0.5},
                    policy={"source": "counter-block", "target": 1},
@@ -437,18 +450,6 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_package_resolves_cli_names():
-    import aoijam
-    from aoijam import cli
-
-    for name in ("ScenarioConfig", "main", "parse_scenario", "run_scenario",
-                 "scenario_from_dict", "scenario_to_dict"):
-        assert name in aoijam.__all__
-        assert getattr(aoijam, name) is getattr(cli, name)
-    with pytest.raises(AttributeError):
-        aoijam.no_such_name
-
-
 # ---------------------------------------------------------------- field errors
 
 
@@ -475,6 +476,8 @@ _MC = {"runs": 20}
 _NASH = {"bs_samples": 2, "adv_samples": 2}
 BAD_SEEDS = {"string": "7", "float": 1.5, "bool": True, "negative": -1}
 PLAN, POLICY = "plan.block_prob", "policy.probs"
+# as many rows as entries expected, so only the vector's shape is wrong
+NESTED = {"source": "explicit", "probs": [[0.25, 0.25], [0.25, 0.25]]}
 
 
 def case(id, command, doc, field, *extra):
@@ -508,6 +511,11 @@ def case(id, command, doc, field, *extra):
     case("non-numeric-subcarrier-policy", "exact",
          div_doc(subcarrier_policy={"source": "explicit", "probs": ["x", 0.5]}),
          "subcarrier_policy.probs"),
+    case("nested-policy", "exact", base_doc(policy=NESTED), POLICY),
+    case("nested-policy-asymptotic", "asymptotic", base_doc(policy=NESTED),
+         POLICY),
+    case("nested-subcarrier-policy", "exact",
+         div_doc(subcarrier_policy=NESTED), "subcarrier_policy.probs"),
     *[case(f"{kind}-seed-simulate", "simulate",
            base_doc(**seeded("montecarlo", seed, **_MC)), "experiment.seed")
       for kind, seed in BAD_SEEDS.items()],
@@ -536,6 +544,10 @@ def test_unused_strategies_are_not_validated(tmp_path):
                    **explicit_plan([[0, 0, 0], [0, 0]]))
     path = write_scenario(tmp_path, doc)
     assert main(["stackelberg", "--config", path, "--out-dir", str(tmp_path),
+                 "--quiet"]) == 0
+    # the diversity closed form never reads q
+    path = write_scenario(tmp_path, div_doc(subcarrier_policy=NESTED))
+    assert main(["asymptotic", "--config", path, "--out-dir", str(tmp_path),
                  "--quiet"]) == 0
 
 

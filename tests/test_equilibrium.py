@@ -8,6 +8,7 @@ import pytest
 
 from aoijam.best_response import bs_best_response_single_block
 from aoijam.equilibrium import (
+    ADV_DEVIATION_FAMILIES,
     DeviationWitness,
     EquilibriumReport,
     best_response_dynamics,
@@ -15,6 +16,7 @@ from aoijam.equilibrium import (
     follower_aware_payoff,
     is_nash_no_diversity,
     stackelberg_equilibrium,
+    _sample_adv_deviations,
     verify_diversity_nash,
 )
 from aoijam.errors import (
@@ -249,6 +251,27 @@ def test_verify_flags_skewed_subcarrier_choice():
     assert report.holds is False
     assert report.witness.player == "adversary"
     assert report.witness.payoff_after > report.witness.payoff_before + 1e-9
+
+
+@pytest.mark.parametrize("n_sub", [2, 3])
+@pytest.mark.parametrize("alpha", [0.6, 0.9])
+@pytest.mark.parametrize("T", [6, 10, 40])
+def test_two_window_deviations_spend_the_budget_in_both_halves(T, alpha,
+                                                              n_sub):
+    # a budget above half the horizon once left the second window no room
+    # (ValueError) or let the two windows overlap and spend less than B
+    cfg = SystemConfig(horizon_T=T, num_users=2, alpha=alpha,
+                       num_subcarriers=n_sub)
+    families = ADV_DEVIATION_FAMILIES
+    plans = _sample_adv_deviations(cfg, 50, np.random.default_rng(T))
+    for plan in plans[families.index("two-window")::len(families)]:
+        mass = plan.block_prob.sum(axis=0)
+        np.testing.assert_allclose(mass[mass > 0], 1.0)
+        assert np.count_nonzero(mass) == cfg.budget_B
+        for half in (mass[:T // 2], mass[T // 2:]):
+            spent = np.flatnonzero(half)
+            assert spent.size > 0
+            assert spent[-1] - spent[0] + 1 == spent.size  # one window
 
 
 def test_verify_requires_diversity_and_feasible_plan():

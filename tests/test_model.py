@@ -123,6 +123,21 @@ def test_policy_array_is_read_only():
         pol.probs[0] = 0.9
 
 
+@pytest.mark.parametrize("build", [validate_policy, validate_subcarrier_policy])
+@pytest.mark.parametrize("raw", [[[0.5], [0.5]], [[0.25, 0.25], [0.25, 0.25]],
+                                 1.0, [[1.0]]])
+def test_policies_accept_only_1d_vectors(build, raw):
+    with pytest.raises(DimensionMismatchError, match="must be 1-D"):
+        build(raw)
+
+
+def test_policy_equality_is_per_type():
+    assert validate_policy([0.5, 0.5]) == uniform_policy(2)
+    assert validate_subcarrier_policy([0.5, 0.5]) == uniform_subcarrier_policy(2)
+    assert uniform_policy(2) != uniform_subcarrier_policy(2)
+    assert uniform_subcarrier_policy(2) != uniform_policy(2)
+
+
 def test_subcarrier_policy_allows_zero_entries():
     q = validate_subcarrier_policy([0.0, 1.0])
     np.testing.assert_allclose(q.probs, [0.0, 1.0])
@@ -348,13 +363,6 @@ def test_check_profile_accepts_both_models():
 
 
 def test_budget_split_total_checked():
-    BudgetSplit(np.array([0.1, 0.2]), alpha=0.3)
+    BudgetSplit(np.array([0.1, 0.2]))
     with pytest.raises(ValueError):
-        BudgetSplit(np.array([0.1, 0.25]), alpha=0.3)
-    with pytest.raises(ValueError):
-        BudgetSplit(np.array([-0.1, 0.4]), alpha=0.3)
-
-
-def test_budget_split_infers_total_when_omitted():
-    s = BudgetSplit(np.array([0.05, 0.15]))
-    assert s.alpha == pytest.approx(0.2, abs=1e-15)
+        BudgetSplit(np.array([-0.1, 0.4]))
