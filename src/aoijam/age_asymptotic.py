@@ -3,25 +3,26 @@
 These formulas assume the horizon dwarfs every user's renewal time
 (T >> 1/p_i).  An unblocked user's time-average age tends to 1/p_i; a user
 blocked for a consecutive alpha*T-slot window picks up an extra term that
-grows linearly in T.  Every operation that depends on this regime emits
-AsymptoticValidityWarning when T * min_i p_i < 100, the point where the 1/p
-approximation drifts past roughly 1%.
+grows linearly in T.  The functions that return an age, blocked_user_age
+and system_age_no_diversity, emit AsymptoticValidityWarning when
+T * min_i p_i < 100, the point where the 1/p approximation drifts past
+roughly 1%.  The reduced game payoffs do not warn: the players only compare
+them.
 """
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    CertificateError,
+    DimensionMismatchError,
     IndexOutOfRangeError,
     InvalidAlphaError,
     NoDiversityError,
     NonPositiveProbabilityError,
 )
-from .model import BudgetSplit, SchedulingPolicy
+from .model import SchedulingPolicy
 
 ASYMPTOTIC_REGIME_MIN = 100.0
 
@@ -30,15 +31,14 @@ class AsymptoticValidityWarning(UserWarning):
     """T * min_i p_i is too small for the large-horizon formulas to be tight."""
 
 
-def _warn_if_small_horizon(T: float, p_min: float,
-                           stacklevel: int = 3) -> None:
-    """Warn when T*p_min is too small; the default stacklevel points at the
-    caller of the public function that calls this one."""
+def _warn_if_small_horizon(T: float, p_min: float) -> None:
+    """Warn when T*p_min is too small, pointing at the caller of the public
+    function that calls this one."""
     if T * p_min < ASYMPTOTIC_REGIME_MIN:
         warnings.warn(
             f"T*min(p) = {T * p_min:.4g} < {ASYMPTOTIC_REGIME_MIN:g}; "
             "large-horizon age formulas may be off by more than ~1%",
-            AsymptoticValidityWarning, stacklevel=stacklevel)
+            AsymptoticValidityWarning, stacklevel=3)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -46,19 +46,10 @@ def _check_alpha(alpha: float) -> None:
         raise InvalidAlphaError(f"alpha must lie in [0, 1), got {alpha}")
 
 
-def _spared_users_sum(p: np.ndarray, blocked_user: int, alpha: float,
-                      T: int) -> float:
-    """sum of 1/p_j over the users other than `blocked_user`.
-
-    Also the argument checks and the regime warning shared by the payoffs
-    of a single middle-blocked user; the warning points at their caller.
-    """
-    if not 0 <= blocked_user < p.size:
+def _check_user(n: int, blocked_user: int) -> None:
+    if not 0 <= blocked_user < n:
         raise IndexOutOfRangeError(
-            f"blocked_user {blocked_user} outside 0..{p.size - 1}")
-    _check_alpha(alpha)
-    _warn_if_small_horizon(T, float(p.min()), stacklevel=4)
-    return math.fsum(1.0 / p[j] for j in range(p.size) if j != blocked_user)
+            f"blocked_user {blocked_user} outside 0..{n - 1}")
 
 
 # ===========================================================================
@@ -73,6 +64,10 @@ def unblocked_user_age(p_j: float) -> float:
     return 1.0 / p_j
 
 
+def _blocked_age(p_1: float, alpha: float, T: int) -> float:
+    return (1 + alpha) * (1 - p_1) / p_1 + alpha * (1 + alpha * T) / 2 + 1.0
+
+
 def blocked_user_age(p_1: float, alpha: float, T: int) -> float:
     """Time-average age of the user blocked for the middle alpha*T slots.
 
@@ -85,7 +80,7 @@ def blocked_user_age(p_1: float, alpha: float, T: int) -> float:
         raise NonPositiveProbabilityError(f"p_1 = {p_1} must be > 0")
     _check_alpha(alpha)
     _warn_if_small_horizon(T, p_1)
-    return (1 + alpha) * (1 - p_1) / p_1 + alpha * (1 + alpha * T) / 2 + 1.0
+    return _blocked_age(p_1, alpha, T)
 
 
 def system_age_no_diversity(
@@ -93,10 +88,12 @@ def system_age_no_diversity(
         T: int) -> float:
     """User-average age when one user absorbs the whole middle-block budget."""
     p = policy.probs
-    unblocked = _spared_users_sum(p, blocked_user, alpha, T)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AsymptoticValidityWarning)
-        blocked = blocked_user_age(float(p[blocked_user]), alpha, T)
+    _check_user(p.size, blocked_user)
+    _check_alpha(alpha)
+    _warn_if_small_horizon(T, float(p.min()))
+    unblocked = math.fsum(
+        1.0 / p[j] for j in range(p.size) if j != blocked_user)
+    blocked = _blocked_age(float(p[blocked_user]), alpha, T)
     return (unblocked + blocked) / p.size
 
 
@@ -105,79 +102,54 @@ def system_age_no_diversity(
 # ===========================================================================
 
 
-@dataclass(frozen=True)
-class ReducedGamePayoff:
-    """Reduced system-age payoff split into its named parts.
+def _reduced_payoff(p: list, shares: list, T: int) -> float:
+    """fsum of three fsums: 1/p_j over users with share 0, then
+    (1+a_j)/p_j - a_j and a_j(1+a_j*T)/2 over users with share a_j > 0."""
+    unblocked = math.fsum(1.0 / p_j for p_j, a in zip(p, shares) if a == 0.0)
+    hit = [(p_j, a) for p_j, a in zip(p, shares) if a > 0.0]
+    blocked = math.fsum((1 + a) / p_j - a for p_j, a in hit)
+    linear = math.fsum(a * (1 + a * T) / 2 for _, a in hit)
+    return math.fsum((unblocked, blocked, linear))
 
-    value = unblocked_term + blocked_term + linear_t_term within 1e-12;
-    unblocked_term sums 1/p_j over spared users, blocked_term is
-    (1+alpha)/p_b - alpha, linear_t_term is alpha(1+alpha*T)/2.
+
+def reduced_payoff_for_split(policy: SchedulingPolicy, shares,
+                             T: int) -> float:
+    """Reduced payoff when user i is blocked for shares[i]*T consecutive slots.
+
+    sum_i 1/p_i + sum_i (a_i/p_i - a_i + a_i(1+a_i*T)/2) with a = shares,
+    a 1-D array of N finite entries >= 0 (DimensionMismatchError for any
+    other shape, InvalidAlphaError for a negative or non-finite entry).
+    Convex in the shares, so a budget is best spent at a vertex:
+    concentrated on argmax_i 1/p_i.  All-zero shares give the no-adversary
+    payoff sum_i 1/p_i.
     """
+    a = np.asarray(shares, dtype=float)
+    if a.shape != (policy.n,):
+        raise DimensionMismatchError(
+            f"shares must be a 1-D array of {policy.n} entries, got shape "
+            f"{a.shape}")
+    bad = ~(a >= 0.0) | np.isinf(a)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvalidAlphaError(
+            f"shares[{i}] = {a[i]} must be a finite number >= 0")
+    return _reduced_payoff(policy.probs.tolist(), a.tolist(), T)
 
-    value: float
-    unblocked_term: float
-    blocked_term: float
-    linear_t_term: float
 
-    def __post_init__(self):
-        parts = math.fsum(
-            (self.unblocked_term, self.blocked_term, self.linear_t_term))
-        if abs(self.value - parts) > 1e-12 * max(1.0, abs(self.value)):
-            raise CertificateError(
-                f"payoff {self.value!r} is not the sum of its parts {parts!r}")
+def reduced_objective(policy: SchedulingPolicy, blocked_user: int,
+                      alpha: float, T: int) -> float:
+    """Reduced payoff for a single middle-blocked user: the value of
+    reduced_payoff_for_split with share alpha on blocked_user, 0 elsewhere.
 
-
-def reduced_objective(
-        policy: SchedulingPolicy, blocked_user: int, alpha: float,
-        T: int) -> ReducedGamePayoff:
-    """Reduced payoff for a single middle-blocked user.
-
-    Equals num_users * system_age_no_diversity exactly (the dropped
-    "constants" cancel to zero), so both share their argmin in the policy and
-    their argmax in the target.
+    Equals num_users * system_age_no_diversity up to rounding (the dropped
+    "constants" cancel to zero), so both share their argmin in the policy
+    and their argmax in the target.
     """
-    p = policy.probs
-    unblocked = _spared_users_sum(p, blocked_user, alpha, T)
-    blocked = (1 + alpha) / float(p[blocked_user]) - alpha
-    linear = alpha * (1 + alpha * T) / 2
-    return ReducedGamePayoff(
-        math.fsum((unblocked, blocked, linear)), unblocked, blocked, linear)
-
-
-def split_objective(policy: SchedulingPolicy, split: BudgetSplit,
-                    T: int) -> float:
-    """Budget-dependent part of the payoff when the adversary splits its
-    budget as alpha_i*T consecutive blocked slots per user.
-
-    sum_i alpha_i/p_i + sum_i alpha_i^2*T/2.  Convex in the split, so it is
-    maximized at a vertex: concentrating everything on argmax_i 1/p_i.
-    """
-    if split.n != policy.n:
-        raise IndexOutOfRangeError(
-            f"split has {split.n} entries, policy has {policy.n}")
-    _warn_if_small_horizon(T, float(policy.probs.min()))
-    a = split.alphas
-    p = policy.probs
-    return float(np.sum(a / p) + np.sum(a * a) * T / 2)
-
-
-def reduced_payoff_for_split(
-        policy: SchedulingPolicy, split: BudgetSplit, T: int) -> float:
-    """Reduced payoff generalized to per-user budget fractions.
-
-    sum_i 1/p_i + split_objective - sum_i alpha_i/2.  Putting the whole
-    budget on user b reproduces reduced_objective(policy, b, alpha, T)
-    exactly; an all-zeros split gives the no-adversary payoff sum_i 1/p_i.
-    """
-    if split.n != policy.n:
-        raise IndexOutOfRangeError(
-            f"split has {split.n} entries, policy has {policy.n}")
-    base = float(np.sum(1.0 / policy.probs))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AsymptoticValidityWarning)
-        extra = split_objective(policy, split, T)
-    _warn_if_small_horizon(T, float(policy.probs.min()))
-    return base + extra - float(split.alphas.sum()) / 2
+    _check_user(policy.n, blocked_user)
+    _check_alpha(alpha)
+    shares = [0.0] * policy.n
+    shares[blocked_user] = alpha
+    return _reduced_payoff(policy.probs.tolist(), shares, T)
 
 
 # ===========================================================================

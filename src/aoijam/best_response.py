@@ -17,16 +17,17 @@ math.fsum over users.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .age_asymptotic import AsymptoticValidityWarning, reduced_objective
+from .age_asymptotic import reduced_objective
 from .age_exact import expected_age_trajectory
 from .errors import (
     CertificateError,
     ConvergenceFailureError,
+    DimensionMismatchError,
+    IndexOutOfRangeError,
     InstanceTooLargeError,
     InvalidAlphaError,
     NonPositiveWeightError,
@@ -152,8 +153,11 @@ def bs_best_response_single_block(N: int, alpha: float) -> SchedulingPolicy:
 def counter_block_policy(N: int, alpha: float,
                          target: int) -> SchedulingPolicy:
     """bs_best_response_single_block with the blocked user moved to `target`,
-    the others in order; the permuted vector is validated again."""
+    the others in order; the permuted vector is validated again.  A target
+    outside 0..N-1 raises IndexOutOfRangeError."""
     base = bs_best_response_single_block(N, alpha).probs
+    if not 0 <= target < N:
+        raise IndexOutOfRangeError(f"target {target} outside 0..{N - 1}")
     probs = np.empty(N)
     probs[target] = base[0]
     probs[np.arange(N) != target] = base[1:]
@@ -166,10 +170,21 @@ def numeric_simplex_minimizer(weights) -> SchedulingPolicy:
     Returns the descent iterate, cross-checked against the closed form
     p_i = sqrt(w_i)/sum_j sqrt(w_j) to 1e-8; disagreement raises
     ConvergenceFailure rather than silently preferring either route.
+    Weights other than a 1-D array raise DimensionMismatchError; an empty
+    array or an entry that is not a finite number > 0 raises
+    NonPositiveWeightError.
     """
-    w = np.asarray(weights, dtype=float).ravel()
-    if w.size == 0 or np.any(w <= 0.0):
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1:
+        raise DimensionMismatchError(
+            f"weights must be 1-D, got shape {w.shape}")
+    if w.size == 0:
         raise NonPositiveWeightError("weights must be strictly positive")
+    bad = ~(w > 0.0) | np.isinf(w)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonPositiveWeightError(
+            f"w[{i}] = {w[i]} must be a finite number > 0")
     fun, grad = _inverse_weight_objective(w)
     numeric = _bb_projected_descent(fun, grad, np.full(w.size, 1.0 / w.size))
     closed = np.sqrt(w) / np.sqrt(w).sum()
@@ -225,10 +240,7 @@ def adversary_best_response(policy: SchedulingPolicy,
     check_profile(policy, None, None, config)
     target = int(np.argmin(policy.probs))
     plan = make_middle_block(config, target)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AsymptoticValidityWarning)
-        payoff = reduced_objective(policy, target, config.alpha,
-                                   config.horizon_T).value
+    payoff = reduced_objective(policy, target, config.alpha, config.horizon_T)
     return AdversaryResponse(plan=plan, payoff=payoff, target=target)
 
 

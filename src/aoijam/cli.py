@@ -460,7 +460,7 @@ def _run_asymptotic(sc, out_dir, emit):
             per_user[target] = blocked_user_age(
                 policy.probs[target], system.alpha, system.horizon_T)
             emit(f"asymptotic system age (user {target} blocked): {value:.6f}")
-            emit(f"reduced payoff: {reduced.value:.6f}")
+            emit(f"reduced payoff: {reduced:.6f}")
         else:
             raise ScenarioValidationError(
                 "field 'plan.source': asymptotic formulas cover 'none' and "

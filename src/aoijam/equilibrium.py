@@ -11,13 +11,11 @@ everything is a genuine Nash point, verified against sampled deviations on
 both sides.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .age_asymptotic import (
-    AsymptoticValidityWarning,
     diversity_system_age,
     reduced_objective,
     reduced_payoff_for_split,
@@ -27,7 +25,6 @@ from .best_response import counter_block_policy, numeric_simplex_minimizer
 from .errors import CertificateError, NoDiversityError
 from .model import (
     BlockingPlan,
-    BudgetSplit,
     SchedulingPolicy,
     SubcarrierPolicy,
     SystemConfig,
@@ -97,32 +94,15 @@ class EquilibriumReport:
 
 
 # ===========================================================================
-#  Reduced-payoff plumbing
+#  Follower-aware payoff
 # ===========================================================================
-
-
-def _plan_split(plan: BlockingPlan, config: SystemConfig) -> BudgetSplit:
-    """Per-user budget fractions actually spent by a plan."""
-    return BudgetSplit(plan.block_prob.sum(axis=1) / config.horizon_T)
-
-
-def _reduced_plan_payoff(policy: SchedulingPolicy, plan: BlockingPlan,
-                         config: SystemConfig) -> float:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AsymptoticValidityWarning)
-        return reduced_payoff_for_split(
-            policy, _plan_split(plan, config), config.horizon_T)
 
 
 def follower_aware_payoff(policy: SchedulingPolicy, alpha: float,
                           T: int) -> float:
     """Leader's payoff when the adversary best-responds: the worst single
     middle-blocked target."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AsymptoticValidityWarning)
-        return max(
-            reduced_objective(policy, b, alpha, T).value
-            for b in range(policy.n))
+    return max(reduced_objective(policy, b, alpha, T) for b in range(policy.n))
 
 
 # ===========================================================================
@@ -137,17 +117,20 @@ def is_nash_no_diversity(policy: SchedulingPolicy, plan: BlockingPlan,
     Adversary deviations tried: a single-user middle-block plan on every
     user, most promising targets (ascending scheduling probability) first.
     Base-station deviation tried: the exact best response to the plan's
-    budget split.  Plans are compared through their per-user budget
-    fractions, so a feasible plan spending its budget off-center is treated
-    as its same-split middle placement.
+    per-user shares of the horizon.  Plans are priced through those shares
+    (reduced_payoff_for_split), so a feasible plan spending its budget
+    off-center is treated as its same-share middle placement.
     """
     check_profile(policy, None, plan, config)
-    current = _reduced_plan_payoff(policy, plan, config)
+    T = config.horizon_T
+    shares = plan.block_prob.sum(axis=1) / T
+    current = reduced_payoff_for_split(policy, shares, T)
 
     # adversary side: does any middle-block target strictly raise the payoff?
     for target in sorted(range(policy.n), key=lambda i: (policy.probs[i], i)):
         candidate = make_middle_block(config, target)
-        value = _reduced_plan_payoff(policy, candidate, config)
+        value = reduced_payoff_for_split(
+            policy, candidate.block_prob.sum(axis=1) / T, T)
         if value > current + IMPROVEMENT_TOL:
             return EquilibriumReport(
                 kind="nash-check", holds=False, payoff=current,
@@ -156,10 +139,9 @@ def is_nash_no_diversity(policy: SchedulingPolicy, plan: BlockingPlan,
                     payoff_before=current, payoff_after=value,
                     description=f"middle-block user {target}"))
 
-    # base-station side: exact best response to the plan's budget split
-    weights = 1.0 + _plan_split(plan, config).alphas
-    best = numeric_simplex_minimizer(weights)
-    improved = _reduced_plan_payoff(best, plan, config)
+    # base-station side: exact best response to the plan's shares
+    best = numeric_simplex_minimizer(1.0 + shares)
+    improved = reduced_payoff_for_split(best, shares, T)
     if improved < current - IMPROVEMENT_TOL:
         return EquilibriumReport(
             kind="nash-check", holds=False, payoff=current,
@@ -185,13 +167,11 @@ def best_response_dynamics(N: int, alpha: float, T: int,
         raise ValueError(f"max_iter must be >= 2, got {max_iter}")
     policy = uniform_policy(N)
     steps = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AsymptoticValidityWarning)
-        for it in range(max_iter):
-            target = int(np.argmin(policy.probs))
-            payoff = reduced_objective(policy, target, alpha, T).value
-            steps.append(TraceStep(it, policy, target, payoff))
-            policy = counter_block_policy(N, alpha, target)
+    for it in range(max_iter):
+        target = int(np.argmin(policy.probs))
+        payoff = reduced_objective(policy, target, alpha, T)
+        steps.append(TraceStep(it, policy, target, payoff))
+        policy = counter_block_policy(N, alpha, target)
 
     fixed = any(
         a.blocked_user == b.blocked_user
@@ -236,9 +216,7 @@ def stackelberg_equilibrium(N: int, alpha: float, T: int, target: int = 0,
     """
     config = SystemConfig(horizon_T=T, num_users=N, alpha=alpha)
     leader = uniform_policy(N)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AsymptoticValidityWarning)
-        payoff = reduced_objective(leader, target, alpha, T).value
+    payoff = reduced_objective(leader, target, alpha, T)
     plan = make_middle_block(config, target)
     for rival in _certification_policies(N, certify_samples, seed):
         rival_payoff = follower_aware_payoff(rival, alpha, T)

@@ -44,7 +44,9 @@ class IndexOutOfRangeError(AoijamError, IndexError):
 # ---- solvers / simulation ----
 
 class InvalidAlphaError(AoijamError, ValueError):
-    """Jamming fraction must lie strictly inside (0, 1)."""
+    """A jamming fraction is out of range: alpha outside (0, 1) (or [0, 1)
+    where a zero budget is allowed), or a user's share of the horizon that
+    is negative or not finite."""
 
 
 class NonPositiveWeightError(AoijamError, ValueError):

@@ -106,8 +106,9 @@ class _ProbabilityVector:
         if x.size == 0:
             raise NotNormalizedError("empty probability vector")
         floor = "> 0" if self.POSITIVE else ">= 0"
-        if np.any(x <= 0.0 if self.POSITIVE else x < 0.0):
-            bad = int(np.argmin(x))
+        below = x <= 0.0 if self.POSITIVE else x < 0.0
+        if below.any():
+            bad = int(np.argmax(below))  # the first entry below the floor
             why = " (unscheduled users age forever)" if self.POSITIVE else ""
             raise NonPositiveEntryError(
                 f"{self.SYMBOL}[{bad}] = {x[bad]} must be {floor}{why}")
@@ -200,23 +201,6 @@ class BlockingPlan:
     def __eq__(self, other):
         return isinstance(other, BlockingPlan) and np.array_equal(
             self.block_prob, other.block_prob)
-
-
-@dataclass(frozen=True)
-class BudgetSplit:
-    """Per-user jamming fractions alpha_i >= 0; their sum is the total."""
-
-    alphas: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.alphas, dtype=float).ravel()
-        if np.any(a < 0.0):
-            raise ValueError("split fractions must be >= 0")
-        object.__setattr__(self, "alphas", _freeze(a))
-
-    @property
-    def n(self) -> int:
-        return self.alphas.size
 
 
 # ---------------------------------------------------------------------------

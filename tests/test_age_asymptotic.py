@@ -1,5 +1,6 @@
 """Closed-form large-horizon ages and the reduced game payoffs."""
 
+import math
 import warnings
 
 import numpy as np
@@ -11,19 +12,18 @@ from aoijam.age_asymptotic import (
     diversity_system_age,
     reduced_objective,
     reduced_payoff_for_split,
-    split_objective,
     system_age_no_diversity,
     unblocked_user_age,
 )
 from aoijam.age_exact import expected_age_trajectory
 from aoijam.errors import (
+    DimensionMismatchError,
     IndexOutOfRangeError,
     InvalidAlphaError,
     NoDiversityError,
     NonPositiveProbabilityError,
 )
 from aoijam.model import (
-    BudgetSplit,
     SystemConfig,
     empty_plan,
     make_middle_block,
@@ -127,17 +127,14 @@ def test_system_age_index_checked():
 
 
 def test_reduced_objective_example():
-    payoff = _quiet(reduced_objective, validate_policy([0.5, 0.5]), 0, 0.5, 100)
-    assert payoff.value == pytest.approx(2.0 + 3.0 - 0.5 + 12.75, abs=1e-12)
-    assert payoff.unblocked_term == pytest.approx(2.0)
-    assert payoff.blocked_term == pytest.approx(2.5)
-    assert payoff.linear_t_term == pytest.approx(12.75)
+    payoff = reduced_objective(validate_policy([0.5, 0.5]), 0, 0.5, 100)
+    assert payoff == pytest.approx(2.0 + 3.0 - 0.5 + 12.75, abs=1e-12)
 
 
 def test_reduced_objective_alpha_zero_is_weight_sum():
     pol = validate_policy([0.25, 0.25, 0.5])
-    payoff = _quiet(reduced_objective, pol, 1, 0.0, 100)
-    assert payoff.value == pytest.approx(float(np.sum(1 / pol.probs)), abs=1e-12)
+    payoff = reduced_objective(pol, 1, 0.0, 100)
+    assert payoff == pytest.approx(float(np.sum(1 / pol.probs)), abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -150,7 +147,7 @@ def test_reduced_equals_scaled_system_age(seed):
     b = int(rng.integers(n))
     alpha = float(rng.uniform(0.05, 0.95))
     T = int(rng.integers(10, 100_000))
-    lhs = _quiet(reduced_objective, pol, b, alpha, T).value
+    lhs = reduced_objective(pol, b, alpha, T)
     rhs = n * _quiet(system_age_no_diversity, pol, b, alpha, T)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -159,30 +156,30 @@ def test_reduced_objective_argmin_matches_system_grid():
     # coarse simplex grid, N=2: both objectives pick the same best policy
     alpha, T = 0.6, 5000
     grid = [validate_policy([x, 1 - x]) for x in np.arange(0.05, 1.0, 0.05)]
-    red = [_quiet(reduced_objective, g, 0, alpha, T).value for g in grid]
+    red = [reduced_objective(g, 0, alpha, T) for g in grid]
     sys_ = [_quiet(system_age_no_diversity, g, 0, alpha, T) for g in grid]
     assert int(np.argmin(red)) == int(np.argmin(sys_))
 
 
 # ===========================================================================
-#  Budget-split relaxation
+#  Per-user shares of the horizon
 # ===========================================================================
 
 
-def test_split_objective_zero_budget():
+def test_split_zero_budget_is_unjammed_payoff():
     pol = uniform_policy(3)
-    split = BudgetSplit(np.zeros(3))
-    assert _quiet(split_objective, pol, split, 1000) == 0.0
+    for T in (10, 1000, 10**6):
+        assert reduced_payoff_for_split(pol, np.zeros(3), T) == 9.0
 
 
 def test_split_concentration_beats_uniform_by_known_gap():
     # at uniform p the gap is alpha^2*T/2*(1 - 1/N)
     n, alpha, T = 4, 0.6, 2000
     pol = uniform_policy(n)
-    conc = BudgetSplit(np.eye(n)[0] * alpha)
-    unif = BudgetSplit(np.full(n, alpha / n))
-    gap = _quiet(split_objective, pol, conc, T) - _quiet(
-        split_objective, pol, unif, T)
+    conc = np.eye(n)[0] * alpha
+    unif = np.full(n, alpha / n)
+    gap = reduced_payoff_for_split(pol, conc, T) - reduced_payoff_for_split(
+        pol, unif, T)
     assert gap == pytest.approx(alpha**2 * T / 2 * (1 - 1 / n), rel=1e-12)
 
 
@@ -195,14 +192,13 @@ def test_split_grid_maximum_is_concentration_on_slowest_user():
     for i in range(steps + 1):
         for j in range(steps + 1 - i):
             k = steps - i - j
-            split = BudgetSplit(
-                alpha * np.array([i, j, k]) / steps)
-            val = _quiet(split_objective, pol, split, T)
+            split = alpha * np.array([i, j, k]) / steps
+            val = reduced_payoff_for_split(pol, split, T)
             if val > best_val:
                 best_val, best_split = val, split
-    np.testing.assert_allclose(best_split.alphas, [0.0, 0.0, alpha])
-    conc = BudgetSplit(alpha * np.eye(3)[2])
-    assert best_val == pytest.approx(_quiet(split_objective, pol, conc, T))
+    np.testing.assert_allclose(best_split, [0.0, 0.0, alpha])
+    conc = alpha * np.eye(3)[2]
+    assert best_val == pytest.approx(reduced_payoff_for_split(pol, conc, T))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -215,16 +211,49 @@ def test_reduced_payoff_for_split_matches_single_target(seed):
     alpha = float(rng.uniform(0.05, 0.9))
     T = int(rng.integers(100, 50_000))
     b = int(rng.integers(n))
-    split = BudgetSplit(alpha * np.eye(n)[b])
-    assert _quiet(reduced_payoff_for_split, pol, split, T) == pytest.approx(
-        _quiet(reduced_objective, pol, b, alpha, T).value, rel=1e-12)
+    # the single-target payoff is the one-hot case, bit for bit
+    assert reduced_payoff_for_split(pol, alpha * np.eye(n)[b], T) == (
+        reduced_objective(pol, b, alpha, T))
 
 
 def test_reduced_payoff_for_empty_split_is_base_cost():
     pol = validate_policy([0.4, 0.6])
-    split = BudgetSplit(np.zeros(2))
-    assert _quiet(reduced_payoff_for_split, pol, split, 1000) == pytest.approx(
+    assert reduced_payoff_for_split(pol, np.zeros(2), 1000) == pytest.approx(
         1 / 0.4 + 1 / 0.6, abs=1e-12)
+
+
+def test_reduced_payoff_groups_unblocked_blocked_and_linear_sums():
+    # fsum of three fsums: 1/p_j over unshared users, (1+a)/p - a and
+    # a(1+aT)/2 over the shared ones
+    p, a, T = [0.2, 0.5, 0.3], [0.0, 0.25, 0.1], 1000
+    expect = math.fsum((
+        1 / 0.2,
+        math.fsum(((1 + 0.25) / 0.5 - 0.25, (1 + 0.1) / 0.3 - 0.1)),
+        math.fsum((0.25 * (1 + 0.25 * T) / 2, 0.1 * (1 + 0.1 * T) / 2))))
+    assert reduced_payoff_for_split(validate_policy(p), a, T) == expect
+
+
+@pytest.mark.parametrize("shares, error, message", [
+    pytest.param([[0.1, 0.0], [0.0, 0.1]], DimensionMismatchError,
+                 "got shape (2, 2)", id="nested"),
+    pytest.param(0.1, DimensionMismatchError, "got shape ()", id="scalar"),
+    pytest.param([0.1, 0.0, 0.0], DimensionMismatchError, "got shape (3,)",
+                 id="too-long"),
+    pytest.param([0.1], DimensionMismatchError, "got shape (1,)",
+                 id="too-short"),
+    pytest.param([0.1, -0.05], InvalidAlphaError, "shares[1] = -0.05",
+                 id="negative"),
+    pytest.param([np.nan, 0.1], InvalidAlphaError, "shares[0] = nan",
+                 id="nan"),
+    pytest.param([0.1, np.inf], InvalidAlphaError, "shares[1] = inf",
+                 id="inf"),
+    pytest.param([-0.5, np.nan], InvalidAlphaError, "shares[0] = -0.5",
+                 id="first-bad-entry"),
+])
+def test_split_shares_are_validated(shares, error, message):
+    with pytest.raises(error) as info:
+        reduced_payoff_for_split(uniform_policy(2), shares, 1000)
+    assert message in str(info.value)
 
 
 # ===========================================================================
@@ -292,20 +321,25 @@ def test_no_warning_in_valid_regime():
 
 def test_warning_points_at_the_caller():
     for call in (lambda: blocked_user_age(0.5, 0.3, 100),
-                 lambda: system_age_no_diversity(uniform_policy(4), 0, 0.3, 300),
-                 lambda: reduced_objective(uniform_policy(4), 0, 0.3, 300)):
+                 lambda: system_age_no_diversity(uniform_policy(4), 0, 0.3,
+                                                 300)):
         with pytest.warns(AsymptoticValidityWarning) as record:
             call()
         assert [w.filename for w in record] == [__file__]
 
 
+def test_game_payoffs_do_not_warn():
+    # T*min(p) = 2.5: the ages warn here, the payoffs do not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AsymptoticValidityWarning)
+        reduced_objective(uniform_policy(4), 0, 0.3, 10)
+        reduced_payoff_for_split(uniform_policy(4), [0.3, 0, 0, 0], 10)
+
+
 def test_single_blocked_user_values_are_pinned():
     # repr of each value, taken before the two payoffs shared their code
     pol = validate_policy([0.2, 0.5, 0.3])
-    payoff = reduced_objective(pol, 1, 0.25, 1000)
-    assert (repr(payoff.value), repr(payoff.unblocked_term),
-            repr(payoff.blocked_term), repr(payoff.linear_t_term)) == (
-        "41.958333333333336", "8.333333333333334", "2.25", "31.375")
+    assert repr(reduced_objective(pol, 1, 0.25, 1000)) == "41.958333333333336"
     assert repr(system_age_no_diversity(pol, 1, 0.25, 1000)) == (
         "13.986111111111112")
     assert repr(system_age_no_diversity(pol, 0, 0.37, 777)) == (

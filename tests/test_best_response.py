@@ -25,6 +25,7 @@ from aoijam.best_response import (
 from aoijam.errors import (
     ConvergenceFailureError,
     DimensionMismatchError,
+    IndexOutOfRangeError,
     InstanceTooLargeError,
     InvalidAlphaError,
     NonPositiveWeightError,
@@ -107,6 +108,12 @@ def test_counter_block_permutes_the_validated_response(n, alpha):
             validate_policy(probs).probs.tobytes())
 
 
+@pytest.mark.parametrize("target", [-1, 3, 7])
+def test_counter_block_target_range_checked(target):
+    with pytest.raises(IndexOutOfRangeError, match=f"target {target} outside"):
+        counter_block_policy(3, 0.3, target)
+
+
 def test_numeric_minimizer_uniform_weights():
     pol = numeric_simplex_minimizer(np.ones(5))
     np.testing.assert_allclose(pol.probs, 0.2, atol=1e-8)
@@ -122,6 +129,21 @@ def test_numeric_minimizer_rejects_bad_weights():
         numeric_simplex_minimizer([1.0, 0.0])
     with pytest.raises(NonPositiveWeightError):
         numeric_simplex_minimizer([])
+
+
+@pytest.mark.parametrize("weights, error, message", [
+    ([[1.0, 2.0], [1.0, 1.0]], DimensionMismatchError, "must be 1-D"),
+    ([[1.0, 2.0]], DimensionMismatchError, "must be 1-D"),
+    (3.0, DimensionMismatchError, "must be 1-D"),
+    ([1.0, math.nan, 2.0], NonPositiveWeightError, "w[1] = nan"),
+    ([1.0, 2.0, math.inf], NonPositiveWeightError, "w[2] = inf"),
+    ([1.0, -math.inf], NonPositiveWeightError, "w[1] = -inf"),
+])
+def test_numeric_minimizer_takes_only_1d_finite_weights(weights, error,
+                                                        message):
+    with pytest.raises(error) as info:
+        numeric_simplex_minimizer(weights)
+    assert message in str(info.value)
 
 
 def test_numeric_minimizer_reproduces_single_block_response():
@@ -225,10 +247,10 @@ def test_structured_payoff_dominates_other_targets():
     pol = validate_policy([0.5, 0.2, 0.3])
     resp = adversary_best_response(pol, cfg)
     for other in range(3):
-        alt = reduced_objective(pol, other, cfg.alpha, cfg.horizon_T).value
+        alt = reduced_objective(pol, other, cfg.alpha, cfg.horizon_T)
         assert resp.payoff >= alt - 1e-12
     assert resp.payoff == pytest.approx(
-        reduced_objective(pol, 1, cfg.alpha, cfg.horizon_T).value)
+        reduced_objective(pol, 1, cfg.alpha, cfg.horizon_T))
 
 
 def test_structured_response_rejects_diversity_config():

@@ -1,9 +1,8 @@
 """Certificates raise CertificateError, also under `python -O`.
 
-Each internal consistency check is forced to fail, by monkeypatching the
-value it compares against or by constructing the inconsistent object
-directly.  (The EquilibriumReport witness invariant is covered in
-test_equilibrium.py.)
+Each internal consistency check is forced to fail by monkeypatching the
+value it compares against.  (The EquilibriumReport witness invariant is
+covered in test_equilibrium.py; here it is the check run under `-O`.)
 """
 
 import ast
@@ -21,7 +20,6 @@ import aoijam.equilibrium as equilibrium
 from aoijam import (
     AoijamError,
     CertificateError,
-    ReducedGamePayoff,
     SystemConfig,
     adversary_oracle,
     empty_plan,
@@ -77,16 +75,10 @@ def test_stackelberg_dominance_check_fires(monkeypatch):
         stackelberg_equilibrium(3, 0.3, 200, certify_samples=4)
 
 
-def test_reduced_payoff_parts_check_fires():
-    with pytest.raises(CertificateError, match="sum of its parts"):
-        ReducedGamePayoff(5.0, 1.0, 1.0, 1.0)
-    ReducedGamePayoff(3.0, 1.0, 1.0, 1.0)  # consistent parts pass
-
-
 def test_certificate_survives_optimized_mode():
-    code = ("from aoijam import CertificateError, ReducedGamePayoff\n"
+    code = ("from aoijam import CertificateError, EquilibriumReport\n"
             "try:\n"
-            "    ReducedGamePayoff(5.0, 1.0, 1.0, 1.0)\n"
+            "    EquilibriumReport(kind='nash-check', holds=False)\n"
             "except CertificateError:\n"
             "    print('raised')\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],

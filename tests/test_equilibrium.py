@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from aoijam.age_asymptotic import reduced_objective
 from aoijam.best_response import bs_best_response_single_block
 from aoijam.equilibrium import (
     ADV_DEVIATION_FAMILIES,
@@ -65,6 +66,15 @@ def test_best_response_policy_fails_on_adversary_side():
     assert w.player == "adversary"
     assert "user 1" in w.description
     assert w.payoff_after > w.payoff_before + 1e-9
+
+
+def test_nash_check_payoff_is_the_single_target_payoff():
+    # the plan's shares are one-hot: both payoffs are one formula, bit for bit
+    cfg = _cfg(T=1000, n=8, alpha=0.2)
+    report = is_nash_no_diversity(
+        uniform_policy(8), make_middle_block(cfg, 0), cfg)
+    assert report.payoff == reduced_objective(uniform_policy(8), 0, 0.2, 1000)
+    assert report.payoff == 85.5
 
 
 def test_zero_budget_uniform_pair_is_nash():
@@ -141,11 +151,9 @@ def test_dynamics_minimal_and_invalid_iterations():
 
 
 def test_dynamics_payoffs_are_reduced_objective_values():
-    from aoijam.age_asymptotic import reduced_objective
     report = best_response_dynamics(3, 0.4, 5000, 4)
     for step in report.trace:
-        expect = reduced_objective(
-            step.policy, step.blocked_user, 0.4, 5000).value
+        expect = reduced_objective(step.policy, step.blocked_user, 0.4, 5000)
         assert step.payoff == pytest.approx(expect, abs=1e-12)
 
 
@@ -187,11 +195,10 @@ def test_stackelberg_leader_beats_sampled_rivals():
 
 
 def test_follower_aware_payoff_targets_min_probability():
-    from aoijam.age_asymptotic import reduced_objective
     pol = validate_policy([0.5, 0.2, 0.3])
     value = follower_aware_payoff(pol, 0.4, 1000)
     assert value == pytest.approx(
-        reduced_objective(pol, 1, 0.4, 1000).value, abs=1e-12)
+        reduced_objective(pol, 1, 0.4, 1000), abs=1e-12)
 
 
 # ===========================================================================

@@ -179,9 +179,9 @@ GOLDEN = {
         "stdout": "6d0426d20d486c97431ad382640922badf0dd4c5152142252f378b123a6515b7",
     },
     "nash-verify-no-diversity-witness": {
-        "equilibrium.csv": "7145f7fbb6c6afc222d9580fac5870ec7592c99df71f1d0357104f01372faf3e",
+        "equilibrium.csv": "4e72c3bf081acf1f6e159e8c9bfc686bf2c2d76326895bf0558f1b87a4b772ff",
         "scenario.json": "1f5d81e30dbf327fd27e82882696231cb8d3b0898dfb3e894d131dc089adbf18",
-        "stdout": "8278d0b1735a2f6b9e352e059f74277e3bae081621dda65aaabd2d6b799f9443",
+        "stdout": "5c8f5234a71c3e23e39dce0963b539f659be9aabe0edf990d93c874b45bcccb4",
     },
     "oracle": {
         "equilibrium.csv": "c0bcd0dfd726c99ca3691f010fdde64e1b8da673de2bd9c6e5e680d7eecc2fa0",

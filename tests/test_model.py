@@ -15,7 +15,6 @@ from aoijam.errors import (
 )
 from aoijam.model import (
     BlockingPlan,
-    BudgetSplit,
     SchedulingPolicy,
     SystemConfig,
     blocking_feasible,
@@ -103,6 +102,14 @@ def test_validate_policy_rejects_nonpositive_entry():
     (validate_subcarrier_policy, [1.0, math.nan], "q[1] = nan"),
     (validate_subcarrier_policy, [math.inf, 0.0], "q[0] = inf"),
     (validate_subcarrier_policy, [0.5, 0.5, -math.inf], "q[2] = -inf"),
+    # the first entry below the floor is named, not a NaN before it or a
+    # lower entry after it
+    (validate_policy, [math.nan, -1.0, 2.0], "p[1] = -1.0 must be > 0"),
+    (validate_policy, [math.nan, 0.5, 0.0, 0.5], "p[2] = 0.0 must be > 0"),
+    (validate_subcarrier_policy, [math.nan, -1.0, 2.0],
+     "q[1] = -1.0 must be >= 0"),
+    (validate_subcarrier_policy, [0.5, -0.25, -2.0, 2.75],
+     "q[1] = -0.25 must be >= 0"),
 ])
 def test_policies_reject_non_finite_entries(build, raw, message):
     with pytest.raises(NonPositiveEntryError) as info:
@@ -356,13 +363,3 @@ def test_check_profile_accepts_both_models():
     assert check_profile(uniform_policy(2), uniform_subcarrier_policy(3),
                          make_uniform_subcarrier_block(_DIV), _DIV) is None
 
-
-# ===========================================================================
-#  BudgetSplit
-# ===========================================================================
-
-
-def test_budget_split_total_checked():
-    BudgetSplit(np.array([0.1, 0.2]))
-    with pytest.raises(ValueError):
-        BudgetSplit(np.array([-0.1, 0.4]))
