@@ -20,7 +20,7 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidAlphaError,
     NoDiversityError,
-    NonPositiveProbabilityError,
+    NonPositiveEntryError,
 )
 from .model import SchedulingPolicy
 
@@ -60,7 +60,7 @@ def _check_user(n: int, blocked_user: int) -> None:
 def unblocked_user_age(p_j: float) -> float:
     """Time-average age of a never-blocked user: 1/p_j."""
     if p_j <= 0.0:
-        raise NonPositiveProbabilityError(f"p_j = {p_j} must be > 0")
+        raise NonPositiveEntryError(f"p_j = {p_j} must be > 0")
     return 1.0 / p_j
 
 
@@ -77,7 +77,7 @@ def blocked_user_age(p_1: float, alpha: float, T: int) -> float:
     1/p_1.
     """
     if p_1 <= 0.0:
-        raise NonPositiveProbabilityError(f"p_1 = {p_1} must be > 0")
+        raise NonPositiveEntryError(f"p_1 = {p_1} must be > 0")
     _check_alpha(alpha)
     _warn_if_small_horizon(T, p_1)
     return _blocked_age(p_1, alpha, T)

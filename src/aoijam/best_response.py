@@ -30,7 +30,7 @@ from .errors import (
     IndexOutOfRangeError,
     InstanceTooLargeError,
     InvalidAlphaError,
-    NonPositiveWeightError,
+    NonPositiveEntryError,
 )
 from .model import (
     BlockingPlan,
@@ -140,7 +140,7 @@ def bs_best_response_single_block(N: int, alpha: float) -> SchedulingPolicy:
     sqrt(1+alpha)/(N-1+sqrt(1+alpha)), everyone else 1/(N-1+sqrt(1+alpha)).
     """
     if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+        raise DimensionMismatchError(f"N must be >= 1, got {N}")
     if not 0.0 < alpha < 1.0:
         raise InvalidAlphaError(f"alpha must lie in (0, 1), got {alpha}")
     root = math.sqrt(1.0 + alpha)
@@ -169,21 +169,21 @@ def numeric_simplex_minimizer(weights) -> SchedulingPolicy:
 
     Returns the descent iterate, cross-checked against the closed form
     p_i = sqrt(w_i)/sum_j sqrt(w_j) to 1e-8; disagreement raises
-    ConvergenceFailure rather than silently preferring either route.
+    ConvergenceFailureError rather than silently preferring either route.
     Weights other than a 1-D array raise DimensionMismatchError; an empty
     array or an entry that is not a finite number > 0 raises
-    NonPositiveWeightError.
+    NonPositiveEntryError.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1:
         raise DimensionMismatchError(
             f"weights must be 1-D, got shape {w.shape}")
     if w.size == 0:
-        raise NonPositiveWeightError("weights must be strictly positive")
+        raise NonPositiveEntryError("weights must be strictly positive")
     bad = ~(w > 0.0) | np.isinf(w)
     if bad.any():
         i = int(np.argmax(bad))
-        raise NonPositiveWeightError(
+        raise NonPositiveEntryError(
             f"w[{i}] = {w[i]} must be a finite number > 0")
     fun, grad = _inverse_weight_objective(w)
     numeric = _bb_projected_descent(fun, grad, np.full(w.size, 1.0 / w.size))
@@ -209,7 +209,7 @@ def ordered_kkt_solver(N: int, alpha: float) -> SchedulingPolicy:
     simplex projection, then returns A e.
     """
     if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
+        raise DimensionMismatchError(f"N must be >= 2, got {N}")
     if not 0.0 < alpha < 1.0:
         raise InvalidAlphaError(f"alpha must lie in (0, 1), got {alpha}")
     w = np.ones(N)

@@ -56,6 +56,7 @@ from .equilibrium import (
 )
 from .errors import (
     AoijamError,
+    NonPositiveEntryError,
     ScenarioParseError,
     ScenarioValidationError,
 )
@@ -64,7 +65,7 @@ from .model import (
     SchedulingPolicy,
     SubcarrierPolicy,
     SystemConfig,
-    blocking_feasible,
+    check_profile,
     empty_plan,
     make_middle_block,
     make_uniform_subcarrier_block,
@@ -313,15 +314,16 @@ def resolve_plan(sc: ScenarioConfig, policy: SchedulingPolicy) -> BlockingPlan:
         return make_uniform_subcarrier_block(sc.system)
     if source == "oracle":
         return adversary_oracle(policy, sc.system).plan
+    subpolicy = resolve_subpolicy(sc)  # outside build: names its own field
 
     def build(matrix):
         plan = BlockingPlan(matrix)
         # the optional plan.mode only constrains this input, checked raw
         if (spec.get("mode", "deterministic") == "deterministic"
                 and not np.isin(matrix, (0.0, 1.0)).all()):
-            raise ValueError("deterministic plans admit only {0, 1} entries")
-        if not blocking_feasible(plan, sc.system):
-            raise ValueError("plan exceeds the blocking budget")
+            raise NonPositiveEntryError(
+                "deterministic plans admit only {0, 1} entries")
+        check_profile(policy, subpolicy, plan, sc.system)
         return plan
     return _explicit("plan.block_prob", build, spec["block_prob"])
 

@@ -22,7 +22,7 @@ from .age_asymptotic import (
 )
 from .age_exact import expected_age_trajectory_diversity
 from .best_response import counter_block_policy, numeric_simplex_minimizer
-from .errors import CertificateError, NoDiversityError
+from .errors import CertificateError, InsufficientRunsError, NoDiversityError
 from .model import (
     BlockingPlan,
     SchedulingPolicy,
@@ -40,13 +40,14 @@ from .model import (
 
 IMPROVEMENT_TOL = 1e-9  # strict-improvement threshold for witnesses
 
-# Structured adversary deviation families sampled by verify_diversity_nash.
+# Structured adversary deviation families sampled by verify_diversity_nash;
+# a middle window centres on the T - 1 live slots, middle_window(T - 1, B).
 ADV_DEVIATION_FAMILIES = (
     "window-shift",  # consecutive uniform-blocking window at another offset
     "vertex-split",  # whole budget on one sub-carrier, consecutive window
     "two-window",  # budget split across two disjoint windows
     "nonuniform-split",  # skewed per-sub-carrier probabilities, middle window
-    "sub-budget",  # shorter window (unspent budget)
+    "sub-budget",  # shorter middle window (unspent budget)
 )
 
 
@@ -164,7 +165,7 @@ def best_response_dynamics(N: int, alpha: float, T: int,
     blocked target changing every single iteration.
     """
     if max_iter < 2:
-        raise ValueError(f"max_iter must be >= 2, got {max_iter}")
+        raise InsufficientRunsError(f"max_iter must be >= 2, got {max_iter}")
     policy = uniform_policy(N)
     steps = []
     for it in range(max_iter):
@@ -287,12 +288,12 @@ def _sample_adv_deviations(config: SystemConfig, adv_samples, rng):
             if second:
                 m[:, s2:s2 + second] = 1.0 / n_sub
         elif family == "nonuniform-split":
-            start, stop = middle_window(horizon, budget)
+            start, stop = middle_window(horizon - 1, budget)
             weightings = rng.dirichlet(np.ones(n_sub))
             m[:, start:stop] = weightings[:, None]
         else:  # sub-budget
             short = int(rng.integers(0, budget))
-            start, _ = middle_window(horizon, short)
+            start, _ = middle_window(horizon - 1, short)
             m[:, start:start + short] = 1.0 / n_sub
         plans.append(BlockingPlan(m))
     return plans

@@ -1,26 +1,27 @@
-"""Exception types shared across the aoijam package."""
+"""Exception types shared across the aoijam package.
+
+Every check in the package raises one of these.  Each class keeps a stdlib
+base (ValueError, IndexError or RuntimeError), so `except ValueError` and
+`except IndexError` callers catch them too.
+"""
 
 
 class AoijamError(Exception):
     """Base class for all package errors."""
 
 
-# ---- policy validation ----
+# ---- inputs: probabilities, plans, sizes ----
 
 class NonPositiveEntryError(AoijamError, ValueError):
-    """A probability entry is NaN, infinite or out of range: a scheduling
-    probability <= 0 (asymptotic ages would be unbounded) or a sub-carrier
-    probability < 0."""
+    """An entry is NaN, infinite or out of range: a scheduling probability
+    or an objective weight <= 0 (ages would be unbounded), a sub-carrier
+    probability < 0, or a plan entry outside [0, 1] (outside {0, 1} for a
+    plan given as deterministic)."""
 
 
 class NotNormalizedError(AoijamError, ValueError):
-    """A probability vector does not sum to 1 within tolerance."""
-
-
-# ---- blocking plans ----
-
-class TargetOutOfRangeError(AoijamError, IndexError):
-    """Requested block target does not index a channel of the plan."""
+    """A probability vector does not sum to 1 within tolerance, or a plan
+    column blocks with total probability above 1."""
 
 
 class NoDiversityError(AoijamError, ValueError):
@@ -28,29 +29,21 @@ class NoDiversityError(AoijamError, ValueError):
 
 
 class DimensionMismatchError(AoijamError, ValueError):
-    """Plan dimensions do not match the system configuration."""
-
-
-# ---- age formulas ----
-
-class NonPositiveProbabilityError(AoijamError, ValueError):
-    """A per-slot probability must be strictly positive."""
+    """A size is wrong: an array's shape does not match the system
+    configuration, or a count (horizon, users, sub-carriers) is below 1."""
 
 
 class IndexOutOfRangeError(AoijamError, IndexError):
-    """User index outside 0..N-1."""
+    """A user or channel index outside 0..N-1."""
 
 
 # ---- solvers / simulation ----
 
 class InvalidAlphaError(AoijamError, ValueError):
     """A jamming fraction is out of range: alpha outside (0, 1) (or [0, 1)
-    where a zero budget is allowed), or a user's share of the horizon that
-    is negative or not finite."""
-
-
-class NonPositiveWeightError(AoijamError, ValueError):
-    """Objective weights must be strictly positive."""
+    where a zero budget is allowed), a user's share of the horizon that is
+    negative or not finite, or a plan that blocks more slots than its
+    fraction alpha of the horizon."""
 
 
 class ConvergenceFailureError(AoijamError, RuntimeError):
@@ -62,7 +55,8 @@ class CertificateError(AoijamError, RuntimeError):
 
 
 class InsufficientRunsError(AoijamError, ValueError):
-    """Monte Carlo estimation needs at least 2 runs for a standard error."""
+    """A run or iteration count is below its minimum (Monte Carlo needs 2
+    runs for a standard error, best-response dynamics 2 iterations)."""
 
 
 class InstanceTooLargeError(AoijamError, ValueError):

@@ -7,7 +7,9 @@ block at most one channel per slot and floor(alpha*T) slots in total.
 
 Blocking convention: block_prob[j, t] = 1 means channel j is blocked in slot
 t+1 (slots are 1-based in formulas, 0-based in arrays).  Blocked entries count
-against the budget.
+against the budget.  Blocking slot T moves no age inside the horizon, so the
+structured plans centre their window on the T - 1 live slots,
+middle_window(T - 1, B); with B = T the window is all T slots.
 """
 
 import math
@@ -17,10 +19,11 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    IndexOutOfRangeError,
+    InvalidAlphaError,
     NoDiversityError,
     NonPositiveEntryError,
     NotNormalizedError,
-    TargetOutOfRangeError,
 )
 
 # Tolerances for a raw vector's sum and for a plan entry outside [0, 1].
@@ -54,14 +57,17 @@ class SystemConfig:
 
     def __post_init__(self):
         if self.horizon_T < 1:
-            raise ValueError(f"horizon_T must be >= 1, got {self.horizon_T}")
+            raise DimensionMismatchError(
+                f"horizon_T must be >= 1, got {self.horizon_T}")
         if self.num_users < 1:
-            raise ValueError(f"num_users must be >= 1, got {self.num_users}")
+            raise DimensionMismatchError(
+                f"num_users must be >= 1, got {self.num_users}")
         if self.num_subcarriers < 1:
-            raise ValueError(
+            raise DimensionMismatchError(
                 f"num_subcarriers must be >= 1, got {self.num_subcarriers}")
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+            raise InvalidAlphaError(
+                f"alpha must lie in (0, 1), got {self.alpha}")
 
     @property
     def budget_B(self) -> int:
@@ -167,14 +173,15 @@ class BlockingPlan:
                 f"block_prob must be 2-D (channels x slots), got shape {m.shape}")
         if not np.isfinite(m).all():
             bad = _first_non_finite(m)
-            raise ValueError(
+            raise NonPositiveEntryError(
                 f"block_prob[{bad[0]}, {bad[1]}] = {m[bad]} is not a finite "
                 "probability")
         if np.any(m < -ENTRY_TOL) or np.any(m > 1.0 + ENTRY_TOL):
-            raise ValueError("block probabilities must lie in [0, 1]")
+            raise NonPositiveEntryError(
+                "block probabilities must lie in [0, 1]")
         if m.shape[0] > 0 and np.any(m.sum(axis=0) > 1.0 + SUM_ACCEPT_TOL):
             t = int(np.argmax(m.sum(axis=0)))
-            raise ValueError(
+            raise NotNormalizedError(
                 f"slot {t + 1}: per-slot blocking mass exceeds 1 "
                 "(the adversary blocks at most one channel per slot)")
         np.clip(m, 0.0, 1.0, out=m)
@@ -242,16 +249,16 @@ def middle_window(horizon_T: int, budget_B: int) -> tuple[int, int]:
 
 
 def make_middle_block(config: SystemConfig, target: int) -> BlockingPlan:
-    """Deterministic plan blocking one channel for the middle B slots.
+    """Deterministic plan blocking one channel for the middle B live slots.
 
     With B = 0 the plan is empty (all zeros), still a valid plan.
     """
     channels = config.num_channels
     if not 0 <= target < channels:
-        raise TargetOutOfRangeError(
+        raise IndexOutOfRangeError(
             f"target {target} outside 0..{channels - 1}")
     m = np.zeros((channels, config.horizon_T))
-    start, stop = middle_window(config.horizon_T, config.budget_B)
+    start, stop = middle_window(config.horizon_T - 1, config.budget_B)
     m[target, start:stop] = 1.0
     return BlockingPlan(m)
 
@@ -259,14 +266,14 @@ def make_middle_block(config: SystemConfig, target: int) -> BlockingPlan:
 def make_uniform_subcarrier_block(config: SystemConfig) -> BlockingPlan:
     """Randomized plan blocking a uniformly drawn sub-carrier each window slot.
 
-    Every sub-carrier row carries probability 1/N_sub inside the middle window
-    of length B and 0 elsewhere, so exactly one sub-carrier is blocked per
-    window slot in expectation and realization.
+    Every sub-carrier row carries probability 1/N_sub inside the live-slot
+    middle window of length B and 0 elsewhere, so exactly one sub-carrier is
+    blocked per window slot in expectation and realization.
     """
     if not config.has_diversity:
         raise NoDiversityError("uniform sub-carrier blocking needs N_sub >= 2")
     m = np.zeros((config.num_subcarriers, config.horizon_T))
-    start, stop = middle_window(config.horizon_T, config.budget_B)
+    start, stop = middle_window(config.horizon_T - 1, config.budget_B)
     m[:, start:stop] = 1.0 / config.num_subcarriers
     return BlockingPlan(m)
 
@@ -289,7 +296,8 @@ def check_profile(policy: SchedulingPolicy,
     subpolicy is None exactly in the no-diversity model; plan=None checks
     the sizes and the model only (for a caller that has no plan yet).  Sizes
     fail first (DimensionMismatchError, NoDiversityError), then the plan's
-    shape, then its budget (ValueError).
+    shape, then its budget (InvalidAlphaError: the plan spends more than its
+    fraction alpha of the horizon).
     """
     if policy.n != config.num_users:
         raise DimensionMismatchError(
@@ -307,7 +315,7 @@ def check_profile(policy: SchedulingPolicy,
             f"sub-carrier policy has {subpolicy.n} entries, config expects "
             f"{config.num_subcarriers}")
     if plan is not None and not blocking_feasible(plan, config):
-        raise ValueError("blocking plan exceeds the adversary's budget")
+        raise InvalidAlphaError("blocking plan exceeds the adversary's budget")
 
 
 def empty_plan(config: SystemConfig) -> BlockingPlan:

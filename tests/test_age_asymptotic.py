@@ -21,7 +21,7 @@ from aoijam.errors import (
     IndexOutOfRangeError,
     InvalidAlphaError,
     NoDiversityError,
-    NonPositiveProbabilityError,
+    NonPositiveEntryError,
 )
 from aoijam.model import (
     SystemConfig,
@@ -46,7 +46,7 @@ def _quiet(fn, *args, **kwargs):
 def test_unblocked_age_is_reciprocal():
     assert unblocked_user_age(0.25) == 4.0
     assert unblocked_user_age(1.0) == 1.0
-    with pytest.raises(NonPositiveProbabilityError):
+    with pytest.raises(NonPositiveEntryError):
         unblocked_user_age(0.0)
 
 

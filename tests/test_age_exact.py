@@ -201,11 +201,11 @@ def test_diversity_without_blocking_matches_plain():
 def test_uniform_blocked_slot_halves_delivery():
     # N=1, p=1, N_sub=2: inside the window age(t+1) = age(t)*0.5 + 1
     cfg = SystemConfig(horizon_T=4, num_users=1, alpha=0.26,
-                       num_subcarriers=2)  # B = 1, window is slot 3
+                       num_subcarriers=2)  # B = 1, window is slot 2
     series = expected_age_trajectory_diversity(
         validate_policy([1.0]), uniform_subcarrier_policy(2),
         make_uniform_subcarrier_block(cfg), cfg)
-    np.testing.assert_allclose(series.per_user[0], [1.0, 1.0, 1.0, 1.5])
+    np.testing.assert_allclose(series.per_user[0], [1.0, 1.0, 1.5, 1.0])
 
 
 def test_uniform_blocking_is_q_independent():

@@ -28,7 +28,7 @@ from aoijam.errors import (
     IndexOutOfRangeError,
     InstanceTooLargeError,
     InvalidAlphaError,
-    NonPositiveWeightError,
+    NonPositiveEntryError,
 )
 from aoijam.model import (
     SystemConfig,
@@ -125,9 +125,9 @@ def test_numeric_minimizer_known_ratio():
 
 
 def test_numeric_minimizer_rejects_bad_weights():
-    with pytest.raises(NonPositiveWeightError):
+    with pytest.raises(NonPositiveEntryError):
         numeric_simplex_minimizer([1.0, 0.0])
-    with pytest.raises(NonPositiveWeightError):
+    with pytest.raises(NonPositiveEntryError):
         numeric_simplex_minimizer([])
 
 
@@ -135,9 +135,9 @@ def test_numeric_minimizer_rejects_bad_weights():
     ([[1.0, 2.0], [1.0, 1.0]], DimensionMismatchError, "must be 1-D"),
     ([[1.0, 2.0]], DimensionMismatchError, "must be 1-D"),
     (3.0, DimensionMismatchError, "must be 1-D"),
-    ([1.0, math.nan, 2.0], NonPositiveWeightError, "w[1] = nan"),
-    ([1.0, 2.0, math.inf], NonPositiveWeightError, "w[2] = inf"),
-    ([1.0, -math.inf], NonPositiveWeightError, "w[1] = -inf"),
+    ([1.0, math.nan, 2.0], NonPositiveEntryError, "w[1] = nan"),
+    ([1.0, 2.0, math.inf], NonPositiveEntryError, "w[2] = inf"),
+    ([1.0, -math.inf], NonPositiveEntryError, "w[1] = -inf"),
 ])
 def test_numeric_minimizer_takes_only_1d_finite_weights(weights, error,
                                                         message):

@@ -6,6 +6,7 @@ covered in test_equilibrium.py; here it is the check run under `-O`.)
 """
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ import aoijam
 import aoijam.age_exact as age_exact
 import aoijam.best_response as best_response
 import aoijam.equilibrium as equilibrium
+import aoijam.errors as errors
 from aoijam import (
     AoijamError,
     CertificateError,
@@ -37,6 +39,52 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_package_raise_names_a_package_error():
+    # `except AoijamError` catches every failure the package reports; a bare
+    # `raise` re-raises what an except clause caught and is left alone
+    untyped = []
+    for path in sorted(Path(aoijam.__file__).parent.rglob("*.py")):
+        module = importlib.import_module(
+            "aoijam" if path.stem == "__init__" else f"aoijam.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            cls = getattr(module, getattr(exc, "id", ""), None)
+            if not (isinstance(cls, type) and issubclass(cls, AoijamError)):
+                untyped.append(f"{path.name}:{node.lineno}")
+    assert untyped == []
+
+
+# every error class with its stdlib base, so `except ValueError` and
+# `except IndexError` callers keep catching what they caught before
+ERROR_BASES = {
+    "NonPositiveEntryError": ValueError,
+    "NotNormalizedError": ValueError,
+    "NoDiversityError": ValueError,
+    "DimensionMismatchError": ValueError,
+    "IndexOutOfRangeError": IndexError,
+    "InvalidAlphaError": ValueError,
+    "ConvergenceFailureError": RuntimeError,
+    "CertificateError": RuntimeError,
+    "InsufficientRunsError": ValueError,
+    "InstanceTooLargeError": ValueError,
+    "ScenarioParseError": ValueError,
+    "ScenarioValidationError": ValueError,
+}
+
+
+def test_error_classes_keep_their_stdlib_bases():
+    defined = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, Exception)}
+    assert defined.pop("AoijamError") is AoijamError
+    assert set(defined) == set(ERROR_BASES)
+    for name, cls in defined.items():
+        assert cls.__bases__ == (AoijamError, ERROR_BASES[name]), name
+    exported = {name for name in aoijam.__all__ if name.endswith("Error")}
+    assert exported == set(ERROR_BASES) | {"AoijamError"}
 
 
 def test_certificate_error_is_a_package_runtime_error():

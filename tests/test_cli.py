@@ -539,6 +539,28 @@ def test_malformed_field_exits_2_and_names_it(tmp_path, capsys, command, doc,
     assert "Traceback" not in err and "runtime error" not in err
 
 
+@pytest.mark.parametrize("doc, field, problem", [
+    (base_doc(**explicit_plan([[1, 1, 0], [0, 0, 0]])), PLAN,
+     "blocking plan exceeds the adversary's budget"),
+    (base_doc(**explicit_plan([[0.5, 0, 0], [0, 0, 0]])), PLAN,
+     "deterministic plans admit only {0, 1} entries"),
+    (div_doc(subcarrier_policy={"source": "explicit", "probs": ["x", 0.5]},
+             **explicit_plan([[0] * 20, [0] * 20])),
+     "subcarrier_policy.probs", "could not convert"),
+])
+def test_explicit_plan_errors_name_one_field_once(tmp_path, capsys, doc,
+                                                  field, problem):
+    # the budget is the model's check (check_profile); no error is wrapped
+    # twice on its way to the exit code
+    path = write_scenario(tmp_path, doc)
+    code = main(["exact", "--config", path, "--out-dir", str(tmp_path),
+                 "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.count("field '") == 1
+    assert f"field '{field}': " in err and problem in err
+
+
 def test_unused_strategies_are_not_validated(tmp_path):
     doc = base_doc(policy={"source": "explicit", "probs": ["a", 0.5]},
                    **explicit_plan([[0, 0, 0], [0, 0]]))

@@ -210,7 +210,7 @@ def test_diversity_point_components():
     p, q, plan = diversity_nash_point(2, 2, 0.5, 10)
     np.testing.assert_allclose(p.probs, 0.5)
     np.testing.assert_allclose(q.probs, 0.5)
-    start, stop = middle_window(10, 5)
+    start, stop = middle_window(10 - 1, 5)  # centred on the live slots
     np.testing.assert_allclose(plan.block_prob[:, start:stop], 0.5)
     assert plan.total_blocked() == pytest.approx(5.0)
 
@@ -232,6 +232,23 @@ def test_verify_holds_at_the_uniform_point():
     report = verify_diversity_nash(point, cfg, 120, 120, seed=3)
     assert report.holds is True
     assert report.witness is None
+
+
+@pytest.mark.parametrize("N, N_sub, alpha", [
+    (2, 2, 0.5), (2, 2, 0.3), (4, 2, 0.2), (3, 3, 0.4), (2, 3, 0.1)])
+def test_verify_holds_at_the_uniform_point_for_every_small_horizon(
+        N, N_sub, alpha):
+    # a window centred on all T slots starts one slot late when T - B is
+    # odd, and a window-shift deviation then beats the paper's point
+    failed = []
+    for T in range(6, 41):
+        cfg = SystemConfig(horizon_T=T, num_users=N, alpha=alpha,
+                           num_subcarriers=N_sub)
+        report = verify_diversity_nash(
+            diversity_nash_point(N, N_sub, alpha, T), cfg, 20, 100, seed=0)
+        if not report.holds:
+            failed.append((T, report.witness.description))
+    assert failed == []
 
 
 def test_verify_flags_nonuniform_bs_policy():

@@ -199,7 +199,7 @@ GOLDEN = {
         "stdout": "bbcf091afaeb29fb0374c7cc03051851dcb2b355a3292d5099d582b70b8f9768",
     },
     "stackelberg": {
-        "equilibrium.csv": "fc839e2df780ca2008cfbfb56d1a2760b4243bda199360bb9794d5b79a096d75",
+        "equilibrium.csv": "c368135dca9ff8e080b93656a22d23be553ded15a0e6fda4789a9ee9aad97bf9",
         "scenario.json": "501413ce3bb37ac263c5610f110980c029e582e6f94564b24dc9e6468e7a08ad",
         "stdout": "9ed7d2c8815f8954356e5ab0c1ecd3d62b2ac998188dcd063485e23da323df45",
     },

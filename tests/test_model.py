@@ -8,10 +8,10 @@ import pytest
 
 from aoijam.errors import (
     DimensionMismatchError,
+    IndexOutOfRangeError,
     NoDiversityError,
     NonPositiveEntryError,
     NotNormalizedError,
-    TargetOutOfRangeError,
 )
 from aoijam.model import (
     BlockingPlan,
@@ -184,17 +184,18 @@ def test_middle_block_zero_budget_is_empty():
 
 
 def test_middle_block_odd_remainder_window():
-    # T=11, B=4: start = ceil(7/2) = 4, blocked 1-based slots {5,6,7,8}
+    # T=11, B=4: centred on the 10 live slots, start = ceil(6/2) = 3,
+    # blocked 1-based slots {4,5,6,7}
     cfg = SystemConfig(horizon_T=11, num_users=2, alpha=0.4)
     plan = make_middle_block(cfg, target=0)
-    assert (np.flatnonzero(plan.block_prob[0]) + 1).tolist() == [5, 6, 7, 8]
+    assert (np.flatnonzero(plan.block_prob[0]) + 1).tolist() == [4, 5, 6, 7]
 
 
 def test_middle_block_target_range_checked():
     cfg = SystemConfig(horizon_T=10, num_users=2, alpha=0.4)
-    with pytest.raises(TargetOutOfRangeError):
+    with pytest.raises(IndexOutOfRangeError):
         make_middle_block(cfg, target=2)
-    with pytest.raises(TargetOutOfRangeError):
+    with pytest.raises(IndexOutOfRangeError):
         make_middle_block(cfg, target=-1)
 
 
