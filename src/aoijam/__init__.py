@@ -78,7 +78,6 @@ from .montecarlo import (
     SimResult,
     estimate_average_age,
     mix_seed,
-    simulate_run,
 )
 
 __version__ = "0.1.0"
@@ -134,7 +133,6 @@ __all__ = [
     "project_simplex",
     "reduced_objective",
     "reduced_payoff_for_split",
-    "simulate_run",
     "stackelberg_equilibrium",
     "system_age_no_diversity",
     "unblocked_user_age",

@@ -46,6 +46,11 @@ def _check_alpha(alpha: float) -> None:
         raise InvalidAlphaError(f"alpha must lie in [0, 1), got {alpha}")
 
 
+def _check_horizon(T: int) -> None:
+    if not T >= 1:
+        raise DimensionMismatchError(f"T must be >= 1, got {T}")
+
+
 def _check_user(n: int, blocked_user: int) -> None:
     if not 0 <= blocked_user < n:
         raise IndexOutOfRangeError(
@@ -79,6 +84,7 @@ def blocked_user_age(p_1: float, alpha: float, T: int) -> float:
     if p_1 <= 0.0:
         raise NonPositiveEntryError(f"p_1 = {p_1} must be > 0")
     _check_alpha(alpha)
+    _check_horizon(T)
     _warn_if_small_horizon(T, p_1)
     return _blocked_age(p_1, alpha, T)
 
@@ -90,6 +96,7 @@ def system_age_no_diversity(
     p = policy.probs
     _check_user(p.size, blocked_user)
     _check_alpha(alpha)
+    _check_horizon(T)
     _warn_if_small_horizon(T, float(p.min()))
     unblocked = math.fsum(
         1.0 / p[j] for j in range(p.size) if j != blocked_user)
@@ -133,6 +140,7 @@ def reduced_payoff_for_split(policy: SchedulingPolicy, shares,
         i = int(np.argmax(bad))
         raise InvalidAlphaError(
             f"shares[{i}] = {a[i]} must be a finite number >= 0")
+    _check_horizon(T)
     return _reduced_payoff(policy.probs.tolist(), a.tolist(), T)
 
 
@@ -147,6 +155,7 @@ def reduced_objective(policy: SchedulingPolicy, blocked_user: int,
     """
     _check_user(policy.n, blocked_user)
     _check_alpha(alpha)
+    _check_horizon(T)
     shares = [0.0] * policy.n
     shares[blocked_user] = alpha
     return _reduced_payoff(policy.probs.tolist(), shares, T)

@@ -81,7 +81,7 @@ class EquilibriumReport:
     when holds is False, witness carries a strictly improving deviation.
     """
 
-    kind: str  # "nash-check" | "stackelberg" | "diversity-nash" | "br-dynamics"
+    kind: str  # "nash-check" | "diversity-nash" | "br-dynamics"
     holds: bool | None
     payoff: float | None = None
     witness: DeviationWitness | None = None

@@ -229,12 +229,18 @@ def validate_subcarrier_policy(raw) -> SubcarrierPolicy:
     return SubcarrierPolicy(raw)
 
 
+def _uniform(n: int) -> np.ndarray:
+    if not n >= 1:
+        raise DimensionMismatchError(f"need n >= 1 entries, got {n}")
+    return np.full(n, 1.0 / n)
+
+
 def uniform_policy(n: int) -> SchedulingPolicy:
-    return SchedulingPolicy(np.full(n, 1.0 / n))
+    return SchedulingPolicy(_uniform(n))
 
 
 def uniform_subcarrier_policy(n: int) -> SubcarrierPolicy:
-    return SubcarrierPolicy(np.full(n, 1.0 / n))
+    return SubcarrierPolicy(_uniform(n))
 
 
 def middle_window(horizon_T: int, budget_B: int) -> tuple[int, int]:

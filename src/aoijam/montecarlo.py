@@ -8,10 +8,6 @@ slot convention of the exact recursion.  Runs are reproducible: run k of a
 batch draws from two generator streams (base station and adversary) seeded
 by a splitmix64 hash of (master_seed, k), so any execution order or degree
 of parallelism yields the same result.
-
-estimate_average_age evaluates runs in blocks, each run still drawing from
-its own streams, so its output is that of simulate_run called run by run;
-both share one sampling path (_delivery_sampler).
 """
 
 import math
@@ -23,7 +19,6 @@ from .errors import InsufficientRunsError
 from .model import (
     BlockingPlan,
     SchedulingPolicy,
-    SubcarrierPolicy,
     SystemConfig,
     check_profile,
 )
@@ -66,7 +61,7 @@ class SimResult:
 
 
 # ===========================================================================
-#  Sampling
+#  Estimation
 # ===========================================================================
 
 
@@ -85,126 +80,75 @@ def _categories(cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _delivery_sampler(policy: SchedulingPolicy,
-                      subpolicy: SubcarrierPolicy | None, plan: BlockingPlan,
-                      horizon: int):
-    """Return draw(seeds), the one sampling path of this module.
-
-    draw(seeds) realizes one run per seed and returns, per run and slot, the
-    user whose update got through: shape (len(seeds), horizon), -1 where
-    the transmission was blocked.  The code N (a uniform at or above a
-    cumulative sum that rounds below 1) matches no user.  Run k fills row k
-    of each uniform buffer from its own streams: the base station's
-    default_rng(mix_seed(seed, 0)) draws the schedule uniforms and then the
-    sub-carrier uniforms; the adversary's default_rng(mix_seed(seed, 1)) is
-    created only when some plan entry lies strictly between 0 and 1.
-    Everything after the draws is vectorised over the block, and a 0/1
-    plan's blocked channels are found once here.
-    """
-    sched_cum = np.cumsum(policy.probs)
-    sub_cum = None if subpolicy is None else np.cumsum(subpolicy.probs)
-    m = plan.block_prob
-    blocked = adv_cum = None
-    if not plan.is_deterministic:
-        adv_cum = np.cumsum(m, axis=0)
-    elif plan.total_blocked() != 0.0:
-        hit = m.argmax(axis=0)
-        blocked = np.where(m[hit, np.arange(horizon)] == 1.0, hit, -1)
-
-    def draw(seeds) -> np.ndarray:
-        shape = (len(seeds), horizon)
-        sched_u = np.empty(shape)
-        sub_u = None if sub_cum is None else np.empty(shape)
-        adv_u = None if adv_cum is None else np.empty(shape)
-        for k, seed in enumerate(seeds):
-            bs_rng = np.random.default_rng(mix_seed(seed, 0))
-            bs_rng.random(out=sched_u[k])
-            if sub_u is not None:
-                bs_rng.random(out=sub_u[k])
-            if adv_u is not None:
-                np.random.default_rng(mix_seed(seed, 1)).random(out=adv_u[k])
-
-        scheduled = _categories(sched_cum, sched_u)
-        used_channel = (scheduled if sub_u is None
-                        else _categories(sub_cum, sub_u))
-        if adv_u is not None:
-            # residual mass above the column sum means "block nothing"
-            idx = _categories(adv_cum, adv_u)
-            blocked_now = np.where(idx < m.shape[0], idx, -1)
-        elif blocked is not None:
-            blocked_now = blocked
-        else:
-            return scheduled
-        return np.where(used_channel != blocked_now, scheduled, -1)
-
-    return draw
-
-
-def _slots(horizon: int) -> np.ndarray:
-    """1-based slot numbers; int32 keeps the per-user passes cheap."""
-    dtype = np.int32 if horizon < 2**31 else np.int64
-    return np.arange(1, horizon + 1, dtype=dtype)
-
-
-def _last_delivery(codes: np.ndarray, user: int, slots: np.ndarray) -> np.ndarray:
-    """Per slot, the latest slot up to it that delivered `user`'s update;
-    0 before the first delivery.  Works along the last axis."""
-    return np.maximum.accumulate(np.where(codes == user, slots, 0), axis=-1)
-
-
-def simulate_run(policy: SchedulingPolicy, subpolicy, plan: BlockingPlan,
-                 config: SystemConfig, seed: int) -> np.ndarray:
-    """One realization of the sampled ages, shape (N, T) of integers.
-
-    Pass subpolicy=None for the no-diversity model.  Base-station and
-    adversary randomness come from independent streams derived from `seed`,
-    so the adversary's draws never depend on the realized schedule.
-    """
-    check_profile(policy, subpolicy, plan, config)
-    horizon = config.horizon_T
-    codes = _delivery_sampler(policy, subpolicy, plan, horizon)([seed])[0]
-    slots = _slots(horizon)
-    ages = np.ones((policy.n, horizon), dtype=np.int64)
-    for i in range(policy.n):
-        ages[i, 1:] = slots[1:] - _last_delivery(codes, i, slots)[:-1]
-    return ages
-
-
-# ===========================================================================
-#  Batch estimation
-# ===========================================================================
-
-
 def estimate_average_age(policy: SchedulingPolicy, subpolicy, plan: BlockingPlan,
                          config: SystemConfig, runs: int,
                          master_seed: int) -> SimResult:
     """Average the system age over `runs` independent runs.
 
-    Run k is seeded with mix_seed(master_seed, k) and realizes the same ages
-    as simulate_run with that seed.  Runs are evaluated in blocks of
-    max(1, BLOCK_CELLS // T).  A user's time-average age in a run is its
-    exact integer age sum divided by T: with last(t) the latest delivery
-    slot up to t (0 if none), the sum is T(T+1)/2 - sum(last(1..T-1)).
-    While T(T+1)/2 < 2**53 every partial sum is an exact float, so this
-    equals the mean of simulate_run's ages bit for bit.  Aggregation uses
-    exact compensated sums, so the estimate is independent of run order.
+    Pass subpolicy=None for the no-diversity model.  Run k is seeded with
+    seed_k = mix_seed(master_seed, k).  Its base station's
+    default_rng(mix_seed(seed_k, 0)) draws the T schedule uniforms and then
+    the T sub-carrier uniforms; its adversary's default_rng(mix_seed(seed_k,
+    1)) is created only when some plan entry lies strictly between 0 and 1.
+    The streams are independent, so the adversary's draws never depend on
+    the realized schedule.  Runs are evaluated in blocks of max(1, BLOCK_CELLS // T), each run filling
+    its own row of the block's uniform buffers.
+
+    A user's time-average age in a run is its exact integer age sum divided
+    by T: with last(t) the latest delivery slot up to t (0 if none), the sum
+    is T(T+1)/2 - sum(last(1..T-1)).  While T(T+1)/2 < 2**53 every partial
+    sum is an exact float, so this equals the mean of the run's integer
+    ages bit for bit.  Aggregation uses exact compensated sums, so the
+    estimate is independent of run order.
     """
     if runs < 2:
         raise InsufficientRunsError(
             f"runs = {runs}; need >= 2 for a standard error")
     check_profile(policy, subpolicy, plan, config)
     horizon = config.horizon_T
-    draw = _delivery_sampler(policy, subpolicy, plan, horizon)
-    slots = _slots(horizon)
+    sched_cum = np.cumsum(policy.probs)
+    sub_cum = None if subpolicy is None else np.cumsum(subpolicy.probs)
+    adv_cum = np.cumsum(plan.block_prob, axis=0)
+    channels = adv_cum.shape[0]
+    randomized = not plan.is_deterministic
+    if not randomized:
+        # a 0/1 column's sums step from 0 to 1 at its blocked channel, so
+        # any uniform in (0, 1) finds it; an empty column finds `channels`
+        idx = _categories(adv_cum, np.full(horizon, 0.5))
+        blocked = np.where(idx < channels, idx, -1)
+    slots = np.arange(1, horizon + 1,
+                      dtype=np.int32 if horizon < 2**31 else np.int64)
     full_sum = horizon * (horizon + 1) // 2
     block = max(1, BLOCK_CELLS // horizon)
 
     per_run_user = np.empty((runs, policy.n))
     for start in range(0, runs, block):
         stop = min(start + block, runs)
-        codes = draw([mix_seed(master_seed, k) for k in range(start, stop)])
+        shape = (stop - start, horizon)
+        sched_u = np.empty(shape)
+        sub_u = None if sub_cum is None else np.empty(shape)
+        adv_u = np.empty(shape) if randomized else None
+        for row, k in enumerate(range(start, stop)):
+            seed = mix_seed(master_seed, k)
+            bs_rng = np.random.default_rng(mix_seed(seed, 0))
+            bs_rng.random(out=sched_u[row])
+            if sub_u is not None:
+                bs_rng.random(out=sub_u[row])
+            if randomized:
+                np.random.default_rng(mix_seed(seed, 1)).random(out=adv_u[row])
+
+        scheduled = _categories(sched_cum, sched_u)
+        used_channel = (scheduled if sub_u is None
+                        else _categories(sub_cum, sub_u))
+        if randomized:
+            # residual mass above the column sum means "block nothing"
+            idx = _categories(adv_cum, adv_u)
+            blocked = np.where(idx < channels, idx, -1)
+        # the user whose update got through, -1 where it was blocked; a
+        # uniform above a sum that rounds below 1 (code N) matches no user
+        codes = np.where(used_channel != blocked, scheduled, -1)
         for i in range(policy.n):
-            last = _last_delivery(codes, i, slots)
+            last = np.maximum.accumulate(np.where(codes == i, slots, 0), axis=1)
             age_sum = full_sum - last[:, :-1].sum(axis=1, dtype=np.int64)
             per_run_user[start:stop, i] = age_sum / horizon
 

@@ -261,6 +261,19 @@ def test_split_shares_are_validated(shares, error, message):
 # ===========================================================================
 
 
+@pytest.mark.parametrize("call", [
+    lambda T: blocked_user_age(0.5, 0.2, T),
+    lambda T: system_age_no_diversity(uniform_policy(2), 0, 0.2, T),
+    lambda T: reduced_payoff_for_split(uniform_policy(2), [0.2, 0.0], T),
+    lambda T: reduced_objective(uniform_policy(2), 0, 0.2, T),
+], ids=["blocked_user_age", "system_age_no_diversity",
+        "reduced_payoff_for_split", "reduced_objective"])
+@pytest.mark.parametrize("horizon", [0, -5, 0.5, math.nan])
+def test_closed_forms_reject_horizon_below_one(call, horizon):
+    with pytest.raises(DimensionMismatchError, match="T must be >= 1"):
+        call(horizon)
+
+
 def test_diversity_age_example():
     assert diversity_system_age(
         validate_policy([0.5, 0.5]), 0.5, 2) == pytest.approx(3.0, abs=1e-12)

@@ -1,5 +1,6 @@
 """The benchmark's and the demos' view of the package: every aoijam name
-that bench/ or demos/ uses still exists.
+that bench/ or demos/ uses still exists, and every export has a user
+outside the tests.
 
 Both are read as source (ast), never imported, run or edited, so an API
 cleanup that would break a benchmark run or a demo fails here first.
@@ -11,6 +12,8 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+import aoijam
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -82,3 +85,29 @@ def test_traced_names_are_functions(table, dotted):
     value = getattr(importlib.import_module(f"aoijam.{module}"), func, None)
     assert inspect.isfunction(value), (
         f"tracing.{table} names {dotted!r}, which is not a function")
+
+
+def _names_referenced(paths):
+    """Every name that code in `paths` reads: an ast.Name, an attribute, or
+    a name imported from aoijam.  Strings (tracing.py's span names) do not
+    count."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                    node.module.split(".")[0] == "aoijam"):
+                used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_export_has_a_user_outside_the_tests():
+    # an export that only tests use moves into the tests or is deleted
+    package = Path(aoijam.__file__).parent
+    paths = [*(p for p in package.rglob("*.py") if p.name != "__init__.py"),
+             *BENCH.glob("*.py"), *(ROOT / "demos").glob("*.py")]
+    used = _names_referenced(paths)
+    assert sorted(set(aoijam.__all__) - used) == []

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from aoijam.equilibrium import best_response_dynamics
 from aoijam.errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
@@ -136,6 +137,18 @@ def test_policy_array_is_read_only():
 def test_policies_accept_only_1d_vectors(build, raw):
     with pytest.raises(DimensionMismatchError, match="must be 1-D"):
         build(raw)
+
+
+@pytest.mark.parametrize("build", [
+    uniform_policy,
+    uniform_subcarrier_policy,
+    lambda n: best_response_dynamics(n, 0.2, 10, 5),
+], ids=["uniform_policy", "uniform_subcarrier_policy",
+        "best_response_dynamics"])
+@pytest.mark.parametrize("n", [0, -1])
+def test_uniform_vectors_reject_count_below_one(build, n):
+    with pytest.raises(DimensionMismatchError, match="n >= 1"):
+        build(n)
 
 
 def test_policy_equality_is_per_type():

@@ -26,12 +26,8 @@ from aoijam.model import (
 from aoijam.montecarlo import (
     BLOCK_CELLS,
     SimResult,
-    _delivery_sampler,
-    _last_delivery,
-    _slots,
     estimate_average_age,
     mix_seed,
-    simulate_run,
 )
 
 # ===========================================================================
@@ -55,31 +51,49 @@ def test_mix_seed_masters_distinct():
 
 
 # ===========================================================================
-#  simulate_run
+#  Per-run reference: one run's ages, slot by slot
 # ===========================================================================
 
 
-def test_always_scheduled_always_fresh():
-    cfg = SystemConfig(horizon_T=50, num_users=1, alpha=0.01)
-    ages = simulate_run(validate_policy([1.0]), None, empty_plan(cfg), cfg, 3)
-    np.testing.assert_array_equal(ages, np.ones((1, 50), dtype=np.int64))
+def _reference_ages(policy, subpolicy, plan, config, seed):
+    """One run's (N, T) integer ages age(t) = t - last(t-1), drawn from the
+    streams the README documents: default_rng(mix_seed(seed, 0)) gives the
+    T schedule uniforms, then the T sub-carrier uniforms, and
+    default_rng(mix_seed(seed, 1)) the T adversary uniforms, used only when
+    some plan entry lies strictly inside (0, 1).  A category is the number
+    of cumulative sums at or below its uniform.  One past the last (mass
+    that rounds away) means no user is scheduled, or no sub-carrier the
+    plan can block is used, or nothing is blocked."""
+    n, horizon = policy.n, config.horizon_T
+    bs_rng = np.random.default_rng(mix_seed(seed, 0))
+    user = np.searchsorted(np.cumsum(policy.probs), bs_rng.random(horizon),
+                           side="right")
+    channel = user if subpolicy is None else np.searchsorted(
+        np.cumsum(subpolicy.probs), bs_rng.random(horizon), side="right")
+    m = plan.block_prob
+    if np.any((m > 0.0) & (m < 1.0)):
+        adv_u = np.random.default_rng(mix_seed(seed, 1)).random(horizon)
+        hit = [np.searchsorted(np.cumsum(m[:, t]), adv_u[t], side="right")
+               for t in range(horizon)]
+    else:
+        hit = [np.flatnonzero(m[:, t] == 1.0) for t in range(horizon)]
+        hit = [h[0] if h.size else m.shape[0] for h in hit]
+    hit = [h if h < m.shape[0] else -1 for h in hit]  # -1: no channel blocked
 
-
-def test_same_seed_same_run():
-    cfg = SystemConfig(horizon_T=200, num_users=3, alpha=0.2)
-    pol = validate_policy([0.5, 0.3, 0.2])
-    plan = make_middle_block(cfg, 2)
-    a = simulate_run(pol, None, plan, cfg, 42)
-    b = simulate_run(pol, None, plan, cfg, 42)
-    np.testing.assert_array_equal(a, b)
-    c = simulate_run(pol, None, plan, cfg, 43)
-    assert not np.array_equal(a, c)
+    ages = np.empty((n, horizon), dtype=np.int64)
+    last = [0] * n
+    for t, (u, c, h) in enumerate(zip(user.tolist(), channel.tolist(),
+                                      hit), start=1):
+        ages[:, t - 1] = [t - last_i for last_i in last]
+        if u < n and c != h:
+            last[u] = t
+    return ages
 
 
 def test_ages_are_positive_ints_bounded_by_slot():
     cfg = SystemConfig(horizon_T=80, num_users=2, alpha=0.3)
     pol = validate_policy([0.7, 0.3])
-    ages = simulate_run(pol, None, make_middle_block(cfg, 1), cfg, 11)
+    ages = _reference_ages(pol, None, make_middle_block(cfg, 1), cfg, 11)
     assert np.issubdtype(ages.dtype, np.integer)
     assert np.all(ages >= 1)
     assert np.all(ages <= np.arange(1, 81))
@@ -90,23 +104,48 @@ def test_blocked_window_forces_age_increments():
     pol = validate_policy([0.5, 0.5])
     start, stop = middle_window(20, cfg.budget_B)
     for seed in range(5):
-        ages = simulate_run(pol, None, make_middle_block(cfg, 0), cfg, seed)
+        ages = _reference_ages(pol, None, make_middle_block(cfg, 0), cfg, seed)
         window = ages[0, start:stop]
         assert np.all(np.diff(window) == 1)
+
+
+# ===========================================================================
+#  estimate_average_age: validation, streams, degenerate profiles
+# ===========================================================================
+
+
+def test_always_scheduled_always_fresh():
+    cfg = SystemConfig(horizon_T=50, num_users=1, alpha=0.01)
+    est = estimate_average_age(validate_policy([1.0]), None, empty_plan(cfg),
+                               cfg, 3, 3)
+    assert est.mean_system_age == 1.0 and est.std_error == 0.0
+    np.testing.assert_array_equal(est.per_user_mean, [1.0])
+
+
+def test_same_seed_same_run():
+    cfg = SystemConfig(horizon_T=200, num_users=3, alpha=0.2)
+    pol = validate_policy([0.5, 0.3, 0.2])
+    plan = make_middle_block(cfg, 2)
+    a = estimate_average_age(pol, None, plan, cfg, 2, 42)
+    b = estimate_average_age(pol, None, plan, cfg, 2, 42)
+    assert a.per_user_mean.tobytes() == b.per_user_mean.tobytes()
+    c = estimate_average_age(pol, None, plan, cfg, 2, 43)
+    assert not np.array_equal(a.per_user_mean, c.per_user_mean)
 
 
 def test_run_validates_dimensions_and_budget():
     cfg = SystemConfig(horizon_T=10, num_users=2, alpha=0.2)
     pol = validate_policy([0.5, 0.5])
     with pytest.raises(DimensionMismatchError):
-        simulate_run(pol, None,
-                     make_middle_block(
-                         SystemConfig(horizon_T=10, num_users=3, alpha=0.2), 0),
-                     cfg, 0)
+        estimate_average_age(pol, None,
+                             make_middle_block(
+                                 SystemConfig(horizon_T=10, num_users=3,
+                                              alpha=0.2), 0),
+                             cfg, 2, 0)
     over = np.zeros((2, 10))
     over[0, :5] = 1.0
     with pytest.raises(ValueError):
-        simulate_run(pol, None, BlockingPlan(over), cfg, 0)
+        estimate_average_age(pol, None, BlockingPlan(over), cfg, 2, 0)
 
 
 def test_randomized_plan_uses_adversary_stream():
@@ -114,11 +153,12 @@ def test_randomized_plan_uses_adversary_stream():
     pol = validate_policy([1.0])
     q = uniform_subcarrier_policy(2)
     plan = make_uniform_subcarrier_block(cfg)
-    a = simulate_run(pol, q, plan, cfg, 5)
-    b = simulate_run(pol, q, plan, cfg, 5)
-    np.testing.assert_array_equal(a, b)
-    # a blocked draw must actually bite sometimes: some age > 1 inside window
-    assert a.max() > 1
+    a = estimate_average_age(pol, q, plan, cfg, 2, 5)
+    b = estimate_average_age(pol, q, plan, cfg, 2, 5)
+    assert a.per_user_mean.tobytes() == b.per_user_mean.tobytes()
+    # a blocked draw must actually bite sometimes: the user is always
+    # scheduled, so any age above 1 comes from the adversary
+    assert a.mean_system_age > 1.0
 
 
 def test_zero_one_plan_draws_no_adversary_stream(monkeypatch):
@@ -137,12 +177,43 @@ def test_zero_one_plan_draws_no_adversary_stream(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", spy)
     m = np.zeros((2, 12))
     m[0, 4:7] = 1.0
-    simulate_run(pol, q, BlockingPlan(m), cfg, 5)
-    assert requested == [mix_seed(5, 0)]
+    seeds = [mix_seed(5, k) for k in range(2)]
+    estimate_average_age(pol, q, BlockingPlan(m), cfg, 2, 5)
+    assert requested == [mix_seed(seed, 0) for seed in seeds]
     requested.clear()
     m[1, 8] = 0.5
-    simulate_run(pol, q, BlockingPlan(m), cfg, 5)
-    assert requested == [mix_seed(5, 0), mix_seed(5, 1)]
+    estimate_average_age(pol, q, BlockingPlan(m), cfg, 2, 5)
+    assert requested == [mix_seed(seed, j) for seed in seeds for j in (0, 1)]
+
+
+class _AlmostOne:
+    """A generator stand-in whose every uniform is the largest float below 1."""
+
+    def __init__(self, seed):
+        pass
+
+    def random(self, out):
+        out[:] = np.nextafter(1.0, 0.0)
+        return out
+
+
+@pytest.mark.parametrize("randomized", [False, True], ids=["zero-one",
+                                                           "randomized"])
+def test_rounded_away_subcarrier_mass_still_delivers(monkeypatch, randomized):
+    # six sub-carriers of 1/6 sum to the largest float below 1, so a uniform
+    # there picks no sub-carrier; a plan blocking nothing in that slot must
+    # not block it either way
+    cfg = SystemConfig(horizon_T=8, num_users=1, alpha=0.25,
+                       num_subcarriers=6)  # B = 2
+    q = uniform_subcarrier_policy(6)
+    assert np.cumsum(q.probs)[-1] == np.nextafter(1.0, 0.0)
+    m = np.zeros((6, 8))
+    if randomized:
+        m[0, 2:6] = 0.5
+    monkeypatch.setattr(np.random, "default_rng", _AlmostOne)
+    est = estimate_average_age(validate_policy([1.0]), q, BlockingPlan(m),
+                               cfg, 2, 0)
+    assert est.mean_system_age == 1.0
 
 
 _DIV_CFG = SystemConfig(horizon_T=10, num_users=2, alpha=0.2,
@@ -150,8 +221,6 @@ _DIV_CFG = SystemConfig(horizon_T=10, num_users=2, alpha=0.2,
 
 
 _SAMPLERS = [
-    pytest.param(lambda *profile: simulate_run(*profile, _DIV_CFG, 0),
-                 id="simulate_run"),
     pytest.param(lambda *profile: estimate_average_age(*profile, _DIV_CFG, 2,
                                                        0),
                  id="estimate_average_age"),
@@ -223,16 +292,8 @@ def test_mean_trajectory_matches_recursion_pointwise():
     pol = validate_policy([0.5, 0.5])
     plan = empty_plan(cfg)
     runs = 20_000
-    seeds = [mix_seed(4242, k) for k in range(runs)]
-    codes = _delivery_sampler(pol, None, plan, cfg.horizon_T)(seeds)
-    slots = _slots(cfg.horizon_T)
-    ages = np.empty((runs, 2, 3), dtype=np.int64)
-    ages[:, :, 0] = 1
-    for i in range(2):
-        ages[:, i, 1:] = slots[1:] - _last_delivery(codes, i, slots)[:, :-1]
-    for k in (0, 1, 9_999, runs - 1):
-        np.testing.assert_array_equal(
-            ages[k], simulate_run(pol, None, plan, cfg, seeds[k]))
+    ages = np.array([_reference_ages(pol, None, plan, cfg, mix_seed(4242, k))
+                     for k in range(runs)])
     mean = ages.mean(axis=0)
     se = ages.std(axis=0) / math.sqrt(runs)
     exact = expected_age_trajectory(pol, plan, cfg).per_user
@@ -256,7 +317,7 @@ def _short_plan(kind, config):
                                   "split-columns"])
 @pytest.mark.parametrize("nsub", [1, 2], ids=["no-diversity", "diversity"])
 def test_simulated_ages_match_recursion_slot_by_slot(nsub, kind):
-    # a time-varying plan at a short horizon: simulate_run's age at every
+    # a time-varying plan at a short horizon: the sampled age at every
     # slot must follow the recursion's slot convention, within 3 SE
     cfg = SystemConfig(horizon_T=16, num_users=2, alpha=0.25,
                        num_subcarriers=nsub)
@@ -264,7 +325,7 @@ def test_simulated_ages_match_recursion_slot_by_slot(nsub, kind):
     q = validate_subcarrier_policy([0.4, 0.6]) if nsub > 1 else None
     plan = _short_plan(kind, cfg)
     runs = 1500
-    ages = np.array([simulate_run(pol, q, plan, cfg, mix_seed(2718, k))
+    ages = np.array([_reference_ages(pol, q, plan, cfg, mix_seed(2718, k))
                      for k in range(runs)])
     mean = ages.mean(axis=0)
     se = ages.std(axis=0) / math.sqrt(runs)
@@ -293,12 +354,12 @@ _RUNS_AT_500 = max(1, BLOCK_CELLS // 500)  # runs in one block at T=500
 
 
 def _per_run_reference(policy, subpolicy, plan, config, runs, master_seed):
-    """The estimator as a plain loop: one simulate_run per run, its ages
+    """The estimator as a plain loop: one reference run per run, its ages
     averaged over slots, then the same compensated aggregation."""
     per_run_user = np.empty((runs, policy.n))
     for k in range(runs):
-        ages = simulate_run(policy, subpolicy, plan, config,
-                            mix_seed(master_seed, k))
+        ages = _reference_ages(policy, subpolicy, plan, config,
+                               mix_seed(master_seed, k))
         per_run_user[k] = ages.mean(axis=1)
     per_user_mean = np.array(
         [math.fsum(per_run_user[:, i]) / runs for i in range(policy.n)])
