@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .age_asymptotic import (
-    blocked_user_age,
+    _blocked_age,
     diversity_user_ages,
     reduced_objective,
     system_age_no_diversity,
@@ -455,11 +455,12 @@ def _run_asymptotic(sc, out_dir, emit):
             emit(f"asymptotic system age (no blocking): {value:.6f}")
         elif source == "middle-block":
             target = sc.plan_spec.get("target", 0)
+            # the one AsymptoticValidityWarning: T*min(p) covers the target
             value = system_age_no_diversity(
                 policy, target, system.alpha, system.horizon_T)
             reduced = reduced_objective(
                 policy, target, system.alpha, system.horizon_T)
-            per_user[target] = blocked_user_age(
+            per_user[target] = _blocked_age(
                 policy.probs[target], system.alpha, system.horizon_T)
             emit(f"asymptotic system age (user {target} blocked): {value:.6f}")
             emit(f"reduced payoff: {reduced:.6f}")

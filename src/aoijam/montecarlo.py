@@ -4,10 +4,9 @@ Each run realizes the sampled age process v_i(t): the base station schedules
 one user per slot (and one sub-carrier under diversity), the adversary blocks
 per its plan, and a user's age is age(t) = t - last(t-1), age(1) = 1, with
 last(t) the latest slot up to t that delivered its update (0 if none): the
-slot convention of the exact recursion.  Runs are reproducible: run k of a
-batch draws from two generator streams (base station and adversary) seeded
-by a splitmix64 hash of (master_seed, k), so any execution order or degree
-of parallelism yields the same result.
+slot convention of the exact recursion.  Every uniform hashes (master_seed,
+run, stream, slot), so any execution order or degree of parallelism yields
+the same result.
 """
 
 import math
@@ -33,15 +32,28 @@ _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 
 
-def mix_seed(master_seed: int, position: int) -> int:
-    """splitmix64 output at `position` steps past master_seed.
+def mix_seed(master_seed: int, position: int | np.ndarray) -> int | np.ndarray:
+    """splitmix64 output at `position` steps past master_seed, for an int
+    position or elementwise over a numpy uint64 array, whose arithmetic
+    wraps mod 2**64 where the int path masks.  Stateless counter scheme:
+    callers may evaluate positions in any order."""
+    z = position * _SPLITMIX_GAMMA + ((master_seed + _SPLITMIX_GAMMA) & _MASK64)
+    for shift, mix in ((30, _MIX_1), (27, _MIX_2)):
+        z &= _MASK64
+        z ^= z >> shift
+        z *= mix
+    z &= _MASK64
+    return z ^ (z >> 31)
 
-    Stateless counter scheme: callers may evaluate positions in any order.
-    """
-    z = (master_seed + (position + 1) * _SPLITMIX_GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX_1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX_2) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+
+def _uniforms(master_seed: int, start: int, stop: int, stream: int,
+              horizon: int) -> np.ndarray:
+    """(stop - start, horizon) uniforms in [0, 1): row k - start, column
+    t - 1 holds u(k, s, t), the top 53 bits of mix_seed(master_seed,
+    (3k + s)T + t - 1) scaled by 2**-53."""
+    rows = (np.arange(start, stop, dtype=np.uint64) * 3 + stream) * horizon
+    counters = rows[:, None] + np.arange(horizon, dtype=np.uint64)
+    return (mix_seed(master_seed, counters) >> 11) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -85,14 +97,12 @@ def estimate_average_age(policy: SchedulingPolicy, subpolicy, plan: BlockingPlan
                          master_seed: int) -> SimResult:
     """Average the system age over `runs` independent runs.
 
-    Pass subpolicy=None for the no-diversity model.  Run k is seeded with
-    seed_k = mix_seed(master_seed, k).  Its base station's
-    default_rng(mix_seed(seed_k, 0)) draws the T schedule uniforms and then
-    the T sub-carrier uniforms; its adversary's default_rng(mix_seed(seed_k,
-    1)) is created only when some plan entry lies strictly between 0 and 1.
-    The streams are independent, so the adversary's draws never depend on
-    the realized schedule.  Runs are evaluated in blocks of max(1, BLOCK_CELLS // T), each run filling
-    its own row of the block's uniform buffers.
+    Pass subpolicy=None for the no-diversity model.  Run k draws u(k, s, t)
+    (see _uniforms) on stream 0 to schedule a user, on stream 1 to pick the
+    sub-carrier and, only when some plan entry lies strictly between 0 and
+    1, on stream 2 to pick the blocked channel, so the adversary's draws
+    never depend on the realized schedule.  Runs are evaluated in blocks of
+    max(1, BLOCK_CELLS // T), one row per run.
 
     A user's time-average age in a run is its exact integer age sum divided
     by T: with last(t) the latest delivery slot up to t (0 if none), the sum
@@ -124,25 +134,14 @@ def estimate_average_age(policy: SchedulingPolicy, subpolicy, plan: BlockingPlan
     per_run_user = np.empty((runs, policy.n))
     for start in range(0, runs, block):
         stop = min(start + block, runs)
-        shape = (stop - start, horizon)
-        sched_u = np.empty(shape)
-        sub_u = None if sub_cum is None else np.empty(shape)
-        adv_u = np.empty(shape) if randomized else None
-        for row, k in enumerate(range(start, stop)):
-            seed = mix_seed(master_seed, k)
-            bs_rng = np.random.default_rng(mix_seed(seed, 0))
-            bs_rng.random(out=sched_u[row])
-            if sub_u is not None:
-                bs_rng.random(out=sub_u[row])
-            if randomized:
-                np.random.default_rng(mix_seed(seed, 1)).random(out=adv_u[row])
-
-        scheduled = _categories(sched_cum, sched_u)
-        used_channel = (scheduled if sub_u is None
-                        else _categories(sub_cum, sub_u))
+        scheduled = _categories(
+            sched_cum, _uniforms(master_seed, start, stop, 0, horizon))
+        used_channel = (scheduled if sub_cum is None else _categories(
+            sub_cum, _uniforms(master_seed, start, stop, 1, horizon)))
         if randomized:
             # residual mass above the column sum means "block nothing"
-            idx = _categories(adv_cum, adv_u)
+            idx = _categories(
+                adv_cum, _uniforms(master_seed, start, stop, 2, horizon))
             blocked = np.where(idx < channels, idx, -1)
         # the user whose update got through, -1 where it was blocked; a
         # uniform above a sum that rounds below 1 (code N) matches no user

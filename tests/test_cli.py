@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from aoijam.age_asymptotic import AsymptoticValidityWarning
 from aoijam.cli import (
     ScenarioConfig,
     main,
@@ -242,6 +243,19 @@ def test_seed_override_replaces_config_seed(tmp_path):
     assert row.endswith(",99")
 
 
+def test_seed_past_2_64_simulates_like_its_residue(tmp_path):
+    rows = []
+    for seed in (5, 2**64 + 5):
+        out = tmp_path / str(seed)
+        assert main(["simulate", "--config",
+                     write_scenario(tmp_path, sim_doc(seed=seed)),
+                     "--out-dir", str(out), "--quiet"]) == 0
+        rows.append((out / "sim.csv").read_text().splitlines()[1].split(","))
+    runs_mean_se = [row[:3] for row in rows]
+    assert runs_mean_se[0] == runs_mean_se[1]
+    assert [row[3] for row in rows] == ["5", str(2**64 + 5)]
+
+
 @pytest.mark.parametrize("model", ["no-diversity", "diversity"])
 def test_zero_one_plan_simulates_alike_under_either_label(tmp_path, model):
     # plan.mode only gates the input: a 0/1 matrix is the same plan
@@ -289,6 +303,22 @@ def test_asymptotic_csv_and_summary(tmp_path, capsys):
     assert lines[0] == "user,asymptotic_age"
     blocked_age = float(lines[1].split(",")[1])
     assert blocked_age == pytest.approx((1.2 * 0.9) / 0.1 + 0.1 * 2001 + 1)
+
+
+@pytest.mark.parametrize("target", [0, 1, 2])
+def test_asymptotic_middle_block_warns_once(tmp_path, target):
+    # T*min(p) = 40: the blocked user's own T*p_target is covered by it
+    doc = base_doc(
+        system={"horizon_T": 200, "num_users": 3, "alpha": 0.2},
+        policy={"source": "explicit", "probs": [0.5, 0.3, 0.2]},
+        plan={"source": "middle-block", "target": target},
+    )
+    path = write_scenario(tmp_path, doc)
+    with pytest.warns(AsymptoticValidityWarning) as record:
+        assert main(["asymptotic", "--config", path,
+                     "--out-dir", str(tmp_path), "--quiet"]) == 0
+    assert len(record) == 1
+    assert "T*min(p) = 40 " in str(record[0].message)
 
 
 def test_asymptotic_rejects_explicit_plan(tmp_path, capsys):

@@ -190,13 +190,13 @@ GOLDEN = {
     },
     "simulate-diversity": {
         "scenario.json": "a655e3e01f7dc43597e028b8b3cab74d04ac52cce7588948fe177c91dddc4290",
-        "sim.csv": "eaa1c05b9e9daedc2225fa144bdde7dfc7f9354a432c58a75e84eeeb8bd38ab4",
-        "stdout": "54ada7a26d94694d193e9cd1f1b9b9eefac1adf3046fd9e8c9717fc8fa226aee",
+        "sim.csv": "5875293396f42bd07ec3312914248295d50b527c281b3f357a40abda165883e8",
+        "stdout": "9a0c6f7a42691b4835f8b14a94a0c8519425611e1a91c4a40186cc7eca69b078",
     },
     "simulate-no-diversity": {
         "scenario.json": "634875e1577e960cf9876ea39676b3a09e319311b75f20d25e9cc40fd3a383ab",
-        "sim.csv": "ecbcf8ab0fe1eeeaf439e416c6480edd5ba7c8f8c2263bdd998bbae550240ece",
-        "stdout": "bbcf091afaeb29fb0374c7cc03051851dcb2b355a3292d5099d582b70b8f9768",
+        "sim.csv": "6a36e640583836edffd01a22694a3450908970389cea9bc5a4fb2408f3dbb22d",
+        "stdout": "ab454b2126da895df7e17277af7360eb520de034698b7e3d9629436ffeb428ac",
     },
     "stackelberg": {
         "equilibrium.csv": "c368135dca9ff8e080b93656a22d23be553ded15a0e6fda4789a9ee9aad97bf9",

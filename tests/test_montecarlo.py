@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from aoijam import montecarlo
 from aoijam.age_exact import (
     expected_age_trajectory,
     expected_age_trajectory_diversity,
@@ -50,29 +51,62 @@ def test_mix_seed_masters_distinct():
     assert mix_seed(1, 0) != mix_seed(2, 0)
 
 
+def test_mix_seed_on_uint64_arrays_matches_the_int_path():
+    # array arithmetic wraps mod 2**64 where the int path masks, so both
+    # give the same hash, also past 2**63 and for seeds beyond 2**64
+    positions = [0, 1, 2**63 - 1, 2**63, 2**64 - 1]
+    for master in (0, 12345, 2**64 - 1, 2**64 + 5):
+        got = mix_seed(master, np.array(positions, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [mix_seed(master, c) for c in positions]
+
+
+# chi-square 0.999 quantile at 63 degrees of freedom
+_CHI2_63_Q999 = 103.44
+
+
+def test_schedule_stream_is_uniform_and_apart_from_adversary_stream():
+    # fixed counters: runs 0..2**11 - 1 at T = 2**9, master seed 0
+    runs, horizon = 2**11, 2**9
+    sched = montecarlo._uniforms(0, 0, runs, 0, horizon).ravel()
+    adv = montecarlo._uniforms(0, 0, runs, 2, horizon).ravel()
+    n = sched.size
+    assert n == 2**20
+    assert sched.min() >= 0.0 and sched.max() < 1.0
+    counts = np.bincount((sched * 64).astype(np.intp), minlength=64)
+    chi2 = float(((counts - n / 64) ** 2).sum() / (n / 64))
+    assert chi2 < _CHI2_63_Q999
+    assert abs(np.corrcoef(sched, adv)[0, 1]) < 5 / math.sqrt(n)
+
+
 # ===========================================================================
 #  Per-run reference: one run's ages, slot by slot
 # ===========================================================================
 
 
-def _reference_ages(policy, subpolicy, plan, config, seed):
-    """One run's (N, T) integer ages age(t) = t - last(t-1), drawn from the
-    streams the README documents: default_rng(mix_seed(seed, 0)) gives the
-    T schedule uniforms, then the T sub-carrier uniforms, and
-    default_rng(mix_seed(seed, 1)) the T adversary uniforms, used only when
-    some plan entry lies strictly inside (0, 1).  A category is the number
+def _reference_ages(policy, subpolicy, plan, config, master_seed, k):
+    """Run k's (N, T) integer ages age(t) = t - last(t-1), drawn from the
+    stream the README documents: the uniform of stream s at slot t is the
+    top 53 bits of mix_seed(master_seed, (3k + s)T + t - 1), hashed here one
+    Python int at a time, times 2**-53.  Stream 0 schedules, stream 1 picks
+    the sub-carrier and stream 2, used only when some plan entry lies
+    strictly inside (0, 1), the blocked channel.  A category is the number
     of cumulative sums at or below its uniform.  One past the last (mass
     that rounds away) means no user is scheduled, or no sub-carrier the
     plan can block is used, or nothing is blocked."""
     n, horizon = policy.n, config.horizon_T
-    bs_rng = np.random.default_rng(mix_seed(seed, 0))
-    user = np.searchsorted(np.cumsum(policy.probs), bs_rng.random(horizon),
-                           side="right")
+
+    def uniforms(stream):
+        first = (3 * k + stream) * horizon
+        return np.array([(mix_seed(master_seed, first + t) >> 11) * 2.0**-53
+                         for t in range(horizon)])
+
+    user = np.searchsorted(np.cumsum(policy.probs), uniforms(0), side="right")
     channel = user if subpolicy is None else np.searchsorted(
-        np.cumsum(subpolicy.probs), bs_rng.random(horizon), side="right")
+        np.cumsum(subpolicy.probs), uniforms(1), side="right")
     m = plan.block_prob
     if np.any((m > 0.0) & (m < 1.0)):
-        adv_u = np.random.default_rng(mix_seed(seed, 1)).random(horizon)
+        adv_u = uniforms(2)
         hit = [np.searchsorted(np.cumsum(m[:, t]), adv_u[t], side="right")
                for t in range(horizon)]
     else:
@@ -93,7 +127,8 @@ def _reference_ages(policy, subpolicy, plan, config, seed):
 def test_ages_are_positive_ints_bounded_by_slot():
     cfg = SystemConfig(horizon_T=80, num_users=2, alpha=0.3)
     pol = validate_policy([0.7, 0.3])
-    ages = _reference_ages(pol, None, make_middle_block(cfg, 1), cfg, 11)
+    plan = make_middle_block(cfg, 1)
+    ages = _reference_ages(pol, None, plan, cfg, 11, 0)
     assert np.issubdtype(ages.dtype, np.integer)
     assert np.all(ages >= 1)
     assert np.all(ages <= np.arange(1, 81))
@@ -103,8 +138,8 @@ def test_blocked_window_forces_age_increments():
     cfg = SystemConfig(horizon_T=20, num_users=2, alpha=0.3)  # B=6, slots 8..13
     pol = validate_policy([0.5, 0.5])
     start, stop = middle_window(20, cfg.budget_B)
-    for seed in range(5):
-        ages = _reference_ages(pol, None, make_middle_block(cfg, 0), cfg, seed)
+    for k in range(5):
+        ages = _reference_ages(pol, None, make_middle_block(cfg, 0), cfg, 0, k)
         window = ages[0, start:stop]
         assert np.all(np.diff(window) == 1)
 
@@ -131,6 +166,20 @@ def test_same_seed_same_run():
     assert a.per_user_mean.tobytes() == b.per_user_mean.tobytes()
     c = estimate_average_age(pol, None, plan, cfg, 2, 43)
     assert not np.array_equal(a.per_user_mean, c.per_user_mean)
+
+
+def test_seeds_equal_mod_2_64_give_identical_estimates():
+    cfg = SystemConfig(horizon_T=60, num_users=3, alpha=0.3,
+                       num_subcarriers=3)
+    profile = (validate_policy([0.5, 0.3, 0.2]),
+               validate_subcarrier_policy([0.5, 0.25, 0.25]),
+               make_uniform_subcarrier_block(cfg), cfg, 40)
+    for seed in (0, 5, 2**64 - 1):
+        a = estimate_average_age(*profile, seed)
+        b = estimate_average_age(*profile, seed + 2**64)
+        assert repr(a.mean_system_age) == repr(b.mean_system_age)
+        assert repr(a.std_error) == repr(b.std_error)
+        assert a.per_user_mean.tobytes() == b.per_user_mean.tobytes()
 
 
 def test_run_validates_dimensions_and_budget():
@@ -167,34 +216,26 @@ def test_zero_one_plan_draws_no_adversary_stream(monkeypatch):
     cfg = SystemConfig(horizon_T=12, num_users=2, alpha=0.35,
                        num_subcarriers=2)  # B = 4
     pol, q = validate_policy([0.4, 0.6]), uniform_subcarrier_policy(2)
-    real = np.random.default_rng
-    requested = []
+    real, streams = montecarlo._uniforms, []
 
-    def spy(seed):
-        requested.append(seed)
-        return real(seed)
+    def spy(master_seed, start, stop, stream, horizon):
+        streams.append(stream)
+        return real(master_seed, start, stop, stream, horizon)
 
-    monkeypatch.setattr(np.random, "default_rng", spy)
+    monkeypatch.setattr(montecarlo, "_uniforms", spy)
     m = np.zeros((2, 12))
     m[0, 4:7] = 1.0
-    seeds = [mix_seed(5, k) for k in range(2)]
     estimate_average_age(pol, q, BlockingPlan(m), cfg, 2, 5)
-    assert requested == [mix_seed(seed, 0) for seed in seeds]
-    requested.clear()
+    assert streams == [0, 1]
+    streams.clear()
     m[1, 8] = 0.5
     estimate_average_age(pol, q, BlockingPlan(m), cfg, 2, 5)
-    assert requested == [mix_seed(seed, j) for seed in seeds for j in (0, 1)]
-
-
-class _AlmostOne:
-    """A generator stand-in whose every uniform is the largest float below 1."""
-
-    def __init__(self, seed):
-        pass
-
-    def random(self, out):
-        out[:] = np.nextafter(1.0, 0.0)
-        return out
+    assert streams == [0, 1, 2]
+    # without diversity the scheduled user's channel is its own
+    streams.clear()
+    cfg = SystemConfig(horizon_T=12, num_users=2, alpha=0.35)
+    estimate_average_age(pol, None, make_middle_block(cfg, 0), cfg, 2, 5)
+    assert streams == [0]
 
 
 @pytest.mark.parametrize("randomized", [False, True], ids=["zero-one",
@@ -210,7 +251,10 @@ def test_rounded_away_subcarrier_mass_still_delivers(monkeypatch, randomized):
     m = np.zeros((6, 8))
     if randomized:
         m[0, 2:6] = 0.5
-    monkeypatch.setattr(np.random, "default_rng", _AlmostOne)
+    monkeypatch.setattr(
+        montecarlo, "_uniforms",
+        lambda master_seed, start, stop, stream, horizon: np.full(
+            (stop - start, horizon), np.nextafter(1.0, 0.0)))
     est = estimate_average_age(validate_policy([1.0]), q, BlockingPlan(m),
                                cfg, 2, 0)
     assert est.mean_system_age == 1.0
@@ -292,7 +336,7 @@ def test_mean_trajectory_matches_recursion_pointwise():
     pol = validate_policy([0.5, 0.5])
     plan = empty_plan(cfg)
     runs = 20_000
-    ages = np.array([_reference_ages(pol, None, plan, cfg, mix_seed(4242, k))
+    ages = np.array([_reference_ages(pol, None, plan, cfg, 4242, k)
                      for k in range(runs)])
     mean = ages.mean(axis=0)
     se = ages.std(axis=0) / math.sqrt(runs)
@@ -325,7 +369,7 @@ def test_simulated_ages_match_recursion_slot_by_slot(nsub, kind):
     q = validate_subcarrier_policy([0.4, 0.6]) if nsub > 1 else None
     plan = _short_plan(kind, cfg)
     runs = 1500
-    ages = np.array([_reference_ages(pol, q, plan, cfg, mix_seed(2718, k))
+    ages = np.array([_reference_ages(pol, q, plan, cfg, 2718, k)
                      for k in range(runs)])
     mean = ages.mean(axis=0)
     se = ages.std(axis=0) / math.sqrt(runs)
@@ -358,8 +402,8 @@ def _per_run_reference(policy, subpolicy, plan, config, runs, master_seed):
     averaged over slots, then the same compensated aggregation."""
     per_run_user = np.empty((runs, policy.n))
     for k in range(runs):
-        ages = _reference_ages(policy, subpolicy, plan, config,
-                               mix_seed(master_seed, k))
+        ages = _reference_ages(policy, subpolicy, plan, config, master_seed,
+                               k)
         per_run_user[k] = ages.mean(axis=1)
     per_user_mean = np.array(
         [math.fsum(per_run_user[:, i]) / runs for i in range(policy.n)])
@@ -400,13 +444,13 @@ def test_estimate_matches_per_run_loop_bit_for_bit(plan_kind, horizon, runs):
 
 
 @pytest.mark.parametrize("plan_kind,mean,se", [
-    ("empty", "3.462888888888889", "0.03268618859401616"),
-    ("middle", "11.286020202020202", "0.08341915018073383"),
-    ("diversity", "4.018383838383838", "0.04265410790452074"),
+    ("empty", "3.417838383838384", "0.029396726585201788"),
+    ("middle", "11.580787878787879", "0.14140949757887422"),
+    ("diversity", "3.9847474747474747", "0.045354150352402686"),
 ], ids=["empty", "middle", "diversity"])  # ids that survive a pin refresh
 def test_estimate_pinned_to_seed_mapping(plan_kind, mean, se):
     """Values of the per-run loop under age(t) = t - last(t-1), the slot
-    convention of the exact recursion."""
+    convention of the exact recursion, on the counter-based stream."""
     pol, q, plan, cfg = _lock_scenario(plan_kind, 500)
     est = estimate_average_age(pol, q, plan, cfg, 33, 2024)
     assert repr(est.mean_system_age) == mean
