@@ -174,10 +174,15 @@ def diversity_user_ages(policy: SchedulingPolicy, alpha: float,
     at rate p_i, inside at rate p_i(1-1/N_sub) since one of N_sub
     sub-carriers is jammed.  Independent of the sub-carrier distribution q.
     """
+    return _diversity_ages(policy.probs, alpha, N_sub)
+
+
+def _diversity_ages(p: np.ndarray, alpha: float, N_sub: int) -> np.ndarray:
+    """diversity_user_ages elementwise on an array of scheduling
+    probabilities of any shape (one policy per row of a 2-D array)."""
     if N_sub < 2:
         raise NoDiversityError(f"N_sub = {N_sub} must be >= 2")
     _check_alpha(alpha)
-    p = policy.probs
     return (1 - alpha) / p + alpha / (p * (1 - 1.0 / N_sub))
 
 

@@ -11,11 +11,13 @@ everything is a genuine Nash point, verified against sampled deviations on
 both sides.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .age_asymptotic import (
+    _diversity_ages,
     diversity_system_age,
     reduced_objective,
     reduced_payoff_for_split,
@@ -187,23 +189,42 @@ def best_response_dynamics(N: int, alpha: float, T: int,
 # ===========================================================================
 
 
-def _certification_policies(N: int, samples: int, seed: int):
-    """Simplex grid plus random ordered policies, deterministic in seed."""
+def _certification_policies(N: int, samples: int, seed: int) -> np.ndarray:
+    """Simplex grid plus random ordered policies, deterministic in seed.
+
+    One rival per row of a (samples, N) matrix: max(2, samples // 4) grid
+    rows (a linspace of p_0 for N = 2, Dirichlet draws otherwise), then
+    Dirichlet draws sorted largest first, cut to `samples` rows.  Drawn rows
+    are clipped at 1e-6 and divided by their sum; every row is then divided
+    by its math.fsum, as validate_policy does.
+    """
     rng = np.random.default_rng(seed)
     grid = max(2, samples // 4)
-    out = []
     if N == 2:
-        for x in np.linspace(0.02, 0.98, grid):
-            out.append(validate_policy([x, 1 - x]))
+        x = np.linspace(0.02, 0.98, grid)
+        head = np.column_stack((x, 1 - x))
     else:
-        for _ in range(grid):
-            p = np.clip(rng.dirichlet(np.ones(N)), 1e-6, None)
-            out.append(validate_policy(p / p.sum()))
-    while len(out) < samples:
-        p = np.clip(rng.dirichlet(np.ones(N)), 1e-6, None)
-        p = np.sort(p)[::-1]  # ordered policy, largest first
-        out.append(validate_policy(p / p.sum()))
-    return out[:samples]
+        head = np.clip(rng.dirichlet(np.ones(N), size=grid), 1e-6, None)
+        head /= head.sum(axis=1, keepdims=True)
+    tail = np.clip(rng.dirichlet(np.ones(N), size=max(samples - grid, 0)),
+                   1e-6, None)
+    tail = np.sort(tail, axis=1)[:, ::-1]  # ordered policies, largest first
+    rivals = np.concatenate(
+        (head, tail / tail.sum(axis=1, keepdims=True)))[:samples]
+    return rivals / np.fromiter(map(math.fsum, rivals), float,
+                                count=len(rivals))[:, None]
+
+
+def _follower_aware_payoffs(probs: np.ndarray, alpha: float,
+                            T: int) -> np.ndarray:
+    """follower_aware_payoff of every row of a (samples, N) matrix of
+    scheduling policies, in one array expression: the reduced payoff with
+    user b middle-blocked is (sum_j 1/p_j - 1/p_b) + ((1+alpha)/p_b - alpha)
+    + alpha(1+alpha*T)/2, maximized over b."""
+    inverse = 1.0 / probs
+    unblocked = inverse.sum(axis=1, keepdims=True) - inverse
+    blocked = (1 + alpha) / probs - alpha
+    return (unblocked + blocked + alpha * (1 + alpha * T) / 2).max(axis=1)
 
 
 def stackelberg_equilibrium(N: int, alpha: float, T: int, target: int = 0,
@@ -212,19 +233,27 @@ def stackelberg_equilibrium(N: int, alpha: float, T: int, target: int = 0,
 
     At uniform scheduling every blocking target ties, so `target` only picks
     which tied follower response to materialize.  Before returning, the
-    leader payoff is checked against `certify_samples` alternative policies,
-    each priced at the follower's best response; uniform must weakly win.
+    leader payoff is checked against `certify_samples` (at least 1)
+    alternative policies, each priced at the follower's best response;
+    uniform must weakly win.  The first rival that beats it by more than
+    IMPROVEMENT_TOL raises CertificateError.
     """
+    if certify_samples < 1:
+        raise InsufficientRunsError(
+            f"certify_samples must be >= 1, got {certify_samples}")
     config = SystemConfig(horizon_T=T, num_users=N, alpha=alpha)
     leader = uniform_policy(N)
     payoff = reduced_objective(leader, target, alpha, T)
     plan = make_middle_block(config, target)
-    for rival in _certification_policies(N, certify_samples, seed):
-        rival_payoff = follower_aware_payoff(rival, alpha, T)
-        if payoff > rival_payoff + IMPROVEMENT_TOL:
-            raise CertificateError(
-                f"sampled policy {rival.probs} gives the leader "
-                f"{rival_payoff!r}, below the uniform leader's {payoff!r}")
+    rivals = _certification_policies(N, certify_samples, seed)
+    rival_payoffs = _follower_aware_payoffs(rivals, alpha, T)
+    beaten = payoff > rival_payoffs + IMPROVEMENT_TOL
+    if beaten.any():
+        i = int(np.argmax(beaten))
+        raise CertificateError(
+            f"sampled policy {rivals[i]} gives the leader "
+            f"{float(rival_payoffs[i])!r}, below the uniform leader's "
+            f"{payoff!r}")
     return leader, plan, payoff
 
 
@@ -245,17 +274,21 @@ def diversity_nash_point(N: int, N_sub: int, alpha: float, T: int):
 
 
 def _sample_bs_deviations(N, N_sub, bs_samples, rng):
-    """Perturbed (p, q) pairs: broad Dirichlet draws and local wiggles."""
-    pairs = [(uniform_policy(N), uniform_subcarrier_policy(N_sub))]
-    while len(pairs) < bs_samples:
+    """Perturbed (p, q) pairs as two matrices, one pair per row: uniform
+    first, then broad Dirichlet draws and local wiggles of p, each with a
+    Dirichlet q.  Row i is the raw vector validate_policy and
+    validate_subcarrier_policy normalize into that pair's policies."""
+    count = max(bs_samples, 1)
+    p_rows, q_rows = np.empty((count, N)), np.empty((count, N_sub))
+    p_rows[0], q_rows[0] = 1.0 / N, 1.0 / N_sub
+    for i in range(1, count):
         if rng.random() < 0.5:
             p = np.clip(rng.dirichlet(np.ones(N)), 1e-9, None)
         else:
             p = np.clip(1.0 / N + rng.normal(0, 0.05, N), 1e-9, None)
-        q = rng.dirichlet(np.ones(N_sub))
-        pairs.append((validate_policy(p / p.sum()),
-                      validate_subcarrier_policy(q)))
-    return pairs
+        p_rows[i] = p / p.sum()
+        q_rows[i] = rng.dirichlet(np.ones(N_sub))
+    return p_rows, q_rows
 
 
 def _sample_adv_deviations(config: SystemConfig, adv_samples, rng):
@@ -316,10 +349,16 @@ def verify_diversity_nash(point, config: SystemConfig, bs_samples: int,
     alpha, n_sub = config.alpha, config.num_subcarriers
 
     current_asym = diversity_system_age(policy, alpha, n_sub)
-    for p_dev, q_dev in _sample_bs_deviations(
-            policy.n, n_sub, bs_samples, rng):
+    threshold = current_asym - IMPROVEMENT_TOL
+    p_rows, q_rows = _sample_bs_deviations(policy.n, n_sub, bs_samples, rng)
+    screened = _diversity_ages(p_rows, alpha, n_sub).mean(axis=1)
+    # the batched mean rounds apart from the scalar one by ~1e-16 relative:
+    # screen with a wider margin, then price candidates as the scalar does
+    for i in np.flatnonzero(screened < threshold + 1e-12 * screened):
+        p_dev = validate_policy(p_rows[i])
         value = diversity_system_age(p_dev, alpha, n_sub)
-        if value < current_asym - IMPROVEMENT_TOL:
+        if value < threshold:
+            q_dev = validate_subcarrier_policy(q_rows[i])
             return EquilibriumReport(
                 kind="diversity-nash", holds=False, payoff=current_asym,
                 witness=DeviationWitness(

@@ -117,10 +117,13 @@ def test_oracle_reevaluation_check_fires(monkeypatch):
 
 
 def test_stackelberg_dominance_check_fires(monkeypatch):
-    monkeypatch.setattr(equilibrium, "follower_aware_payoff",
-                        lambda policy, alpha, T: 0.0)
-    with pytest.raises(CertificateError, match="uniform leader"):
+    monkeypatch.setattr(equilibrium, "_follower_aware_payoffs",
+                        lambda probs, alpha, T: np.zeros(len(probs)))
+    first = equilibrium._certification_policies(3, 4, 0)[0]
+    with pytest.raises(CertificateError, match="uniform leader") as caught:
         stackelberg_equilibrium(3, 0.3, 200, certify_samples=4)
+    assert f"sampled policy {first} gives the leader 0.0," in str(
+        caught.value)
 
 
 def test_certificate_survives_optimized_mode():

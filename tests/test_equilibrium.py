@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from aoijam.age_asymptotic import reduced_objective
+import aoijam.equilibrium as equilibrium
+from aoijam.age_asymptotic import diversity_system_age, reduced_objective
 from aoijam.best_response import bs_best_response_single_block
 from aoijam.equilibrium import (
     ADV_DEVIATION_FAMILIES,
+    IMPROVEMENT_TOL,
     DeviationWitness,
     EquilibriumReport,
     best_response_dynamics,
@@ -17,12 +19,16 @@ from aoijam.equilibrium import (
     follower_aware_payoff,
     is_nash_no_diversity,
     stackelberg_equilibrium,
+    _certification_policies,
+    _follower_aware_payoffs,
     _sample_adv_deviations,
+    _sample_bs_deviations,
     verify_diversity_nash,
 )
 from aoijam.errors import (
     CertificateError,
     DimensionMismatchError,
+    InsufficientRunsError,
     NoDiversityError,
 )
 from aoijam.model import (
@@ -33,6 +39,7 @@ from aoijam.model import (
     uniform_policy,
     uniform_subcarrier_policy,
     validate_policy,
+    validate_subcarrier_policy,
 )
 
 # ===========================================================================
@@ -194,6 +201,62 @@ def test_stackelberg_leader_beats_sampled_rivals():
         assert payoff <= follower_aware_payoff(rival, 0.6, 2000) + 1e-9
 
 
+def _reference_rivals(N, samples, seed):
+    """The certificate's rivals built one validate_policy at a time."""
+    rng = np.random.default_rng(seed)
+    grid = max(2, samples // 4)
+    out = []
+    if N == 2:
+        for x in np.linspace(0.02, 0.98, grid):
+            out.append(validate_policy([x, 1 - x]))
+    else:
+        for _ in range(grid):
+            p = np.clip(rng.dirichlet(np.ones(N)), 1e-6, None)
+            out.append(validate_policy(p / p.sum()))
+    while len(out) < samples:
+        p = np.clip(rng.dirichlet(np.ones(N)), 1e-6, None)
+        p = np.sort(p)[::-1]
+        out.append(validate_policy(p / p.sum()))
+    return out[:samples]
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("samples", [1, 2, 3, 50, 2000])
+@pytest.mark.parametrize("N", [1, 2, 3, 6, 8])
+def test_certification_rivals_match_per_rival_reference(N, samples, seed):
+    rivals = _certification_policies(N, samples, seed)
+    reference = np.array([r.probs for r in _reference_rivals(N, samples, seed)])
+    assert rivals.shape == (samples, N)
+    assert rivals.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 6, 8])
+def test_follower_aware_payoffs_match_scalar_payoff(N):
+    rivals = _certification_policies(N, 200, 4)
+    batched = _follower_aware_payoffs(rivals, 0.35, 1500)
+    scalar = [follower_aware_payoff(validate_policy(row), 0.35, 1500)
+              for row in rivals]
+    np.testing.assert_allclose(batched, scalar, rtol=1e-12, atol=0)
+
+
+def test_stackelberg_names_the_first_beating_rival(monkeypatch):
+    rivals = _certification_policies(3, 20, 0)
+    payoffs = np.full(20, 1e9)
+    payoffs[[7, 12]] = 0.5
+    monkeypatch.setattr(equilibrium, "_follower_aware_payoffs",
+                        lambda probs, alpha, T: payoffs)
+    with pytest.raises(CertificateError) as caught:
+        stackelberg_equilibrium(3, 0.3, 200, certify_samples=20)
+    assert str(caught.value).startswith(
+        f"sampled policy {rivals[7]} gives the leader 0.5,")
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_stackelberg_needs_a_rival(samples):
+    with pytest.raises(InsufficientRunsError, match="certify_samples"):
+        stackelberg_equilibrium(3, 0.3, 200, certify_samples=samples)
+
+
 def test_follower_aware_payoff_targets_min_probability():
     pol = validate_policy([0.5, 0.2, 0.3])
     value = follower_aware_payoff(pol, 0.4, 1000)
@@ -262,6 +325,66 @@ def test_verify_flags_nonuniform_bs_policy():
     assert w.player == "base-station"
     np.testing.assert_allclose(w.strategy[0].probs, 0.5)  # uniform p wins
     assert w.payoff_after < w.payoff_before - 1e-9
+
+
+def _reference_bs_witness(policy, n_sub, alpha, bs_samples, seed):
+    """The base-station side priced one (p, q) pair at a time."""
+    rng = np.random.default_rng(seed)
+    N = policy.n
+    pairs = [(uniform_policy(N), uniform_subcarrier_policy(n_sub))]
+    while len(pairs) < bs_samples:
+        if rng.random() < 0.5:
+            p = np.clip(rng.dirichlet(np.ones(N)), 1e-9, None)
+        else:
+            p = np.clip(1.0 / N + rng.normal(0, 0.05, N), 1e-9, None)
+        q = rng.dirichlet(np.ones(n_sub))
+        pairs.append((validate_policy(p / p.sum()),
+                      validate_subcarrier_policy(q)))
+    current = diversity_system_age(policy, alpha, n_sub)
+    for p_dev, q_dev in pairs:
+        value = diversity_system_age(p_dev, alpha, n_sub)
+        if value < current - IMPROVEMENT_TOL:
+            return (p_dev, q_dev), current, value
+    return None
+
+
+@pytest.mark.parametrize("probs, n_sub", [
+    ([0.7, 0.3], 2), ([0.5, 0.3, 0.2], 3), ([0.25] * 4, 2)])
+def test_verify_bs_witness_matches_per_sample_reference(probs, n_sub):
+    N = len(probs)
+    cfg = SystemConfig(horizon_T=200, num_users=N, alpha=0.4,
+                       num_subcarriers=n_sub)
+    _, q, plan = diversity_nash_point(N, n_sub, 0.4, 200)
+    policy = validate_policy(probs)
+    report = verify_diversity_nash((policy, q, plan), cfg, 60, 0, seed=8)
+    reference = _reference_bs_witness(policy, n_sub, 0.4, 60, 8)
+    if reference is None:
+        assert report.holds is True
+        return
+    (p_ref, q_ref), before, after = reference
+    w = report.witness
+    assert w.player == "base-station"
+    assert w.strategy == (p_ref, q_ref)
+    assert w.payoff_before.hex() == before.hex()
+    assert w.payoff_after.hex() == after.hex()
+
+
+@pytest.mark.parametrize("bs_samples", [-1, 0, 1, 2, 40])
+def test_bs_deviations_keep_the_per_pair_draw_order(bs_samples):
+    # the adversary plans are drawn from the same generator afterwards
+    rng, reference = np.random.default_rng(21), np.random.default_rng(21)
+    p_rows, q_rows = _sample_bs_deviations(3, 2, bs_samples, rng)
+    assert p_rows.shape == (max(bs_samples, 1), 3)
+    np.testing.assert_array_equal(p_rows[0], np.full(3, 1 / 3))
+    np.testing.assert_array_equal(q_rows[0], [0.5, 0.5])
+    for p_row, q_row in zip(p_rows[1:], q_rows[1:]):
+        if reference.random() < 0.5:
+            p = np.clip(reference.dirichlet(np.ones(3)), 1e-9, None)
+        else:
+            p = np.clip(1 / 3 + reference.normal(0, 0.05, 3), 1e-9, None)
+        assert p_row.tobytes() == (p / p.sum()).tobytes()
+        assert q_row.tobytes() == reference.dirichlet(np.ones(2)).tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_verify_flags_skewed_subcarrier_choice():
