@@ -81,6 +81,19 @@ OUT_DIR_ENV = "AOIJAM_OUT_DIR"
 POLICY_SOURCES = ("uniform", "explicit", "counter-block")
 PLAN_SOURCES = ("none", "middle-block", "uniform-subcarrier", "explicit",
                 "oracle")
+# the plan sources `asymptotic` has closed forms for, per model
+ASYMPTOTIC_PLAN_SOURCES = {"no-diversity": ("none", "middle-block"),
+                           "diversity": ("none", "uniform-subcarrier")}
+# every key each scenario object may hold; the experiment block's are its
+# REGISTRY entry's fields plus "name"
+SCENARIO_KEYS = {
+    "": ("schema_version", "model", "system", "policy", "subcarrier_policy",
+         "plan", "experiment"),
+    "system": ("horizon_T", "num_users", "alpha", "num_subcarriers"),
+    "policy": ("source", "probs", "target"),
+    "subcarrier_policy": ("source", "probs"),
+    "plan": ("source", "target", "block_prob", "mode"),
+}
 
 
 @dataclass(frozen=True)
@@ -114,6 +127,14 @@ def _require_int(field, value, minimum=None, maximum=None):
     return value
 
 
+def _reject_unknown_keys(section: str, obj: dict, known=None) -> None:
+    """Fail on the first key of `obj` outside `known`, by default the
+    section's SCENARIO_KEYS entry ("" is the top level)."""
+    for key in obj:
+        if key not in (SCENARIO_KEYS[section] if known is None else known):
+            _fail(f"{section}.{key}" if section else key, "unknown field")
+
+
 def _require_number(obj, field):
     value = obj.get(field.split(".")[-1])
     if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -125,6 +146,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     """Validate a decoded JSON document into a ScenarioConfig."""
     if not isinstance(raw, dict):
         raise ScenarioValidationError("top level must be a JSON object")
+    _reject_unknown_keys("", raw)
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         _fail("schema_version", f"must be {SCHEMA_VERSION}, got {version!r}")
@@ -136,6 +158,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     system_raw = raw.get("system")
     if not isinstance(system_raw, dict):
         _fail("system", "required object is missing")
+    _reject_unknown_keys("system", system_raw)
     horizon = _require_int("system.horizon_T", system_raw.get("horizon_T"), 1)
     users = _require_int("system.num_users", system_raw.get("num_users"), 1)
     alpha = _require_number(system_raw, "system.alpha")
@@ -153,6 +176,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     policy_spec = raw.get("policy", {"source": "uniform"})
     if not isinstance(policy_spec, dict):
         _fail("policy", "must be an object")
+    _reject_unknown_keys("policy", policy_spec)
     source = policy_spec.get("source")
     if source not in POLICY_SOURCES:
         _fail("policy.source", f"must be one of {POLICY_SOURCES}, got {source!r}")
@@ -170,6 +194,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
             _fail("subcarrier_policy", "only valid in the diversity model")
         if not isinstance(subpolicy_spec, dict):
             _fail("subcarrier_policy", "must be an object")
+        _reject_unknown_keys("subcarrier_policy", subpolicy_spec)
         sub_source = subpolicy_spec.get("source")
         if sub_source not in ("uniform", "explicit"):
             _fail("subcarrier_policy.source",
@@ -185,6 +210,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     plan_spec = raw.get("plan", {"source": "none"})
     if not isinstance(plan_spec, dict):
         _fail("plan", "must be an object")
+    _reject_unknown_keys("plan", plan_spec)
     plan_source = plan_spec.get("source")
     if plan_source not in PLAN_SOURCES:
         _fail("plan.source", f"must be one of {PLAN_SOURCES}, got {plan_source!r}")
@@ -225,6 +251,7 @@ def _validate_experiment(exp, model: str, system: SystemConfig,
     if model not in models:
         _fail("experiment.name",
               f"{name!r} needs the {' or '.join(models)} model")
+    _reject_unknown_keys("experiment", exp, ("name", *REGISTRY[name].fields))
     out = {"name": name}
     for key, spec in REGISTRY[name].fields.items():
         field = f"experiment.{key}"
@@ -442,32 +469,31 @@ def _run_exact(sc, out_dir, emit):
 def _run_asymptotic(sc, out_dir, emit):
     policy = resolve_policy(sc)
     system = sc.system
-    if sc.model == "diversity":
+    source = sc.plan_spec["source"]
+    covered = ASYMPTOTIC_PLAN_SOURCES[sc.model]
+    if source not in covered:
+        _fail("plan.source", f"asymptotic formulas cover {covered} plans in "
+              f"the {sc.model} model, not {source!r}")
+    per_user = [unblocked_user_age(p) for p in policy.probs]
+    if source == "none":
+        value = float(np.mean(per_user))
+        emit(f"asymptotic system age (no blocking): {value:.6f}")
+    elif source == "uniform-subcarrier":
         per_user = diversity_user_ages(policy, system.alpha,
                                        system.num_subcarriers)
         value = float(np.mean(per_user))
         emit(f"asymptotic diversity system age: {value:.6f}")
-    else:
-        source = sc.plan_spec["source"]
-        per_user = [unblocked_user_age(p) for p in policy.probs]
-        if source == "none":
-            value = float(np.mean(per_user))
-            emit(f"asymptotic system age (no blocking): {value:.6f}")
-        elif source == "middle-block":
-            target = sc.plan_spec.get("target", 0)
-            # the one AsymptoticValidityWarning: T*min(p) covers the target
-            value = system_age_no_diversity(
-                policy, target, system.alpha, system.horizon_T)
-            reduced = reduced_objective(
-                policy, target, system.alpha, system.horizon_T)
-            per_user[target] = _blocked_age(
-                policy.probs[target], system.alpha, system.horizon_T)
-            emit(f"asymptotic system age (user {target} blocked): {value:.6f}")
-            emit(f"reduced payoff: {reduced:.6f}")
-        else:
-            raise ScenarioValidationError(
-                "field 'plan.source': asymptotic formulas cover 'none' and "
-                f"'middle-block' plans, not {source!r}")
+    else:  # middle-block, no-diversity model
+        target = sc.plan_spec.get("target", 0)
+        # the one AsymptoticValidityWarning: T*min(p) covers the target
+        value = system_age_no_diversity(
+            policy, target, system.alpha, system.horizon_T)
+        reduced = reduced_objective(
+            policy, target, system.alpha, system.horizon_T)
+        per_user[target] = _blocked_age(
+            policy.probs[target], system.alpha, system.horizon_T)
+        emit(f"asymptotic system age (user {target} blocked): {value:.6f}")
+        emit(f"reduced payoff: {reduced:.6f}")
     rows = [(i, _fmt(v)) for i, v in enumerate(per_user)]
     _write_csv(os.path.join(out_dir, "asymptotic.csv"),
                ("user", "asymptotic_age"), rows)
@@ -598,7 +624,7 @@ def _user_index(field, value, system):
 
 _NO_DIVERSITY = ("no-diversity",)
 _SEED = Field(_count(0), 0)
-_SAMPLES = Field(_count(0), 500)
+_SAMPLES = Field(_count(1), 500)
 
 # experiment name -> entry; argparse lists the subcommands in this order
 REGISTRY = {

@@ -28,7 +28,6 @@ from .errors import CertificateError, InsufficientRunsError, NoDiversityError
 from .model import (
     BlockingPlan,
     SchedulingPolicy,
-    SubcarrierPolicy,
     SystemConfig,
     check_profile,
     make_middle_block,
@@ -79,8 +78,9 @@ class TraceStep:
 class EquilibriumReport:
     """Outcome of an equilibrium check or construction.
 
-    holds is None when the question is not a yes/no check (dynamics traces);
-    when holds is False, witness carries a strictly improving deviation.
+    For dynamics, holds says whether any step was a simultaneous fixed
+    point; a failed check carries a strictly improving witness whose
+    payoff_before is the report's payoff.
     """
 
     kind: str  # "nash-check" | "diversity-nash" | "br-dynamics"
@@ -94,6 +94,14 @@ class EquilibriumReport:
                 and self.witness is None):
             raise CertificateError(
                 f"failed {self.kind} check must carry a witness")
+
+
+def _refuted(kind: str, current: float, player: str, strategy, value: float,
+             description: str) -> EquilibriumReport:
+    """A failed `kind` report; its witness moves the payoff current -> value."""
+    return EquilibriumReport(
+        kind=kind, holds=False, payoff=current,
+        witness=DeviationWitness(player, strategy, current, value, description))
 
 
 # ===========================================================================
@@ -135,23 +143,15 @@ def is_nash_no_diversity(policy: SchedulingPolicy, plan: BlockingPlan,
         value = reduced_payoff_for_split(
             policy, candidate.block_prob.sum(axis=1) / T, T)
         if value > current + IMPROVEMENT_TOL:
-            return EquilibriumReport(
-                kind="nash-check", holds=False, payoff=current,
-                witness=DeviationWitness(
-                    player="adversary", strategy=candidate,
-                    payoff_before=current, payoff_after=value,
-                    description=f"middle-block user {target}"))
+            return _refuted("nash-check", current, "adversary", candidate,
+                            value, f"middle-block user {target}")
 
     # base-station side: exact best response to the plan's shares
     best = numeric_simplex_minimizer(1.0 + shares)
     improved = reduced_payoff_for_split(best, shares, T)
     if improved < current - IMPROVEMENT_TOL:
-        return EquilibriumReport(
-            kind="nash-check", holds=False, payoff=current,
-            witness=DeviationWitness(
-                player="base-station", strategy=best,
-                payoff_before=current, payoff_after=improved,
-                description="best-response scheduling policy"))
+        return _refuted("nash-check", current, "base-station", best, improved,
+                        "best-response scheduling policy")
 
     return EquilibriumReport(kind="nash-check", holds=True, payoff=current)
 
@@ -189,6 +189,12 @@ def best_response_dynamics(N: int, alpha: float, T: int,
 # ===========================================================================
 
 
+def _fsum_rows(rows: np.ndarray) -> np.ndarray:
+    """Every row divided by its math.fsum, as validate_policy divides it."""
+    return rows / np.fromiter(map(math.fsum, rows), float,
+                              count=len(rows))[:, None]
+
+
 def _certification_policies(N: int, samples: int, seed: int) -> np.ndarray:
     """Simplex grid plus random ordered policies, deterministic in seed.
 
@@ -209,10 +215,8 @@ def _certification_policies(N: int, samples: int, seed: int) -> np.ndarray:
     tail = np.clip(rng.dirichlet(np.ones(N), size=max(samples - grid, 0)),
                    1e-6, None)
     tail = np.sort(tail, axis=1)[:, ::-1]  # ordered policies, largest first
-    rivals = np.concatenate(
-        (head, tail / tail.sum(axis=1, keepdims=True)))[:samples]
-    return rivals / np.fromiter(map(math.fsum, rivals), float,
-                                count=len(rivals))[:, None]
+    return _fsum_rows(np.concatenate(
+        (head, tail / tail.sum(axis=1, keepdims=True)))[:samples])
 
 
 def _follower_aware_payoffs(probs: np.ndarray, alpha: float,
@@ -278,10 +282,9 @@ def _sample_bs_deviations(N, N_sub, bs_samples, rng):
     first, then broad Dirichlet draws and local wiggles of p, each with a
     Dirichlet q.  Row i is the raw vector validate_policy and
     validate_subcarrier_policy normalize into that pair's policies."""
-    count = max(bs_samples, 1)
-    p_rows, q_rows = np.empty((count, N)), np.empty((count, N_sub))
+    p_rows, q_rows = np.empty((bs_samples, N)), np.empty((bs_samples, N_sub))
     p_rows[0], q_rows[0] = 1.0 / N, 1.0 / N_sub
-    for i in range(1, count):
+    for i in range(1, bs_samples):
         if rng.random() < 0.5:
             p = np.clip(rng.dirichlet(np.ones(N)), 1e-9, None)
         else:
@@ -336,35 +339,33 @@ def verify_diversity_nash(point, config: SystemConfig, bs_samples: int,
                           adv_samples: int, seed: int = 0) -> EquilibriumReport:
     """Sampled unilateral-deviation check of a diversity-model candidate point.
 
-    Base-station side: `bs_samples` perturbed (p, q) pairs, priced by the
-    large-horizon diversity age (q never matters there, which the sampling
-    exercises rather than assumes); uniform p is always among the samples so
-    a non-uniform candidate cannot pass by luck.  Adversary side:
-    `adv_samples` feasible plans drawn from ADV_DEVIATION_FAMILIES, priced by
-    the exact finite-horizon recursion at the candidate's (p, q).
+    Base-station side: `bs_samples` perturbed (p, q) pairs, uniform first so
+    a non-uniform candidate cannot pass by luck, each priced once by the
+    large-horizon diversity age (q never matters there).  Adversary side:
+    `adv_samples` feasible plans from ADV_DEVIATION_FAMILIES, priced by the
+    exact recursion at the candidate's (p, q).  Both counts must be >= 1.
+    The payoff is the large-horizon age, or the exact age beside an
+    adversary witness.
     """
+    for name, count in (("bs_samples", bs_samples),
+                        ("adv_samples", adv_samples)):
+        if count < 1:
+            raise InsufficientRunsError(f"{name} must be >= 1, got {count}")
     policy, subpolicy, plan = point
     check_profile(policy, subpolicy, plan, config)
     rng = np.random.default_rng(seed)
     alpha, n_sub = config.alpha, config.num_subcarriers
 
     current_asym = diversity_system_age(policy, alpha, n_sub)
-    threshold = current_asym - IMPROVEMENT_TOL
     p_rows, q_rows = _sample_bs_deviations(policy.n, n_sub, bs_samples, rng)
-    screened = _diversity_ages(p_rows, alpha, n_sub).mean(axis=1)
-    # the batched mean rounds apart from the scalar one by ~1e-16 relative:
-    # screen with a wider margin, then price candidates as the scalar does
-    for i in np.flatnonzero(screened < threshold + 1e-12 * screened):
-        p_dev = validate_policy(p_rows[i])
-        value = diversity_system_age(p_dev, alpha, n_sub)
-        if value < threshold:
-            q_dev = validate_subcarrier_policy(q_rows[i])
-            return EquilibriumReport(
-                kind="diversity-nash", holds=False, payoff=current_asym,
-                witness=DeviationWitness(
-                    player="base-station", strategy=(p_dev, q_dev),
-                    payoff_before=current_asym, payoff_after=value,
-                    description="scheduling deviation lowers system age"))
+    values = _diversity_ages(_fsum_rows(p_rows), alpha, n_sub).mean(axis=1)
+    better = values < current_asym - IMPROVEMENT_TOL
+    if better.any():
+        i = int(np.argmax(better))
+        return _refuted(
+            "diversity-nash", current_asym, "base-station",
+            (validate_policy(p_rows[i]), validate_subcarrier_policy(q_rows[i])),
+            float(values[i]), "scheduling deviation lowers system age")
 
     current_exact = expected_age_trajectory_diversity(
         policy, subpolicy, plan, config).system_avg
@@ -372,12 +373,9 @@ def verify_diversity_nash(point, config: SystemConfig, bs_samples: int,
         value = expected_age_trajectory_diversity(
             policy, subpolicy, candidate, config).system_avg
         if value > current_exact + IMPROVEMENT_TOL:
-            return EquilibriumReport(
-                kind="diversity-nash", holds=False, payoff=current_exact,
-                witness=DeviationWitness(
-                    player="adversary", strategy=candidate,
-                    payoff_before=current_exact, payoff_after=value,
-                    description="blocking deviation raises system age"))
+            return _refuted("diversity-nash", current_exact, "adversary",
+                            candidate, value,
+                            "blocking deviation raises system age")
 
     return EquilibriumReport(kind="diversity-nash", holds=True,
                              payoff=current_asym)

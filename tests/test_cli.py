@@ -330,6 +330,42 @@ def test_asymptotic_rejects_explicit_plan(tmp_path, capsys):
     assert "plan.source" in capsys.readouterr().err
 
 
+def _asymptotic_ages(tmp_path, model, plan):
+    """asymptotic.csv's ages for p = (0.4, 0.6), T = 1000, alpha = 0.3 and,
+    in the diversity model, N_sub = 2."""
+    system = {"horizon_T": 1000, "num_users": 2, "alpha": 0.3}
+    if model == "diversity":
+        system["num_subcarriers"] = 2
+    path = write_scenario(tmp_path, base_doc(
+        model=model, system=system, plan=plan,
+        policy={"source": "explicit", "probs": [0.4, 0.6]}))
+    assert main(["asymptotic", "--config", path, "--out-dir", str(tmp_path),
+                 "--quiet"]) == 0
+    lines = (tmp_path / "asymptotic.csv").read_text().splitlines()
+    return [float(line.split(",")[1]) for line in lines[1:]]
+
+
+@pytest.mark.parametrize("model", ["no-diversity", "diversity"])
+def test_asymptotic_no_plan_gives_unblocked_ages(tmp_path, model):
+    # no jamming: 1/p_i in either model, whatever N_sub is
+    ages = _asymptotic_ages(tmp_path, model, {"source": "none"})
+    assert ages == [1 / 0.4, 1 / 0.6]
+
+
+def test_asymptotic_middle_block_gives_the_blocked_closed_form(tmp_path):
+    ages = _asymptotic_ages(tmp_path, "no-diversity",
+                            {"source": "middle-block", "target": 1})
+    assert ages == pytest.approx(
+        [1 / 0.4, 1.3 * 0.4 / 0.6 + 0.3 * 301 / 2 + 1], rel=1e-14)
+
+
+def test_asymptotic_uniform_subcarrier_gives_diversity_ages(tmp_path):
+    ages = _asymptotic_ages(tmp_path, "diversity",
+                            {"source": "uniform-subcarrier"})
+    assert ages == pytest.approx(
+        [0.7 / p + 0.3 / (p * 0.5) for p in (0.4, 0.6)], rel=1e-14)
+
+
 def test_best_response_writes_both_players(tmp_path):
     doc = base_doc(system={"horizon_T": 100, "num_users": 3, "alpha": 0.5},
                    policy={"source": "explicit", "probs": [0.2, 0.5, 0.3]},
@@ -557,6 +593,36 @@ def case(id, command, doc, field, *extra):
       for kind, seed in BAD_SEEDS.items()],
     case("negative-seed-override", "simulate", base_doc(), "--seed-override",
          "--seed-override", "-1"),
+    case("zero-bs-samples", "nash-verify",
+         div_doc(**seeded("nash-verify", 0, bs_samples=0, adv_samples=2)),
+         "experiment.bs_samples"),
+    case("zero-adv-samples", "nash-verify",
+         div_doc(**seeded("nash-verify", 0, bs_samples=2, adv_samples=0)),
+         "experiment.adv_samples"),
+    # plans without a closed form in their model
+    case("asymptotic-diversity-middle-block", "asymptotic",
+         div_doc(plan={"source": "middle-block", "target": 0}), "plan.source"),
+    case("asymptotic-diversity-explicit-plan", "asymptotic",
+         div_doc(**explicit_plan([[0] * 20, [0] * 20])), "plan.source"),
+    case("asymptotic-oracle-plan", "asymptotic",
+         base_doc(plan={"source": "oracle"}), "plan.source"),
+    # a misspelt key once fell back to its default without a word
+    case("unknown-top-level-key", "exact",
+         base_doc(polcy={"source": "uniform"}), "polcy"),
+    case("unknown-system-key", "exact",
+         base_doc(system={"horizon_T": 3, "num_users": 2, "alpha": 0.4,
+                          "num_subcarrier": 2}), "system.num_subcarrier"),
+    case("unknown-policy-key", "exact",
+         base_doc(policy={"source": "uniform", "prob": [0.5, 0.5]}),
+         "policy.prob"),
+    case("unknown-subcarrier_policy-key", "exact",
+         div_doc(subcarrier_policy={"source": "uniform", "target": 0}),
+         "subcarrier_policy.target"),
+    case("unknown-plan-key", "exact",
+         base_doc(plan={"source": "middle-block", "taget": 1}), "plan.taget"),
+    case("unknown-experiment-key", "stackelberg",
+         base_doc(experiment={"name": "stackelberg", "certify_sample": 0,
+                              "seeed": 3}), "experiment.certify_sample"),
 ])
 def test_malformed_field_exits_2_and_names_it(tmp_path, capsys, command, doc,
                                               extra, field):

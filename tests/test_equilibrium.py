@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 import aoijam.equilibrium as equilibrium
-from aoijam.age_asymptotic import diversity_system_age, reduced_objective
+from aoijam.age_asymptotic import (
+    _diversity_ages,
+    diversity_system_age,
+    reduced_objective,
+)
 from aoijam.best_response import bs_best_response_single_block
 from aoijam.equilibrium import (
     ADV_DEVIATION_FAMILIES,
@@ -21,6 +25,7 @@ from aoijam.equilibrium import (
     stackelberg_equilibrium,
     _certification_policies,
     _follower_aware_payoffs,
+    _fsum_rows,
     _sample_adv_deviations,
     _sample_bs_deviations,
     verify_diversity_nash,
@@ -57,6 +62,7 @@ def test_uniform_with_middle_block_fails_on_bs_side():
         uniform_policy(2), make_middle_block(cfg, 0), cfg)
     assert report.holds is False
     w = report.witness
+    assert report.payoff == w.payoff_before
     assert w.player == "base-station"
     root = math.sqrt(1.5)
     np.testing.assert_allclose(
@@ -70,6 +76,7 @@ def test_best_response_policy_fails_on_adversary_side():
     report = is_nash_no_diversity(policy, make_middle_block(cfg, 0), cfg)
     assert report.holds is False
     w = report.witness
+    assert report.payoff == w.payoff_before
     assert w.player == "adversary"
     assert "user 1" in w.description
     assert w.payoff_after > w.payoff_before + 1e-9
@@ -96,6 +103,7 @@ def test_zero_budget_nonuniform_still_fails_bs_side():
     report = is_nash_no_diversity(
         validate_policy([0.8, 0.2]), empty_plan(cfg), cfg)
     assert report.holds is False
+    assert report.payoff == report.witness.payoff_before
     assert report.witness.player == "base-station"
 
 
@@ -319,9 +327,10 @@ def test_verify_flags_nonuniform_bs_policy():
                        num_subcarriers=2)
     _, q, plan = diversity_nash_point(2, 2, 0.4, 200)
     report = verify_diversity_nash(
-        (validate_policy([0.7, 0.3]), q, plan), cfg, 50, 0, seed=3)
+        (validate_policy([0.7, 0.3]), q, plan), cfg, 50, 1, seed=3)
     assert report.holds is False
     w = report.witness
+    assert report.payoff == w.payoff_before
     assert w.player == "base-station"
     np.testing.assert_allclose(w.strategy[0].probs, 0.5)  # uniform p wins
     assert w.payoff_after < w.payoff_before - 1e-9
@@ -349,32 +358,36 @@ def _reference_bs_witness(policy, n_sub, alpha, bs_samples, seed):
 
 
 @pytest.mark.parametrize("probs, n_sub", [
-    ([0.7, 0.3], 2), ([0.5, 0.3, 0.2], 3), ([0.25] * 4, 2)])
+    ([0.7, 0.3], 2), ([0.5, 0.3, 0.2], 3), ([0.25] * 4, 2),
+    # 49 entries of 1/49 do not fsum to 1: the uniform row, the witness, is
+    # priced only as validate_policy normalizes it
+    ([0.5 / 24] * 24 + [0.5 / 25] * 25, 3)])
 def test_verify_bs_witness_matches_per_sample_reference(probs, n_sub):
     N = len(probs)
     cfg = SystemConfig(horizon_T=200, num_users=N, alpha=0.4,
                        num_subcarriers=n_sub)
     _, q, plan = diversity_nash_point(N, n_sub, 0.4, 200)
     policy = validate_policy(probs)
-    report = verify_diversity_nash((policy, q, plan), cfg, 60, 0, seed=8)
+    report = verify_diversity_nash((policy, q, plan), cfg, 60, 1, seed=8)
     reference = _reference_bs_witness(policy, n_sub, 0.4, 60, 8)
     if reference is None:
         assert report.holds is True
         return
     (p_ref, q_ref), before, after = reference
     w = report.witness
+    assert report.payoff == w.payoff_before
     assert w.player == "base-station"
     assert w.strategy == (p_ref, q_ref)
     assert w.payoff_before.hex() == before.hex()
     assert w.payoff_after.hex() == after.hex()
 
 
-@pytest.mark.parametrize("bs_samples", [-1, 0, 1, 2, 40])
+@pytest.mark.parametrize("bs_samples", [1, 2, 40])
 def test_bs_deviations_keep_the_per_pair_draw_order(bs_samples):
     # the adversary plans are drawn from the same generator afterwards
     rng, reference = np.random.default_rng(21), np.random.default_rng(21)
     p_rows, q_rows = _sample_bs_deviations(3, 2, bs_samples, rng)
-    assert p_rows.shape == (max(bs_samples, 1), 3)
+    assert p_rows.shape == (bs_samples, 3)
     np.testing.assert_array_equal(p_rows[0], np.full(3, 1 / 3))
     np.testing.assert_array_equal(q_rows[0], [0.5, 0.5])
     for p_row, q_row in zip(p_rows[1:], q_rows[1:]):
@@ -387,6 +400,32 @@ def test_bs_deviations_keep_the_per_pair_draw_order(bs_samples):
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
+@pytest.mark.parametrize("n_sub", [2, 3, 5])
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 16])
+def test_batched_bs_price_is_the_scalar_price_bit_for_bit(N, n_sub):
+    # the audit prices every sample once, batched; a witness's payoff_after
+    # must still be the age of the policy it reports
+    p_rows, _ = _sample_bs_deviations(N, n_sub, 60, np.random.default_rng(N))
+    for alpha in (0.1, 0.45, 0.9):
+        batched = _diversity_ages(_fsum_rows(p_rows), alpha, n_sub).mean(axis=1)
+        for row, value in zip(p_rows, batched):
+            scalar = diversity_system_age(validate_policy(row), alpha, n_sub)
+            assert float(value).hex() == scalar.hex()
+
+
+@pytest.mark.parametrize("bs_samples, adv_samples", [
+    (0, 5), (-1, 5), (5, 0), (5, -1)])
+def test_verify_needs_a_sample_on_each_side(bs_samples, adv_samples):
+    # no adversary sample would certify a plan that is no best response
+    cfg = SystemConfig(horizon_T=40, num_users=2, alpha=0.2,
+                       num_subcarriers=2)
+    p, q, _ = diversity_nash_point(2, 2, 0.2, 40)
+    name = "bs_samples" if bs_samples < 1 else "adv_samples"
+    with pytest.raises(InsufficientRunsError, match=name):
+        verify_diversity_nash((p, q, empty_plan(cfg)), cfg, bs_samples,
+                              adv_samples, seed=4)
+
+
 def test_verify_flags_skewed_subcarrier_choice():
     # a skewed q hands the adversary a fat target: jam the heavy sub-carrier
     cfg = SystemConfig(horizon_T=200, num_users=2, alpha=0.4,
@@ -396,6 +435,7 @@ def test_verify_flags_skewed_subcarrier_choice():
     skew = validate_subcarrier_policy([0.7, 0.1, 0.1, 0.1])
     report = verify_diversity_nash((p, skew, plan), cfg, 100, 100, seed=9)
     assert report.holds is False
+    assert report.payoff == report.witness.payoff_before
     assert report.witness.player == "adversary"
     assert report.witness.payoff_after > report.witness.payoff_before + 1e-9
 

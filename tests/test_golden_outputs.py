@@ -93,6 +93,7 @@ SCENARIOS = {
         "plan": {"source": "middle-block", "target": 2},
         "experiment": {"name": "asymptotic"},
     },
+    # no plan: every user's unblocked age 1/p_i
     "asymptotic-diversity": {
         "model": "diversity",
         "system": {"horizon_T": 1000, "num_users": 3, "alpha": 0.3,
@@ -134,9 +135,9 @@ SCENARIOS = {
 # sha256 of each output file and of stdout
 GOLDEN = {
     "asymptotic-diversity": {
-        "asymptotic.csv": "2797983d28b8f8004bb6588ab7d9181049ec0105267063e3c233f2eca5867252",
+        "asymptotic.csv": "f772a17fe581353b8c5d61c7b97d08e2836b5b4fc523cde30d09b24fbc01f8d8",
         "scenario.json": "a9f3f8670ba515ef9269082cb3957e339c552ac13c6dd80a674f8558f52b3a2f",
-        "stdout": "ee0c7e854f467b6f79cf2575234a65d91adaf8f99184294d18e0d8a97007fa32",
+        "stdout": "7529a0d5133442bf7592fb9d7e7ea575b189bef1d0ea2d3ad02f28db232685ad",
     },
     "asymptotic-no-diversity": {
         "asymptotic.csv": "8858f626f26eff98b638e5c5b97ac4bc5597ee7ba205f9098af643e63e54cd9a",
