@@ -78,22 +78,27 @@ from .model import (
 SCHEMA_VERSION = 1
 OUT_DIR_ENV = "AOIJAM_OUT_DIR"
 
-POLICY_SOURCES = ("uniform", "explicit", "counter-block")
-PLAN_SOURCES = ("none", "middle-block", "uniform-subcarrier", "explicit",
-                "oracle")
-# the plan sources `asymptotic` has closed forms for, per model
-ASYMPTOTIC_PLAN_SOURCES = {"no-diversity": ("none", "middle-block"),
-                           "diversity": ("none", "uniform-subcarrier")}
-# every key each scenario object may hold; the experiment block's are its
-# REGISTRY entry's fields plus "name"
+# every key each scenario object may hold; a strategy object's keys depend
+# on its source, and the experiment block's are its REGISTRY entry's fields
+# plus "name"
 SCENARIO_KEYS = {
     "": ("schema_version", "model", "system", "policy", "subcarrier_policy",
          "plan", "experiment"),
     "system": ("horizon_T", "num_users", "alpha", "num_subcarriers"),
-    "policy": ("source", "probs", "target"),
-    "subcarrier_policy": ("source", "probs"),
-    "plan": ("source", "target", "block_prob", "mode"),
+    "policy": {"uniform": ("source",), "explicit": ("source", "probs"),
+               "counter-block": ("source", "target")},
+    "subcarrier_policy": {"uniform": ("source",),
+                          "explicit": ("source", "probs")},
+    "plan": {"none": ("source",), "middle-block": ("source", "target"),
+             "uniform-subcarrier": ("source",),
+             "explicit": ("source", "block_prob", "mode"),
+             "oracle": ("source",)},
 }
+POLICY_SOURCES = tuple(SCENARIO_KEYS["policy"])
+PLAN_SOURCES = tuple(SCENARIO_KEYS["plan"])
+# the plan sources `asymptotic` has closed forms for, per model
+ASYMPTOTIC_PLAN_SOURCES = {"no-diversity": ("none", "middle-block"),
+                           "diversity": ("none", "uniform-subcarrier")}
 
 
 @dataclass(frozen=True)
@@ -129,7 +134,8 @@ def _require_int(field, value, minimum=None, maximum=None):
 
 def _reject_unknown_keys(section: str, obj: dict, known=None) -> None:
     """Fail on the first key of `obj` outside `known`, by default the
-    section's SCENARIO_KEYS entry ("" is the top level)."""
+    section's SCENARIO_KEYS entry ("" is the top level); a strategy object
+    passes its source's entry."""
     for key in obj:
         if key not in (SCENARIO_KEYS[section] if known is None else known):
             _fail(f"{section}.{key}" if section else key, "unknown field")
@@ -176,10 +182,10 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     policy_spec = raw.get("policy", {"source": "uniform"})
     if not isinstance(policy_spec, dict):
         _fail("policy", "must be an object")
-    _reject_unknown_keys("policy", policy_spec)
     source = policy_spec.get("source")
     if source not in POLICY_SOURCES:
         _fail("policy.source", f"must be one of {POLICY_SOURCES}, got {source!r}")
+    _reject_unknown_keys("policy", policy_spec, SCENARIO_KEYS["policy"][source])
     if source == "explicit":
         probs = policy_spec.get("probs")
         if not isinstance(probs, list) or len(probs) != users:
@@ -194,11 +200,12 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
             _fail("subcarrier_policy", "only valid in the diversity model")
         if not isinstance(subpolicy_spec, dict):
             _fail("subcarrier_policy", "must be an object")
-        _reject_unknown_keys("subcarrier_policy", subpolicy_spec)
         sub_source = subpolicy_spec.get("source")
-        if sub_source not in ("uniform", "explicit"):
+        if sub_source not in SCENARIO_KEYS["subcarrier_policy"]:
             _fail("subcarrier_policy.source",
                   f"must be 'uniform' or 'explicit', got {sub_source!r}")
+        _reject_unknown_keys("subcarrier_policy", subpolicy_spec,
+                             SCENARIO_KEYS["subcarrier_policy"][sub_source])
         if sub_source == "explicit":
             probs = subpolicy_spec.get("probs")
             if not isinstance(probs, list) or len(probs) != nsub:
@@ -210,10 +217,10 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     plan_spec = raw.get("plan", {"source": "none"})
     if not isinstance(plan_spec, dict):
         _fail("plan", "must be an object")
-    _reject_unknown_keys("plan", plan_spec)
     plan_source = plan_spec.get("source")
     if plan_source not in PLAN_SOURCES:
         _fail("plan.source", f"must be one of {PLAN_SOURCES}, got {plan_source!r}")
+    _reject_unknown_keys("plan", plan_spec, SCENARIO_KEYS["plan"][plan_source])
     if plan_source == "middle-block":
         _require_int("plan.target", plan_spec.get("target", 0), 0,
                      system.num_channels - 1)

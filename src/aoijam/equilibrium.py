@@ -22,10 +22,19 @@ from .age_asymptotic import (
     reduced_objective,
     reduced_payoff_for_split,
 )
-from .age_exact import expected_age_trajectory_diversity
+from .age_exact import _window_system_ages, expected_age_trajectory_diversity
 from .best_response import counter_block_policy, numeric_simplex_minimizer
-from .errors import CertificateError, InsufficientRunsError, NoDiversityError
+from .errors import (
+    CertificateError,
+    DimensionMismatchError,
+    InsufficientRunsError,
+    InvalidAlphaError,
+    NoDiversityError,
+    NonPositiveEntryError,
+    NotNormalizedError,
+)
 from .model import (
+    SUM_ACCEPT_TOL,
     BlockingPlan,
     SchedulingPolicy,
     SystemConfig,
@@ -40,6 +49,9 @@ from .model import (
 )
 
 IMPROVEMENT_TOL = 1e-9  # strict-improvement threshold for witnesses
+# Delivery cells the diversity audit prices at once: a chunk holds
+# max(1, PRICE_CELLS // (distinct p_i * T)) adversary samples.
+PRICE_CELLS = 2**18
 
 # Structured adversary deviation families sampled by verify_diversity_nash;
 # a middle window centres on the T - 1 live slots, middle_window(T - 1, B).
@@ -295,23 +307,30 @@ def _sample_bs_deviations(N, N_sub, bs_samples, rng):
 
 
 def _sample_adv_deviations(config: SystemConfig, adv_samples, rng):
-    """Feasible plans from the structured deviation families."""
+    """Plans from the structured deviation families, each a list of
+    disjoint (start, stop, weights) windows (see _window_plan).
+
+    The draws are those of building every plan densely; a sample with no
+    budget is the empty list.  The samples are checked by _check_windows.
+    """
     n_sub, horizon, budget = (config.num_subcarriers, config.horizon_T,
                               config.budget_B)
-    plans = []
-    while len(plans) < adv_samples:
-        family = ADV_DEVIATION_FAMILIES[len(plans) % len(ADV_DEVIATION_FAMILIES)]
-        m = np.zeros((n_sub, horizon))
+    uniform = np.full(n_sub, 1.0 / n_sub)
+    samples = []
+    while len(samples) < adv_samples:
+        family = ADV_DEVIATION_FAMILIES[
+            len(samples) % len(ADV_DEVIATION_FAMILIES)]
         if budget == 0:
-            plans.append(BlockingPlan(m))
+            samples.append([])
             continue
         if family == "window-shift":
             start = int(rng.integers(0, horizon - budget + 1))
-            m[:, start:start + budget] = 1.0 / n_sub
+            windows = [(start, start + budget, uniform)]
         elif family == "vertex-split":
-            j = int(rng.integers(n_sub))
+            vertex = np.zeros(n_sub)
+            vertex[int(rng.integers(n_sub))] = 1.0
             start = int(rng.integers(0, horizon - budget + 1))
-            m[j, start:start + budget] = 1.0
+            windows = [(start, start + budget, vertex)]
         elif family == "two-window":
             # each window fits its half of the horizon: [0, T//2), [T//2, T)
             first = budget if budget == 1 else int(rng.integers(
@@ -320,19 +339,63 @@ def _sample_adv_deviations(config: SystemConfig, adv_samples, rng):
             second = budget - first
             s1 = int(rng.integers(0, max(1, horizon // 2 - first)))
             s2 = int(rng.integers(horizon // 2, horizon - second + 1))
-            m[:, s1:s1 + first] = 1.0 / n_sub
+            windows = [(s1, s1 + first, uniform)]
             if second:
-                m[:, s2:s2 + second] = 1.0 / n_sub
+                windows.append((s2, s2 + second, uniform))
         elif family == "nonuniform-split":
             start, stop = middle_window(horizon - 1, budget)
-            weightings = rng.dirichlet(np.ones(n_sub))
-            m[:, start:stop] = weightings[:, None]
+            windows = [(start, stop, rng.dirichlet(np.ones(n_sub)))]
         else:  # sub-budget
             short = int(rng.integers(0, budget))
             start, _ = middle_window(horizon - 1, short)
-            m[:, start:start + short] = 1.0 / n_sub
-        plans.append(BlockingPlan(m))
-    return plans
+            windows = [(start, start + short, uniform)]
+        samples.append(windows)
+    _check_windows(samples, config)
+    return samples
+
+
+def _check_windows(samples, config: SystemConfig) -> None:
+    """Raise for a window sample whose plan BlockingPlan or
+    blocking_feasible would reject, with the error they raise: windows out
+    of slot order, overlapping or leaving the horizon
+    (DimensionMismatchError), weights not finite or outside [0, 1], with no
+    slack (NonPositiveEntryError), a per-slot mass above 1
+    (NotNormalizedError), or more than budget_B blocked slots in all
+    (InvalidAlphaError)."""
+    owner, lengths = [], []
+    for k, windows in enumerate(samples):
+        free = 0
+        for start, stop, _ in windows:
+            if not free <= start <= stop <= config.horizon_T:
+                raise DimensionMismatchError(
+                    f"window [{start}, {stop}) overlaps another or leaves "
+                    f"the {config.horizon_T} slots")
+            free = stop
+            owner.append(k)
+            lengths.append(stop - start)
+    if not owner:
+        return
+    weights = np.array([w for windows in samples for _, _, w in windows])
+    if not (np.isfinite(weights).all() and np.all(weights >= 0.0)
+            and np.all(weights <= 1.0)):
+        raise NonPositiveEntryError("block probabilities must lie in [0, 1]")
+    mass = weights.sum(axis=1)
+    if np.any(mass > 1.0 + SUM_ACCEPT_TOL):
+        raise NotNormalizedError(
+            "per-slot blocking mass exceeds 1 (the adversary blocks at most "
+            "one channel per slot)")
+    spent = np.bincount(owner, weights=np.multiply(lengths, mass))
+    if np.any(spent > config.budget_B + SUM_ACCEPT_TOL):
+        raise InvalidAlphaError("blocking plan exceeds the adversary's budget")
+
+
+def _window_plan(windows, config: SystemConfig) -> BlockingPlan:
+    """The dense plan of a window sample: weights[j] on sub-carrier j in
+    slots start+1..stop of each (start, stop, weights) window, 0 elsewhere."""
+    m = np.zeros((config.num_subcarriers, config.horizon_T))
+    for start, stop, weights in windows:
+        m[:, start:stop] = weights[:, None]
+    return BlockingPlan(m)
 
 
 def verify_diversity_nash(point, config: SystemConfig, bs_samples: int,
@@ -344,8 +407,15 @@ def verify_diversity_nash(point, config: SystemConfig, bs_samples: int,
     large-horizon diversity age (q never matters there).  Adversary side:
     `adv_samples` feasible plans from ADV_DEVIATION_FAMILIES, priced by the
     exact recursion at the candidate's (p, q).  Both counts must be >= 1.
-    The payoff is the large-horizon age, or the exact age beside an
-    adversary witness.
+
+    Adversary samples stay (start, stop, weights) windows: they are priced
+    in chunks of about PRICE_CELLS delivery cells, one recursion and one
+    [1, t] certificate per chunk, with the evaluator's interception rule.
+    The first sample above the candidate by more than IMPROVEMENT_TOL is
+    the witness; it alone becomes a BlockingPlan, and its price from
+    expected_age_trajectory_diversity must equal its batched price bit for
+    bit, else CertificateError.  The payoff is the large-horizon age, or
+    the exact age beside an adversary witness.
     """
     for name, count in (("bs_samples", bs_samples),
                         ("adv_samples", adv_samples)):
@@ -369,10 +439,24 @@ def verify_diversity_nash(point, config: SystemConfig, bs_samples: int,
 
     current_exact = expected_age_trajectory_diversity(
         policy, subpolicy, plan, config).system_avg
-    for candidate in _sample_adv_deviations(config, adv_samples, rng):
-        value = expected_age_trajectory_diversity(
-            policy, subpolicy, candidate, config).system_avg
-        if value > current_exact + IMPROVEMENT_TOL:
+    samples = _sample_adv_deviations(config, adv_samples, rng)
+    # distinct p_i, counted without np.unique (which imports numpy.ma)
+    cells_per_sample = len(set(policy.probs.tolist())) * config.horizon_T
+    chunk = max(1, PRICE_CELLS // cells_per_sample)
+    for first in range(0, len(samples), chunk):
+        values = _window_system_ages(policy, subpolicy,
+                                     samples[first:first + chunk],
+                                     config.horizon_T)
+        raised = values > current_exact + IMPROVEMENT_TOL
+        if raised.any():
+            i = int(np.argmax(raised))
+            candidate = _window_plan(samples[first + i], config)
+            value = expected_age_trajectory_diversity(
+                policy, subpolicy, candidate, config).system_avg
+            if value != values[i]:
+                raise CertificateError(
+                    f"adversary witness priced {value!r} alone but "
+                    f"{float(values[i])!r} in its batch")
             return _refuted("diversity-nash", current_exact, "adversary",
                             candidate, value,
                             "blocking deviation raises system age")

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from aoijam.age_exact import (
+    _intercepted,
     _recurse_ages,
     expected_age_trajectory,
     expected_age_trajectory_diversity,
 )
-from aoijam.equilibrium import ADV_DEVIATION_FAMILIES, _sample_adv_deviations
+from aoijam.equilibrium import (
+    ADV_DEVIATION_FAMILIES,
+    _sample_adv_deviations,
+    _window_plan,
+)
 from aoijam.errors import DimensionMismatchError
 from aoijam.model import (
     BlockingPlan,
@@ -293,9 +298,10 @@ def _deviation_family(k):
     def build():
         cfg = SystemConfig(horizon_T=1500, num_users=3, alpha=0.2,
                            num_subcarriers=3)
-        plans = _sample_adv_deviations(
+        samples = _sample_adv_deviations(
             cfg, len(ADV_DEVIATION_FAMILIES), np.random.default_rng(17))
-        return _diversity_delivery([0.2, 0.5, 0.3], plans[k].block_prob)
+        return _diversity_delivery([0.2, 0.5, 0.3],
+                                   _window_plan(samples[k], cfg).block_prob)
     return build
 
 
@@ -328,6 +334,60 @@ _LOCK_CASES = {
 }
 
 
+def _stacked(*builds, width=None):
+    """The rows of every build in one matrix, each cut or edge-padded to
+    `width` slots (default: the first build's)."""
+    def build():
+        blocks = [b() for b in builds]
+        w = blocks[0].shape[1] if width is None else width
+        return np.concatenate([
+            np.pad(m[:, :w], ((0, 0), (0, max(0, w - m.shape[1]))), "edge")
+            for m in blocks])
+    return build
+
+
+def _rows(*rows):
+    return lambda: np.array([np.concatenate(r) for r in rows])
+
+
+def _run(value, length):
+    return np.full(length, value)
+
+
+# rows that share run starts, so later runs copy a cached trajectory
+_SHARED_RUN_CASES = {
+    # 20-slot windows of s = 0.9 end before its fixed point, in two rows
+    # before and one after a row that reaches it from the same entry age
+    "short-window-before-fixed-point": _rows(
+        [_run(0.5, 100), _run(0.1, 20), _run(0.5, 380)],
+        [_run(0.5, 100), _run(0.1, 20), _run(0.5, 380)],
+        [_run(0.5, 100), _run(0.1, 400)],
+        [_run(0.5, 60), _run(0.1, 20), _run(0.3, 420)]),
+    # the second row's first run is a prefix of the first row's, the third
+    # row's outlasts it
+    "prefix-of-cached-trajectory": _rows(
+        [_run(0.1, 600)], [_run(0.1, 50), _run(0.5, 550)],
+        [_run(0.1, 500), _run(0.7, 100)]),
+    # delivery 1 holds age 1, the fixed point of s = 0, from slot 1 on
+    "entered-at-fixed-point": _rows(
+        [_run(1.0, 50), _run(0.3, 50)], [_run(1.0, 20), _run(0.6, 80)],
+        [_run(0.3, 40), _run(1.0, 30), _run(0.3, 30)]),
+    # one middle window per row at shifted offsets: every row repeats the
+    # clear run and, once converged, the window and the run after it
+    "shifted-windows": lambda: np.array([
+        np.concatenate([_run(0.4, a), _run(0.1, 60), _run(0.4, 300 - a)])
+        for a in (100, 100, 150, 37, 250, 150)]),
+    "tiny-p-late-fixed-point-twice": _stacked(
+        _LOCK_CASES["tiny-p-late-fixed-point"],
+        _LOCK_CASES["tiny-p-late-fixed-point"]),
+    "tiny-p-no-fixed-point-twice": _stacked(
+        _LOCK_CASES["tiny-p-no-fixed-point"],
+        _LOCK_CASES["tiny-p-no-fixed-point"]),
+    "every-case-stacked": _stacked(*_LOCK_CASES.values(), width=3000),
+}
+_LOCK_CASES.update(_SHARED_RUN_CASES)
+
+
 @pytest.mark.parametrize("name", list(_LOCK_CASES))
 def test_recursion_is_bit_identical_to_reference(name):
     delivery = _LOCK_CASES[name]()
@@ -341,3 +401,18 @@ def test_tiny_p_cases_straddle_the_fixed_point():
     assert late[276_084] < late[276_085] == late[-1]
     never = _recurse_ages(_LOCK_CASES["tiny-p-no-fixed-point"]())[0]
     assert never[-2] < never[-1]
+
+
+def test_interception_is_the_same_column_alone_or_in_a_matrix():
+    # a matrix product may round a column differently by the operands'
+    # shapes; the ordered sum gives every column one value
+    rng = np.random.default_rng(31)
+    for n_sub in (2, 3, 5):
+        q = validate_subcarrier_policy(rng.dirichlet(np.ones(n_sub))).probs
+        m = rng.dirichlet(np.ones(n_sub), 400).T * rng.random(400)
+        whole = _intercepted(q, m)
+        expect = [sum((q[j] * m[j, t] for j in range(1, n_sub)),
+                      q[0] * m[0, t]) for t in range(400)]
+        assert whole.tobytes() == np.array(expect).tobytes()
+        for t in (0, 17, 399):
+            assert _intercepted(q, m[:, t:t + 1])[0] == whole[t]

@@ -101,6 +101,49 @@ def test_age_range_check_fires(monkeypatch):
                                 cfg)
 
 
+def _skewed_diversity_audit():
+    """A diversity audit the adversary side refutes (a heavy sub-carrier)."""
+    cfg = SystemConfig(horizon_T=200, num_users=2, alpha=0.4,
+                       num_subcarriers=4)
+    p, _, plan = equilibrium.diversity_nash_point(2, 4, 0.4, 200)
+    skew = aoijam.validate_subcarrier_policy([0.7, 0.1, 0.1, 0.1])
+    return lambda: equilibrium.verify_diversity_nash(
+        (p, skew, plan), cfg, 20, 60, seed=9)
+
+
+def test_audit_age_range_check_fires(monkeypatch):
+    audit = _skewed_diversity_audit()
+    assert audit().witness.player == "adversary"
+    monkeypatch.setattr(age_exact, "_recurse_ages",
+                        lambda delivery: np.zeros(delivery.shape))
+    with pytest.raises(CertificateError, match=r"outside \[1, t\]"):
+        audit()
+
+
+def test_audit_batch_age_range_check_fires(monkeypatch):
+    # the candidate (one distinct p, one row) is priced as before; only the
+    # batched adversary samples come back as zeros
+    real = age_exact._recurse_ages
+    monkeypatch.setattr(
+        age_exact, "_recurse_ages",
+        lambda delivery: (real(delivery) if len(delivery) == 1
+                          else np.zeros(delivery.shape)))
+    with pytest.raises(CertificateError,
+                       match=r"outside \[1, t\]") as caught:
+        _skewed_diversity_audit()()
+    assert caught.traceback[-2].name == "_window_system_ages"
+
+
+def test_audit_witness_reprice_check_fires(monkeypatch):
+    # a batch price one ulp above the witness's own price is refused
+    real = equilibrium._window_system_ages
+    monkeypatch.setattr(
+        equilibrium, "_window_system_ages",
+        lambda *args: np.nextafter(real(*args), np.inf))
+    with pytest.raises(CertificateError, match="alone but"):
+        _skewed_diversity_audit()()
+
+
 def test_oracle_reevaluation_check_fires(monkeypatch):
     cfg = SystemConfig(horizon_T=4, num_users=2, alpha=0.25)
     policy = validate_policy([0.6, 0.4])

@@ -550,6 +550,13 @@ def case(id, command, doc, field, *extra):
     return pytest.param(command, doc, list(extra), field, id=id)
 
 
+def stray(section, spec, key, doc=base_doc):
+    """An `exact` case whose `section` object holds a key its source never
+    reads."""
+    return case(f"stray-{section}-{spec['source']}-{key}", "exact",
+                doc(**{section: spec}), f"{section}.{key}")
+
+
 @pytest.mark.parametrize("command, doc, extra, field", [
     case("ragged-plan", "exact",
          base_doc(**explicit_plan([[0, 0, 0], [0, 0]])), PLAN),
@@ -623,6 +630,25 @@ def case(id, command, doc, field, *extra):
     case("unknown-experiment-key", "stackelberg",
          base_doc(experiment={"name": "stackelberg", "certify_sample": 0,
                               "seeed": 3}), "experiment.certify_sample"),
+    # a key that only another source reads once ran the source without it
+    stray("policy", {"source": "uniform", "probs": [0.9, 0.1]}, "probs"),
+    stray("policy", {"source": "explicit", "probs": [0.5, 0.5], "target": 1},
+          "target"),
+    stray("policy", {"source": "counter-block", "probs": [0.9, 0.1]},
+          "probs"),
+    stray("subcarrier_policy", {"source": "uniform", "probs": [0.9, 0.1]},
+          "probs", div_doc),
+    stray("subcarrier_policy",
+          {"source": "explicit", "probs": [0.5, 0.5], "mode": "randomized"},
+          "mode", div_doc),
+    stray("plan", {"source": "none", "target": 1}, "target"),
+    stray("plan", {"source": "middle-block", "mode": "randomized"}, "mode"),
+    stray("plan", {"source": "uniform-subcarrier", "target": 0}, "target",
+          div_doc),
+    stray("plan", {"source": "explicit", "block_prob": [[0, 0, 0]] * 2,
+                   "target": 0}, "target"),
+    stray("plan", {"source": "oracle", "block_prob": [[0, 0, 0]] * 2},
+          "block_prob"),
 ])
 def test_malformed_field_exits_2_and_names_it(tmp_path, capsys, command, doc,
                                               extra, field):

@@ -26,20 +26,33 @@ from aoijam.equilibrium import (
     _certification_policies,
     _follower_aware_payoffs,
     _fsum_rows,
+    _check_windows,
     _sample_adv_deviations,
     _sample_bs_deviations,
+    _window_plan,
     verify_diversity_nash,
+)
+from aoijam.age_exact import (
+    _window_system_ages,
+    expected_age_trajectory_diversity,
 )
 from aoijam.errors import (
     CertificateError,
     DimensionMismatchError,
     InsufficientRunsError,
+    InvalidAlphaError,
     NoDiversityError,
+    NonPositiveEntryError,
+    NotNormalizedError,
 )
 from aoijam.model import (
+    BlockingPlan,
     SystemConfig,
+    blocking_feasible,
+    check_profile,
     empty_plan,
     make_middle_block,
+    make_uniform_subcarrier_block,
     middle_window,
     uniform_policy,
     uniform_subcarrier_policy,
@@ -450,15 +463,216 @@ def test_two_window_deviations_spend_the_budget_in_both_halves(T, alpha,
     cfg = SystemConfig(horizon_T=T, num_users=2, alpha=alpha,
                        num_subcarriers=n_sub)
     families = ADV_DEVIATION_FAMILIES
-    plans = _sample_adv_deviations(cfg, 50, np.random.default_rng(T))
-    for plan in plans[families.index("two-window")::len(families)]:
-        mass = plan.block_prob.sum(axis=0)
+    samples = _sample_adv_deviations(cfg, 50, np.random.default_rng(T))
+    for windows in samples[families.index("two-window")::len(families)]:
+        (s1, e1, w1), (s2, e2, w2) = windows
+        assert 0 <= s1 < e1 <= T // 2 <= s2 < e2 <= T
+        assert (e1 - s1) + (e2 - s2) == cfg.budget_B
+        mass = _window_plan(windows, cfg).block_prob.sum(axis=0)
         np.testing.assert_allclose(mass[mass > 0], 1.0)
         assert np.count_nonzero(mass) == cfg.budget_B
-        for half in (mass[:T // 2], mass[T // 2:]):
-            spent = np.flatnonzero(half)
-            assert spent.size > 0
-            assert spent[-1] - spent[0] + 1 == spent.size  # one window
+
+
+def _reference_adv_deviations(config, adv_samples, rng):
+    """The adversary samples built as dense plans, one family per sample in
+    turn, as the audit built them before it kept them as windows."""
+    n_sub, horizon, budget = (config.num_subcarriers, config.horizon_T,
+                              config.budget_B)
+    plans = []
+    while len(plans) < adv_samples:
+        family = ADV_DEVIATION_FAMILIES[len(plans) % len(ADV_DEVIATION_FAMILIES)]
+        m = np.zeros((n_sub, horizon))
+        if budget == 0:
+            plans.append(BlockingPlan(m))
+            continue
+        if family == "window-shift":
+            start = int(rng.integers(0, horizon - budget + 1))
+            m[:, start:start + budget] = 1.0 / n_sub
+        elif family == "vertex-split":
+            j = int(rng.integers(n_sub))
+            start = int(rng.integers(0, horizon - budget + 1))
+            m[j, start:start + budget] = 1.0
+        elif family == "two-window":
+            first = budget if budget == 1 else int(rng.integers(
+                max(1, budget - (horizon + 1) // 2),
+                min(budget - 1, horizon // 2) + 1))
+            second = budget - first
+            s1 = int(rng.integers(0, max(1, horizon // 2 - first)))
+            s2 = int(rng.integers(horizon // 2, horizon - second + 1))
+            m[:, s1:s1 + first] = 1.0 / n_sub
+            if second:
+                m[:, s2:s2 + second] = 1.0 / n_sub
+        elif family == "nonuniform-split":
+            start, stop = middle_window(horizon - 1, budget)
+            m[:, start:stop] = rng.dirichlet(np.ones(n_sub))[:, None]
+        else:  # sub-budget
+            short = int(rng.integers(0, budget))
+            start, _ = middle_window(horizon - 1, short)
+            m[:, start:start + short] = 1.0 / n_sub
+        plans.append(BlockingPlan(m))
+    return plans
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("T, alpha", [
+    (1, 0.5), (2, 0.5), (10, 0.05), (7, 0.95), (40, 0.99), (41, 0.3),
+    (120, 0.2), (333, 0.51)])
+@pytest.mark.parametrize("n_sub", [2, 3, 5])
+def test_window_samples_are_the_dense_plans(T, alpha, n_sub, seed):
+    # B = 0 at T = 1 and 10; B = T - 1 at T = 7 and 40
+    cfg = SystemConfig(horizon_T=T, num_users=3, alpha=alpha,
+                       num_subcarriers=n_sub)
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    samples = _sample_adv_deviations(cfg, 23, rng)
+    plans = _reference_adv_deviations(cfg, 23, reference)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert len(samples) == 23
+    for k, (windows, expected) in enumerate(zip(samples, plans)):
+        plan = _window_plan(windows, cfg)
+        assert plan.block_prob.tobytes() == expected.block_prob.tobytes(), (
+            ADV_DEVIATION_FAMILIES[k % len(ADV_DEVIATION_FAMILIES)])
+        assert blocking_feasible(plan, cfg)
+
+
+@pytest.mark.parametrize("windows, error", [
+    ([(3, 5, np.array([0.5, 0.5])), (4, 6, np.array([0.5, 0.5]))],
+     DimensionMismatchError),  # overlap
+    ([(5, 8, np.array([0.5, 0.5])), (1, 2, np.array([0.5, 0.5]))],
+     DimensionMismatchError),  # out of slot order
+    ([(38, 41, np.array([0.5, 0.5]))], DimensionMismatchError),
+    ([(-1, 2, np.array([0.5, 0.5]))], DimensionMismatchError),
+    ([(1, 3, np.array([np.nan, 0.5]))], NonPositiveEntryError),
+    ([(1, 3, np.array([1.5, 0.0]))], NonPositiveEntryError),
+    ([(1, 3, np.array([-0.1, 0.5]))], NonPositiveEntryError),
+    ([(1, 3, np.array([0.7, 0.7]))], NotNormalizedError),
+    ([(0, 5, np.array([0.5, 0.5])), (9, 13, np.array([1.0, 0.0]))],
+     InvalidAlphaError),  # 9 slots, B = 8
+])
+def test_window_check_raises_what_the_plan_check_raises(windows, error):
+    cfg = SystemConfig(horizon_T=40, num_users=2, alpha=0.2,
+                       num_subcarriers=2)
+    with pytest.raises(error):
+        _check_windows([[(0, 1, np.array([0.5, 0.5]))], windows], cfg)
+    if error is not DimensionMismatchError:
+        # the dense plan of the same windows fails with the same class
+        with pytest.raises(error):
+            plan = _window_plan(windows, cfg)
+            check_profile(uniform_policy(2), uniform_subcarrier_policy(2),
+                          plan, cfg)
+
+
+@pytest.mark.parametrize("n_sub", [2, 3, 5])
+@pytest.mark.parametrize("N", [1, 2, 7, 9, 16])
+def test_window_prices_are_the_evaluator_prices_bit_for_bit(N, n_sub):
+    # every sample, not only a witness: one interception rule, one mean
+    # order, whatever the batch's shape
+    rng = np.random.default_rng(N * 10 + n_sub)
+    cfg = SystemConfig(horizon_T=90, num_users=N, alpha=0.3,
+                       num_subcarriers=n_sub)
+    p = rng.dirichlet(np.ones(N)) + 0.01
+    policy = validate_policy(p / p.sum())
+    subpolicy = validate_subcarrier_policy(rng.dirichlet(np.ones(n_sub)))
+    samples = _sample_adv_deviations(cfg, 40, rng)
+    batched = _window_system_ages(policy, subpolicy, samples, 90)
+    for windows, value in zip(samples, batched):
+        alone = expected_age_trajectory_diversity(
+            policy, subpolicy, _window_plan(windows, cfg), cfg).system_avg
+        assert float(value).hex() == alone.hex()
+
+
+def _reference_audit(point, config, bs_samples, adv_samples, seed):
+    """verify_diversity_nash with each adversary plan built densely and
+    priced alone by expected_age_trajectory_diversity."""
+    policy, subpolicy, plan = point
+    rng = np.random.default_rng(seed)
+    alpha, n_sub = config.alpha, config.num_subcarriers
+    current = diversity_system_age(policy, alpha, n_sub)
+    p_rows, q_rows = _sample_bs_deviations(policy.n, n_sub, bs_samples, rng)
+    for p_row, q_row in zip(p_rows, q_rows):
+        p_dev = validate_policy(p_row)
+        value = diversity_system_age(p_dev, alpha, n_sub)
+        if value < current - IMPROVEMENT_TOL:
+            return (False, current, "base-station",
+                    (p_dev, validate_subcarrier_policy(q_row)), value)
+    exact = expected_age_trajectory_diversity(
+        policy, subpolicy, plan, config).system_avg
+    for candidate in _reference_adv_deviations(config, adv_samples, rng):
+        value = expected_age_trajectory_diversity(
+            policy, subpolicy, candidate, config).system_avg
+        if value > exact + IMPROVEMENT_TOL:
+            return False, exact, "adversary", candidate, value
+    return True, current, None, None, None
+
+
+def _random_audit(rng):
+    """A random diversity profile, config and sample counts."""
+    N, n_sub = int(rng.integers(1, 7)), int(rng.choice([2, 3, 5]))
+    T, alpha = int(rng.integers(6, 120)), float(rng.uniform(0.05, 0.95))
+    cfg = SystemConfig(horizon_T=T, num_users=N, alpha=alpha,
+                       num_subcarriers=n_sub)
+    kind = rng.integers(3)  # uniform, near-uniform or random p
+    p = (np.full(N, 1.0 / N) if kind == 0 else
+         np.clip(1.0 / N + rng.normal(0, 1e-3, N), 1e-3, None) if kind == 1
+         else rng.dirichlet(np.ones(N)) + 1e-3)
+    q = rng.dirichlet(np.ones(n_sub)) if rng.random() < 0.5 else np.full(
+        n_sub, 1.0 / n_sub)
+    m = np.zeros((n_sub, T))  # a random plan spending at most B slots
+    slots = rng.permutation(T)[:int(rng.integers(0, cfg.budget_B + 1))]
+    m[:, slots] = rng.dirichlet(np.ones(n_sub), slots.size).T * rng.uniform(
+        0.5, 1.0, slots.size)
+    if rng.random() < 0.3:
+        m = make_uniform_subcarrier_block(cfg).block_prob
+    point = (validate_policy(p / p.sum()), validate_subcarrier_policy(q),
+             BlockingPlan(m))
+    return point, cfg, int(rng.integers(1, 12)), int(rng.integers(1, 30))
+
+
+def test_audit_replays_the_per_plan_reference(monkeypatch):
+    rng = np.random.default_rng(2024)
+    players, cells = [], equilibrium.PRICE_CELLS
+    for k in range(400):
+        point, cfg, bs, adv = _random_audit(rng)
+        seed = int(rng.integers(1000))
+        # every other audit prices a few samples per chunk
+        monkeypatch.setattr(equilibrium, "PRICE_CELLS",
+                            cells if k % 2 else 1000)
+        report = verify_diversity_nash(point, cfg, bs, adv, seed=seed)
+        holds, payoff, player, strategy, after = _reference_audit(
+            point, cfg, bs, adv, seed)
+        assert report.holds is holds
+        assert report.payoff.hex() == payoff.hex()
+        if holds:
+            assert report.witness is None
+            continue
+        w = report.witness
+        players.append(w.player)
+        assert w.player == player
+        assert w.payoff_after.hex() == after.hex()
+        if player == "adversary":
+            assert w.strategy.block_prob.tobytes() == (
+                strategy.block_prob.tobytes())
+        else:
+            assert w.strategy == strategy
+    # every branch of the audit ran
+    assert {"adversary", "base-station"} <= set(players)
+    assert len(players) < 400
+
+
+def test_audit_prices_samples_across_chunks(monkeypatch):
+    # a chunk of one sample, so the witness comes from a later chunk
+    cfg = SystemConfig(horizon_T=200, num_users=4, alpha=0.4,
+                       num_subcarriers=4)
+    p, _, plan = diversity_nash_point(4, 4, 0.4, 200)
+    point = (p, validate_subcarrier_policy([0.7, 0.1, 0.1, 0.1]), plan)
+    whole = verify_diversity_nash(point, cfg, 10, 100, seed=9)
+    monkeypatch.setattr(equilibrium, "PRICE_CELLS", 1)
+    chunked = verify_diversity_nash(point, cfg, 10, 100, seed=9)
+    assert whole.witness.player == chunked.witness.player == "adversary"
+    assert whole.witness.strategy == chunked.witness.strategy
+    assert whole.witness.payoff_after.hex() == (
+        chunked.witness.payoff_after.hex())
+    assert _reference_audit(point, cfg, 10, 100, 9)[4] == (
+        whole.witness.payoff_after)
 
 
 def test_verify_requires_diversity_and_feasible_plan():
