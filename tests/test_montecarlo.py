@@ -61,6 +61,22 @@ def test_mix_seed_on_uint64_arrays_matches_the_int_path():
         assert got.tolist() == [mix_seed(master, c) for c in positions]
 
 
+@pytest.mark.parametrize("master", [7, 2**63 + 12345], ids=["small-seed",
+                                                           "seed-above-2**63"])
+@pytest.mark.parametrize("stream", [0, 1, 2])
+def test_uniforms_are_slot_major(stream, master):
+    # one column per run: row t - 1, column k - start holds u(k, s, t),
+    # recomputed here one Python int at a time
+    start, stop, horizon = 5, 9, 7
+    got = montecarlo._uniforms(master, start, stop, stream, horizon)
+    assert got.shape == (horizon, stop - start) and got.dtype == np.float64
+    for k in range(start, stop):
+        for t in range(1, horizon + 1):
+            counter = (3 * k + stream) * horizon + t - 1
+            want = (mix_seed(master, counter) >> 11) * 2.0**-53
+            assert got[t - 1, k - start] == want
+
+
 # chi-square 0.999 quantile at 63 degrees of freedom
 _CHI2_63_Q999 = 103.44
 
@@ -254,7 +270,7 @@ def test_rounded_away_subcarrier_mass_still_delivers(monkeypatch, randomized):
     monkeypatch.setattr(
         montecarlo, "_uniforms",
         lambda master_seed, start, stop, stream, horizon: np.full(
-            (stop - start, horizon), np.nextafter(1.0, 0.0)))
+            (horizon, stop - start), np.nextafter(1.0, 0.0)))
     est = estimate_average_age(validate_policy([1.0]), q, BlockingPlan(m),
                                cfg, 2, 0)
     assert est.mean_system_age == 1.0
@@ -414,8 +430,23 @@ def _per_run_reference(policy, subpolicy, plan, config, runs, master_seed):
     return mean_system, per_user_mean, math.sqrt(sample_var / runs)
 
 
+_WIDE_USERS, _WIDE_SUBCARRIERS = 130, 300  # codes past the int8 range
+
+
 def _lock_scenario(plan_kind, horizon):
+    """The lock's profiles.  wide-users (130 users) and wide-subcarriers
+    (300 sub-carriers, a randomized plan over all of them) draw categories
+    past the int8 codes; past 255 an int8 count would wrap onto the codes
+    of other channels."""
     pol = validate_policy(_LOCK_PROBS)
+    if plan_kind == "wide-users":
+        cfg = SystemConfig(horizon, _WIDE_USERS, 0.3)
+        return (uniform_policy(_WIDE_USERS), None,
+                make_middle_block(cfg, _WIDE_USERS - 1), cfg)
+    if plan_kind == "wide-subcarriers":
+        cfg = SystemConfig(horizon, 3, 0.3, num_subcarriers=_WIDE_SUBCARRIERS)
+        return (pol, uniform_subcarrier_policy(_WIDE_SUBCARRIERS),
+                make_uniform_subcarrier_block(cfg), cfg)
     if plan_kind == "diversity":
         cfg = SystemConfig(horizon, 3, 0.3, num_subcarriers=3)
         return (pol, validate_subcarrier_policy([0.5, 0.25, 0.25]),
@@ -425,15 +456,30 @@ def _lock_scenario(plan_kind, horizon):
     return pol, None, plan, cfg
 
 
-@pytest.mark.parametrize("plan_kind", ["empty", "middle", "diversity"])
-@pytest.mark.parametrize("horizon,runs", [
+_LOCK_SIZES = [
     (500, _RUNS_AT_500 - 1),
     (500, _RUNS_AT_500),
     (500, _RUNS_AT_500 + 1),
     (500, 3 * _RUNS_AT_500 + 5),
     (1, 40),
     (BLOCK_CELLS + 1, 3),  # a block holds a single run
-])
+]
+_LOCK_CELLS = [(kind, horizon, runs)
+               for kind in ("empty", "middle", "diversity")
+               for horizon, runs in _LOCK_SIZES] + [
+    ("wide-users", 40, 30),
+    ("wide-subcarriers", 40, 30),
+    # the last horizon with int16 slot stamps and the first past it; the
+    # stamp of slot T never enters the age sum, so only T = 2**15 + 1 would
+    # see a stamp wrap in int16
+    ("middle", 2**15 - 1, 2),
+    ("middle", 2**15, 2),
+    ("middle", 2**15 + 1, 2),
+]
+
+
+@pytest.mark.parametrize("plan_kind,horizon,runs", [
+    pytest.param(*cell, id="{1}-{2}-{0}".format(*cell)) for cell in _LOCK_CELLS])
 def test_estimate_matches_per_run_loop_bit_for_bit(plan_kind, horizon, runs):
     pol, q, plan, cfg = _lock_scenario(plan_kind, horizon)
     est = estimate_average_age(pol, q, plan, cfg, runs, 31337)
