@@ -40,8 +40,9 @@ for name, rival in rivals.items():
     print(f"{name:>14} {value:>18.4f}{marker}")
 
 # Independent route: minimize under the constraint that probabilities be
-# non-increasing. The constraint is inactive at the optimum, so the
-# solver must reproduce the uniform point.
+# non-increasing, with the blocked user last. The free minimizer would
+# schedule that user most; the solver pools the weights that break the
+# order into one block of their mean, which lands on the uniform point.
 ordered = ordered_kkt_solver(N, ALPHA)
 print(f"\norder-constrained solver: {np.round(ordered.probs, 10)}")
 print(f"max deviation from uniform: "

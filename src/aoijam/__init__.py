@@ -31,7 +31,6 @@ from .best_response import (
     numeric_simplex_minimizer,
     oracle_plan_count,
     ordered_kkt_solver,
-    project_simplex,
 )
 from .equilibrium import (
     DeviationWitness,
@@ -130,7 +129,6 @@ __all__ = [
     "numeric_simplex_minimizer",
     "oracle_plan_count",
     "ordered_kkt_solver",
-    "project_simplex",
     "reduced_objective",
     "reduced_payoff_for_split",
     "stackelberg_equilibrium",

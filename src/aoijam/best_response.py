@@ -2,9 +2,10 @@
 
 Base-station side: minimizing sum w_i/p_i over the probability simplex has
 the closed form p_i proportional to sqrt(w_i); blocking inflates the blocked
-user's weight to 1+alpha.  A projected-gradient routine (Barzilai-Borwein
-steps, Armijo backtracking, exact simplex projection) recomputes the optimum
-numerically so the closed form is never trusted on its own.
+user's weight to 1+alpha.  A bisection on the KKT level recomputes the
+optimum by a second route, so the closed form is never trusted on its own,
+and the leader's order-constrained problem pools adjacent violators of the
+order before taking the same closed form.
 
 Adversary side: the structured response concentrates the whole budget on the
 most starved user in one consecutive middle window; an exhaustive oracle
@@ -41,8 +42,6 @@ from .model import (
     validate_policy,
 )
 
-DESCENT_TOL = 1e-10  # gradient-mapping norm at termination
-DESCENT_MAX_ITER = 100_000
 CLOSED_FORM_AGREEMENT = 1e-8
 ORACLE_MAX_PLANS = 10_000_000
 ORACLE_CHUNK_PLANS = 2**15  # leaves the oracle expands at once
@@ -63,69 +62,6 @@ class AdversaryResponse:
     payoff: float
     target: int | None = None
     tied_actions: np.ndarray | None = None
-
-
-# ===========================================================================
-#  Simplex machinery
-# ===========================================================================
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x = 1} (sort-based, exact)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, v.size + 1)
-    rho = np.nonzero(u * idx > (css - 1.0))[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def _bb_projected_descent(fun, grad, x0):
-    """Minimize fun over the probability simplex by projected gradient descent.
-
-    Barzilai-Borwein step lengths with Armijo backtracking; stops when the
-    gradient-mapping norm ||x - P(x - t*g)|| / t falls below DESCENT_TOL.
-    fun must return +inf outside its domain so backtracking cannot leave it.
-    """
-    x = np.asarray(x0, dtype=float)
-    fx = fun(x)
-    g = grad(x)
-    step = 1.0
-    prev_x = prev_g = None
-    for _ in range(DESCENT_MAX_ITER):
-        if prev_x is not None:
-            s = x - prev_x
-            y = g - prev_g
-            sy = float(s @ y)
-            step = float(s @ s) / sy if sy > 1e-30 else 1.0
-            step = min(max(step, 1e-12), 1e12)
-        while True:
-            x_new = project_simplex(x - step * g)
-            f_new = fun(x_new)
-            if f_new <= fx - 1e-4 * float(g @ (x - x_new)) or step < 1e-16:
-                break
-            step *= 0.5
-        gap = float(np.linalg.norm(x - x_new)) / step
-        prev_x, prev_g = x, g
-        x, fx = x_new, f_new
-        if gap <= DESCENT_TOL:
-            return x
-        g = grad(x)
-    raise ConvergenceFailureError(
-        f"projected descent still above tolerance after {DESCENT_MAX_ITER} "
-        "iterations")
-
-
-def _inverse_weight_objective(weights: np.ndarray):
-    def fun(p):
-        if p.min() <= 0.0:
-            return np.inf
-        return float(np.sum(weights / p))
-
-    def grad(p):
-        return -weights / (p * p)
-
-    return fun, grad
 
 
 # ===========================================================================
@@ -165,14 +101,16 @@ def counter_block_policy(N: int, alpha: float,
 
 
 def numeric_simplex_minimizer(weights) -> SchedulingPolicy:
-    """Minimize sum w_i/p_i over the simplex by projected descent.
+    """Minimize sum w_i/p_i over the simplex: p_i = sqrt(w_i)/sum_j sqrt(w_j).
 
-    Returns the descent iterate, cross-checked against the closed form
-    p_i = sqrt(w_i)/sum_j sqrt(w_j) to 1e-8; disagreement raises
-    ConvergenceFailureError rather than silently preferring either route.
-    Weights other than a 1-D array raise DimensionMismatchError; an empty
-    array or an entry that is not a finite number > 0 raises
-    NonPositiveEntryError.
+    The closed form is checked by a second route, a bisection on the KKT
+    level lam with sum_i sqrt(u_i/lam) = 1 for u = w/max(w), so p_i =
+    sqrt(u_i/lam).  As sum_i sqrt(u_i) lies in [1, N], lam lies in
+    [1, N^2], whatever the scale of w; the bisection halves that bracket
+    until its midpoint equals an endpoint.  Routes more than
+    CLOSED_FORM_AGREEMENT apart raise ConvergenceFailureError.  Weights
+    other than a 1-D array raise DimensionMismatchError; an empty array or
+    an entry that is not a finite number > 0 raises NonPositiveEntryError.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1:
@@ -185,28 +123,35 @@ def numeric_simplex_minimizer(weights) -> SchedulingPolicy:
         i = int(np.argmax(bad))
         raise NonPositiveEntryError(
             f"w[{i}] = {w[i]} must be a finite number > 0")
-    fun, grad = _inverse_weight_objective(w)
-    numeric = _bb_projected_descent(fun, grad, np.full(w.size, 1.0 / w.size))
     closed = np.sqrt(w) / np.sqrt(w).sum()
-    drift = float(np.max(np.abs(numeric - closed)))
+    u = w / w.max()
+    lo, hi = 1.0, float(w.size) ** 2
+    lam = (lo + hi) / 2
+    while lo < lam < hi:
+        if np.sqrt(u / lam).sum() > 1.0:
+            lo = lam
+        else:
+            hi = lam
+        lam = (lo + hi) / 2
+    drift = float(np.max(np.abs(np.sqrt(u / lam) - closed)))
     if drift > CLOSED_FORM_AGREEMENT:
         raise ConvergenceFailureError(
-            f"descent and closed form disagree by {drift:.3e}")
-    return validate_policy(numeric)
+            f"the closed form and its bisection disagree by {drift:.3e}")
+    return validate_policy(closed)
 
 
 def ordered_kkt_solver(N: int, alpha: float) -> SchedulingPolicy:
-    """Numerically solve the leader's problem with an explicit ordering cone.
+    """Solve the leader's problem under an explicit ordering constraint.
 
     Minimizes 1/p_1 + ... + 1/p_{N-1} + (1+alpha)/p_N subject to the simplex
     and p_1 >= ... >= p_N (the blocked user is, without loss of generality,
     the least-scheduled one).  The optimum is uniform; this routine exists to
     certify that instead of assuming it.
 
-    The ordered set is the image of the simplex under p = A e, with
-    A[k, j] = 1/(j+1) for j >= k in 0-based indices (so e_k is (k+1) times
-    the drop from p_k to the next entry), and the descent runs on e with the
-    simplex projection, then returns A e.
+    The free minimizer p ~ sqrt(w) has the order of w, so the ordered one
+    pools adjacent violators of the non-increasing order on w: each pooled
+    block shares one p, the minimizer for its mean weight.  The result is
+    numeric_simplex_minimizer of the pooled weights.
     """
     if N < 2:
         raise DimensionMismatchError(f"N must be >= 2, got {N}")
@@ -214,15 +159,17 @@ def ordered_kkt_solver(N: int, alpha: float) -> SchedulingPolicy:
         raise InvalidAlphaError(f"alpha must lie in (0, 1), got {alpha}")
     w = np.ones(N)
     w[-1] = 1.0 + alpha
-    fun, grad = _inverse_weight_objective(w)
-    A = np.triu(np.broadcast_to(1.0 / np.arange(1, N + 1), (N, N)))
-    # e0 ~ (1, ..., N) maps to the strictly decreasing p0 ~ (N, ..., 1), so
-    # the ordering constraint is genuinely explored
-    e0 = np.arange(1, N + 1, dtype=float)
-    e0 /= e0.sum()
-    e = _bb_projected_descent(lambda x: fun(A @ x),
-                              lambda x: A.T @ grad(A @ x), e0)
-    return validate_policy(A @ e)
+    blocks = []  # [weight total, size] of each pooled block, in order
+    for x in w:
+        blocks.append([x, 1])
+        while len(blocks) > 1 and (blocks[-2][0] / blocks[-2][1]
+                                   < blocks[-1][0] / blocks[-1][1]):
+            total, size = blocks.pop()
+            blocks[-1][0] += total
+            blocks[-1][1] += size
+    pooled = np.concatenate([np.full(size, total / size)
+                             for total, size in blocks])
+    return numeric_simplex_minimizer(pooled)
 
 
 # ===========================================================================

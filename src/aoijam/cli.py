@@ -33,6 +33,7 @@ from .age_asymptotic import (
     _blocked_age,
     diversity_user_ages,
     reduced_objective,
+    reduced_payoff_for_split,
     system_age_no_diversity,
     unblocked_user_age,
 )
@@ -526,9 +527,10 @@ def _run_best_response(sc, out_dir, emit):
     emit(f"adversary best response: middle-block user {adv.target}, "
          f"reduced payoff {adv.payoff:.6f}")
     plan = resolve_plan(sc, policy)
-    weights = 1.0 + plan.block_prob.sum(axis=1) / sc.system.horizon_T
-    bs = numeric_simplex_minimizer(weights)
-    bs_payoff = float(np.sum(weights / bs.probs))
+    T = sc.system.horizon_T
+    shares = plan.block_prob.sum(axis=1) / T
+    bs = numeric_simplex_minimizer(1.0 + shares)
+    bs_payoff = reduced_payoff_for_split(bs, shares, T)
     rows.append(("bs-best-response", None, bs_payoff, serialize_strategy(bs)))
     emit(f"base-station best response to the plan: {np.array2string(bs.probs, precision=6)}")
     write_equilibrium_csv(os.path.join(out_dir, "equilibrium.csv"), rows)

@@ -47,7 +47,7 @@ class InvalidAlphaError(AoijamError, ValueError):
 
 
 class ConvergenceFailureError(AoijamError, RuntimeError):
-    """Iterative solver stalled above its stated tolerance."""
+    """A closed form and its numeric second route disagree."""
 
 
 class CertificateError(AoijamError, RuntimeError):

@@ -1,5 +1,5 @@
-"""Best responses: closed forms vs. numeric descent, structured adversary
-vs. exhaustive oracle."""
+"""Best responses: closed forms vs. their KKT bisection, structured
+adversary vs. exhaustive oracle."""
 
 import functools
 import math
@@ -20,7 +20,6 @@ from aoijam.best_response import (
     numeric_simplex_minimizer,
     oracle_plan_count,
     ordered_kkt_solver,
-    project_simplex,
 )
 from aoijam.errors import (
     ConvergenceFailureError,
@@ -36,29 +35,6 @@ from aoijam.model import (
     uniform_policy,
     validate_policy,
 )
-
-# ===========================================================================
-#  Projections
-# ===========================================================================
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_simplex_projection_is_feasible_and_optimal(seed):
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=rng.integers(1, 9)) * 3
-    x = project_simplex(v)
-    assert x.min() >= 0.0
-    assert x.sum() == pytest.approx(1.0, abs=1e-12)
-    # projection beats random feasible points in distance
-    for _ in range(20):
-        z = rng.dirichlet(np.ones(v.size))
-        assert np.sum((x - v) ** 2) <= np.sum((z - v) ** 2) + 1e-12
-
-
-def test_simplex_projection_fixes_feasible_points():
-    v = np.array([0.2, 0.5, 0.3])
-    np.testing.assert_allclose(project_simplex(v), v, atol=1e-15)
-
 
 # ===========================================================================
 #  Base-station closed form and numeric minimizer
@@ -215,10 +191,48 @@ def test_ordered_solver_validates_inputs():
     lambda: numeric_simplex_minimizer([1.0, 2.0, 3.0]),
     lambda: ordered_kkt_solver(4, 0.5),
 ], ids=["simplex", "ordered"])
-def test_descent_out_of_iterations_raises(monkeypatch, solve):
-    monkeypatch.setattr(best_response, "DESCENT_MAX_ITER", 1)
-    with pytest.raises(ConvergenceFailureError, match="after 1 iterations"):
+def test_disagreeing_routes_raise(monkeypatch, solve):
+    # no drift, not even 0, passes a negative agreement bound
+    monkeypatch.setattr(best_response, "CLOSED_FORM_AGREEMENT", -1.0)
+    with pytest.raises(ConvergenceFailureError,
+                       match="closed form and its bisection disagree"):
         solve()
+
+
+def test_numeric_minimizer_returns_the_closed_form_bit_for_bit():
+    rng = np.random.default_rng(718)
+    for _ in range(50):
+        w = rng.uniform(0.01, 100.0, size=rng.integers(1, 12))
+        expected = validate_policy(np.sqrt(w) / np.sqrt(w).sum())
+        assert numeric_simplex_minimizer(w).probs.tobytes() == (
+            expected.probs.tobytes())
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_numeric_minimizer_is_scale_free(scale):
+    # the bisection runs on w / max(w), so its bracket never overflows
+    rng = np.random.default_rng(719)
+    w = rng.uniform(0.1, 10.0, size=7)
+    np.testing.assert_allclose(numeric_simplex_minimizer(w * scale).probs,
+                               numeric_simplex_minimizer(w).probs,
+                               rtol=1e-14, atol=0.0)
+
+
+def test_numeric_minimizer_single_user():
+    assert numeric_simplex_minimizer([3.5]).probs.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ordered_solver_beats_every_sampled_ordered_policy(n):
+    rng = np.random.default_rng(720 + n)
+    for alpha in (0.1, 0.5, 0.9):
+        w = np.ones(n)
+        w[-1] = 1.0 + alpha
+        probs = ordered_kkt_solver(n, alpha).probs
+        assert np.all(np.diff(probs) <= 0.0)
+        best = float(np.sum(w / probs))
+        rivals = -np.sort(-rng.dirichlet(np.ones(n), size=300), axis=1)
+        assert np.all(np.sum(w / rivals, axis=1) >= best)
 
 
 # ===========================================================================

@@ -7,7 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from aoijam.age_asymptotic import AsymptoticValidityWarning
+from aoijam.age_asymptotic import (
+    AsymptoticValidityWarning,
+    reduced_payoff_for_split,
+)
+from aoijam.best_response import numeric_simplex_minimizer
 from aoijam.cli import (
     ScenarioConfig,
     main,
@@ -18,7 +22,7 @@ from aoijam.cli import (
     serialize_strategy,
 )
 from aoijam.errors import ScenarioParseError, ScenarioValidationError
-from aoijam.model import BlockingPlan
+from aoijam.model import BlockingPlan, SystemConfig, make_middle_block
 
 
 def write_scenario(tmp_path, doc, name="scenario_in.json"):
@@ -378,6 +382,13 @@ def test_best_response_writes_both_players(tmp_path):
     assert lines[1].startswith("adversary-best-response,,")
     assert "target=0" in lines[1]
     assert lines[2].startswith("bs-best-response,,")
+    # the base station's row is the reduced payoff of its reply, as is the
+    # adversary's
+    config = SystemConfig(horizon_T=100, num_users=3, alpha=0.5)
+    shares = make_middle_block(config, 0).block_prob.sum(axis=1) / 100
+    reply = numeric_simplex_minimizer(1.0 + shares)
+    assert lines[2].split(",")[2] == repr(
+        reduced_payoff_for_split(reply, shares, 100))
 
 
 def test_oracle_reports_gap(tmp_path, capsys):

@@ -120,6 +120,15 @@ SCENARIOS = {
         "plan": {"source": "none"},
         "experiment": {"name": "nash-verify"},
     },
+    # a middle block is no Nash point: the witness is the base station's
+    # closed-form reply
+    "nash-verify-no-diversity-bs-witness": {
+        "model": "no-diversity",
+        "system": {"horizon_T": 200, "num_users": 3, "alpha": 0.2},
+        "policy": {"source": "uniform"},
+        "plan": {"source": "middle-block", "target": 1},
+        "experiment": {"name": "nash-verify"},
+    },
     "exact-counter-block-explicit-plan": {
         "model": "no-diversity",
         "system": {"horizon_T": 6, "num_users": 3, "alpha": 0.5},
@@ -145,7 +154,7 @@ GOLDEN = {
         "stdout": "70f9ea287dffb85b7c5bdf40ea8bf5eafb5c99939b657f7e2bdf2f2a9f226add",
     },
     "best-response": {
-        "equilibrium.csv": "8c0737937177de8531112104cd3444ff4097d110f887e9f88a550011e9f1957b",
+        "equilibrium.csv": "88cc8259bf8b1c9096b73166cecb538db30c423534e99bd02ce77b3a715b42ba",
         "scenario.json": "1633b86b75195bdbbcb3b2ba1acf460a4d41442dcba813c5b61d07cc280f1daa",
         "stdout": "9c091eb4da4b2b6d9ede988884b7bb6bdf098485d48563c07ed52936d63f8a8b",
     },
@@ -178,6 +187,11 @@ GOLDEN = {
         "equilibrium.csv": "c3180d36d6870ba1b973524c1c8eca1e57d158ac7e00e429715739893d3af964",
         "scenario.json": "c7c39165db8b0fbe727e4b866f5862a2f8479bfd7fc26667f7cec456b105243d",
         "stdout": "6d0426d20d486c97431ad382640922badf0dd4c5152142252f378b123a6515b7",
+    },
+    "nash-verify-no-diversity-bs-witness": {
+        "equilibrium.csv": "44716a6ae3546afc1d9c5f12382cf89f65e10ac1749ce2b4ba15af67457c3c50",
+        "scenario.json": "e8070fff1056de13746a2691676063d27e734ab4f0d5c3a2a8851c1fb5cd63d1",
+        "stdout": "216fc34605eb70928f68d1a27deba0488f533eb2f78c471582ea0aa12198ce9c",
     },
     "nash-verify-no-diversity-witness": {
         "equilibrium.csv": "4e72c3bf081acf1f6e159e8c9bfc686bf2c2d76326895bf0558f1b87a4b772ff",
