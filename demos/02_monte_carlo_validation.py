@@ -1,7 +1,10 @@
 """Stochastic simulation against the exact recursion.
 
-The estimator draws full delivery histories slot by slot, so its mean
-must drift toward the recursion's answer at the usual 1/sqrt(runs) rate.
+The estimator realizes whole runs in slot-major blocks: every uniform it
+needs is a hash of (seed, run, stream, slot), and each slot's step is one
+array operation across the block's runs.  The runs are independent, so
+the mean must drift toward the recursion's answer at the usual
+1/sqrt(runs) rate.
 We watch that happen on a three-user system with the weakest user jammed.
 """
 

@@ -291,18 +291,23 @@ def diversity_nash_point(N: int, N_sub: int, alpha: float, T: int):
 
 def _sample_bs_deviations(N, N_sub, bs_samples, rng):
     """Perturbed (p, q) pairs as two matrices, one pair per row: uniform
-    first, then broad Dirichlet draws and local wiggles of p, each with a
+    first, then broad Dirichlet draws or local wiggles of p, each with a
     Dirichlet q.  Row i is the raw vector validate_policy and
-    validate_subcarrier_policy normalize into that pair's policies."""
+    validate_subcarrier_policy normalize into that pair's policies.
+
+    The bs_samples - 1 drawn rows take four array calls, in this order: a
+    coin per row (below 0.5 picks the broad row), every broad row, every
+    wiggle 1/N + N(0, 0.05), every q.  The chosen p is clipped at 1e-9 and
+    divided by its row sum."""
+    n = bs_samples - 1
+    broad = rng.random(n) < 0.5
+    dirichlet = rng.dirichlet(np.ones(N), size=n)
+    wiggle = 1.0 / N + rng.normal(0, 0.05, (n, N))
+    p = np.clip(np.where(broad[:, None], dirichlet, wiggle), 1e-9, None)
     p_rows, q_rows = np.empty((bs_samples, N)), np.empty((bs_samples, N_sub))
     p_rows[0], q_rows[0] = 1.0 / N, 1.0 / N_sub
-    for i in range(1, bs_samples):
-        if rng.random() < 0.5:
-            p = np.clip(rng.dirichlet(np.ones(N)), 1e-9, None)
-        else:
-            p = np.clip(1.0 / N + rng.normal(0, 0.05, N), 1e-9, None)
-        p_rows[i] = p / p.sum()
-        q_rows[i] = rng.dirichlet(np.ones(N_sub))
+    p_rows[1:] = p / p.sum(axis=1, keepdims=True)
+    q_rows[1:] = rng.dirichlet(np.ones(N_sub), size=n)
     return p_rows, q_rows
 
 
@@ -404,7 +409,10 @@ def verify_diversity_nash(point, config: SystemConfig, bs_samples: int,
 
     Base-station side: `bs_samples` perturbed (p, q) pairs, uniform first so
     a non-uniform candidate cannot pass by luck, each priced once by the
-    large-horizon diversity age (q never matters there).  Adversary side:
+    large-horizon diversity age (q never matters there).  Uniform p
+    minimizes that age, sum_i c/p_i, so the base-station witness can only
+    be the first pair, (uniform p, uniform q); the other rows confirm, and
+    never refute, a candidate.  Adversary side:
     `adv_samples` feasible plans from ADV_DEVIATION_FAMILIES, priced by the
     exact recursion at the candidate's (p, q).  Both counts must be >= 1.
 

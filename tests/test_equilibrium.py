@@ -46,6 +46,7 @@ from aoijam.errors import (
     NotNormalizedError,
 )
 from aoijam.model import (
+    SUM_ACCEPT_TOL,
     BlockingPlan,
     SystemConfig,
     blocking_feasible,
@@ -395,22 +396,93 @@ def test_verify_bs_witness_matches_per_sample_reference(probs, n_sub):
     assert w.payoff_after.hex() == after.hex()
 
 
+def test_bs_witness_is_always_the_uniform_row():
+    # uniform p minimizes the large-horizon price sum_i c/p_i, so the first
+    # row is the only base-station witness the audit can return; the other
+    # sampled rows only confirm
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        N, n_sub = int(rng.integers(2, 7)), int(rng.choice([2, 3, 5]))
+        cfg = SystemConfig(horizon_T=60, num_users=N, alpha=0.3,
+                           num_subcarriers=n_sub)
+        _, q, plan = diversity_nash_point(N, n_sub, 0.3, 60)
+        p = rng.dirichlet(np.ones(N)) + 1e-3
+        report = verify_diversity_nash((validate_policy(p / p.sum()), q, plan),
+                                       cfg, 50, 1, seed=int(rng.integers(100)))
+        assert report.witness.player == "base-station"
+        assert report.witness.strategy == (uniform_policy(N),
+                                           uniform_subcarrier_policy(n_sub))
+
+
+def _reference_bs_candidates(N, N_sub, n, rng):
+    """The four array draws of _sample_bs_deviations, in its order: the
+    branch coins, both candidate p rows (clipped and divided by their row
+    sums) for every drawn pair, and the q rows."""
+    broad = rng.random(n) < 0.5
+    candidates = []
+    for raw in (rng.dirichlet(np.ones(N), size=n),
+                1 / N + rng.normal(0, 0.05, (n, N))):
+        p = np.clip(raw, 1e-9, None)
+        candidates.append(p / p.sum(axis=1, keepdims=True))
+    return broad, candidates, rng.dirichlet(np.ones(N_sub), size=n)
+
+
 @pytest.mark.parametrize("bs_samples", [1, 2, 40])
-def test_bs_deviations_keep_the_per_pair_draw_order(bs_samples):
+def test_bs_deviations_take_four_array_draws(bs_samples):
     # the adversary plans are drawn from the same generator afterwards
     rng, reference = np.random.default_rng(21), np.random.default_rng(21)
     p_rows, q_rows = _sample_bs_deviations(3, 2, bs_samples, rng)
     assert p_rows.shape == (bs_samples, 3)
+    assert q_rows.shape == (bs_samples, 2)
     np.testing.assert_array_equal(p_rows[0], np.full(3, 1 / 3))
     np.testing.assert_array_equal(q_rows[0], [0.5, 0.5])
-    for p_row, q_row in zip(p_rows[1:], q_rows[1:]):
-        if reference.random() < 0.5:
-            p = np.clip(reference.dirichlet(np.ones(3)), 1e-9, None)
-        else:
-            p = np.clip(1 / 3 + reference.normal(0, 0.05, 3), 1e-9, None)
-        assert p_row.tobytes() == (p / p.sum()).tobytes()
-        assert q_row.tobytes() == reference.dirichlet(np.ones(2)).tobytes()
+    broad, (dirichlet, wiggle), q = _reference_bs_candidates(
+        3, 2, bs_samples - 1, reference)
+    for i, (p_row, q_row) in enumerate(zip(p_rows[1:], q_rows[1:])):
+        expected = dirichlet[i] if broad[i] else wiggle[i]
+        assert p_row.tobytes() == expected.tobytes()
+        assert q_row.tobytes() == q[i].tobytes()
     assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("N, N_sub", [(1, 2), (4, 3), (16, 5)])
+def test_one_bs_sample_draws_nothing(N, N_sub):
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    p_rows, q_rows = _sample_bs_deviations(N, N_sub, 1, rng)
+    assert rng.bit_generator.state == state
+    assert p_rows.shape == (1, N) and q_rows.shape == (1, N_sub)
+    np.testing.assert_array_equal(p_rows[0], np.full(N, 1 / N))
+    np.testing.assert_array_equal(q_rows[0], np.full(N_sub, 1 / N_sub))
+
+
+def test_one_user_bs_deviations_are_all_certain():
+    p_rows, _ = _sample_bs_deviations(1, 3, 200, np.random.default_rng(6))
+    assert p_rows.tobytes() == np.ones((200, 1)).tobytes()
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 16])
+def test_bs_deviations_are_policies(N):
+    p_rows, q_rows = _sample_bs_deviations(N, 3, 300, np.random.default_rng(N))
+    np.testing.assert_array_equal(p_rows[0], np.full(N, 1 / N))
+    for rows, validate in ((p_rows, validate_policy),
+                           (q_rows, validate_subcarrier_policy)):
+        assert np.all(rows > 0)
+        for row in rows:
+            assert abs(math.fsum(row) - 1.0) <= SUM_ACCEPT_TOL
+            validate(row)
+
+
+def test_half_the_bs_deviations_are_broad():
+    # every drawn row is exactly one of its two candidates
+    n = 4000
+    rng, reference = np.random.default_rng(8), np.random.default_rng(8)
+    p_rows, _ = _sample_bs_deviations(3, 2, n + 1, rng)
+    _, (dirichlet, wiggle), _ = _reference_bs_candidates(3, 2, n, reference)
+    took_broad = np.all(p_rows[1:] == dirichlet, axis=1)
+    took_wiggle = np.all(p_rows[1:] == wiggle, axis=1)
+    assert np.all(took_broad != took_wiggle)
+    assert 0.45 <= took_broad.mean() <= 0.55
 
 
 @pytest.mark.parametrize("n_sub", [2, 3, 5])

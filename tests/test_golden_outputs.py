@@ -184,9 +184,9 @@ GOLDEN = {
         "stdout": "1f02aee43be720cf728518cf1b20ebe8e10321b8cdedd191c98483bf8e0dfd0b",
     },
     "nash-verify-diversity-witness": {
-        "equilibrium.csv": "c3180d36d6870ba1b973524c1c8eca1e57d158ac7e00e429715739893d3af964",
+        "equilibrium.csv": "daa9941411b44fc158fb3013036f3cc79cc34f99eb485e346d534b5f9ff40ee6",
         "scenario.json": "c7c39165db8b0fbe727e4b866f5862a2f8479bfd7fc26667f7cec456b105243d",
-        "stdout": "6d0426d20d486c97431ad382640922badf0dd4c5152142252f378b123a6515b7",
+        "stdout": "a302991064be900132f1660a5e00fa83c02796bfa980119f831585c00dcf7c16",
     },
     "nash-verify-no-diversity-bs-witness": {
         "equilibrium.csv": "44716a6ae3546afc1d9c5f12382cf89f65e10ac1749ce2b4ba15af67457c3c50",
