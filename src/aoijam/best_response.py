@@ -9,12 +9,14 @@ order before taking the same closed form.
 
 Adversary side: the structured response concentrates the whole budget on the
 most starved user in one consecutive middle window; an exhaustive oracle
-enumerates every per-slot action sequence on small instances and certifies
-how far that structure is from the true finite-horizon optimum.  The oracle
-expands its search tree level by level in numpy, one subtree of at most
-ORACLE_CHUNK_PLANS plans at a time, so its memory is bounded by the chunk,
-not the plan count; each plan's payoff is its own slot-ordered age sum,
-math.fsum over users.
+searches every per-slot action sequence on small instances and certifies
+how far that structure is from the true finite-horizon optimum.  Without
+diversity a user's age sum depends only on the slots where that user is
+blocked, so the oracle prices each set of at most B slots once per user, in
+one pass over the slots, and searches joint plans over those tables with a
+bound that splits the budget across users; each plan's payoff is still its
+own slot-ordered age sum, math.fsum over users, and only the tied plans
+become T-wide action rows.
 """
 
 import math
@@ -44,8 +46,8 @@ from .model import (
 
 CLOSED_FORM_AGREEMENT = 1e-8
 ORACLE_MAX_PLANS = 10_000_000
-ORACLE_CHUNK_PLANS = 2**15  # leaves the oracle expands at once
 ORACLE_TIE_REL = 1e-12  # oracle maximizers within this relative gap tie
+ORACLE_WINDOW = 1e-9  # first search: this far, relative, below a known plan
 
 
 @dataclass(frozen=True)
@@ -196,27 +198,147 @@ def oracle_plan_count(N: int, T: int, B: int) -> int:
     return sum(math.comb(T, k) * N**k for k in range(min(B, T) + 1))
 
 
-def _subtree_plans(n: int, slots: int, budget: int) -> np.ndarray:
-    """table[r, b] = oracle_plan_count(n, r, b) for r <= slots, b <= budget:
-    with r slots and b blocks left, the plans start idle or block one of n
-    users, so table[r, b] = 1 + n * (table[0, b-1] + ... + table[r-1, b-1])."""
-    table = np.ones((slots + 1, budget + 1), dtype=np.int64)
-    for b in range(1, budget + 1):
-        table[1:, b] += n * table[:-1, b - 1].cumsum()
-    return table
+def _blocked_set_sums(probs: np.ndarray, horizon: int,
+                      width: int) -> tuple[np.ndarray, list]:
+    """User i's slot-ordered age sum for every set of at most `width` of the
+    slots 0 .. horizon-1, taken as the slots where i is blocked.
+
+    Returns (sums, starts): columns starts[k] .. starts[k+1]-1 of the
+    (users, sets) array `sums` are the C(T, k) sets of k slots in colex
+    order (by last slot, then by the rest), the order _set_slots decodes.
+    From age 1, each slot adds the age to the sum, then sets
+    age = age*(1 - s) + 1.0 (s = 0 on a blocked slot, p_i otherwise), the
+    float operations of i's exact recursion.
+
+    The sets are built slot by slot.  Before slot t the live sets are those
+    below t, the first C(t, k) of each size.  At t each live set of fewer
+    than `width` slots is born again as the next set one size up, itself
+    with t: it takes the set's sum and the blocked update, age + 1.0, while
+    the live sets take the idle one.  A slot costs a few numpy calls per
+    size and work on the sets up to its largest live one: all sets of the
+    smaller sizes, then the live sets of the largest.  Memory: the sums
+    and the running ages, 16 bytes per set and user, and nothing T sets
+    wide.
+    """
+    starts = [0]
+    for k in range(width + 1):
+        starts.append(starts[-1] + math.comb(horizon, k))
+    # (sets, users) while built, so that a set's users sit side by side
+    ages = np.ones((starts[-1], probs.size))
+    sums = np.zeros_like(ages)
+    idle = (1.0 - probs).tolist()
+    live = [1] + [0] * width  # live[k]: the sets of k slots below t
+    for t in range(horizon):
+        # the live sets lie below `end`, with gaps of unborn sets in the
+        # smaller sizes: these age in vain, and their birth overwrites them
+        top = min(t, width)
+        end = starts[top] + live[top]
+        sums[:end] += ages[:end]
+        late = []  # births below `end` take their ages after the idle rule
+        for k in range(min(t + 1, width) - 1, -1, -1):
+            old = slice(starts[k], starts[k] + live[k])
+            new = slice(starts[k + 1] + live[k + 1],
+                        starts[k + 1] + live[k + 1] + live[k])
+            sums[new] = sums[old]
+            if k + 1 < top:
+                late.append((new, ages[old] + 1.0))
+            elif t + 1 < horizon:  # no slot reads the ages after the last
+                np.add(ages[old], 1.0, out=ages[new])
+            live[k + 1] += live[k]
+        if t + 1 < horizon:
+            for i, factor in enumerate(idle):  # one strided column a user
+                ages[:end, i] *= factor
+            ages[:end] += 1.0
+            for new, blocked in late:
+                ages[new] = blocked
+    del ages  # before the copy, so that two tables are the peak
+    return np.ascontiguousarray(sums.T), starts
 
 
-def _expand(ages, sums, left, factors):
-    """Every child of every node, parents in order and each parent's
-    children in action order: idle, then block user 0 .. N-1 while the
-    node has budget left.  Returns (parent, action, ages, sums, left)."""
-    counts = np.where(left > 0, factors.shape[0], 1)
-    parent = np.arange(left.size).repeat(counts)
-    ends = counts.cumsum()
-    action = np.arange(ends[-1]) - (ends - counts).repeat(counts)
-    sums = (sums + ages).repeat(counts, axis=0)
-    ages = ages.repeat(counts, axis=0) * factors.take(action, axis=0) + 1.0
-    return parent, action, ages, sums, left.repeat(counts) - (action > 0)
+def _set_slots(ids: np.ndarray, size: np.ndarray, starts: np.ndarray,
+               combs: np.ndarray) -> np.ndarray:
+    """The slots of the sets `ids` of _blocked_set_sums, sorted by their
+    sizes `size`: one row per set in increasing order, padded with -1 to
+    the widest size (int16 while T < 2**15).  combs[j-1, s] = C(s, j).
+
+    A set of k slots s_1 < ... < s_k is the (sum_j C(s_j, j))-th of its
+    size in colex order, so s_k is the largest s with C(s, k) <= that
+    rank, and so on down.
+    """
+    width, horizon = combs.shape[0], combs.shape[1] - 1
+    rank = ids - starts[size]
+    slots = np.full((ids.size, width), -1,
+                    dtype=np.int16 if horizon < 2**15 else np.int32)
+    cut = np.searchsorted(size, np.arange(1, width + 1)).tolist()
+    for j in range(width, 0, -1):  # the sets of j slots or more
+        left = rank[cut[j - 1]:]
+        slot = np.searchsorted(combs[j - 1, 1:], left, side="right")
+        slots[cut[j - 1]:, j - 1] = slot
+        left -= combs[j - 1, slot]
+    return slots
+
+
+def _joint_plans(sums, starts, horizon, reach, most, budget, floor):
+    """Every joint plan the budget bound keeps: (ids, slots), one row per
+    plan.  Row j blocks user i on set ids[j, i] of _blocked_set_sums, whose
+    slots, padded with -1, are slots[j, i*W:(i+1)*W] for W = min(B, T); a
+    plan's sets are disjoint and hold at most `budget` slots in all.
+
+    most[i][k] bounds what the other users add around a set of k slots for
+    user i, and reach[i][b] what users i .. N-1 add with b slots.  A set of
+    k slots is a candidate for user i when its sum reaches floor -
+    most[i][k], and user 0's candidates start the partial plans.  Users
+    1 .. N-1 follow in order: a partial plan takes, of user i's candidates
+    of each size sorted by sum, the prefix whose partial sum + own sum +
+    reach[i + 1] with the slots left reaches `floor`, less those that share
+    a slot with it.  Only candidates are decoded into slots.
+    """
+    width = len(starts) - 2
+    combs = np.ones((width + 1, horizon + 1), dtype=np.int64)
+    for j in range(1, width + 1):  # C(s, j) = C(0, j-1) + ... + C(s-1, j-1)
+        combs[j, 0] = 0
+        combs[j - 1, :-1].cumsum(out=combs[j, 1:])
+    combs = combs[1:]
+    count = np.diff(starts)
+    picks = [np.flatnonzero(row >= np.repeat(floor - bound, count))
+             for row, bound in zip(sums, most)]
+    sizes = [np.searchsorted(starts[1:], pick, side="right")
+             for pick in picks]
+    ids = picks[0][:, None]
+    part, used = sums[0, picks[0]], sizes[0]
+    taken = _set_slots(picks[0], sizes[0], starts, combs)
+    for i in range(1, len(picks)):
+        order = np.lexsort((-sums[i, picks[i]], sizes[i]))
+        pick, size = picks[i][order], sizes[i][order]
+        own = _set_slots(pick, size, starts, combs)
+        low = -sums[i, pick]  # ascending within each size
+        cut = np.searchsorted(size, np.arange(width + 2)).tolist()
+        left = budget - used[:, None] - np.arange(width + 1)
+        bar = np.where(left >= 0, part[:, None]
+                       + reach[i + 1][np.maximum(left, 0)] - floor, -np.inf)
+        rows, sets = [], []
+        for k in np.flatnonzero(np.diff(cut)).tolist():
+            counts = np.searchsorted(low[cut[k]:cut[k + 1]], bar[:, k],
+                                     side="right")
+            total = int(counts.sum())
+            if not total:
+                continue
+            row = np.repeat(np.arange(counts.size), counts)
+            chosen = (cut[k] + np.arange(total)
+                      - np.repeat(counts.cumsum() - counts, counts))
+            if k:
+                clash = (taken[row, :, None]
+                         == own[chosen, None, :k]).any(axis=(1, 2))
+                row, chosen = row[~clash], chosen[~clash]
+            rows.append(row)
+            sets.append(chosen)
+        row, chosen = np.concatenate(rows), np.concatenate(sets)
+        ids = np.column_stack((ids[row], pick[chosen]))
+        taken = np.hstack((taken[row], own[chosen]))
+        if i + 1 < len(picks):
+            part = part[row] + sums[i, pick[chosen]]
+            used = used[row] + size[chosen]
+    return ids, taken
 
 
 def adversary_oracle(policy: SchedulingPolicy,
@@ -225,37 +347,42 @@ def adversary_oracle(policy: SchedulingPolicy,
 
     Per-slot actions are {idle, block user 0, ..., block user N-1} with at
     most budget_B blocked slots; the returned plan maximizes the exact
-    finite-horizon system average age.  Enumeration is lexicographic
+    finite-horizon system average age.  Plans are ordered lexicographically
     (idle < block 0 < block 1 < ..., slot by slot), the reported plan is the
-    lexicographically smallest maximizer, and every tie within relative 1e-12
-    is a row of tied_actions.  More than ORACLE_MAX_PLANS candidate plans
-    raise InstanceTooLargeError.
+    lexicographically smallest maximizer, and every tie within relative
+    1e-12 is a row of tied_actions.  More than ORACLE_MAX_PLANS candidate
+    plans raise InstanceTooLargeError.
 
     A plan's payoff is its own slot-ordered sum: per user, starting from
     age 1, each slot adds the running expected age to the user's age sum and
     then sets age = age*(1 - s) + 1.0 (s = 0 on a blocked slot, p_i
     otherwise); the payoff is math.fsum of the N age sums over N*T.
 
-    Slot prefixes are branched one node at a time, in order, until a node
-    has at most ORACLE_CHUNK_PLANS plans below it.  That subtree is then
-    expanded level by level in numpy: a frontier holds the nodes' running
-    ages and age sums (rows x N) and budget left, and each level keeps one
-    (parent, action) pair of arrays, so only candidate leaves get their
-    action rows rebuilt.  Memory stays O(ORACLE_CHUNK_PLANS * (N + T))
-    whatever the plan count.
+    A user's age sum depends only on the slots where that user is blocked,
+    so each set of at most B slots is priced once per user
+    (_blocked_set_sums), and a plan, N disjoint sets with at most B slots
+    in all, is priced from N table entries, bit for bit as above.  With S
+    = sum_k C(T, k) sets, k <= B, the tables take 16*N*S bytes while they
+    are built and 8*N*S after; N*S is at most the plan count plus N, so
+    under the cap they stay below about 160 MB.  Besides them the search
+    holds its candidates' slots and the tied action rows.
+    _joint_plans collects every plan whose sum can reach a floor: it bounds
+    what the remaining users add with the slots left by a DP over budget
+    splits that ignores disjointness, and the floor sits 16*(N+2) eps below
+    the limit, so float rounding against fsum's drops no plan.
 
+    The limit starts ORACLE_WINDOW below the best single-user plan and
+    widens x4 until some collected value theta has no plan valued in
+    [theta*(1-3e-12), theta) and theta*(1-3e-12) is at or above the limit.
     The sequential rule (reset when value > best*(1+1e-12), otherwise join
-    the ties when value >= best*(1-1e-12)) runs, in order, only on the
-    leaves whose np.sum over users is within relative 4e-12 + 4*N*eps of
-    the largest such sum so far, this leaf included.  Any other leaf x
-    follows a leaf w with value(w) > value(x)/(1-4e-12): the N*eps terms
-    cover np.sum's rounding against fsum's and the division by N*T.  When w
-    was met, best became value(w) or already exceeded value(w)/(1+1e-12),
-    and best never falls; values are positive, so at x,
-    value(x) < best*(1-1e-12) with room for the rounding of the products,
-    and x neither resets nor joins the ties.  A leaf that changes nothing
-    can be dropped, so the rule ends with the same best and the same ties
-    on the kept leaves as on all of them.
+    the ties when value >= best*(1-1e-12)) then runs, in lexicographic
+    order, over the plans valued theta or more only.  The first of them
+    resets whatever came before, as every earlier plan is worth less than
+    theta*(1-3e-12); after it best >= theta, so no lower plan resets or
+    joins, and the rule ends with the best and ties it has over every plan.
+    A plan's place in the order comes from its blocks sorted by slot, each
+    coded (T - slot)*(N+1) + 1 + user, one lexsort key per block; only the
+    tied plans become T-wide action rows.
     """
     check_profile(policy, None, None, config)
     n, horizon, budget = policy.n, config.horizon_T, config.budget_B
@@ -264,59 +391,71 @@ def adversary_oracle(policy: SchedulingPolicy,
         raise InstanceTooLargeError(
             f"{count} candidate plans exceed the cap of {ORACLE_MAX_PLANS}")
 
-    subtree = _subtree_plans(n, horizon, budget)
-    # factors[a, i] = 1 - s for user i under action a (0 = idle, 1+j = block j)
-    factors = np.tile(1.0 - policy.probs, (n + 1, 1))
-    factors[np.arange(1, n + 1), np.arange(n)] = 1.0
-    keep = 1.0 - 4 * ORACLE_TIE_REL - 4 * n * np.finfo(float).eps
+    width = min(budget, horizon)
+    sums, starts = _blocked_set_sums(policy.probs, horizon, width)
+    starts = np.array(starts)
+    # best[i][k]: user i's largest sum over the sets of k slots.  reach[i]
+    # and front[i] bound what users i .. N-1 and 0 .. i-1 add with b slots,
+    # and most[i][k] what both add around a set of k slots for user i.
+    best = np.maximum.reduceat(sums, starts[:-1], axis=1).tolist()
+
+    def plus(bound, i):  # `bound` with user i's best sets added
+        return [max(bound[b - k] + best[i][k]
+                    for k in range(min(b, width) + 1))
+                for b in range(budget + 1)]
+
+    reach, front = [[0.0] * (budget + 1)], [[0.0] * (budget + 1)]
+    for i in range(n - 1):
+        reach.insert(0, plus(reach[0], n - 1 - i))
+        front.append(plus(front[-1], i))
+    reach.insert(0, [])
+    most = [np.array([max(front[i][b] + reach[i + 1][budget - k - b]
+                          for b in range(budget - k + 1))
+                      for k in range(width + 1)]) for i in range(n)]
+    reach = [np.array(bound) for bound in reach]
+
     scale = n * horizon
+    empty = sums[:, 0].tolist()
+    lower = max(math.fsum(empty[:i] + [max(best[i])] + empty[i + 1:])
+                for i in range(n)) / scale
+    slack = 1.0 - 16 * (n + 2) * np.finfo(float).eps
+    window = ORACLE_WINDOW
+    while True:
+        limit = lower * (1.0 - window)
+        ids, blocks = _joint_plans(sums, starts, horizon, reach, most,
+                                   budget, limit * scale * slack)
+        values = np.array([math.fsum(row) / scale for row in
+                           sums[np.arange(n), ids].tolist()])
+        rank = np.argsort(-values, kind="stable")
+        high = values[rank]
+        low = high * (1.0 - 3 * ORACLE_TIE_REL)
+        gap = np.append(high[1:] < low[:-1], True) & (low >= limit)
+        if gap.any():
+            break
+        window = max(4 * window, ORACLE_TIE_REL)
+    held = rank[:int(np.argmax(gap)) + 1]
+    values, blocks = values[held], blocks[held]
+
+    lex = np.arange(len(held))
+    if len(held) > 1:
+        code = blocks.astype(np.intp)
+        code = np.where(code >= 0, (horizon - code) * (n + 1)
+                        + np.repeat(np.arange(1, n + 1), width), 0)
+        code = np.sort(code, axis=1)[:, :-width - 1:-1]
+        lex = np.lexsort(code.T[::-1])
     best_value = -math.inf
-    ties: list[np.ndarray] = []  # action rows of the tied leaves, by chunk
-    record = -math.inf
+    ties: list[int] = []
+    for k, value in zip(lex.tolist(), values[lex].tolist()):
+        if value > best_value * (1 + ORACLE_TIE_REL):
+            best_value = value
+            ties = [k]
+        elif value >= best_value * (1 - ORACLE_TIE_REL):
+            ties.append(k)
 
-    # a node at slot t: its ages, sums and budget left as one-row arrays,
-    # and its trail, the linked list (parent, action, trail above) of the
-    # levels leading to it
-    stack = [(0, np.ones((1, n)), np.zeros((1, n)), np.array([budget]), None)]
-    while stack:
-        t, ages, sums, left, trail = stack.pop()
-        if subtree[horizon - t, left[0]] > ORACLE_CHUNK_PLANS:
-            parent, action, ages, sums, left = _expand(ages, sums, left,
-                                                       factors)
-            for k in reversed(range(left.size)):
-                stack.append((t + 1, ages[k:k + 1], sums[k:k + 1],
-                              left[k:k + 1],
-                              (parent[k:k + 1], action[k:k + 1], trail)))
-            continue
-
-        for _ in range(t, horizon):
-            parent, action, ages, sums, left = _expand(ages, sums, left,
-                                                       factors)
-            trail = (parent, action, trail)
-        approx = sums.sum(axis=1)
-        running = np.maximum.accumulate(approx)
-        np.maximum(running, record, out=running)
-        record = running[-1]
-        rows = np.flatnonzero(approx >= running * keep)
-        values = [math.fsum(row) / scale for row in sums[rows].tolist()]
-        acts = np.empty((rows.size, horizon), dtype=np.intp)
-        level = horizon
-        while trail is not None:
-            parent, action, trail = trail
-            level -= 1
-            acts[:, level] = action[rows]
-            rows = parent[rows]
-        chosen = []
-        for k, value in enumerate(values):
-            if value > best_value * (1 + ORACLE_TIE_REL):
-                best_value = value
-                ties.clear()
-                chosen = [k]
-            elif value >= best_value * (1 - ORACLE_TIE_REL):
-                chosen.append(k)
-        ties.append(acts[chosen])
-
-    tied_actions = np.concatenate(ties)
+    tied = blocks[ties].reshape(len(ties), n, width)
+    tied_actions = np.zeros((len(ties), horizon), dtype=np.intp)
+    row, user, col = np.nonzero(tied >= 0)
+    tied_actions[row, tied[row, user, col]] = user + 1
     tied_actions.setflags(write=False)
     m = np.zeros((n + 1, horizon))  # row 0 collects the idle slots
     m[tied_actions[0], np.arange(horizon)] = 1.0

@@ -409,7 +409,8 @@ def test_oracle_handles_long_horizons():
 
 
 # ===========================================================================
-#  Oracle lock: the level-synchronous search against a depth-first one
+#  Oracle lock: the table search against a depth-first and a level-wise
+#  enumerator
 # ===========================================================================
 
 
@@ -493,13 +494,13 @@ def _locked(n, horizon, budget, kind):
     return policy, config, _oracle_reference(policy, config)
 
 
-@pytest.mark.parametrize("chunk", [None, 1, 7],
-                         ids=["default-chunk", "chunk-1", "chunk-7"])
+@pytest.mark.parametrize("window", [None, 0.0],
+                         ids=["default-window", "window-0"])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_oracle_matches_depth_first_reference(monkeypatch, n, chunk):
-    # chunks of 1 and 7 plans put chunk boundaries between tied plans
-    if chunk is not None:
-        monkeypatch.setattr(best_response, "ORACLE_CHUNK_PLANS", chunk)
+def test_oracle_matches_depth_first_reference(monkeypatch, n, window):
+    # a start window of 0 makes the search widen before it finds a gap
+    if window is not None:
+        monkeypatch.setattr(best_response, "ORACLE_WINDOW", window)
     for horizon, budget in _lock_grid(n):
         for kind in LOCK_POLICIES[n]:
             policy, config, (payoff, ties) = _locked(n, horizon, budget, kind)
@@ -508,6 +509,93 @@ def test_oracle_matches_depth_first_reference(monkeypatch, n, chunk):
             assert repr(resp.payoff) == repr(payoff), where
             assert resp.tied_actions.tolist() == ties, where
             assert _actions(resp.plan) == ties[0], where
+
+
+def _expand(ages, sums, left, factors):
+    """Every child of every node, parents in order and each parent's
+    children in action order: idle, then block user 0 .. N-1 while the
+    node has budget left.  Returns (parent, action, ages, sums, left)."""
+    counts = np.where(left > 0, factors.shape[0], 1)
+    parent = np.arange(left.size).repeat(counts)
+    ends = counts.cumsum()
+    action = np.arange(ends[-1]) - (ends - counts).repeat(counts)
+    sums = (sums + ages).repeat(counts, axis=0)
+    ages = ages.repeat(counts, axis=0) * factors.take(action, axis=0) + 1.0
+    return parent, action, ages, sums, left.repeat(counts) - (action > 0)
+
+
+def _level_wise_reference(policy, config):
+    """The joint-plan enumerator the oracle used to be: (payoff, tied
+    action rows), every plan's leaf expanded slot by slot in numpy, leaves
+    in lexicographic order, each with its own slot-ordered age sums.
+
+    A leaf gets its fsum value only when its np.sum over users is within
+    relative 4e-12 + 4*N*eps of the largest such sum so far: any other
+    leaf follows one worth more than value/(1 - 4e-12), so it can neither
+    reset nor join the ties of the sequential rule.
+    """
+    n, horizon, budget = policy.n, config.horizon_T, config.budget_B
+    factors = np.tile(1.0 - policy.probs, (n + 1, 1))
+    factors[np.arange(1, n + 1), np.arange(n)] = 1.0
+    ages, sums, left = np.ones((1, n)), np.zeros((1, n)), np.array([budget])
+    trail = []
+    for _ in range(horizon):
+        parent, action, ages, sums, left = _expand(ages, sums, left, factors)
+        trail.append((parent, action))
+    approx = sums.sum(axis=1)
+    keep = 1.0 - 4e-12 - 4 * n * np.finfo(float).eps
+    rows = np.flatnonzero(approx >= np.maximum.accumulate(approx) * keep)
+    values = [math.fsum(row) / (n * horizon) for row in sums[rows].tolist()]
+    acts = np.empty((rows.size, horizon), dtype=np.intp)
+    for level, (parent, action) in reversed(list(enumerate(trail))):
+        acts[:, level] = action[rows]
+        rows = parent[rows]
+    best_value, ties = -math.inf, []
+    for act, value in zip(acts.tolist(), values):
+        if value > best_value * (1 + 1e-12):
+            best_value, ties = value, [act]
+        elif value >= best_value * (1 - 1e-12):
+            ties.append(act)
+    return best_value, ties
+
+
+BIG_LOCKS = [(2, 20, 0.2, p) for p in (0.25, 0.37, 0.5, 0.8)] + [
+    (3, 14, 4.5 / 14, kind) for kind in ("uniform", "skewed", "tiny-p")] + [
+    (1, 16, 8.5 / 16, "uniform")]
+
+
+@functools.cache
+def _big_locked(n, horizon, alpha, kind):
+    # for N=2 the kind is p_0
+    policy = (validate_policy([kind, 1.0 - kind]) if n == 2
+              else _lock_policy(n, kind))
+    config = SystemConfig(horizon_T=horizon, num_users=n, alpha=alpha)
+    return policy, config, _level_wise_reference(policy, config)
+
+
+@pytest.mark.parametrize("window", [None, 0.0],
+                         ids=["default-window", "window-0"])
+@pytest.mark.parametrize("n, horizon, alpha, kind", BIG_LOCKS,
+                         ids=[f"N{n}-T{t}-{k}" for n, t, _, k in BIG_LOCKS])
+def test_oracle_matches_level_wise_reference(monkeypatch, n, horizon, alpha,
+                                             kind, window):
+    # sizes the depth-first reference cannot reach; with a start window of
+    # 0 the first search finds no gap, so the widening must run
+    policy, config, (payoff, ties) = _big_locked(n, horizon, alpha, kind)
+    searches = []
+    real = best_response._joint_plans
+    monkeypatch.setattr(best_response, "_joint_plans",
+                        lambda *args: searches.append(1) or real(*args))
+    if window is not None:
+        monkeypatch.setattr(best_response, "ORACLE_WINDOW", window)
+    resp = adversary_oracle(policy, config)
+    assert repr(resp.payoff) == repr(payoff)
+    assert resp.tied_actions.tolist() == ties
+    assert _actions(resp.plan) == ties[0]
+    if window is None:
+        assert len(searches) == 1
+    else:
+        assert len(searches) > 1
 
 
 def test_oracle_payoff_is_its_plans_own_sum():
@@ -541,3 +629,35 @@ def test_oracle_memory_is_bounded_by_the_chunk():
     finally:
         tracemalloc.stop()
     assert peak < ORACLE_MEMORY_BOUND
+
+
+def test_oracle_memory_is_bounded_by_its_ties():
+    # 520 plans tie at N=2, T=600, B=1: the action rows are the only
+    # T-wide arrays the search builds
+    cfg = SystemConfig(horizon_T=600, num_users=2, alpha=0.0025)  # B = 1
+    pol = validate_policy([0.4, 0.6])
+    tracemalloc.start()
+    try:
+        resp = adversary_oracle(pol, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert resp.tied_actions.shape == (520, 600)
+    assert peak < 2 * resp.tied_actions.nbytes + 1_000_000
+
+
+def test_oracle_memory_is_bounded_by_its_tables():
+    # N=2, T=500, B=2: 125,251 slot sets, priced in 16 bytes per set and
+    # user while the tables are built; an array T sets wide, one byte a
+    # cell, would take 63 MB
+    cfg = SystemConfig(horizon_T=500, num_users=2, alpha=0.005)
+    assert cfg.budget_B == 2
+    sets = sum(math.comb(500, k) for k in range(3))
+    pol = validate_policy([0.4, 0.6])
+    tracemalloc.start()
+    try:
+        resp = adversary_oracle(pol, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 * sets + resp.tied_actions.nbytes + 1_000_000

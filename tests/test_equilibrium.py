@@ -351,18 +351,16 @@ def test_verify_flags_nonuniform_bs_policy():
 
 
 def _reference_bs_witness(policy, n_sub, alpha, bs_samples, seed):
-    """The base-station side priced one (p, q) pair at a time."""
-    rng = np.random.default_rng(seed)
+    """The base-station side priced one (p, q) pair at a time, the pairs
+    drawn as _reference_bs_candidates draws them: uniform first, then row
+    i's broad or wiggle candidate, as its coin says, with q row i."""
     N = policy.n
+    broad, (dirichlet, wiggle), q = _reference_bs_candidates(
+        N, n_sub, bs_samples - 1, np.random.default_rng(seed))
     pairs = [(uniform_policy(N), uniform_subcarrier_policy(n_sub))]
-    while len(pairs) < bs_samples:
-        if rng.random() < 0.5:
-            p = np.clip(rng.dirichlet(np.ones(N)), 1e-9, None)
-        else:
-            p = np.clip(1.0 / N + rng.normal(0, 0.05, N), 1e-9, None)
-        q = rng.dirichlet(np.ones(n_sub))
-        pairs.append((validate_policy(p / p.sum()),
-                      validate_subcarrier_policy(q)))
+    for i in range(bs_samples - 1):
+        p = dirichlet[i] if broad[i] else wiggle[i]
+        pairs.append((validate_policy(p), validate_subcarrier_policy(q[i])))
     current = diversity_system_age(policy, alpha, n_sub)
     for p_dev, q_dev in pairs:
         value = diversity_system_age(p_dev, alpha, n_sub)
