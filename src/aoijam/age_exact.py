@@ -18,9 +18,11 @@ and reach a float that the map sends to itself; from there on every slot of
 the run holds that float, and the rest of the run is filled without
 iterating.  Structured plans (middle blocks, uniform sub-carrier blocking,
 the audit's deviation families) are a few runs per row, so most slots are
-filled this way.  A run that ends before its fixed point (the s = 1 ramp of
-a surely blocked window, a tiny delivery probability) is iterated slot by
-slot, so the worst case stays O(N*T), as do all public operations.
+filled this way.  The s = 1 run of a surely blocked window never reaches a
+fixed point: it is a ramp of +1.0 steps, filled by one np.cumsum, which
+adds in sequence as the loop does (age*1.0 is exact).  Any other run that
+ends before its fixed point (a tiny delivery probability) is iterated slot
+by slot, so the worst case stays O(N*T), as do all public operations.
 
 Within one call, the trajectory of every run that reached its fixed point
 is kept, keyed by the run's (entry age, s): the map is deterministic, so a
@@ -106,6 +108,7 @@ def _recurse_ages(delivery_prob: np.ndarray) -> np.ndarray:
     fixed point, so every later slot of the run holds the same float and is
     filled by one slice assignment.  The slots a converged run iterated are
     kept under its (entry age, s); a later run with that key copies them.
+    A run with s == 1.0 is a ramp, filled by one cumsum.
     """
     n, horizon = delivery_prob.shape
     out = np.empty((n, horizon))
@@ -132,6 +135,14 @@ def _recurse_ages(delivery_prob: np.ndarray) -> np.ndarray:
             if stop - start == 1:  # most runs of a dense plan
                 age = age * s + 1.0
                 ages.append(age)
+                continue
+            if s == 1.0:  # a ramp: age*1.0 is exact and cumsum adds in order
+                row_out[done:done + len(ages)] = ages
+                ages = []
+                row_out[start + 1:stop + 1] = 1.0
+                np.cumsum(row_out[start:stop + 1], out=row_out[start:stop + 1])
+                done = stop + 1
+                age = float(row_out[stop])
                 continue
             key = (age, s)
             if key not in converged:

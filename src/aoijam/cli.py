@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 invalid scenario, 3 runtime error or out of memory.
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -406,32 +407,96 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+# a run of at least this many equal ages is written as numpy byte blocks;
+# about where one block per run starts to beat str.join per slot
+SETTLED_RUN = 64
+
+
+def _slot_digits(width, horizon):
+    """The ASCII digits of slots 10**(width-1) .. min(10**width - 1, horizon),
+    one slot per column of a (width, count) uint8 matrix."""
+    first = 10 ** (width - 1)
+    count = min(10 * first - 1, horizon) - first + 1
+    table = np.empty((width, count), dtype=np.uint8)
+    for k in range(width):  # digit k steps every 10**(width-1-k) slots
+        step = 10 ** (width - 1 - k)
+        values = np.arange(first // step, (first + count - 1) // step + 1)
+        table[k] = np.repeat((values % 10 + 48).astype(np.uint8),
+                             step)[:count]
+    return table
+
+
+def _settled_blocks(user_text, age_text, a, b, slot_digits):
+    """The lines of slots a+1..b, all holding `age_text`, as one uint8
+    block per slot-digit width: the line template tiled, then the digit
+    columns copied from that width's `slot_digits(width)` table."""
+    col = len(user_text) + 1
+    for width in range(len(str(a + 1)), len(str(b)) + 1):
+        first = 10 ** (width - 1)
+        lo, hi = max(a + 1, first), min(b, 10 * first - 1)
+        line = np.frombuffer(
+            f"{user_text},{'0' * width},{age_text}".encode(), dtype=np.uint8)
+        block = np.tile(line, hi - lo + 1).reshape(hi - lo + 1, line.size)
+        block[:, col:col + width] = slot_digits(width)[
+            :, lo - first:hi - first + 1].T
+        yield block.data
+
+
 def write_trajectories_csv(path, series):
     """One `user,slot,repr(age)` line per user-slot, one write per user.
 
-    The bytes are those csv.writer gives for these rows.  A row's reprs are
-    taken once per run of equal ages (ages settle within a few hundred
-    slots) and once per distinct value; equal floats share a repr here
-    because every age is >= 1, so 0.0 and -0.0 never meet.
+    The bytes are those csv.writer gives for these rows.  A row is cut
+    into runs of equal ages.  A run of at least SETTLED_RUN slots (ages
+    settle within a few hundred slots) is written as numpy byte blocks, one
+    per slot-digit width (_settled_blocks).  The shorter runs between them
+    (an s = 1 ramp, an unsettled prefix, every slot of a row at a small
+    delivery rate) are joined as str parts, with slot texts built once per
+    call for the slots they cover.  Each distinct age is repr'd once per
+    call; equal floats share a repr here because every age is >= 1, so 0.0
+    and -0.0 never meet.
     """
-    horizon = series.horizon
+    ages = series.per_user
+    n, horizon = ages.shape
+    change = np.ones((n, horizon), dtype=bool)  # slot 1 starts every row
+    np.not_equal(ages[:, 1:], ages[:, :-1], out=change[:, 1:])
+    starts = np.flatnonzero(change)  # runs, in (user, slot) order
+    lengths = np.diff(starts, append=n * horizon)
+    values, which = np.unique(ages.ravel()[starts], return_inverse=True)
+    texts = np.array([f"{v!r}\n" for v in values.tolist()],
+                     dtype=object)[which]
+    settled = lengths >= SETTLED_RUN
+    row_runs = np.searchsorted(starts, np.arange(n + 1) * horizon)
+    settled_runs = np.flatnonzero(settled)
+    row_settled = np.split(settled_runs,
+                           np.searchsorted(settled_runs, row_runs[1:-1]))
     parts = [""] * (3 * horizon)  # user, ",slot,", "age\n" for every slot
-    parts[1::3] = [f",{t}," for t in range(1, horizon + 1)]
-    memo = {}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("user,slot,expected_age\n")
-        for user, row in enumerate(series.per_user):
-            starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
-            texts = []
-            for age in row[starts].tolist():
-                text = memo.get(age)
-                if text is None:
-                    text = memo[age] = f"{age!r}\n"
-                texts.append(text)
-            parts[0::3] = [str(user)] * horizon
-            parts[2::3] = np.repeat(np.array(texts, dtype=object),
-                                    np.diff(starts, append=horizon)).tolist()
-            fh.write("".join(parts))
+    short = np.repeat(~settled, lengths).reshape(n, horizon).any(axis=0)
+    edges = np.flatnonzero(np.diff(short, prepend=False, append=False))
+    for a, b in edges.reshape(-1, 2).tolist():
+        parts[3 * a + 1:3 * b:3] = [f",{t}," for t in range(a + 1, b + 1)]
+    starts = starts.tolist() + [n * horizon]
+    slot_digits = functools.cache(
+        functools.partial(_slot_digits, horizon=horizon))
+    with open(path, "wb") as fh:
+        fh.write(b"user,slot,expected_age\n")
+        for user, (k, stop) in enumerate(zip(row_runs[:-1].tolist(),
+                                             row_runs[1:].tolist())):
+            base, user_text, chunks = user * horizon, str(user), []
+            # each settled run j after the short runs before it, then the
+            # short runs after the last one
+            for j in row_settled[user].tolist() + [stop]:
+                if k < j:  # runs k..j-1 are short
+                    a, b = starts[k] - base, starts[j] - base
+                    parts[3 * a:3 * b:3] = [user_text] * (b - a)
+                    parts[3 * a + 2:3 * b:3] = np.repeat(
+                        texts[k:j], lengths[k:j]).tolist()
+                    chunks.append("".join(parts[3 * a:3 * b]).encode())
+                if j < stop:
+                    chunks.extend(_settled_blocks(
+                        user_text, texts[j], starts[j] - base,
+                        starts[j + 1] - base, slot_digits))
+                k = j + 1
+            fh.write(b"".join(chunks))
 
 
 def write_sim_csv(path, result):

@@ -328,6 +328,11 @@ _LOCK_CASES = {
     "tiny-p-late-fixed-point": lambda: np.full((1, 300_000), 1e-4),
     "tiny-p-no-fixed-point": lambda: np.full((1, 200_000), 1e-4),
     "ramp": lambda: np.zeros((2, 1000)),
+    # enters the s = 1 ramp at age 4.68559 and climbs through every binade
+    # up to 2**14, rounding at each; entry + k, rounded once, differs from
+    # the loop in 8,224 of these slots
+    "ramp-from-fraction": lambda: np.array(
+        [np.concatenate([np.full(5, 0.1), np.zeros(17_000)])]),
     "T=1": lambda: np.array([[0.5], [0.0]]),
     "T=2": lambda: np.array([[0.5, 0.5], [0.0, 1.0]]),
     "N=1": lambda: np.array([[0.7] * 50 + [0.0] * 50 + [0.7] * 50]),

@@ -615,20 +615,25 @@ def test_oracle_payoff_is_its_plans_own_sum():
     assert repr(resp.payoff) == repr(own)
 
 
-ORACLE_MEMORY_BOUND = 8_000_000  # bytes; unchunked, this search peaks ~22 MB
+# bytes: N=2, T=22, B=4 prices 9,109 slot sets per user, 16 bytes per set
+# and user while the tables are built (291,488 B; the search peaks at
+# 297,568 B), plus 100 kB for the rest; the 130,329 plans as arrays, one
+# byte a cell, would take 5.7 MB
+ORACLE_MEMORY_BOUND = (16 * 2 * sum(math.comb(22, k) for k in range(5))
+                       + 100_000)
 
 
-def test_oracle_memory_is_bounded_by_the_chunk():
+def test_oracle_memory_is_bounded_by_its_tables_at_130k_plans():
     cfg = SystemConfig(horizon_T=22, num_users=2, alpha=4.5 / 22)  # B = 4
     assert oracle_plan_count(2, 22, cfg.budget_B) == 130_329
     pol = validate_policy([0.6, 0.4])
     tracemalloc.start()
     try:
-        adversary_oracle(pol, cfg)
+        resp = adversary_oracle(pol, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < ORACLE_MEMORY_BOUND
+    assert peak < ORACLE_MEMORY_BOUND + resp.tied_actions.nbytes
 
 
 def test_oracle_memory_is_bounded_by_its_ties():

@@ -15,8 +15,13 @@ import numpy as np
 import pytest
 
 from aoijam.age_exact import AgeSeries, expected_age_trajectory
-from aoijam.cli import run_scenario, write_trajectories_csv
-from aoijam.model import SystemConfig, empty_plan, validate_policy
+from aoijam.cli import SETTLED_RUN, run_scenario, write_trajectories_csv
+from aoijam.model import (
+    SystemConfig,
+    empty_plan,
+    make_middle_block,
+    validate_policy,
+)
 
 SCENARIOS = {
     "exact-no-diversity": {
@@ -269,10 +274,60 @@ def _settling_rows():
         validate_policy([0.6, 0.4]), empty_plan(cfg), cfg).per_user
 
 
+def _runs(*runs):
+    """One row of (age, slots) runs."""
+    return np.concatenate([np.full(length, age) for age, length in runs])
+
+
+def _width_crossing_rows():
+    # row 0 is one constant run over every slot width from 1 to 6; row 1
+    # starts a settled run just before each width change
+    horizon = 100_100
+    row1 = np.full(horizon, 7.25)
+    for k, edge in enumerate((9, 99, 9_999, 99_999)):
+        row1[edge - 5:] = 3.0 + k / 3
+    return np.array([_runs((1.0, 1), (2.5, horizon - 1)), row1])
+
+
+def _two_digit_user_rows():
+    # every row holds a settled run, so users 10 and 11 write two-digit
+    # ids into numpy blocks; user 11's run is cut in two
+    rows = np.tile(_runs((1.0, 1), (1.75, 3), (4.5, 296)), (12, 1))
+    rows[11, 150:] = 1.0 / 3.0 + 2.0
+    return rows
+
+
+def _run_length_rows():
+    # a run of SETTLED_RUN slots is written as a block, one slot shorter
+    # through the str parts, each between distinct ages
+    edge = SETTLED_RUN
+    return np.array([
+        _runs((1.0, 1), (1.5, edge), (2.0, 1), (1.5, edge - 1), (3.0, 1)),
+        _runs((1.0, 1), (1.5, edge - 1), (2.0, 1), (1.5, edge), (3.0, 1))])
+
+
+def _middle_block_rows(users, horizon):
+    def rows():
+        cfg = SystemConfig(horizon_T=horizon, num_users=users, alpha=0.2)
+        policy = validate_policy(np.full(users, 1 / users))
+        return expected_age_trajectory(
+            policy, make_middle_block(cfg, users - 1), cfg).per_user
+    return rows
+
+
 @pytest.mark.parametrize("rows", [
     pytest.param(_distinct_rows, id="all-distinct"),
     pytest.param(_settling_rows, id="settles-to-constant"),
     pytest.param(lambda: [[1.0], [1.0]], id="T=1"),
+    pytest.param(_width_crossing_rows, id="run-crosses-slot-widths"),
+    pytest.param(_two_digit_user_rows, id="two-digit-users"),
+    pytest.param(_run_length_rows, id="runs-of-SETTLED_RUN-and-one-less"),
+    # user 2 ramps through the block, then settles
+    pytest.param(_middle_block_rows(3, 4000), id="middle-block"),
+    # at p = 1/50 no row settles within 1000 slots
+    pytest.param(_middle_block_rows(50, 1000), id="N=50-all-distinct"),
+    pytest.param(lambda: [_runs((1.0, 1), (2.0, 999))], id="T=1000"),
+    pytest.param(lambda: np.full((2, 10_000), 1.0), id="T=10000"),
 ])
 def test_trajectory_writer_matches_csv_writer(rows, tmp_path):
     series = _series(rows())
