@@ -76,7 +76,6 @@ from .model import (
 from .montecarlo import (
     SimResult,
     estimate_average_age,
-    mix_seed,
 )
 
 __version__ = "0.1.0"
@@ -125,7 +124,6 @@ __all__ = [
     "make_middle_block",
     "make_uniform_subcarrier_block",
     "middle_window",
-    "mix_seed",
     "numeric_simplex_minimizer",
     "oracle_plan_count",
     "ordered_kkt_solver",

@@ -766,7 +766,11 @@ def run_scenario(path: str, out_dir: str | None = None,
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The console script's parser, built once per process: building it
+    costs about twenty parses, and parse_args keeps no state between
+    calls, so in-process callers of main share one."""
     parser = argparse.ArgumentParser(
         prog="aoijam",
         description="Age-of-information scheduling under an adversarial "
@@ -784,7 +788,11 @@ def main(argv=None) -> int:
                        help="replace the experiment's seed (an integer >= 0)")
         p.add_argument("--quiet", action="store_true",
                        help="suppress the stdout summary")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return run_scenario(args.config, out_dir=args.out_dir,
                         seed_override=args.seed_override, quiet=args.quiet,
                         experiment=args.experiment)

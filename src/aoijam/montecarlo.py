@@ -22,14 +22,26 @@ from .model import (
     check_profile,
 )
 
-# Slots simulated at once: estimate_average_age draws max(1, BLOCK_CELLS // T)
-# runs per block, so a block's buffers stay near one long run's size.
-BLOCK_CELLS = 2**14
+# Cells simulated at once: estimate_average_age works in blocks of
+# min(T, BLOCK_CELLS) slots by min(runs, max(1, BLOCK_CELLS // T)) runs and
+# allocates its buffers once per call at that size.
+BLOCK_CELLS = 2**16
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
+
+
+def _finalise(z: np.ndarray, scratch: np.ndarray) -> None:
+    """splitmix64's output rounds on the uint64 array z, in place; scratch
+    is a uint64 buffer of z's shape that the shifts are written to."""
+    for shift, mix in ((30, _MIX_1), (27, _MIX_2)):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        z ^= scratch
+        z *= np.uint64(mix)
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
 
 
 def mix_seed(master_seed: int, position: int | np.ndarray) -> int | np.ndarray:
@@ -46,26 +58,30 @@ def mix_seed(master_seed: int, position: int | np.ndarray) -> int | np.ndarray:
         return z ^ (z >> 31)
     z = position * np.uint64(_SPLITMIX_GAMMA)
     z += np.uint64(offset)
-    shifted = np.empty_like(z)
-    for shift, mix in ((30, _MIX_1), (27, _MIX_2)):
-        np.right_shift(z, np.uint64(shift), out=shifted)
-        z ^= shifted
-        z *= np.uint64(mix)
-    np.right_shift(z, np.uint64(31), out=shifted)
-    z ^= shifted
+    _finalise(z, np.empty_like(z))
     return z
 
 
-def _uniforms(master_seed: int, start: int, stop: int, stream: int,
-              horizon: int) -> np.ndarray:
-    """(horizon, stop - start) uniforms in [0, 1), one column per run: row
-    t - 1, column k - start holds u(k, s, t), the top 53 bits of
-    mix_seed(master_seed, (3k + s)T + t - 1) scaled by 2**-53."""
-    runs = (np.arange(start, stop, dtype=np.uint64) * 3 + stream) * horizon
-    counters = np.arange(horizon, dtype=np.uint64)[:, None] + runs
-    bits = mix_seed(master_seed, counters)
-    bits >>= np.uint64(11)
-    return bits * 2.0**-53
+def _draw_words(master_seed: int, stream: int, first_run: int,
+                first_slot: int, horizon: int, slot_words: np.ndarray,
+                out: np.ndarray, scratch: np.ndarray) -> None:
+    """Fill the (slots, runs) array `out` with raw stream words: row r,
+    column j gets mix_seed(master_seed, (3k + stream)T + first_slot + r)
+    for run k = first_run + j, the word whose top 53 bits make u(k, stream,
+    first_slot + r + 1).  `slot_words[r]` must hold r·gamma mod 2**64: a
+    counter's gamma multiple plus the seed offset splits into that row term
+    and a column term, so the words cost one add and the finaliser's
+    rounds."""
+    rows, cols = out.shape
+    column = np.arange(first_run, first_run + cols, dtype=np.uint64)
+    column *= np.uint64(3)
+    column += np.uint64(stream)
+    column *= np.uint64(horizon)
+    column += np.uint64(first_slot)
+    column *= np.uint64(_SPLITMIX_GAMMA)
+    column += np.uint64((master_seed + _SPLITMIX_GAMMA) & _MASK64)
+    np.add(slot_words[:rows, None], column, out=out)
+    _finalise(out, scratch)
 
 
 @dataclass(frozen=True)
@@ -89,26 +105,70 @@ class SimResult:
 # ===========================================================================
 
 
-def _categories(cum: np.ndarray, uniforms: np.ndarray,
-                code_type: type) -> np.ndarray:
-    """Category of each uniform: how many cumulative sums lie at or below it.
+def _word_thresholds(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The test u >= c on raw words, for every c in `cum`.
 
-    `cum` is a cumulative distribution (one threshold per category) or a
-    channels x T x 1 stack of per-slot sums, each (T, 1) slice broadcast
-    across a slot-major block's columns; a uniform above the last threshold
-    gets the index one past the last category.  For a non-decreasing cum
-    this equals searchsorted(cum, uniforms, side="right"), and at a few
-    categories one comparison pass per category, through one reused bool
-    buffer into `code_type` counts, is several times faster.  `code_type`
-    must hold len(cum); estimate_average_age passes int8 while
+    With u = (w >> 11)·2**-53 and m = ceil(c·2**53) (exact: the scaling is
+    by a power of two), u >= c holds exactly when w >= m·2**11, always when
+    m <= 0 and never when m >= 2**53.  Returns (always, above): `always`
+    counts the c <= 0 along axis 0, and for every other c the test is
+    w > above, with above = m·2**11 - 1 mod 2**64; an always c, and a c
+    that no word reaches, both get above = 2**64 - 1, which no word
+    exceeds.
+    """
+    m = np.clip(np.ceil(cum * 2.0**53), 0.0, 2.0**53).astype(np.uint64)
+    above = (m << np.uint64(11)) - np.uint64(1)
+    return (m == 0).sum(axis=0), above
+
+
+def _scalar_thresholds(cum: np.ndarray) -> tuple[int, np.ndarray]:
+    """_word_thresholds of a 1-D cumulative distribution, less the entries
+    that no word exceeds: an always entry is counted, a never entry costs
+    no pass."""
+    always, above = _word_thresholds(cum)
+    return int(always), above[above != np.uint64(_MASK64)]
+
+
+def _categories(words: np.ndarray, always, above, codes: np.ndarray,
+                hit: np.ndarray) -> None:
+    """Category of each word into `codes`: how many cumulative sums lie at
+    or below its uniform, counted as `always` plus one pass per entry of
+    `above` (see _word_thresholds) through the reused bool buffer `hit`.
+
+    `above` is a 1-D threshold array, or a channels x slots x 1 stack of
+    per-slot thresholds, each (slots, 1) slice broadcast across the block's
+    runs with `always` a (slots, 1) column.  For a non-decreasing cum this
+    equals searchsorted(cum, uniforms, side="right"), and at a few
+    categories one comparison pass per category is several times faster.
+    `codes` must hold the count; estimate_average_age passes int8 while
     max(N, channels) <= 127 and widens to int16, then int32 beyond.
     """
-    idx = np.zeros(uniforms.shape, dtype=code_type)
-    hit = np.empty(uniforms.shape, dtype=bool)
-    for threshold in cum:
-        np.greater_equal(uniforms, threshold, out=hit)
-        idx += hit
-    return idx
+    codes[...] = always
+    for threshold in above:
+        np.greater(words, threshold, out=hit)
+        codes += hit
+
+
+def _set_none(codes: np.ndarray, hit: np.ndarray) -> None:
+    """Set codes to -1 where hit, as codes | -hit: a masked copy costs a
+    branch per cell, mispredicted on random masks.  `hit` is clobbered."""
+    flag = hit.view(np.int8)
+    np.negative(flag, out=flag)
+    np.bitwise_or(codes, flag, out=codes)
+
+
+def _running_max(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Running maximum down the rows of x by doubling: pass k sets each row
+    to the max of itself and the row k above, for k = 1, 2, 4, ...,
+    ping-ponging between x and y (both are overwritten).  Returns the one
+    that holds the result."""
+    k = 1
+    while k < len(x):
+        np.maximum(x[k:], x[:-k], out=y[k:])
+        y[:k] = x[:k]
+        x, y = y, x
+        k *= 2
+    return x
 
 
 def _narrowest(types, top: int) -> type:
@@ -122,24 +182,32 @@ def estimate_average_age(policy: SchedulingPolicy, subpolicy, plan: BlockingPlan
     """Average the system age over `runs` independent runs.
 
     Pass subpolicy=None for the no-diversity model.  Run k draws u(k, s, t)
-    (see _uniforms) on stream 0 to schedule a user, on stream 1 to pick the
-    sub-carrier and, only when some plan entry lies strictly between 0 and
-    1, on stream 2 to pick the blocked channel, so the adversary's draws
-    never depend on the realized schedule.  Runs are evaluated in blocks of
-    max(1, BLOCK_CELLS // T), each block slot-major: one row per slot and
+    = (mix_seed(master_seed, (3k + s)T + t - 1) >> 11)·2**-53 on stream 0
+    to schedule a user, on stream 1 to pick the sub-carrier and, only when
+    some plan entry lies strictly between 0 and 1, on stream 2 to pick the
+    blocked channel, so the adversary's draws never depend on the realized
+    schedule.  Blocks are min(T, BLOCK_CELLS) slots by min(runs,
+    max(1, BLOCK_CELLS // T)) runs, each slot-major: one row per slot and
     one column per run, so every per-slot step is one vectorised row
-    operation across the block's runs.
+    operation across the block's runs.  Every buffer is allocated once per
+    call.  A run longer than BLOCK_CELLS slots is walked in slot chunks,
+    each user carrying its last delivery slot from one chunk into the next.
 
-    Categories (the scheduled user, the sub-carrier, the blocked channel,
-    -1 for "delivered to nobody") are int8 codes while max(N, channels)
-    <= 127, then int16 and int32.  Slot stamps are int16 while T < 2**15,
-    then int32 while T < 2**31, then int64.  Each user's last delivery
-    slot is its code mask times the slot stamps, then a running maximum
-    down the slots.
+    The uniforms are never formed: a block's raw words are drawn in place
+    (see _draw_words) and compared with integer thresholds, which decide
+    u >= c exactly (see _word_thresholds).  Categories (the scheduled user,
+    the sub-carrier, the blocked channel, -1 for "delivered to nobody") are
+    int8 codes while max(N, channels) <= 127, then int16 and int32.  Slot
+    stamps are int16 while T < 2**15, then int32 while T < 2**31, then
+    int64.  Each user's last delivery slot is its code mask times the slot
+    stamps (without diversity, a 0/1 plan zeroes the stamps of the slots
+    it blocks for that user instead of touching the codes), then a running
+    maximum down the slots by doubling (see _running_max).
 
     A user's time-average age in a run is its exact integer age sum divided
     by T: with last(t) the latest delivery slot up to t (0 if none), the sum
-    is T(T+1)/2 - sum(last(1..T-1)), taken in int64.  While T(T+1)/2 < 2**53
+    is T(T+1)/2 - sum(last(1..T-1)), summed per chunk in int32 while
+    chunk·T fits and across chunks in int64.  While T(T+1)/2 < 2**53
     every partial sum is an exact float, so this equals the mean of the
     run's integer ages bit for bit.  Aggregation uses exact compensated
     sums, so the estimate is independent of run order.
@@ -148,51 +216,97 @@ def estimate_average_age(policy: SchedulingPolicy, subpolicy, plan: BlockingPlan
         raise InsufficientRunsError(
             f"runs = {runs}; need >= 2 for a standard error")
     check_profile(policy, subpolicy, plan, config)
-    horizon = config.horizon_T
-    sched_cum = np.cumsum(policy.probs)
-    sub_cum = None if subpolicy is None else np.cumsum(subpolicy.probs)
-    # one (T, 1) threshold column per channel, broadcast across the runs
-    adv_cum = np.cumsum(plan.block_prob, axis=0)[:, :, None]
-    channels = adv_cum.shape[0]
-    code_type = _narrowest((np.int8, np.int16, np.int32),
-                           max(policy.n, channels))
-    randomized = not plan.is_deterministic
-    if not randomized:
-        # a 0/1 column's sums step from 0 to 1 at its blocked channel, so
-        # any uniform in (0, 1) finds it; an empty column finds `channels`
-        idx = _categories(adv_cum, np.full((horizon, 1), 0.5), code_type)
-        blocked = np.where(idx < channels, idx, -1)
+    horizon, n = config.horizon_T, policy.n
+    channels = plan.block_prob.shape[0]
+    code_type = _narrowest((np.int8, np.int16, np.int32), max(n, channels))
     slot_type = _narrowest((np.int16, np.int32, np.int64), horizon)
-    slots = np.arange(1, horizon + 1, dtype=slot_type)[:, None]
+    sched = _scalar_thresholds(np.cumsum(policy.probs))
+    if subpolicy is not None:
+        sub = _scalar_thresholds(np.cumsum(subpolicy.probs))
+    randomized = not plan.is_deterministic
+    if randomized:
+        # one (T, 1) threshold column per channel, broadcast across the
+        # runs; a word past the last channel's sum blocks nothing (-1)
+        adv_always, adv_above = _word_thresholds(
+            np.cumsum(plan.block_prob, axis=0)[:, :, None])
+        adv_always[adv_always == channels] = -1
+        adv_always = adv_always.astype(code_type)
+    else:
+        # a 0/1 column blocks the channel holding its 1, an empty one none
+        m = plan.block_prob
+        blocked = np.where(m.any(axis=0), m.argmax(axis=0), -1).astype(
+            code_type)[:, None]
+    # without diversity a 0/1 plan blocks users, not draws: a blocked slot
+    # is cut from its user's stamps instead of from every code
+    per_user_blocks = subpolicy is None and not randomized
+    stamps = np.arange(1, horizon + 1, dtype=slot_type)[:, None]
     full_sum = horizon * (horizon + 1) // 2
-    block = max(1, BLOCK_CELLS // horizon)
 
-    per_run_user = np.empty((runs, policy.n))
-    for start in range(0, runs, block):
-        stop = min(start + block, runs)
-        scheduled = _categories(
-            sched_cum, _uniforms(master_seed, start, stop, 0, horizon),
-            code_type)
-        used_channel = (scheduled if sub_cum is None else _categories(
-            sub_cum, _uniforms(master_seed, start, stop, 1, horizon),
-            code_type))
-        if randomized:
-            # residual mass above the column sum means "block nothing"
-            idx = _categories(
-                adv_cum, _uniforms(master_seed, start, stop, 2, horizon),
-                code_type)
-            blocked = np.where(idx < channels, idx, -1)
-        # the user whose update got through, -1 where it was blocked; a
-        # uniform above a sum that rounds below 1 (code N) matches no user
-        codes = np.where(used_channel != blocked, scheduled, -1)
-        delivered = np.empty(codes.shape, dtype=bool)
-        last = np.empty(codes.shape, dtype=slot_type)
-        for i in range(policy.n):
-            np.equal(codes, i, out=delivered)
-            np.multiply(delivered, slots, out=last)
-            np.maximum.accumulate(last, axis=0, out=last)
-            age_sum = full_sum - last[:-1].sum(axis=0, dtype=np.int64)
-            per_run_user[start:stop, i] = age_sum / horizon
+    chunk = min(horizon, BLOCK_CELLS)
+    group = min(runs, max(1, BLOCK_CELLS // horizon))
+    # a chunk's stamp sum in one run stays below chunk·T
+    sum_type = _narrowest((np.int32, np.int64), chunk * horizon)
+    slot_words = np.arange(chunk, dtype=np.uint64) * np.uint64(_SPLITMIX_GAMMA)
+    dtypes = {"words": np.uint64, "scratch": np.uint64, "hit": bool,
+              "codes": code_type, "last": slot_type, "spare": slot_type}
+    if subpolicy is not None:
+        dtypes["channel"] = code_type
+    if randomized:
+        dtypes["blocked"] = code_type
+    buffers = {name: np.empty(chunk * group, dtype)
+               for name, dtype in dtypes.items()}
+
+    per_run_user = np.empty((runs, n))
+    for start in range(0, runs, group):
+        cols = min(group, runs - start)
+        carry = np.zeros((n, cols), dtype=slot_type)
+        sums = np.zeros((n, cols), dtype=np.int64)
+        for first in range(0, horizon, chunk):
+            stop = min(first + chunk, horizon)
+            b = {name: buf[:(stop - first) * cols].reshape(stop - first, cols)
+                 for name, buf in buffers.items()}
+            w, h, codes = b["words"], b["hit"], b["codes"]
+
+            def draw(stream):
+                _draw_words(master_seed, stream, start, first, horizon,
+                            slot_words, w, b["scratch"])
+
+            draw(0)
+            _categories(w, *sched, codes, h)
+            channel = codes
+            if subpolicy is not None:
+                draw(1)
+                channel = b["channel"]
+                _categories(w, *sub, channel, h)
+            if randomized:
+                draw(2)
+                adv = b["blocked"]
+                _categories(w, adv_always[first:stop],
+                            adv_above[:-1, first:stop], adv, h)
+                np.greater(w, adv_above[-1, first:stop], out=h)
+                _set_none(adv, h)
+            else:
+                adv = blocked[first:stop]
+            if not per_user_blocks:
+                # the user whose update got through, -1 where it was
+                # blocked; a word above a sum that rounds below 1 (code N)
+                # matches no user
+                np.equal(channel, adv, out=h)
+                _set_none(codes, h)
+            # slot T's stamp never enters the age sum
+            live = stop - first - (stop == horizon)
+            for i in range(n):
+                user_stamps = stamps[first:stop]
+                if per_user_blocks:
+                    user_stamps = user_stamps * (adv != i)
+                last = b["last"]
+                np.equal(codes, i, out=h)
+                np.multiply(h, user_stamps, out=last)
+                np.maximum(last[0], carry[i], out=last[0])
+                last = _running_max(last, b["spare"])
+                sums[i] += last[:live].sum(axis=0, dtype=sum_type)
+                carry[i] = last[-1]
+        per_run_user[start:start + cols] = (full_sum - sums.T) / horizon
 
     per_user_mean = np.array(
         [math.fsum(per_run_user[:, i]) / runs for i in range(policy.n)])

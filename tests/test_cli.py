@@ -247,6 +247,26 @@ def test_seed_override_replaces_config_seed(tmp_path):
     assert row.endswith(",99")
 
 
+def test_consecutive_main_calls_share_no_flags(tmp_path, capsys):
+    # one parser serves every call in a process: a flag of one call must
+    # not reach the next, whatever its subcommand
+    path = write_scenario(tmp_path, sim_doc(seed=11))
+    assert main(["simulate", "--config", path, "--out-dir",
+                 str(tmp_path / "a"), "--seed-override", "99",
+                 "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["exact", "--config", write_scenario(tmp_path, base_doc(),
+                                                     "exact.json"),
+                 "--out-dir", str(tmp_path / "b")]) == 0
+    assert "system average age" in capsys.readouterr().out
+    assert main(["simulate", "--config", path, "--out-dir",
+                 str(tmp_path / "c")]) == 0
+    assert "seed 11" in capsys.readouterr().out
+    for sub, seed in (("a", "99"), ("c", "11")):
+        row = (tmp_path / sub / "sim.csv").read_text().splitlines()[1]
+        assert row.endswith("," + seed)
+
+
 def test_seed_past_2_64_simulates_like_its_residue(tmp_path):
     rows = []
     for seed in (5, 2**64 + 5):

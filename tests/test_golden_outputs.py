@@ -91,6 +91,17 @@ SCENARIOS = {
         "plan": {"source": "uniform-subcarrier"},
         "experiment": {"name": "montecarlo", "runs": 70, "seed": 10},
     },
+    # T = 70,000 spans two Monte Carlo slot chunks; the randomized plan
+    # draws all three streams in both
+    "simulate-long-horizon": {
+        "model": "diversity",
+        "system": {"horizon_T": 70000, "num_users": 3, "alpha": 0.2,
+                   "num_subcarriers": 3},
+        "policy": {"source": "explicit", "probs": [0.5, 0.3, 0.2]},
+        "subcarrier_policy": {"source": "explicit", "probs": [0.5, 0.3, 0.2]},
+        "plan": {"source": "uniform-subcarrier"},
+        "experiment": {"name": "montecarlo", "runs": 3, "seed": 12},
+    },
     "asymptotic-no-diversity": {
         "model": "no-diversity",
         "system": {"horizon_T": 1000, "num_users": 3, "alpha": 0.3},
@@ -212,6 +223,11 @@ GOLDEN = {
         "scenario.json": "a655e3e01f7dc43597e028b8b3cab74d04ac52cce7588948fe177c91dddc4290",
         "sim.csv": "5875293396f42bd07ec3312914248295d50b527c281b3f357a40abda165883e8",
         "stdout": "9a0c6f7a42691b4835f8b14a94a0c8519425611e1a91c4a40186cc7eca69b078",
+    },
+    "simulate-long-horizon": {
+        "scenario.json": "ea4a15c3910e6f583e6a8d66052c5ff7462a6acd16b2e48b647c2d4b98c355f5",
+        "sim.csv": "d9d62af60eee703cc692a6d487c4c8bed044f0b304075138ca849ebe58a4ac63",
+        "stdout": "23a2c62d0999357b6623b589f642fd212aae7497268d45107e622e417edb0800",
     },
     "simulate-no-diversity": {
         "scenario.json": "634875e1577e960cf9876ea39676b3a09e319311b75f20d25e9cc40fd3a383ab",

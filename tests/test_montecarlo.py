@@ -61,20 +61,33 @@ def test_mix_seed_on_uint64_arrays_matches_the_int_path():
         assert got.tolist() == [mix_seed(master, c) for c in positions]
 
 
+def _words(master, stream, first_run, runs, first_slot, slots, horizon):
+    """montecarlo._draw_words into a fresh (slots, runs) array."""
+    slot_words = np.arange(slots, dtype=np.uint64) * np.uint64(
+        montecarlo._SPLITMIX_GAMMA)
+    out = np.empty((slots, runs), dtype=np.uint64)
+    montecarlo._draw_words(master, stream, first_run, first_slot, horizon,
+                           slot_words, out, np.empty_like(out))
+    return out
+
+
 @pytest.mark.parametrize("master", [7, 2**63 + 12345], ids=["small-seed",
                                                            "seed-above-2**63"])
 @pytest.mark.parametrize("stream", [0, 1, 2])
 def test_uniforms_are_slot_major(stream, master):
-    # one column per run: row t - 1, column k - start holds u(k, s, t),
-    # recomputed here one Python int at a time
+    # one column per run: row r, column k - start holds run k's word at
+    # slot first + r + 1 (the one whose top 53 bits make u(k, s, t)),
+    # recomputed here one Python int at a time; a slot chunk may start
+    # inside the run
     start, stop, horizon = 5, 9, 7
-    got = montecarlo._uniforms(master, start, stop, stream, horizon)
-    assert got.shape == (horizon, stop - start) and got.dtype == np.float64
-    for k in range(start, stop):
-        for t in range(1, horizon + 1):
-            counter = (3 * k + stream) * horizon + t - 1
-            want = (mix_seed(master, counter) >> 11) * 2.0**-53
-            assert got[t - 1, k - start] == want
+    for first in (0, 3):
+        got = _words(master, stream, start, stop - start, first,
+                     horizon - first, horizon)
+        for k in range(start, stop):
+            for t in range(first + 1, horizon + 1):
+                counter = (3 * k + stream) * horizon + t - 1
+                assert int(got[t - 1 - first, k - start]) == mix_seed(
+                    master, counter)
 
 
 # chi-square 0.999 quantile at 63 degrees of freedom
@@ -84,8 +97,12 @@ _CHI2_63_Q999 = 103.44
 def test_schedule_stream_is_uniform_and_apart_from_adversary_stream():
     # fixed counters: runs 0..2**11 - 1 at T = 2**9, master seed 0
     runs, horizon = 2**11, 2**9
-    sched = montecarlo._uniforms(0, 0, runs, 0, horizon).ravel()
-    adv = montecarlo._uniforms(0, 0, runs, 2, horizon).ravel()
+
+    def uniforms(stream):
+        words = _words(0, stream, 0, runs, 0, horizon, horizon).ravel()
+        return (words >> np.uint64(11)) * 2.0**-53
+
+    sched, adv = uniforms(0), uniforms(2)
     n = sched.size
     assert n == 2**20
     assert sched.min() >= 0.0 and sched.max() < 1.0
@@ -93,6 +110,36 @@ def test_schedule_stream_is_uniform_and_apart_from_adversary_stream():
     chi2 = float(((counts - n / 64) ** 2).sum() / (n / 64))
     assert chi2 < _CHI2_63_Q999
     assert abs(np.corrcoef(sched, adv)[0, 1]) < 5 / math.sqrt(n)
+
+
+def _word_of(u):
+    """The smallest word whose uniform (w >> 11)·2**-53 is u."""
+    return int(u * 2.0**53) << 11
+
+
+# K·2**-53 lies on the uniforms' grid; its nextafter neighbours lie just off
+_K = 3 * 2**40 + 1
+
+
+@pytest.mark.parametrize("c", [
+    0.0, 2.0**-53, _K * 2.0**-53, np.nextafter(_K * 2.0**-53, 0.0),
+    np.nextafter(_K * 2.0**-53, 1.0), 0.5, np.nextafter(1.0, 0.0), 1.0,
+    np.cumsum([1 / 9] * 9)[-1],  # a cumsum that rounds to 1 + 2**-52
+    5e-324,
+], ids=lambda c: repr(float(c)))
+def test_word_thresholds_decide_u_ge_c_exactly(c):
+    # u = (w >> 11)·2**-53 >= c, decided on the word alone: w > above, or
+    # always where c counts in `always` (one channel, one slot)
+    always, above = montecarlo._word_thresholds(np.array([[c]]))
+    always, above = always[0], above[0, 0]
+    m = math.ceil(c * 2**53)
+    words = {0, 2**64 - 1}
+    for mm in (m - 1, m, m + 1):
+        if 0 < mm <= 2**53:
+            words |= {mm * 2**11 - 1, mm * 2**11}
+    for w in sorted(words):
+        want = (w >> 11) * 2.0**-53 >= c
+        assert (bool(always) or w > int(above)) == want, w
 
 
 # ===========================================================================
@@ -232,13 +279,13 @@ def test_zero_one_plan_draws_no_adversary_stream(monkeypatch):
     cfg = SystemConfig(horizon_T=12, num_users=2, alpha=0.35,
                        num_subcarriers=2)  # B = 4
     pol, q = validate_policy([0.4, 0.6]), uniform_subcarrier_policy(2)
-    real, streams = montecarlo._uniforms, []
+    real, streams = montecarlo._draw_words, []
 
-    def spy(master_seed, start, stop, stream, horizon):
+    def spy(master_seed, stream, *args):
         streams.append(stream)
-        return real(master_seed, start, stop, stream, horizon)
+        return real(master_seed, stream, *args)
 
-    monkeypatch.setattr(montecarlo, "_uniforms", spy)
+    monkeypatch.setattr(montecarlo, "_draw_words", spy)
     m = np.zeros((2, 12))
     m[0, 4:7] = 1.0
     estimate_average_age(pol, q, BlockingPlan(m), cfg, 2, 5)
@@ -267,10 +314,11 @@ def test_rounded_away_subcarrier_mass_still_delivers(monkeypatch, randomized):
     m = np.zeros((6, 8))
     if randomized:
         m[0, 2:6] = 0.5
+    word = np.uint64(_word_of(np.nextafter(1.0, 0.0)))
     monkeypatch.setattr(
-        montecarlo, "_uniforms",
-        lambda master_seed, start, stop, stream, horizon: np.full(
-            (horizon, stop - start), np.nextafter(1.0, 0.0)))
+        montecarlo, "_draw_words",
+        lambda master_seed, stream, first_run, first_slot, horizon,
+        slot_words, out, scratch: out.fill(word))
     est = estimate_average_age(validate_policy([1.0]), q, BlockingPlan(m),
                                cfg, 2, 0)
     assert est.mean_system_age == 1.0
@@ -410,7 +458,12 @@ def test_std_error_shrinks_like_sqrt_runs():
 # ===========================================================================
 
 _LOCK_PROBS = [0.5, 0.3, 0.2]
-_RUNS_AT_500 = max(1, BLOCK_CELLS // 500)  # runs in one block at T=500
+# the lock's block edges are taken against a patched BLOCK_CELLS: at the
+# real constant they would cost hundreds of slot-by-slot reference runs
+_LOCK_BLOCK = 2**14
+_RUNS_AT_500 = _LOCK_BLOCK // 500  # runs in one block at T=500
+_SMALL_BLOCK = 2**9
+_RUNS_AT_40 = _SMALL_BLOCK // 40  # runs in one small block at T=40
 
 
 def _per_run_reference(policy, subpolicy, plan, config, runs, master_seed):
@@ -437,8 +490,21 @@ def _lock_scenario(plan_kind, horizon):
     """The lock's profiles.  wide-users (130 users) and wide-subcarriers
     (300 sub-carriers, a randomized plan over all of them) draw categories
     past the int8 codes; past 255 an int8 count would wrap onto the codes
-    of other channels."""
+    of other channels.  randomized (fractional entries, no diversity) and
+    diversity-zero-one (a 0/1 sub-carrier block) take the paths on which
+    blocking decides per draw, not per user."""
     pol = validate_policy(_LOCK_PROBS)
+    if plan_kind in ("randomized", "diversity-zero-one"):
+        nsub = 3 if plan_kind == "diversity-zero-one" else 1
+        cfg = SystemConfig(horizon, 3, 0.3, num_subcarriers=nsub)
+        start, stop = middle_window(horizon, cfg.budget_B)
+        m = np.zeros((3, horizon))
+        if nsub > 1:
+            m[1, start:stop] = 1.0
+            return (pol, validate_subcarrier_policy([0.5, 0.25, 0.25]),
+                    BlockingPlan(m), cfg)
+        m[0, start:stop], m[2, start:stop] = 0.25, 0.5
+        return pol, None, BlockingPlan(m), cfg
     if plan_kind == "wide-users":
         cfg = SystemConfig(horizon, _WIDE_USERS, 0.3)
         return (uniform_policy(_WIDE_USERS), None,
@@ -462,25 +528,47 @@ _LOCK_SIZES = [
     (500, _RUNS_AT_500 + 1),
     (500, 3 * _RUNS_AT_500 + 5),
     (1, 40),
-    (BLOCK_CELLS + 1, 3),  # a block holds a single run
+    (_LOCK_BLOCK + 1, 3),  # two slot chunks, the second one slot long
 ]
-_LOCK_CELLS = [(kind, horizon, runs)
+_SMALL_SIZES = [
+    (40, _RUNS_AT_40 - 1),
+    (40, _RUNS_AT_40),
+    (40, _RUNS_AT_40 + 1),
+    (40, 3 * _RUNS_AT_40 + 5),
+    (_SMALL_BLOCK, 3),  # one chunk, exactly full
+    (2 * _SMALL_BLOCK, 2),  # slot T ends a full chunk
+    (2 * _SMALL_BLOCK + 276, 3),  # three chunks, the last one partial
+]
+_LOCK_CELLS = [(kind, horizon, runs, _LOCK_BLOCK)
                for kind in ("empty", "middle", "diversity")
                for horizon, runs in _LOCK_SIZES] + [
-    ("wide-users", 40, 30),
-    ("wide-subcarriers", 40, 30),
+    ("wide-users", 40, 30, _LOCK_BLOCK),
+    ("wide-subcarriers", 40, 30, _LOCK_BLOCK),
     # the last horizon with int16 slot stamps and the first past it; the
     # stamp of slot T never enters the age sum, so only T = 2**15 + 1 would
     # see a stamp wrap in int16
-    ("middle", 2**15 - 1, 2),
-    ("middle", 2**15, 2),
-    ("middle", 2**15 + 1, 2),
+    ("middle", 2**15 - 1, 2, _LOCK_BLOCK),
+    ("middle", 2**15, 2, _LOCK_BLOCK),
+    ("middle", 2**15 + 1, 2, _LOCK_BLOCK),
+] + [(kind, horizon, runs, _SMALL_BLOCK)
+     for kind in ("empty", "middle", "diversity", "wide-users", "randomized",
+                  "diversity-zero-one")
+     for horizon, runs in _SMALL_SIZES] + [
+    # two chunks at the real block size
+    ("middle", BLOCK_CELLS + 1, 3, BLOCK_CELLS),
 ]
 
 
-@pytest.mark.parametrize("plan_kind,horizon,runs", [
-    pytest.param(*cell, id="{1}-{2}-{0}".format(*cell)) for cell in _LOCK_CELLS])
-def test_estimate_matches_per_run_loop_bit_for_bit(plan_kind, horizon, runs):
+def _lock_id(kind, horizon, runs, block):
+    suffix = "" if block == _LOCK_BLOCK else f"-block{block}"
+    return f"{horizon}-{runs}-{kind}{suffix}"
+
+
+@pytest.mark.parametrize("plan_kind,horizon,runs,block", [
+    pytest.param(*cell, id=_lock_id(*cell)) for cell in _LOCK_CELLS])
+def test_estimate_matches_per_run_loop_bit_for_bit(monkeypatch, plan_kind,
+                                                   horizon, runs, block):
+    monkeypatch.setattr(montecarlo, "BLOCK_CELLS", block)
     pol, q, plan, cfg = _lock_scenario(plan_kind, horizon)
     est = estimate_average_age(pol, q, plan, cfg, runs, 31337)
     mean, per_user, se = _per_run_reference(pol, q, plan, cfg, runs, 31337)
