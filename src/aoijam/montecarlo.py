@@ -106,7 +106,8 @@ class SimResult:
 
 
 def _word_thresholds(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The test u >= c on raw words, for every c in `cum`.
+    """The test u >= c on raw words, for every c in the float array `cum`,
+    which is overwritten.
 
     With u = (w >> 11)·2**-53 and m = ceil(c·2**53) (exact: the scaling is
     by a power of two), u >= c holds exactly when w >= m·2**11, always when
@@ -114,11 +115,20 @@ def _word_thresholds(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     counts the c <= 0 along axis 0, and for every other c the test is
     w > above, with above = m·2**11 - 1 mod 2**64; an always c, and a c
     that no word reaches, both get above = 2**64 - 1, which no word
-    exceeds.
+    exceeds.  `above` takes over the memory of `cum`.
     """
-    m = np.clip(np.ceil(cum * 2.0**53), 0.0, 2.0**53).astype(np.uint64)
-    above = (m << np.uint64(11)) - np.uint64(1)
-    return (m == 0).sum(axis=0), above
+    np.multiply(cum, 2.0**53, out=cum)
+    np.ceil(cum, out=cum)
+    np.clip(cum, 0.0, 2.0**53, out=cum)
+    always = (cum == 0.0).sum(axis=0)
+    # each m overwrites its float one row at a time (numpy copies an
+    # overlapping source first), so only one row is ever held twice
+    above = cum.view(np.uint64)
+    for row in range(len(cum)):
+        above[row] = cum[row]
+    np.left_shift(above, np.uint64(11), out=above)
+    np.subtract(above, np.uint64(1), out=above)
+    return always, above
 
 
 def _scalar_thresholds(cum: np.ndarray) -> tuple[int, np.ndarray]:
@@ -200,14 +210,12 @@ def estimate_average_age(policy: SchedulingPolicy, subpolicy, plan: BlockingPlan
     int8 codes while max(N, channels) <= 127, then int16 and int32.  Slot
     stamps are int16 while T < 2**15, then int32 while T < 2**31, then
     int64.  Each user's last delivery slot is its code mask times the slot
-    stamps (without diversity, a 0/1 plan zeroes the stamps of the slots
-    it blocks for that user instead of touching the codes), then a running
-    maximum down the slots by doubling (see _running_max).
+    stamps, then a running maximum down the slots by doubling (see
+    _running_max).
 
     A user's time-average age in a run is its exact integer age sum divided
     by T: with last(t) the latest delivery slot up to t (0 if none), the sum
-    is T(T+1)/2 - sum(last(1..T-1)), summed per chunk in int32 while
-    chunk·T fits and across chunks in int64.  While T(T+1)/2 < 2**53
+    is T(T+1)/2 - sum(last(1..T-1)), summed in int64.  While T(T+1)/2 < 2**53
     every partial sum is an exact float, so this equals the mean of the
     run's integer ages bit for bit.  Aggregation uses exact compensated
     sums, so the estimate is independent of run order.
@@ -236,16 +244,11 @@ def estimate_average_age(policy: SchedulingPolicy, subpolicy, plan: BlockingPlan
         m = plan.block_prob
         blocked = np.where(m.any(axis=0), m.argmax(axis=0), -1).astype(
             code_type)[:, None]
-    # without diversity a 0/1 plan blocks users, not draws: a blocked slot
-    # is cut from its user's stamps instead of from every code
-    per_user_blocks = subpolicy is None and not randomized
     stamps = np.arange(1, horizon + 1, dtype=slot_type)[:, None]
     full_sum = horizon * (horizon + 1) // 2
 
     chunk = min(horizon, BLOCK_CELLS)
     group = min(runs, max(1, BLOCK_CELLS // horizon))
-    # a chunk's stamp sum in one run stays below chunk·T
-    sum_type = _narrowest((np.int32, np.int64), chunk * horizon)
     slot_words = np.arange(chunk, dtype=np.uint64) * np.uint64(_SPLITMIX_GAMMA)
     dtypes = {"words": np.uint64, "scratch": np.uint64, "hit": bool,
               "codes": code_type, "last": slot_type, "spare": slot_type}
@@ -287,24 +290,19 @@ def estimate_average_age(policy: SchedulingPolicy, subpolicy, plan: BlockingPlan
                 _set_none(adv, h)
             else:
                 adv = blocked[first:stop]
-            if not per_user_blocks:
-                # the user whose update got through, -1 where it was
-                # blocked; a word above a sum that rounds below 1 (code N)
-                # matches no user
-                np.equal(channel, adv, out=h)
-                _set_none(codes, h)
+            # the user whose update got through, -1 where it was blocked;
+            # a word above a sum that rounds below 1 (code N) matches no user
+            np.equal(channel, adv, out=h)
+            _set_none(codes, h)
             # slot T's stamp never enters the age sum
             live = stop - first - (stop == horizon)
             for i in range(n):
-                user_stamps = stamps[first:stop]
-                if per_user_blocks:
-                    user_stamps = user_stamps * (adv != i)
                 last = b["last"]
                 np.equal(codes, i, out=h)
-                np.multiply(h, user_stamps, out=last)
+                np.multiply(h, stamps[first:stop], out=last)
                 np.maximum(last[0], carry[i], out=last[0])
                 last = _running_max(last, b["spare"])
-                sums[i] += last[:live].sum(axis=0, dtype=sum_type)
+                sums[i] += last[:live].sum(axis=0, dtype=np.int64)
                 carry[i] = last[-1]
         per_run_user[start:start + cols] = (full_sum - sums.T) / horizon
 
