@@ -150,41 +150,43 @@ def test_word_thresholds_decide_u_ge_c_exactly(c):
 def _reference_ages(policy, subpolicy, plan, config, master_seed, k):
     """Run k's (N, T) integer ages age(t) = t - last(t-1), drawn from the
     stream the README documents: the uniform of stream s at slot t is the
-    top 53 bits of mix_seed(master_seed, (3k + s)T + t - 1), hashed here one
-    Python int at a time, times 2**-53.  Stream 0 schedules, stream 1 picks
-    the sub-carrier and stream 2, used only when some plan entry lies
-    strictly inside (0, 1), the blocked channel.  A category is the number
-    of cumulative sums at or below its uniform.  One past the last (mass
-    that rounds away) means no user is scheduled, or no sub-carrier the
-    plan can block is used, or nothing is blocked."""
+    top 53 bits of mix_seed(master_seed, (3k + s)T + t - 1), hashed here
+    through mix_seed's uint64 array path (locked to its int path by
+    test_mix_seed_on_uint64_arrays_matches_the_int_path), times 2**-53.
+    Stream 0 schedules, stream 1 picks the sub-carrier and stream 2, used
+    only when some plan entry lies strictly inside (0, 1), the blocked
+    channel.  A category is the number of cumulative sums at or below its
+    uniform; a column's sums are the same floats whether it is summed alone
+    or along axis 0 with the others.  One past the last (mass that rounds
+    away) means no user is scheduled, or no sub-carrier the plan can block
+    is used, or nothing is blocked.  Deliveries are then played slot by
+    slot."""
     n, horizon = policy.n, config.horizon_T
 
     def uniforms(stream):
         first = (3 * k + stream) * horizon
-        return np.array([(mix_seed(master_seed, first + t) >> 11) * 2.0**-53
-                         for t in range(horizon)])
+        counters = np.arange(first, first + horizon, dtype=np.uint64)
+        return (mix_seed(master_seed, counters) >> np.uint64(11)) * 2.0**-53
 
     user = np.searchsorted(np.cumsum(policy.probs), uniforms(0), side="right")
     channel = user if subpolicy is None else np.searchsorted(
         np.cumsum(subpolicy.probs), uniforms(1), side="right")
     m = plan.block_prob
     if np.any((m > 0.0) & (m < 1.0)):
-        adv_u = uniforms(2)
-        hit = [np.searchsorted(np.cumsum(m[:, t]), adv_u[t], side="right")
-               for t in range(horizon)]
+        hit = (np.cumsum(m, axis=0) <= uniforms(2)).sum(axis=0).tolist()
     else:
-        hit = [np.flatnonzero(m[:, t] == 1.0) for t in range(horizon)]
-        hit = [h[0] if h.size else m.shape[0] for h in hit]
+        hit = [col.index(1.0) if 1.0 in col else len(col)
+               for col in m.T.tolist()]
     hit = [h if h < m.shape[0] else -1 for h in hit]  # -1: no channel blocked
 
-    ages = np.empty((n, horizon), dtype=np.int64)
+    before = []  # last(t - 1) of every user, for t = 1..T
     last = [0] * n
     for t, (u, c, h) in enumerate(zip(user.tolist(), channel.tolist(),
                                       hit), start=1):
-        ages[:, t - 1] = [t - last_i for last_i in last]
+        before.append(last.copy())
         if u < n and c != h:
             last[u] = t
-    return ages
+    return np.arange(1, horizon + 1) - np.array(before, dtype=np.int64).T
 
 
 def test_ages_are_positive_ints_bounded_by_slot():
