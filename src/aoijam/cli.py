@@ -515,8 +515,14 @@ def write_equilibrium_csv(path, rows):
 
 
 def write_dynamics_csv(path, trace):
-    rows = [(s.iteration, s.blocked_user, _vec(s.policy.probs), _fmt(s.payoff))
-            for s in trace]
+    vectors = {}  # probs bytes -> p_vector text, once per distinct policy
+    rows = []
+    for s in trace:
+        key = s.policy.probs.tobytes()
+        if key not in vectors:
+            vectors[key] = _vec(s.policy.probs)
+        rows.append((s.iteration, s.blocked_user, vectors[key],
+                     _fmt(s.payoff)))
     _write_csv(path, ("iteration", "blocked_user", "p_vector", "payoff"), rows)
 
 

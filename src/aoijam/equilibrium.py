@@ -49,8 +49,9 @@ from .model import (
 )
 
 IMPROVEMENT_TOL = 1e-9  # strict-improvement threshold for witnesses
-# Delivery cells the diversity audit prices at once: a chunk holds
-# max(1, PRICE_CELLS // (distinct p_i * T)) adversary samples.
+# Age cells the diversity audit writes at once, one per (sample, distinct
+# p_i, slot): a chunk holds max(1, PRICE_CELLS // (distinct p_i * T))
+# adversary samples.
 PRICE_CELLS = 2**18
 
 # Structured adversary deviation families sampled by verify_diversity_nash;
@@ -180,13 +181,20 @@ def best_response_dynamics(N: int, alpha: float, T: int,
     """
     if max_iter < 2:
         raise InsufficientRunsError(f"max_iter must be >= 2, got {max_iter}")
-    policy = uniform_policy(N)
-    steps = []
+    # a step depends only on the previous step's target (None at the
+    # uniform start), so each distinct step is built once
+    step_after = {}
+    previous, steps = None, []
     for it in range(max_iter):
-        target = int(np.argmin(policy.probs))
-        payoff = reduced_objective(policy, target, alpha, T)
+        if previous not in step_after:
+            policy = (uniform_policy(N) if previous is None
+                      else counter_block_policy(N, alpha, previous))
+            target = int(np.argmin(policy.probs))
+            step_after[previous] = (
+                policy, target, reduced_objective(policy, target, alpha, T))
+        policy, target, payoff = step_after[previous]
         steps.append(TraceStep(it, policy, target, payoff))
-        policy = counter_block_policy(N, alpha, target)
+        previous = target
 
     fixed = any(
         a.blocked_user == b.blocked_user
@@ -203,7 +211,7 @@ def best_response_dynamics(N: int, alpha: float, T: int,
 
 def _fsum_rows(rows: np.ndarray) -> np.ndarray:
     """Every row divided by its math.fsum, as validate_policy divides it."""
-    return rows / np.fromiter(map(math.fsum, rows), float,
+    return rows / np.fromiter(map(math.fsum, rows.tolist()), float,
                               count=len(rows))[:, None]
 
 
@@ -416,9 +424,11 @@ def verify_diversity_nash(point, config: SystemConfig, bs_samples: int,
     `adv_samples` feasible plans from ADV_DEVIATION_FAMILIES, priced by the
     exact recursion at the candidate's (p, q).  Both counts must be >= 1.
 
-    Adversary samples stay (start, stop, weights) windows: they are priced
-    in chunks of about PRICE_CELLS delivery cells, one recursion and one
-    [1, t] certificate per chunk, with the evaluator's interception rule.
+    Adversary samples stay (start, stop, weights) windows: each (sample,
+    distinct p_i) row is priced from its runs, read off the windows, by the
+    evaluator's recursion core and interception rule, with no plan or
+    delivery matrix.  The ages go into chunks of about PRICE_CELLS age
+    cells, with one [1, t] certificate per chunk.
     The first sample above the candidate by more than IMPROVEMENT_TOL is
     the witness; it alone becomes a BlockingPlan, and its price from
     expected_age_trajectory_diversity must equal its batched price bit for

@@ -92,10 +92,14 @@ def test_certificate_error_is_a_package_runtime_error():
     assert issubclass(CertificateError, RuntimeError)
 
 
+def _zero_ages(row, *runs):
+    """A broken run core: every age it writes is 0."""
+    row[:] = 0.0
+
+
 def test_age_range_check_fires(monkeypatch):
     cfg = SystemConfig(horizon_T=4, num_users=2, alpha=0.25)
-    monkeypatch.setattr(age_exact, "_recurse_ages",
-                        lambda delivery: np.zeros(delivery.shape))
+    monkeypatch.setattr(age_exact, "_run_ages", _zero_ages)
     with pytest.raises(CertificateError, match=r"outside \[1, t\]"):
         expected_age_trajectory(validate_policy([0.5, 0.5]), empty_plan(cfg),
                                 cfg)
@@ -114,20 +118,22 @@ def _skewed_diversity_audit():
 def test_audit_age_range_check_fires(monkeypatch):
     audit = _skewed_diversity_audit()
     assert audit().witness.player == "adversary"
-    monkeypatch.setattr(age_exact, "_recurse_ages",
-                        lambda delivery: np.zeros(delivery.shape))
+    monkeypatch.setattr(age_exact, "_run_ages", _zero_ages)
     with pytest.raises(CertificateError, match=r"outside \[1, t\]"):
         audit()
 
 
 def test_audit_batch_age_range_check_fires(monkeypatch):
-    # the candidate (one distinct p, one row) is priced as before; only the
-    # batched adversary samples come back as zeros
-    real = age_exact._recurse_ages
-    monkeypatch.setattr(
-        age_exact, "_recurse_ages",
-        lambda delivery: (real(delivery) if len(delivery) == 1
-                          else np.zeros(delivery.shape)))
+    # the candidate is priced as before; only the rows of the batched
+    # adversary samples come back as zeros
+    real = age_exact._run_ages
+
+    def zero_batch_rows(row, *runs):
+        real(row, *runs)
+        if sys._getframe(1).f_code.co_name == "_window_system_ages":
+            row[:] = 0.0
+
+    monkeypatch.setattr(age_exact, "_run_ages", zero_batch_rows)
     with pytest.raises(CertificateError,
                        match=r"outside \[1, t\]") as caught:
         _skewed_diversity_audit()()

@@ -1,5 +1,7 @@
 """Scenario-file front end: parsing, exit codes, CSV artifacts."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -9,9 +11,10 @@ import pytest
 
 from aoijam.age_asymptotic import (
     AsymptoticValidityWarning,
+    reduced_objective,
     reduced_payoff_for_split,
 )
-from aoijam.best_response import numeric_simplex_minimizer
+from aoijam.best_response import counter_block_policy, numeric_simplex_minimizer
 from aoijam.cli import (
     ScenarioConfig,
     main,
@@ -21,8 +24,14 @@ from aoijam.cli import (
     scenario_to_dict,
     serialize_strategy,
 )
+from aoijam.equilibrium import best_response_dynamics
 from aoijam.errors import ScenarioParseError, ScenarioValidationError
-from aoijam.model import BlockingPlan, SystemConfig, make_middle_block
+from aoijam.model import (
+    BlockingPlan,
+    SystemConfig,
+    make_middle_block,
+    uniform_policy,
+)
 
 
 def write_scenario(tmp_path, doc, name="scenario_in.json"):
@@ -433,6 +442,42 @@ def test_br_dynamics_alternates_targets(tmp_path):
     assert lines[0] == "iteration,blocked_user,p_vector,payoff"
     targets = [int(line.split(",")[1]) for line in lines[1:]]
     assert targets == [0, 1, 0, 1, 0, 1]
+
+
+def test_br_dynamics_trace_and_csv_match_a_per_step_loop(tmp_path):
+    # the dynamics build each distinct step once and format each distinct
+    # policy once; the trace and the CSV are those of building every step
+    n, alpha, horizon, iterations = 8, 0.2, 1000, 200
+    policy, expected = uniform_policy(n), []
+    for it in range(iterations):
+        target = int(np.argmin(policy.probs))
+        expected.append((it, target, policy.probs,
+                         reduced_objective(policy, target, alpha, horizon)))
+        policy = counter_block_policy(n, alpha, target)
+
+    report = best_response_dynamics(n, alpha, horizon, iterations)
+    assert len(report.trace) == iterations
+    for step, (it, target, probs, payoff) in zip(report.trace, expected):
+        assert (step.iteration, step.blocked_user) == (it, target)
+        assert step.policy.probs.tobytes() == probs.tobytes()
+        assert step.payoff.hex() == payoff.hex()
+
+    reference = io.StringIO()
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow(("iteration", "blocked_user", "p_vector", "payoff"))
+    writer.writerows(
+        (it, target, "[" + ";".join(repr(v) for v in probs.tolist()) + "]",
+         repr(payoff)) for it, target, probs, payoff in expected)
+    doc = base_doc(system={"horizon_T": horizon, "num_users": n,
+                           "alpha": alpha},
+                   policy={"source": "uniform"},
+                   experiment={"name": "br-dynamics",
+                               "iterations": iterations})
+    path = write_scenario(tmp_path, doc)
+    assert main(["br-dynamics", "--config", path, "--out-dir", str(tmp_path),
+                 "--quiet"]) == 0
+    assert ((tmp_path / "dynamics.csv").read_bytes()
+            == reference.getvalue().encode())
 
 
 def test_stackelberg_known_payoff(tmp_path, capsys):

@@ -650,6 +650,49 @@ def test_window_prices_are_the_evaluator_prices_bit_for_bit(N, n_sub):
         assert float(value).hex() == alone.hex()
 
 
+_EDGE_T = 600  # B = 300 at alpha = 0.5
+_UNIFORM3, _VERTEX0 = np.full(3, 1.0 / 3.0), np.array([1.0, 0.0, 0.0])
+_EDGE_SAMPLES = {
+    # the p = 0.35 rows settle before and inside this window, so the later
+    # zero-length window at slot 200 enters a cached (entry age, s) run
+    "settled-window": [(100, 300, _UNIFORM3)],
+    "window-at-slot-0": [(0, 40, _UNIFORM3)],
+    "window-ending-at-T": [(560, 600, _UNIFORM3)],
+    "only-the-last-slot": [(599, 600, _VERTEX0)],
+    "empty-sample": [],
+    "zero-length-window": [(200, 200, _UNIFORM3)],
+    "abutting-windows": [(100, 150, np.array([0.6, 0.3, 0.1])),
+                         (150, 230, _UNIFORM3)],
+    "one-slot-abutting-at-slot-0": [(0, 1, _VERTEX0), (1, 2, _UNIFORM3)],
+    "all-zero-weights": [(300, 500, np.zeros(3))],
+    "zero-weights-then-window": [(100, 101, np.zeros(3)),
+                                 (101, 300, _UNIFORM3)],
+    "both-ends": [(0, 150, _VERTEX0), (450, 600, _VERTEX0)],
+    "zero-length-then-window": [(50, 50, _VERTEX0), (50, 120, _UNIFORM3)],
+}
+
+
+@pytest.mark.parametrize("q", [[0.5, 0.3, 0.2], [1.0, 0.0, 0.0]])
+def test_window_prices_of_edge_samples_are_the_evaluator_prices(q):
+    # duplicate p_i share a row; the 1e-4 user's runs never reach their
+    # fixed point; with q on sub-carrier 0 alone, a _VERTEX0 window is a
+    # sure block (s = 1, a ramp)
+    cfg = SystemConfig(horizon_T=_EDGE_T, num_users=5, alpha=0.5,
+                       num_subcarriers=3)
+    policy = validate_policy([0.35, 0.35, 0.2, 0.0999, 0.0001])
+    subpolicy = validate_subcarrier_policy(q)
+    samples = list(_EDGE_SAMPLES.values())
+    _check_windows(samples, cfg)
+    batched = _window_system_ages(policy, subpolicy, samples, _EDGE_T)
+    for name, windows, value in zip(_EDGE_SAMPLES, samples, batched):
+        series = expected_age_trajectory_diversity(
+            policy, subpolicy, _window_plan(windows, cfg), cfg)
+        assert float(value).hex() == series.system_avg.hex(), name
+        assert series.per_user[4, -2] < series.per_user[4, -1], name
+        alone = _window_system_ages(policy, subpolicy, [windows], _EDGE_T)
+        assert alone.tobytes() == value.tobytes(), name
+
+
 def _reference_audit(point, config, bs_samples, adv_samples, seed):
     """verify_diversity_nash with each adversary plan built densely and
     priced alone by expected_age_trajectory_diversity."""
