@@ -15,6 +15,9 @@ fixed schemas:
 
 Each experiment is one REGISTRY entry: its subcommand, the models it
 accepts, its experiment-block fields (validator and default) and its runner.
+Each strategy source is one SOURCES entry under its section: its builder,
+the keys it reads (validator and default), the models it admits and those
+whose asymptotic closed forms cover it.
 
 Exit codes: 0 success, 2 invalid scenario, 3 runtime error or out of memory.
 """
@@ -79,39 +82,20 @@ from .model import (
 
 SCHEMA_VERSION = 1
 OUT_DIR_ENV = "AOIJAM_OUT_DIR"
-
-# every key each scenario object may hold; a strategy object's keys depend
-# on its source, and the experiment block's are its REGISTRY entry's fields
-# plus "name"
-SCENARIO_KEYS = {
-    "": ("schema_version", "model", "system", "policy", "subcarrier_policy",
-         "plan", "experiment"),
-    "system": ("horizon_T", "num_users", "alpha", "num_subcarriers"),
-    "policy": {"uniform": ("source",), "explicit": ("source", "probs"),
-               "counter-block": ("source", "target")},
-    "subcarrier_policy": {"uniform": ("source",),
-                          "explicit": ("source", "probs")},
-    "plan": {"none": ("source",), "middle-block": ("source", "target"),
-             "uniform-subcarrier": ("source",),
-             "explicit": ("source", "block_prob", "mode"),
-             "oracle": ("source",)},
-}
-POLICY_SOURCES = tuple(SCENARIO_KEYS["policy"])
-PLAN_SOURCES = tuple(SCENARIO_KEYS["plan"])
-# the plan sources `asymptotic` has closed forms for, per model
-ASYMPTOTIC_PLAN_SOURCES = {"no-diversity": ("none", "middle-block"),
-                           "diversity": ("none", "uniform-subcarrier")}
+MODELS = ("no-diversity", "diversity")
+_NO_DIVERSITY, _DIVERSITY = MODELS[:1], MODELS[1:]
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A parsed, validated scenario: everything an experiment needs."""
+    """A parsed, validated scenario: everything an experiment needs.  A
+    strategy section holds its spec, None in a model without the section."""
 
     model: str  # "no-diversity" | "diversity"
     system: SystemConfig
-    policy_spec: dict
-    subpolicy_spec: dict | None
-    plan_spec: dict
+    policy: dict
+    subcarrier_policy: dict | None
+    plan: dict
     experiment: dict
 
 
@@ -124,127 +108,128 @@ def _fail(field: str, problem: str):
     raise ScenarioValidationError(f"field {field!r}: {problem}")
 
 
-def _require_int(field, value, minimum=None, maximum=None):
-    if not isinstance(value, int) or isinstance(value, bool):
-        _fail(field, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        _fail(field, f"must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        _fail(field, f"must be <= {maximum}, got {value}")
-    return value
+class Field(NamedTuple):
+    """One key of a scenario object: check(field, value, system) -> value."""
+
+    check: Callable
+    default: object
+    required: bool = False  # a file `experiment` block must give it
 
 
-def _reject_unknown_keys(section: str, obj: dict, known=None) -> None:
-    """Fail on the first key of `obj` outside `known`, by default the
-    section's SCENARIO_KEYS entry ("" is the top level); a strategy object
-    passes its source's entry."""
+def _int(minimum, size=None):
+    """A check of an integer >= minimum and, if `size` names a system
+    attribute, below it."""
+    def check(field, value, system):
+        if not isinstance(value, int) or isinstance(value, bool):
+            _fail(field, f"expected an integer, got {value!r}")
+        if value < minimum:
+            _fail(field, f"must be >= {minimum}, got {value}")
+        if size is not None and value >= getattr(system, size):
+            _fail(field, f"must be <= {getattr(system, size) - 1}, got {value}")
+        return value
+    return check
+
+
+def _need(ok, problem):
+    """A check that fails with `problem`, formatted with the value and the
+    system, unless ok(value, system)."""
+    def check(field, value, system):
+        if not ok(value, system):
+            _fail(field, problem.format(value=value, system=system))
+        return value
+    return check
+
+
+def _vector(size):
+    """A list as long as the system's `size` attribute (entries: build)."""
+    return _need(lambda value, system: isinstance(value, list)
+                 and len(value) == getattr(system, size),
+                 f"need a list of {{system.{size}}} numbers")
+
+
+# the `system` object's keys in check order; no integer lies in (0, 1)
+_SYSTEM = {
+    "horizon_T": Field(_int(1), None),
+    "num_users": Field(_int(1), None),
+    "alpha": Field(_need(lambda value, _: isinstance(value, float)
+                         and 0.0 < value < 1.0,
+                         "must be a number in (0, 1), got {value!r}"), None),
+    "num_subcarriers": Field(_int(1), 1),
+}
+
+
+def _check_fields(section, obj, head_key, fields, system, in_file=True):
+    """Reject any key of `obj` but `head_key` and `fields`, then return each
+    field's checked value (its default when missing)."""
     for key in obj:
-        if key not in (SCENARIO_KEYS[section] if known is None else known):
-            _fail(f"{section}.{key}" if section else key, "unknown field")
-
-
-def _require_number(obj, field):
-    value = obj.get(field.split(".")[-1])
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        _fail(field, f"expected a number, got {value!r}")
-    return float(value)
+        if key != head_key and key not in fields:
+            _fail(f"{section}.{key}", "unknown field")
+    out = {}
+    for key, spec in fields.items():
+        field = f"{section}.{key}"
+        if in_file and spec.required and key not in obj:
+            _fail(field, "required in an experiment block")
+        out[key] = spec.check(field, obj.get(key, spec.default), system)
+    return out
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
     """Validate a decoded JSON document into a ScenarioConfig."""
     if not isinstance(raw, dict):
         raise ScenarioValidationError("top level must be a JSON object")
-    _reject_unknown_keys("", raw)
+    for key in raw:
+        if key not in ("schema_version", "model", "system", *SOURCES,
+                       "experiment"):
+            _fail(key, "unknown field")
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         _fail("schema_version", f"must be {SCHEMA_VERSION}, got {version!r}")
 
     model = raw.get("model", "no-diversity")
-    if model not in ("no-diversity", "diversity"):
+    if model not in MODELS:
         _fail("model", f"must be 'no-diversity' or 'diversity', got {model!r}")
 
     system_raw = raw.get("system")
     if not isinstance(system_raw, dict):
         _fail("system", "required object is missing")
-    _reject_unknown_keys("system", system_raw)
-    horizon = _require_int("system.horizon_T", system_raw.get("horizon_T"), 1)
-    users = _require_int("system.num_users", system_raw.get("num_users"), 1)
-    alpha = _require_number(system_raw, "system.alpha")
-    if not 0.0 < alpha < 1.0:
-        _fail("system.alpha", f"must lie in (0, 1), got {alpha}")
-    nsub = _require_int("system.num_subcarriers",
-                        system_raw.get("num_subcarriers", 1), minimum=1)
-    if model == "diversity" and nsub < 2:
+    system = SystemConfig(
+        **_check_fields("system", system_raw, None, _SYSTEM, None))
+    if model == "diversity" and system.num_subcarriers < 2:
         _fail("system.num_subcarriers", "diversity model needs >= 2")
-    if model == "no-diversity" and nsub != 1:
+    if model == "no-diversity" and system.num_subcarriers != 1:
         _fail("system.num_subcarriers", "no-diversity model needs exactly 1")
-    system = SystemConfig(horizon_T=horizon, num_users=users, alpha=alpha,
-                          num_subcarriers=nsub)
 
-    policy_spec = raw.get("policy", {"source": "uniform"})
-    if not isinstance(policy_spec, dict):
-        _fail("policy", "must be an object")
-    source = policy_spec.get("source")
-    if source not in POLICY_SOURCES:
-        _fail("policy.source", f"must be one of {POLICY_SOURCES}, got {source!r}")
-    _reject_unknown_keys("policy", policy_spec, SCENARIO_KEYS["policy"][source])
-    if source == "explicit":
-        probs = policy_spec.get("probs")
-        if not isinstance(probs, list) or len(probs) != users:
-            _fail("policy.probs", f"need a list of {users} numbers")
-    if source == "counter-block":
-        _require_int("policy.target", policy_spec.get("target", 0), 0,
-                     users - 1)
-
-    subpolicy_spec = raw.get("subcarrier_policy")
-    if subpolicy_spec is not None:
-        if model != "diversity":
-            _fail("subcarrier_policy", "only valid in the diversity model")
-        if not isinstance(subpolicy_spec, dict):
-            _fail("subcarrier_policy", "must be an object")
-        sub_source = subpolicy_spec.get("source")
-        if sub_source not in SCENARIO_KEYS["subcarrier_policy"]:
-            _fail("subcarrier_policy.source",
-                  f"must be 'uniform' or 'explicit', got {sub_source!r}")
-        _reject_unknown_keys("subcarrier_policy", subpolicy_spec,
-                             SCENARIO_KEYS["subcarrier_policy"][sub_source])
-        if sub_source == "explicit":
-            probs = subpolicy_spec.get("probs")
-            if not isinstance(probs, list) or len(probs) != nsub:
-                _fail("subcarrier_policy.probs",
-                      f"need a list of {nsub} numbers")
-    elif model == "diversity":
-        subpolicy_spec = {"source": "uniform"}
-
-    plan_spec = raw.get("plan", {"source": "none"})
-    if not isinstance(plan_spec, dict):
-        _fail("plan", "must be an object")
-    plan_source = plan_spec.get("source")
-    if plan_source not in PLAN_SOURCES:
-        _fail("plan.source", f"must be one of {PLAN_SOURCES}, got {plan_source!r}")
-    _reject_unknown_keys("plan", plan_spec, SCENARIO_KEYS["plan"][plan_source])
-    if plan_source == "middle-block":
-        _require_int("plan.target", plan_spec.get("target", 0), 0,
-                     system.num_channels - 1)
-    if plan_source == "uniform-subcarrier" and model != "diversity":
-        _fail("plan.source", "'uniform-subcarrier' needs the diversity model")
-    if plan_source == "oracle" and model != "no-diversity":
-        _fail("plan.source", "'oracle' needs the no-diversity model")
-    if plan_source == "explicit":
-        matrix = plan_spec.get("block_prob")
-        if not isinstance(matrix, list):
-            _fail("plan.block_prob", "need a channels x T matrix")
-        if plan_spec.get("mode", "deterministic") not in (
-                "deterministic", "randomized"):
-            _fail("plan.mode", "must be 'deterministic' or 'randomized'")
+    specs = {}
+    for section, sources in SOURCES.items():
+        # a missing section takes its first source, and exists in the
+        # models that source admits; null counts as missing only in a
+        # section that some model lacks
+        first = next(iter(sources))
+        admits = sources[first].models
+        spec = raw.get(section)
+        if section not in raw or (spec is None and admits != MODELS):
+            specs[section] = {"source": first} if model in admits else None
+            continue
+        if model not in admits:
+            _fail(section, f"only valid in the {' or '.join(admits)} model")
+        if not isinstance(spec, dict):
+            _fail(section, "must be an object")
+        name = spec.get("source")
+        if not isinstance(name, str) or name not in sources:
+            _fail(f"{section}.source",
+                  f"must be one of {tuple(sources)}, got {name!r}")
+        _check_fields(section, spec, "source", sources[name].keys, system)
+        if model not in sources[name].models:
+            _fail(f"{section}.source", f"{name!r} needs the "
+                  f"{' or '.join(sources[name].models)} model")
+        specs[section] = spec
 
     experiment = raw.get("experiment")
     if experiment is not None:
         experiment = _validate_experiment(experiment, model, system)
 
-    return ScenarioConfig(model=model, system=system, policy_spec=policy_spec,
-                          subpolicy_spec=subpolicy_spec, plan_spec=plan_spec,
-                          experiment=experiment)
+    return ScenarioConfig(model=model, system=system, experiment=experiment,
+                          **specs)
 
 
 def _validate_experiment(exp, model: str, system: SystemConfig,
@@ -260,14 +245,8 @@ def _validate_experiment(exp, model: str, system: SystemConfig,
     if model not in models:
         _fail("experiment.name",
               f"{name!r} needs the {' or '.join(models)} model")
-    _reject_unknown_keys("experiment", exp, ("name", *REGISTRY[name].fields))
-    out = {"name": name}
-    for key, spec in REGISTRY[name].fields.items():
-        field = f"experiment.{key}"
-        if in_file and spec.required and key not in exp:
-            _fail(field, "required in an experiment block")
-        out[key] = spec.check(field, exp.get(key, spec.default), system)
-    return out
+    return {"name": name, **_check_fields(
+        "experiment", exp, "name", REGISTRY[name].fields, system, in_file)}
 
 
 def parse_scenario(path: str) -> ScenarioConfig:
@@ -291,25 +270,26 @@ def scenario_to_dict(sc: ScenarioConfig) -> dict:
     out = {
         "schema_version": SCHEMA_VERSION,
         "model": sc.model,
-        "system": {
-            "horizon_T": sc.system.horizon_T,
-            "num_users": sc.system.num_users,
-            "alpha": sc.system.alpha,
-            "num_subcarriers": sc.system.num_subcarriers,
-        },
-        "policy": dict(sc.policy_spec),
-        "plan": dict(sc.plan_spec),
+        "system": {key: getattr(sc.system, key) for key in _SYSTEM},
     }
-    if sc.subpolicy_spec is not None:
-        out["subcarrier_policy"] = dict(sc.subpolicy_spec)
-    if sc.experiment is not None:
-        out["experiment"] = dict(sc.experiment)
+    for section in (*SOURCES, "experiment"):
+        if getattr(sc, section) is not None:
+            out[section] = dict(getattr(sc, section))
     return out
 
 
 # ===========================================================================
-#  Strategy resolution
+#  Strategy sources
 # ===========================================================================
+
+
+class Source(NamedTuple):
+    """One way a scenario section names its strategy."""
+
+    build: Callable  # build(sc, spec with defaults, policy) -> strategy
+    keys: dict = {}  # key the source reads besides "source" -> Field
+    models: tuple = MODELS  # the models that admit the source
+    asymptotic: tuple = ()  # the models whose closed forms cover the plan
 
 
 def _explicit(field: str, build, raw):
@@ -320,48 +300,81 @@ def _explicit(field: str, build, raw):
         _fail(field, str(exc))
 
 
-def resolve_policy(sc: ScenarioConfig) -> SchedulingPolicy:
-    spec = sc.policy_spec
-    if spec["source"] == "uniform":
-        return uniform_policy(sc.system.num_users)
-    if spec["source"] == "explicit":
-        return _explicit("policy.probs", validate_policy, spec["probs"])
-    return counter_block_policy(sc.system.num_users, sc.system.alpha,
-                                spec.get("target", 0))
-
-
-def resolve_subpolicy(sc: ScenarioConfig) -> SubcarrierPolicy | None:
-    if sc.subpolicy_spec is None:
-        return None
-    if sc.subpolicy_spec["source"] == "uniform":
-        return uniform_subcarrier_policy(sc.system.num_subcarriers)
-    return _explicit("subcarrier_policy.probs", validate_subcarrier_policy,
-                     sc.subpolicy_spec["probs"])
-
-
-def resolve_plan(sc: ScenarioConfig, policy: SchedulingPolicy) -> BlockingPlan:
-    spec = sc.plan_spec
-    source = spec["source"]
-    if source == "none":
-        return empty_plan(sc.system)
-    if source == "middle-block":
-        return make_middle_block(sc.system, spec.get("target", 0))
-    if source == "uniform-subcarrier":
-        return make_uniform_subcarrier_block(sc.system)
-    if source == "oracle":
-        return adversary_oracle(policy, sc.system).plan
-    subpolicy = resolve_subpolicy(sc)  # outside build: names its own field
+def _explicit_plan(sc, spec, policy) -> BlockingPlan:
+    subpolicy = resolve(sc, "subcarrier_policy")  # names its own field
 
     def build(matrix):
         plan = BlockingPlan(matrix)
         # the optional plan.mode only constrains this input, checked raw
-        if (spec.get("mode", "deterministic") == "deterministic"
+        if (spec["mode"] == "deterministic"
                 and not np.isin(matrix, (0.0, 1.0)).all()):
             raise NonPositiveEntryError(
                 "deterministic plans admit only {0, 1} entries")
         check_profile(policy, subpolicy, plan, sc.system)
         return plan
     return _explicit("plan.block_prob", build, spec["block_prob"])
+
+
+# section -> source name -> entry; a section's first source is its default
+SOURCES = {
+    "policy": {
+        "uniform": Source(lambda sc, *_: uniform_policy(sc.system.num_users)),
+        "explicit": Source(
+            lambda sc, spec, _: _explicit("policy.probs", validate_policy,
+                                          spec["probs"]),
+            {"probs": Field(_vector("num_users"), None)}),
+        "counter-block": Source(
+            lambda sc, spec, _: counter_block_policy(
+                sc.system.num_users, sc.system.alpha, spec["target"]),
+            {"target": Field(_int(0, "num_users"), 0)}),
+    },
+    "subcarrier_policy": {
+        "uniform": Source(lambda sc, *_: uniform_subcarrier_policy(
+            sc.system.num_subcarriers), models=_DIVERSITY),
+        "explicit": Source(
+            lambda sc, spec, _: _explicit("subcarrier_policy.probs",
+                                          validate_subcarrier_policy,
+                                          spec["probs"]),
+            {"probs": Field(_vector("num_subcarriers"), None)}, _DIVERSITY),
+    },
+    "plan": {
+        "none": Source(lambda sc, *_: empty_plan(sc.system),
+                       asymptotic=MODELS),
+        # a user index without diversity, a sub-carrier index with it
+        "middle-block": Source(
+            lambda sc, spec, _: make_middle_block(sc.system, spec["target"]),
+            {"target": Field(_int(0, "num_channels"), 0)},
+            asymptotic=_NO_DIVERSITY),
+        "uniform-subcarrier": Source(
+            lambda sc, *_: make_uniform_subcarrier_block(sc.system),
+            models=_DIVERSITY, asymptotic=_DIVERSITY),
+        "explicit": Source(_explicit_plan, {
+            "block_prob": Field(_need(lambda value, _: isinstance(value, list),
+                                      "need a channels x T matrix"), None),
+            "mode": Field(_need(
+                lambda value, _: value in ("deterministic", "randomized"),
+                "must be 'deterministic' or 'randomized'"), "deterministic")}),
+        "oracle": Source(
+            lambda sc, _, policy: adversary_oracle(policy, sc.system).plan,
+            models=_NO_DIVERSITY),
+    },
+}
+
+
+def _spec(sc: ScenarioConfig, section: str) -> dict:
+    """`sc`'s spec for `section`, missing keys set to their defaults."""
+    spec = getattr(sc, section)
+    keys = SOURCES[section][spec["source"]].keys
+    return {**{key: field.default for key, field in keys.items()}, **spec}
+
+
+def resolve(sc: ScenarioConfig, section: str, policy=None):
+    """The strategy `sc` names for `section`, None in a model without the
+    section; a plan is built against the scheduling `policy`."""
+    if getattr(sc, section) is None:
+        return None
+    spec = _spec(sc, section)
+    return SOURCES[section][spec["source"]].build(sc, spec, policy)
 
 
 # ===========================================================================
@@ -532,11 +545,11 @@ def write_dynamics_csv(path, trace):
 
 
 def _run_exact(sc, out_dir, emit):
-    policy = resolve_policy(sc)
-    plan = resolve_plan(sc, policy)
+    policy = resolve(sc, "policy")
+    plan = resolve(sc, "plan", policy)
     if sc.model == "diversity":
         series = expected_age_trajectory_diversity(
-            policy, resolve_subpolicy(sc), plan, sc.system)
+            policy, resolve(sc, "subcarrier_policy"), plan, sc.system)
     else:
         series = expected_age_trajectory(policy, plan, sc.system)
     write_trajectories_csv(os.path.join(out_dir, "trajectories.csv"), series)
@@ -546,11 +559,13 @@ def _run_exact(sc, out_dir, emit):
 
 
 def _run_asymptotic(sc, out_dir, emit):
-    policy = resolve_policy(sc)
+    policy = resolve(sc, "policy")
     system = sc.system
-    source = sc.plan_spec["source"]
-    covered = ASYMPTOTIC_PLAN_SOURCES[sc.model]
-    if source not in covered:
+    spec = _spec(sc, "plan")
+    source = spec["source"]
+    if sc.model not in SOURCES["plan"][source].asymptotic:
+        covered = tuple(name for name, entry in SOURCES["plan"].items()
+                        if sc.model in entry.asymptotic)
         _fail("plan.source", f"asymptotic formulas cover {covered} plans in "
               f"the {sc.model} model, not {source!r}")
     per_user = [unblocked_user_age(p) for p in policy.probs]
@@ -563,7 +578,7 @@ def _run_asymptotic(sc, out_dir, emit):
         value = float(np.mean(per_user))
         emit(f"asymptotic diversity system age: {value:.6f}")
     else:  # middle-block, no-diversity model
-        target = sc.plan_spec.get("target", 0)
+        target = spec["target"]
         # the one AsymptoticValidityWarning: T*min(p) covers the target
         value = system_age_no_diversity(
             policy, target, system.alpha, system.horizon_T)
@@ -579,25 +594,25 @@ def _run_asymptotic(sc, out_dir, emit):
 
 
 def _run_montecarlo(sc, out_dir, emit):
-    policy = resolve_policy(sc)
-    plan = resolve_plan(sc, policy)
+    policy = resolve(sc, "policy")
+    plan = resolve(sc, "plan", policy)
     exp = sc.experiment
-    sim = estimate_average_age(policy, resolve_subpolicy(sc), plan, sc.system,
-                               exp["runs"], exp["seed"])
+    sim = estimate_average_age(policy, resolve(sc, "subcarrier_policy"), plan,
+                               sc.system, exp["runs"], exp["seed"])
     write_sim_csv(os.path.join(out_dir, "sim.csv"), sim)
     emit(f"simulated mean system age: {sim.mean_system_age:.6f} "
          f"(std error {sim.std_error:.2e}, {sim.runs} runs, seed {sim.seed})")
 
 
 def _run_best_response(sc, out_dir, emit):
-    policy = resolve_policy(sc)
+    policy = resolve(sc, "policy")
     rows = []
     adv = adversary_best_response(policy, sc.system)
     rows.append(("adversary-best-response", None, adv.payoff,
                  f"target={adv.target}; " + serialize_strategy(adv.plan)))
     emit(f"adversary best response: middle-block user {adv.target}, "
          f"reduced payoff {adv.payoff:.6f}")
-    plan = resolve_plan(sc, policy)
+    plan = resolve(sc, "plan", policy)
     T = sc.system.horizon_T
     shares = plan.block_prob.sum(axis=1) / T
     bs = numeric_simplex_minimizer(1.0 + shares)
@@ -608,7 +623,7 @@ def _run_best_response(sc, out_dir, emit):
 
 
 def _run_oracle(sc, out_dir, emit):
-    policy = resolve_policy(sc)
+    policy = resolve(sc, "policy")
     oracle = adversary_oracle(policy, sc.system)
     structured = adversary_best_response(policy, sc.system)
     structured_exact = expected_age_trajectory(
@@ -653,12 +668,12 @@ def _run_stackelberg(sc, out_dir, emit):
 
 
 def _run_nash_verify(sc, out_dir, emit):
-    policy = resolve_policy(sc)
-    plan = resolve_plan(sc, policy)
+    policy = resolve(sc, "policy")
+    plan = resolve(sc, "plan", policy)
     exp = sc.experiment
     if sc.model == "diversity":
         report = verify_diversity_nash(
-            (policy, resolve_subpolicy(sc), plan), sc.system,
+            (policy, resolve(sc, "subcarrier_policy"), plan), sc.system,
             exp["bs_samples"], exp["adv_samples"], seed=exp["seed"])
     else:
         report = is_nash_no_diversity(policy, plan, sc.system)
@@ -677,49 +692,32 @@ def _run_nash_verify(sc, out_dir, emit):
 # ===========================================================================
 
 
-class Field(NamedTuple):
-    """One experiment-block field: check(field, value, system) -> value."""
-
-    check: Callable
-    default: object
-    required: bool = False  # a file `experiment` block must give it
-
-
 class Experiment(NamedTuple):
     """What the CLI knows about one experiment."""
 
     command: str  # subcommand name
     run: Callable  # run(sc, out_dir, emit)
-    models: tuple = ("no-diversity", "diversity")
+    models: tuple = MODELS
     fields: dict = {}  # experiment-block key -> Field
 
 
-def _count(minimum):
-    return lambda field, value, system: _require_int(field, value, minimum)
-
-
-def _user_index(field, value, system):
-    return _require_int(field, value, 0, system.num_users - 1)
-
-
-_NO_DIVERSITY = ("no-diversity",)
-_SEED = Field(_count(0), 0)
-_SAMPLES = Field(_count(1), 500)
+_SEED = Field(_int(0), 0)
+_SAMPLES = Field(_int(1), 500)
 
 # experiment name -> entry; argparse lists the subcommands in this order
 REGISTRY = {
     "exact": Experiment("exact", _run_exact),
     "asymptotic": Experiment("asymptotic", _run_asymptotic),
     "montecarlo": Experiment("simulate", _run_montecarlo, fields={
-        "runs": Field(_count(2), 1000, required=True), "seed": _SEED}),
+        "runs": Field(_int(2), 1000, required=True), "seed": _SEED}),
     "best-response": Experiment("best-response", _run_best_response,
                                 _NO_DIVERSITY),
     "oracle": Experiment("oracle", _run_oracle, _NO_DIVERSITY),
     "br-dynamics": Experiment("br-dynamics", _run_br_dynamics, _NO_DIVERSITY,
-                              {"iterations": Field(_count(2), 20)}),
+                              {"iterations": Field(_int(2), 20)}),
     "stackelberg": Experiment("stackelberg", _run_stackelberg, _NO_DIVERSITY,
-                              {"target": Field(_user_index, 0),
-                               "certify_samples": Field(_count(1), 200),
+                              {"target": Field(_int(0, "num_users"), 0),
+                               "certify_samples": Field(_int(1), 200),
                                "seed": _SEED}),
     "nash-verify": Experiment("nash-verify", _run_nash_verify, fields={
         "bs_samples": _SAMPLES, "adv_samples": _SAMPLES, "seed": _SEED}),

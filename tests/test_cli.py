@@ -3,8 +3,10 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from aoijam.age_asymptotic import (
 )
 from aoijam.best_response import counter_block_policy, numeric_simplex_minimizer
 from aoijam.cli import (
+    MODELS,
+    SOURCES,
     ScenarioConfig,
     main,
     parse_scenario,
@@ -725,6 +729,19 @@ def stray(section, spec, key, doc=base_doc):
                    "target": 0}, "target"),
     stray("plan", {"source": "oracle", "block_prob": [[0, 0, 0]] * 2},
           "block_prob"),
+    # null or empty strategy objects never fall back to a default source
+    case("policy-is-null", "exact", base_doc(policy=None), "policy"),
+    case("plan-is-null", "exact", base_doc(plan=None), "plan"),
+    case("policy-is-empty", "exact", base_doc(policy={}), "policy.source"),
+    case("subcarrier_policy-is-empty", "exact",
+         div_doc(subcarrier_policy={}), "subcarrier_policy.source"),
+    # once a TypeError and an OverflowError traceback
+    case("list-subcarrier-source", "exact",
+         div_doc(subcarrier_policy={"source": ["uniform"]}),
+         "subcarrier_policy.source"),
+    case("huge-int-alpha", "exact",
+         base_doc(system={"horizon_T": 3, "num_users": 2, "alpha": 10**400}),
+         "system.alpha"),
 ])
 def test_malformed_field_exits_2_and_names_it(tmp_path, capsys, command, doc,
                                               extra, field):
@@ -757,6 +774,27 @@ def test_explicit_plan_errors_name_one_field_once(tmp_path, capsys, doc,
     assert code == 2, err
     assert err.count("field '") == 1
     assert f"field '{field}': " in err and problem in err
+
+
+@pytest.mark.parametrize("doc", [
+    div_doc(subcarrier_policy=None), base_doc(subcarrier_policy=None)],
+    ids=["diversity", "no-diversity"])
+def test_null_subcarrier_policy_counts_as_absent(tmp_path, doc):
+    # `"subcarrier_policy": null` runs as if the key were missing: the
+    # uniform q with diversity, no q without it
+    absent = {k: v for k, v in doc.items() if k != "subcarrier_policy"}
+    outputs = []
+    for name, scenario in (("null", doc), ("absent", absent)):
+        path = write_scenario(tmp_path, scenario, f"{name}.json")
+        out_dir = tmp_path / name
+        assert main(["exact", "--config", path, "--out-dir", str(out_dir),
+                     "--quiet"]) == 0
+        outputs.append([(out_dir / f).read_bytes()
+                        for f in ("scenario.json", "trajectories.csv")])
+    assert outputs[0] == outputs[1]
+    stored = json.loads(outputs[0][0]).get("subcarrier_policy")
+    assert stored == ({"source": "uniform"} if doc["model"] == "diversity"
+                      else None)
 
 
 def test_unused_strategies_are_not_validated(tmp_path):
@@ -830,3 +868,48 @@ def test_asymptotic_diversity_csv_matches_library(tmp_path):
     expected = diversity_user_ages(validate_policy([0.2, 0.3, 0.5]), 0.3, 3)
     assert lines == ["user,asymptotic_age"] + [
         f"{i},{float(v)!r}" for i, v in enumerate(expected)]
+
+
+# ---------------------------------------------------------------- README
+
+
+def _readme_source_rows():
+    """(section, source) -> (keys with their README defaults, models,
+    asymptotic models) from README's strategy-source table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = iter(text.splitlines())
+    for line in lines:
+        if line.startswith("| section | `source` |"):
+            break
+    next(lines)  # the | --- | row
+
+    def models(cell):
+        if cell.startswith("either"):
+            return set(MODELS)
+        return set() if cell.startswith("none") else set(
+            re.findall(r"`([^`]+)`", cell))
+
+    rows = {}
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        section, source, keys, needs, covers = [
+            cell.strip() for cell in line.strip().strip("|").split("|")]
+        key_defaults = dict(re.findall(r"`(\w+)`(?: \(([^)]*)\))?", keys))
+        rows[(section.strip("`"), source.strip("`"))] = (
+            key_defaults, models(needs), models(covers))
+    return rows
+
+
+def test_readme_source_table_matches_sources():
+    rows = _readme_source_rows()
+    assert set(rows) == {(section, name) for section, sources in
+                         SOURCES.items() for name in sources}
+    for section, sources in SOURCES.items():
+        for name, entry in sources.items():
+            keys, needs, covers = rows[(section, name)]
+            assert keys == {
+                key: "" if field.default is None else json.dumps(field.default)
+                for key, field in entry.keys.items()}, (section, name)
+            assert needs == set(entry.models), (section, name)
+            assert covers == set(entry.asymptotic), (section, name)

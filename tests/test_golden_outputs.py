@@ -155,6 +155,55 @@ SCENARIOS = {
                                 [0.0, 0.0, 0.0, 0.25, 0.5, 0.0]]},
         "experiment": {"name": "exact"},
     },
+    # the exhaustive oracle as the plan an experiment evaluates
+    "exact-oracle-plan": {
+        "model": "no-diversity",
+        "system": {"horizon_T": 8, "num_users": 2, "alpha": 0.25},
+        "policy": {"source": "explicit", "probs": [0.6, 0.4]},
+        "plan": {"source": "oracle"},
+        "experiment": {"name": "exact"},
+    },
+    # counter-block without `target` replies to jamming user 0
+    "exact-counter-block-default-target": {
+        "model": "no-diversity",
+        "system": {"horizon_T": 50, "num_users": 3, "alpha": 0.3},
+        "policy": {"source": "counter-block"},
+        "plan": {"source": "middle-block", "target": 1},
+        "experiment": {"name": "exact"},
+    },
+    # middle-block without `target` blocks user 0
+    "exact-middle-block-default-target": {
+        "model": "no-diversity",
+        "system": {"horizon_T": 50, "num_users": 3, "alpha": 0.3},
+        "policy": {"source": "explicit", "probs": [0.5, 0.3, 0.2]},
+        "plan": {"source": "middle-block"},
+        "experiment": {"name": "exact"},
+    },
+    "asymptotic-middle-block-default-target": {
+        "model": "no-diversity",
+        "system": {"horizon_T": 1000, "num_users": 3, "alpha": 0.3},
+        "policy": {"source": "explicit", "probs": [0.5, 0.3, 0.2]},
+        "plan": {"source": "middle-block"},
+        "experiment": {"name": "asymptotic"},
+    },
+    # an explicit plan without `mode` is checked as deterministic
+    "exact-explicit-plan-default-mode": {
+        "model": "no-diversity",
+        "system": {"horizon_T": 6, "num_users": 2, "alpha": 0.5},
+        "policy": {"source": "explicit", "probs": [0.4, 0.6]},
+        "plan": {"source": "explicit",
+                 "block_prob": [[0, 1, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]]},
+        "experiment": {"name": "exact"},
+    },
+    # no `subcarrier_policy` key: the uniform q
+    "exact-diversity-default-subcarrier-policy": {
+        "model": "diversity",
+        "system": {"horizon_T": 60, "num_users": 2, "alpha": 0.3,
+                   "num_subcarriers": 3},
+        "policy": {"source": "explicit", "probs": [0.35, 0.65]},
+        "plan": {"source": "uniform-subcarrier"},
+        "experiment": {"name": "exact"},
+    },
 }
 
 # sha256 of each output file and of stdout
@@ -163,6 +212,11 @@ GOLDEN = {
         "asymptotic.csv": "f772a17fe581353b8c5d61c7b97d08e2836b5b4fc523cde30d09b24fbc01f8d8",
         "scenario.json": "a9f3f8670ba515ef9269082cb3957e339c552ac13c6dd80a674f8558f52b3a2f",
         "stdout": "7529a0d5133442bf7592fb9d7e7ea575b189bef1d0ea2d3ad02f28db232685ad",
+    },
+    "asymptotic-middle-block-default-target": {
+        "asymptotic.csv": "b217ccfd2a4da7cf8f44341fcd5dffdf832a213adbab94df2e97bdf7c681aa24",
+        "scenario.json": "aded7f05e170c7b837123e1fc684ec0711c9df9da9f02eba29e2f982f06404a6",
+        "stdout": "f05fca62b4bb1901345b083e803baa955c4c353a1fcaa951fcd8c6f88cc41e50",
     },
     "asymptotic-no-diversity": {
         "asymptotic.csv": "8858f626f26eff98b638e5c5b97ac4bc5597ee7ba205f9098af643e63e54cd9a",
@@ -179,6 +233,11 @@ GOLDEN = {
         "scenario.json": "bfb0443bf4f77f184178d46001e148a1c8f9694fbd1f6aacce7fa7dc94651beb",
         "stdout": "c2a0d00ed8624ffdb7c63a7f15d049a2058fe981678259fbcb6b210055b2ca47",
     },
+    "exact-counter-block-default-target": {
+        "scenario.json": "da2cfa20f9d5fef450474a79453f3bc84b5812cac3a3b0a2d78be7cfe8b58a08",
+        "stdout": "268fce342e710864b38b6739b7b6e16911385837b896bc70ee688baa8a62d613",
+        "trajectories.csv": "4d0b5869c21a75e731a71e16b2620c175e4fcf5bc059c66528cec0c4a0bf0384",
+    },
     "exact-counter-block-explicit-plan": {
         "scenario.json": "ef4244eaeafddb182011b07885b31fb7d06cfaa57696014e48fb5e5b0ca527a8",
         "trajectories.csv": "7f20fd89cfd85653dd464d83b75adad7f1c4ad0b1a1c94362b6e3699465a7f00",
@@ -189,10 +248,30 @@ GOLDEN = {
         "trajectories.csv": "6262e5dd48d938937723cf7362f4036027538dff83e4e733b58d0cb773cc0900",
         "stdout": "aa6c15172ff1cdcc01af247d0dba77b26dcb000f34a6969c5132d671def9af6b",
     },
+    "exact-diversity-default-subcarrier-policy": {
+        "scenario.json": "ff494717abc83cb038f58a64512ced918bde88577fdca50d00eeefee418196a3",
+        "stdout": "a743368e36bdb55d3e3ac424fa2639b3a201cf15b569b7102cc577d270d7726b",
+        "trajectories.csv": "bae2962495d88a390147cb914f622d0e8aa2efb7c75aa0b2a4bd931622531935",
+    },
+    "exact-explicit-plan-default-mode": {
+        "scenario.json": "c6f4bfeb8ac50514825a21e8a9f9ffc22ccaf0fca571b2ed05d5442a108590c3",
+        "stdout": "7ae42fff59dc80518549899f77e9d48991441239eeb698f194201690952c944b",
+        "trajectories.csv": "9ab2d1452354527fc60fff9ad7356043a11a28019f4e730ea51fcf9202fc9e0f",
+    },
+    "exact-middle-block-default-target": {
+        "scenario.json": "aaf5f747cb231bd94875cd0413fd1154bbb095c9c0f8f53a0329d187e0700fad",
+        "stdout": "6f9b93d67152ce7fe23e8eb794348b048d3227eb89910f3a95ba7c2c5d09b54c",
+        "trajectories.csv": "f4f52c56c669ffe9f93215fe833226878224924319d852152cf27ba6f5b6f204",
+    },
     "exact-no-diversity": {
         "scenario.json": "b19fb2b50dc557617166bc1fc698321948115e93d0a433e30db0640857e83ec2",
         "trajectories.csv": "736f2ff29d500cd68cf0b1c9050a6194e22b073c6ab0d6f30d5be67a54b9f968",
         "stdout": "2c433aaf586d4903262c4f339e59de7f889432d18eba013a0776a3e80f15423c",
+    },
+    "exact-oracle-plan": {
+        "scenario.json": "5d6474529f0ecdbb3bc13947f45abb6b63d74e5fd751f0b49c86b71cb7d2bc35",
+        "stdout": "6816c9c377c95e7347fa8985ca24d2bb87113e3d6d6471a916799b2dba4b3d48",
+        "trajectories.csv": "311ea19bad507e5d1074117d53ba76e43992d5f87e8f512cc5723f7b640c4fca",
     },
     "nash-verify-diversity": {
         "equilibrium.csv": "3cbd890eb08cc085a36cf304446c5fe77f3940a02c9b643bc4334327056fd906",
