@@ -11,7 +11,7 @@ import numpy as np
 from aoijam import (
     SystemConfig,
     best_response_dynamics,
-    bs_best_response_single_block,
+    counter_block_policy,
     is_nash_no_diversity,
     make_middle_block,
     uniform_policy,
@@ -34,7 +34,7 @@ print(f"  payoff moves {w.payoff_before:.4f} -> {w.payoff_after:.4f}\n")
 # Candidate 2: the base station plays its best reply to that jamming plan.
 # Now the *other* user is weaker, so the jammer re-aims. Not an
 # equilibrium either.
-counter = bs_best_response_single_block(N, ALPHA)
+counter = counter_block_policy(N, ALPHA, 0)
 report = is_nash_no_diversity(counter, make_middle_block(config, 0), config)
 print(f"counter policy {np.round(counter.probs, 4)} + jam user 0:")
 print(f"  equilibrium? {report.holds}")

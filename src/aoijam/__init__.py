@@ -27,7 +27,7 @@ from .best_response import (
     AdversaryResponse,
     adversary_best_response,
     adversary_oracle,
-    bs_best_response_single_block,
+    counter_block_policy,
     numeric_simplex_minimizer,
     oracle_plan_count,
     ordered_kkt_solver,
@@ -111,7 +111,7 @@ __all__ = [
     "best_response_dynamics",
     "blocked_user_age",
     "blocking_feasible",
-    "bs_best_response_single_block",
+    "counter_block_policy",
     "diversity_nash_point",
     "diversity_system_age",
     "diversity_user_ages",

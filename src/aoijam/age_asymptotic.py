@@ -119,6 +119,18 @@ def _reduced_payoff(p: list, shares: list, T: int) -> float:
     return math.fsum((unblocked, blocked, linear))
 
 
+def _follower_aware_payoffs(probs: np.ndarray, alpha: float,
+                            T: int) -> np.ndarray:
+    """The worst single middle-blocked target's reduced payoff for every
+    row of a (samples, N) matrix of scheduling policies, in one array
+    expression: with share alpha on user b it is (sum_j 1/p_j - 1/p_b) +
+    ((1+alpha)/p_b - alpha) + alpha(1+alpha*T)/2, maximized over b."""
+    inverse = 1.0 / probs
+    unblocked = inverse.sum(axis=1, keepdims=True) - inverse
+    blocked = (1 + alpha) / probs - alpha
+    return (unblocked + blocked + alpha * (1 + alpha * T) / 2).max(axis=1)
+
+
 def reduced_payoff_for_split(policy: SchedulingPolicy, shares,
                              T: int) -> float:
     """Reduced payoff when user i is blocked for shares[i]*T consecutive slots.

@@ -2,10 +2,11 @@
 
 Base-station side: minimizing sum w_i/p_i over the probability simplex has
 the closed form p_i proportional to sqrt(w_i); blocking inflates the blocked
-user's weight to 1+alpha.  A bisection on the KKT level recomputes the
-optimum by a second route, so the closed form is never trusted on its own,
-and the leader's order-constrained problem pools adjacent violators of the
-order before taking the same closed form.
+user's weight to 1+alpha.  counter_block_policy is the one closed-form
+reply to a middle-blocked user, whichever user that is.  A bisection on the
+KKT level recomputes the optimum by a second route, so the closed form is
+never trusted on its own, and the leader's order-constrained problem pools
+adjacent violators of the order before taking the same closed form.
 
 Adversary side: the structured response concentrates the whole budget on the
 most starved user in one consecutive middle window; an exhaustive oracle
@@ -71,35 +72,26 @@ class AdversaryResponse:
 # ===========================================================================
 
 
-def bs_best_response_single_block(N: int, alpha: float) -> SchedulingPolicy:
-    """Scheduling policy minimizing system age when user 0 is middle-blocked.
-
-    The blocked user (listed first; permute for other targets) receives
-    sqrt(1+alpha)/(N-1+sqrt(1+alpha)), everyone else 1/(N-1+sqrt(1+alpha)).
-    """
+def counter_block_policy(N: int, alpha: float,
+                         target: int) -> SchedulingPolicy:
+    """Scheduling policy minimizing system age when user `target` is
+    middle-blocked: sqrt(1+alpha)/(N-1+sqrt(1+alpha)) on the target,
+    1/(N-1+sqrt(1+alpha)) on everyone else.  Raises DimensionMismatchError
+    for N < 1, InvalidAlphaError for alpha outside (0, 1), then
+    IndexOutOfRangeError for a target outside 0..N-1."""
     if N < 1:
         raise DimensionMismatchError(f"N must be >= 1, got {N}")
     if not 0.0 < alpha < 1.0:
         raise InvalidAlphaError(f"alpha must lie in (0, 1), got {alpha}")
+    if not 0 <= target < N:
+        raise IndexOutOfRangeError(f"target {target} outside 0..{N - 1}")
     root = math.sqrt(1.0 + alpha)
     denom = N - 1 + root
     p = np.full(N, 1.0 / denom)
-    p[0] = root / denom
-    return validate_policy(p)
-
-
-def counter_block_policy(N: int, alpha: float,
-                         target: int) -> SchedulingPolicy:
-    """bs_best_response_single_block with the blocked user moved to `target`,
-    the others in order; the permuted vector is validated again.  A target
-    outside 0..N-1 raises IndexOutOfRangeError."""
-    base = bs_best_response_single_block(N, alpha).probs
-    if not 0 <= target < N:
-        raise IndexOutOfRangeError(f"target {target} outside 0..{N - 1}")
-    probs = np.empty(N)
-    probs[target] = base[0]
-    probs[np.arange(N) != target] = base[1:]
-    return validate_policy(probs)
+    p[target] = root / denom
+    # normalized twice: a once-normalized vector's fsum need not be 1, so
+    # the second division can move last bits, which dynamics.csv pins
+    return validate_policy(validate_policy(p).probs)
 
 
 def numeric_simplex_minimizer(weights) -> SchedulingPolicy:

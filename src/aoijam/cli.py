@@ -764,7 +764,8 @@ def run_scenario(path: str, out_dir: str | None = None,
     except (ScenarioParseError, ScenarioValidationError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    except (AoijamError, OSError, ValueError, MemoryError) as exc:
+    except (AoijamError, OSError, ValueError, OverflowError,
+            MemoryError) as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -17,7 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .age_asymptotic import (
+    _check_alpha,
+    _check_horizon,
     _diversity_ages,
+    _follower_aware_payoffs,
     diversity_system_age,
     reduced_objective,
     reduced_payoff_for_split,
@@ -125,8 +128,12 @@ def _refuted(kind: str, current: float, player: str, strategy, value: float,
 def follower_aware_payoff(policy: SchedulingPolicy, alpha: float,
                           T: int) -> float:
     """Leader's payoff when the adversary best-responds: the worst single
-    middle-blocked target."""
-    return max(reduced_objective(policy, b, alpha, T) for b in range(policy.n))
+    middle-blocked target's reduced payoff, the one-row case of
+    _follower_aware_payoffs.  Raises InvalidAlphaError for alpha outside
+    [0, 1), then DimensionMismatchError for T < 1."""
+    _check_alpha(alpha)
+    _check_horizon(T)
+    return float(_follower_aware_payoffs(policy.probs[None], alpha, T)[0])
 
 
 # ===========================================================================
@@ -237,18 +244,6 @@ def _certification_policies(N: int, samples: int, seed: int) -> np.ndarray:
     tail = np.sort(tail, axis=1)[:, ::-1]  # ordered policies, largest first
     return _fsum_rows(np.concatenate(
         (head, tail / tail.sum(axis=1, keepdims=True)))[:samples])
-
-
-def _follower_aware_payoffs(probs: np.ndarray, alpha: float,
-                            T: int) -> np.ndarray:
-    """follower_aware_payoff of every row of a (samples, N) matrix of
-    scheduling policies, in one array expression: the reduced payoff with
-    user b middle-blocked is (sum_j 1/p_j - 1/p_b) + ((1+alpha)/p_b - alpha)
-    + alpha(1+alpha*T)/2, maximized over b."""
-    inverse = 1.0 / probs
-    unblocked = inverse.sum(axis=1, keepdims=True) - inverse
-    blocked = (1 + alpha) / probs - alpha
-    return (unblocked + blocked + alpha * (1 + alpha * T) / 2).max(axis=1)
 
 
 def stackelberg_equilibrium(N: int, alpha: float, T: int, target: int = 0,

@@ -16,7 +16,7 @@ from aoijam import (
     adversary_oracle,
     best_response_dynamics,
     blocked_user_age,
-    bs_best_response_single_block,
+    counter_block_policy,
     diversity_nash_point,
     empty_plan,
     estimate_average_age,
@@ -41,7 +41,7 @@ def test_criterion_01_closed_form_matches_numeric_best_response():
     worst = 0.0
     for n in (2, 3, 5, 10):
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
-            closed = bs_best_response_single_block(n, alpha)
+            closed = counter_block_policy(n, alpha, 0)
             weights = np.ones(n)
             weights[0] = 1.0 + alpha
             numeric = numeric_simplex_minimizer(weights)

@@ -15,7 +15,6 @@ from aoijam.best_response import (
     AdversaryResponse,
     adversary_best_response,
     adversary_oracle,
-    bs_best_response_single_block,
     counter_block_policy,
     numeric_simplex_minimizer,
     oracle_plan_count,
@@ -42,12 +41,12 @@ from aoijam.model import (
 
 
 def test_single_block_closed_form_example():
-    pol = bs_best_response_single_block(3, 0.44)
+    pol = counter_block_policy(3, 0.44, 0)
     np.testing.assert_allclose(pol.probs, [0.375, 0.3125, 0.3125], atol=1e-12)
 
 
 def test_single_block_blocked_user_listed_first():
-    pol = bs_best_response_single_block(2, 0.5)
+    pol = counter_block_policy(2, 0.5, 0)
     root = math.sqrt(1.5)
     np.testing.assert_allclose(
         pol.probs, [root / (1 + root), 1 / (1 + root)], atol=1e-12)
@@ -55,27 +54,32 @@ def test_single_block_blocked_user_listed_first():
 
 
 def test_single_block_tiny_alpha_near_uniform():
-    pol = bs_best_response_single_block(4, 1e-9)
+    pol = counter_block_policy(4, 1e-9, 0)
     np.testing.assert_allclose(pol.probs, 0.25, atol=1e-9)
 
 
 def test_single_block_rejects_bad_alpha():
     with pytest.raises(InvalidAlphaError):
-        bs_best_response_single_block(3, 0.0)
+        counter_block_policy(3, 0.0, 0)
     with pytest.raises(InvalidAlphaError):
-        bs_best_response_single_block(3, 1.0)
+        counter_block_policy(3, 1.0, 0)
 
 
 def test_single_block_single_user():
     np.testing.assert_allclose(
-        bs_best_response_single_block(1, 0.5).probs, [1.0])
+        counter_block_policy(1, 0.5, 0).probs, [1.0])
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.44, 0.9])
+@pytest.mark.parametrize("alpha", [0.05, 0.15, 0.21, 0.3, 0.44, 0.9])
 def test_counter_block_permutes_the_validated_response(n, alpha):
-    # validate, permute, validate again: dynamics.csv pins these bits
-    base = bs_best_response_single_block(n, alpha).probs
+    # the closed form with the blocked user first, validated, permuted and
+    # validated again: dynamics.csv pins these bits.  At (4, 0.21) and
+    # (5, 0.15) one validation alone gives other bits.
+    root = math.sqrt(1.0 + alpha)
+    first = np.full(n, 1.0 / (n - 1 + root))
+    first[0] = root / (n - 1 + root)
+    base = validate_policy(first).probs
     for target in range(n):
         order = [target] + [i for i in range(n) if i != target]
         probs = np.empty(n)
@@ -127,7 +131,7 @@ def test_numeric_minimizer_reproduces_single_block_response():
         w = np.ones(n)
         w[0] = 1 + alpha
         numeric = numeric_simplex_minimizer(w)
-        closed = bs_best_response_single_block(n, alpha)
+        closed = counter_block_policy(n, alpha, 0)
         np.testing.assert_allclose(numeric.probs, closed.probs, atol=1e-6)
 
 
@@ -147,7 +151,7 @@ def test_closed_form_vs_numeric_acceptance_grid_is_fast():
             w = np.ones(n)
             w[0] = 1 + alpha
             dev = np.max(np.abs(numeric_simplex_minimizer(w).probs
-                                - bs_best_response_single_block(n, alpha).probs))
+                                - counter_block_policy(n, alpha, 0).probs))
             assert dev <= 1e-6
     assert time.perf_counter() - start < 1.0
 

@@ -836,6 +836,24 @@ def test_out_of_memory_exits_3(tmp_path, capsys):
     assert "runtime error: MemoryError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    base_doc(system={"horizon_T": 3, "num_users": 10**400, "alpha": 0.4},
+             policy={"source": "uniform"}),
+    div_doc(system={"horizon_T": 20, "num_users": 10**400, "alpha": 0.25,
+                    "num_subcarriers": 2}, policy={"source": "uniform"}),
+    base_doc(system={"horizon_T": 3, "num_users": 10**400, "alpha": 0.4},
+             policy={"source": "counter-block"}),
+], ids=["no-diversity-uniform", "diversity-uniform", "counter-block"])
+def test_user_count_beyond_float_range_exits_3(tmp_path, capsys, doc):
+    # 1.0 / N and N - 1 + sqrt(1 + alpha) overflow a float
+    path = write_scenario(tmp_path, doc)
+    assert main(["exact", "--config", path, "--out-dir", str(tmp_path),
+                 "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "runtime error: OverflowError" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_without_experiment_block_uses_registry_defaults(tmp_path):
     path = write_scenario(tmp_path, base_doc())
     assert main(["simulate", "--config", path, "--out-dir", str(tmp_path),

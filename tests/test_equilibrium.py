@@ -12,7 +12,7 @@ from aoijam.age_asymptotic import (
     diversity_system_age,
     reduced_objective,
 )
-from aoijam.best_response import bs_best_response_single_block
+from aoijam.best_response import counter_block_policy
 from aoijam.equilibrium import (
     ADV_DEVIATION_FAMILIES,
     IMPROVEMENT_TOL,
@@ -86,7 +86,7 @@ def test_uniform_with_middle_block_fails_on_bs_side():
 
 def test_best_response_policy_fails_on_adversary_side():
     cfg = _cfg()
-    policy = bs_best_response_single_block(2, 0.5)  # shields user 0
+    policy = counter_block_policy(2, 0.5, 0)  # shields user 0
     report = is_nash_no_diversity(policy, make_middle_block(cfg, 0), cfg)
     assert report.holds is False
     w = report.witness
@@ -254,10 +254,11 @@ def test_certification_rivals_match_per_rival_reference(N, samples, seed):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 6, 8])
 def test_follower_aware_payoffs_match_scalar_payoff(N):
+    # the array form against the fsum route, target by target
     rivals = _certification_policies(N, 200, 4)
     batched = _follower_aware_payoffs(rivals, 0.35, 1500)
-    scalar = [follower_aware_payoff(validate_policy(row), 0.35, 1500)
-              for row in rivals]
+    scalar = [max(reduced_objective(validate_policy(row), b, 0.35, 1500)
+                  for b in range(N)) for row in rivals]
     np.testing.assert_allclose(batched, scalar, rtol=1e-12, atol=0)
 
 
@@ -284,6 +285,19 @@ def test_follower_aware_payoff_targets_min_probability():
     value = follower_aware_payoff(pol, 0.4, 1000)
     assert value == pytest.approx(
         reduced_objective(pol, 1, 0.4, 1000), abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha, T, error, message", [
+    (1.0, 100, InvalidAlphaError, "alpha must lie in [0, 1), got 1.0"),
+    (-0.1, 100, InvalidAlphaError, "alpha must lie in [0, 1), got -0.1"),
+    (1.5, 0, InvalidAlphaError, "alpha must lie in [0, 1), got 1.5"),
+    (0.4, 0, DimensionMismatchError, "T must be >= 1, got 0"),
+])
+def test_follower_aware_payoff_rejects_bad_alpha_then_horizon(alpha, T,
+                                                              error, message):
+    with pytest.raises(error) as caught:
+        follower_aware_payoff(validate_policy([0.5, 0.5]), alpha, T)
+    assert str(caught.value) == message
 
 
 # ===========================================================================
