@@ -34,7 +34,7 @@ print(f"  payoff moves {w.payoff_before:.4f} -> {w.payoff_after:.4f}\n")
 # Candidate 2: the base station plays its best reply to that jamming plan.
 # Now the *other* user is weaker, so the jammer re-aims. Not an
 # equilibrium either.
-counter = counter_block_policy(N, ALPHA, 0)
+counter = counter_block_policy(config, 0)
 report = is_nash_no_diversity(counter, make_middle_block(config, 0), config)
 print(f"counter policy {np.round(counter.probs, 4)} + jam user 0:")
 print(f"  equilibrium? {report.holds}")
@@ -44,7 +44,7 @@ print(f"  deviation found for the {w.player}: {w.description}\n")
 # The chase, played out: each round the jammer aims at the current weakest
 # user and the base station re-balances against that aim.
 print("iterated best responses (jammer aims, base station re-balances):")
-dyn = best_response_dynamics(N, ALPHA, T, max_iter=10)
+dyn = best_response_dynamics(config, max_iter=10)
 for step in dyn.trace:
     probs = np.round(step.policy.probs, 4)
     print(f"  round {step.iteration:2d}: facing {probs}, jammer aims at "

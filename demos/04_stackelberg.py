@@ -11,19 +11,28 @@ answer, and random rivals certify it numerically.
 import numpy as np
 
 from aoijam import (
+    SystemConfig,
     follower_aware_payoff,
     ordered_kkt_solver,
+    reduced_objective,
     stackelberg_equilibrium,
     uniform_policy,
     validate_policy,
 )
 
 N, ALPHA, T = 3, 0.4, 5000
+config = SystemConfig(horizon_T=T, num_users=N, alpha=ALPHA)
+# every large-horizon price reads the share B/T of the slots the plans block
+SHARE = config.blocked_share
 
-leader, plan, payoff = stackelberg_equilibrium(N, ALPHA, T)
-print(f"N={N}, alpha={ALPHA}, T={T}")
+leader, plan, payoff = stackelberg_equilibrium(config)
+print(f"N={N}, alpha={ALPHA}, T={T}, B={config.budget_B}")
 print(f"leader commitment: {np.round(leader.probs, 6)}")
-print(f"guaranteed payoff (jammer replies optimally): {payoff:.4f}\n")
+print(f"guaranteed payoff (jammer replies optimally): {payoff:.4f}")
+# at the uniform commitment every target ties: jamming the last user for
+# B slots is worth as much as jamming the first
+print(f"same payoff with user {N - 1} jammed instead: "
+      f"{reduced_objective(leader, N - 1, SHARE, T):.4f}\n")
 
 # The follower-aware payoff prices a policy by the jammer's best reply to
 # it. Tilting the schedule always costs the leader.
@@ -35,7 +44,7 @@ rivals = {
 }
 print(f"{'policy':>14} {'worst-case payoff':>18}")
 for name, rival in rivals.items():
-    value = follower_aware_payoff(rival, ALPHA, T)
+    value = follower_aware_payoff(rival, SHARE, T)
     marker = "  <- leader" if name == "uniform" else ""
     print(f"{name:>14} {value:>18.4f}{marker}")
 
@@ -43,7 +52,7 @@ for name, rival in rivals.items():
 # non-increasing, with the blocked user last. The free minimizer would
 # schedule that user most; the solver pools the weights that break the
 # order into one block of their mean, which lands on the uniform point.
-ordered = ordered_kkt_solver(N, ALPHA)
+ordered = ordered_kkt_solver(config)
 print(f"\norder-constrained solver: {np.round(ordered.probs, 10)}")
 print(f"max deviation from uniform: "
       f"{np.abs(ordered.probs - 1 / N).max():.2e}")

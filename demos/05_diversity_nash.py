@@ -40,10 +40,10 @@ print("identical to every printed digit: the choice is neutralized\n")
 # Claim 2: the closed form prices the diversity game without T appearing,
 # and the uniform profile passes a sampled equilibrium audit on both
 # sides.
-closed = diversity_system_age(policy, ALPHA, NSUB)
+closed = diversity_system_age(policy, config.blocked_share, NSUB)
 print(f"closed-form long-horizon system age: {closed:.4f}")
 
-point = diversity_nash_point(N, NSUB, ALPHA, T)
+point = diversity_nash_point(config)
 report = verify_diversity_nash(point, config, bs_samples=300,
                                adv_samples=300, seed=9)
 print(f"equilibrium audit ({report.kind}): holds = {report.holds}, "
@@ -52,6 +52,6 @@ print(f"equilibrium audit ({report.kind}): holds = {report.holds}, "
 # More sub-carriers shrink the jamming damage toward nothing.
 print("\ndamage shrinks as diversity grows (same alpha):")
 for nsub in (2, 3, 4, 8, 16):
-    value = diversity_system_age(policy, ALPHA, nsub)
+    value = diversity_system_age(policy, config.blocked_share, nsub)
     print(f"  N_sub={nsub:3d}: system age {value:.4f}")
 print(f"  no jamming at all would give {1 / policy.probs[0] :.4f}")

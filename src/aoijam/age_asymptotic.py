@@ -7,7 +7,9 @@ grows linearly in T.  The functions that return an age, blocked_user_age
 and system_age_no_diversity, emit AsymptoticValidityWarning when
 T * min_i p_i < 100, the point where the 1/p approximation drifts past
 roughly 1%.  The reduced game payoffs do not warn: the players only compare
-them.
+them.  A game function prices with its config's blocked_share, B/T, in
+place of alpha; it calls the unchecked private forms, since that share is
+1.0 when B = T.
 """
 
 import math
@@ -98,6 +100,11 @@ def system_age_no_diversity(
     _check_alpha(alpha)
     _check_horizon(T)
     _warn_if_small_horizon(T, float(p.min()))
+    return _system_age(p, blocked_user, alpha, T)
+
+
+def _system_age(p: np.ndarray, blocked_user: int, alpha: float,
+                T: int) -> float:
     unblocked = math.fsum(
         1.0 / p[j] for j in range(p.size) if j != blocked_user)
     blocked = _blocked_age(float(p[blocked_user]), alpha, T)
@@ -105,7 +112,8 @@ def system_age_no_diversity(
 
 
 # ===========================================================================
-#  Reduced payoff (constants dropped; what both players optimize)
+#  Reduced payoff (N times the large-horizon system age; what both players
+#  optimize)
 # ===========================================================================
 
 
@@ -168,9 +176,14 @@ def reduced_objective(policy: SchedulingPolicy, blocked_user: int,
     _check_user(policy.n, blocked_user)
     _check_alpha(alpha)
     _check_horizon(T)
-    shares = [0.0] * policy.n
-    shares[blocked_user] = alpha
-    return _reduced_payoff(policy.probs.tolist(), shares, T)
+    return _middle_block_payoff(policy.probs.tolist(), blocked_user, alpha, T)
+
+
+def _middle_block_payoff(p: list, target: int, share: float, T: int) -> float:
+    """_reduced_payoff with `share` on user `target` and 0 elsewhere."""
+    shares = [0.0] * len(p)
+    shares[target] = share
+    return _reduced_payoff(p, shares, T)
 
 
 # ===========================================================================
@@ -186,15 +199,15 @@ def diversity_user_ages(policy: SchedulingPolicy, alpha: float,
     at rate p_i, inside at rate p_i(1-1/N_sub) since one of N_sub
     sub-carriers is jammed.  Independent of the sub-carrier distribution q.
     """
+    if N_sub < 2:
+        raise NoDiversityError(f"N_sub = {N_sub} must be >= 2")
+    _check_alpha(alpha)
     return _diversity_ages(policy.probs, alpha, N_sub)
 
 
 def _diversity_ages(p: np.ndarray, alpha: float, N_sub: int) -> np.ndarray:
-    """diversity_user_ages elementwise on an array of scheduling
+    """diversity_user_ages, unchecked, elementwise on an array of scheduling
     probabilities of any shape (one policy per row of a 2-D array)."""
-    if N_sub < 2:
-        raise NoDiversityError(f"N_sub = {N_sub} must be >= 2")
-    _check_alpha(alpha)
     return (1 - alpha) / p + alpha / (p * (1 - 1.0 / N_sub))
 
 

@@ -1,12 +1,13 @@
-"""Best responses for both players.
+"""Best responses for both players, in the game a SystemConfig describes.
 
 Base-station side: minimizing sum w_i/p_i over the probability simplex has
 the closed form p_i proportional to sqrt(w_i); blocking inflates the blocked
-user's weight to 1+alpha.  counter_block_policy is the one closed-form
-reply to a middle-blocked user, whichever user that is.  A bisection on the
-KKT level recomputes the optimum by a second route, so the closed form is
-never trusted on its own, and the leader's order-constrained problem pools
-adjacent violators of the order before taking the same closed form.
+user's weight to 1+B/T (blocked_share).  counter_block_policy is the one
+closed-form reply to a middle-blocked user, whichever user that is.  A
+bisection on the KKT level recomputes the optimum by a second route, so the
+closed form is never trusted on its own, and the leader's order-constrained
+problem pools adjacent violators of the order before taking the same closed
+form.
 
 Adversary side: the structured response concentrates the whole budget on the
 most starved user in one consecutive middle window; an exhaustive oracle
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .age_asymptotic import reduced_objective
+from .age_asymptotic import _middle_block_payoff
 from .age_exact import expected_age_trajectory
 from .errors import (
     CertificateError,
@@ -33,7 +34,6 @@ from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
     InstanceTooLargeError,
-    InvalidAlphaError,
     NonPositiveEntryError,
 )
 from .model import (
@@ -42,6 +42,7 @@ from .model import (
     SystemConfig,
     check_profile,
     make_middle_block,
+    uniform_policy,
     validate_policy,
 )
 
@@ -72,20 +73,16 @@ class AdversaryResponse:
 # ===========================================================================
 
 
-def counter_block_policy(N: int, alpha: float,
+def counter_block_policy(config: SystemConfig,
                          target: int) -> SchedulingPolicy:
     """Scheduling policy minimizing system age when user `target` is
-    middle-blocked: sqrt(1+alpha)/(N-1+sqrt(1+alpha)) on the target,
-    1/(N-1+sqrt(1+alpha)) on everyone else.  Raises DimensionMismatchError
-    for N < 1, InvalidAlphaError for alpha outside (0, 1), then
+    middle-blocked: sqrt(1+a)/(N-1+sqrt(1+a)) on the target, 1/(N-1+sqrt(1+a))
+    on everyone else, for a = blocked_share (either model).  Raises
     IndexOutOfRangeError for a target outside 0..N-1."""
-    if N < 1:
-        raise DimensionMismatchError(f"N must be >= 1, got {N}")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidAlphaError(f"alpha must lie in (0, 1), got {alpha}")
+    N = config.num_users
     if not 0 <= target < N:
         raise IndexOutOfRangeError(f"target {target} outside 0..{N - 1}")
-    root = math.sqrt(1.0 + alpha)
+    root = math.sqrt(1.0 + config.blocked_share)
     denom = N - 1 + root
     p = np.full(N, 1.0 / denom)
     p[target] = root / denom
@@ -134,25 +131,26 @@ def numeric_simplex_minimizer(weights) -> SchedulingPolicy:
     return validate_policy(closed)
 
 
-def ordered_kkt_solver(N: int, alpha: float) -> SchedulingPolicy:
+def ordered_kkt_solver(config: SystemConfig) -> SchedulingPolicy:
     """Solve the leader's problem under an explicit ordering constraint.
 
-    Minimizes 1/p_1 + ... + 1/p_{N-1} + (1+alpha)/p_N subject to the simplex
-    and p_1 >= ... >= p_N (the blocked user is, without loss of generality,
-    the least-scheduled one).  The optimum is uniform; this routine exists to
-    certify that instead of assuming it.
+    Minimizes 1/p_1 + ... + 1/p_{N-1} + (1+a)/p_N, a = blocked_share, subject
+    to the simplex and p_1 >= ... >= p_N (the blocked user is, without loss
+    of generality, the least-scheduled one).  The optimum is uniform; this
+    routine exists to certify that instead of assuming it.  A diversity
+    config or N < 2 raises DimensionMismatchError.
 
     The free minimizer p ~ sqrt(w) has the order of w, so the ordered one
     pools adjacent violators of the non-increasing order on w: each pooled
     block shares one p, the minimizer for its mean weight.  The result is
     numeric_simplex_minimizer of the pooled weights.
     """
+    N = config.num_users
+    check_profile(uniform_policy(N), None, None, config)
     if N < 2:
         raise DimensionMismatchError(f"N must be >= 2, got {N}")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidAlphaError(f"alpha must lie in (0, 1), got {alpha}")
     w = np.ones(N)
-    w[-1] = 1.0 + alpha
+    w[-1] = 1.0 + config.blocked_share
     blocks = []  # [weight total, size] of each pooled block, in order
     for x in w:
         blocks.append([x, 1])
@@ -175,13 +173,15 @@ def adversary_best_response(policy: SchedulingPolicy,
                             config: SystemConfig) -> AdversaryResponse:
     """Structured response: one middle window on the least-scheduled user.
 
-    Payoff is the reduced large-horizon objective; ties in argmin p break to
-    the lowest index.
+    Payoff is the reduced large-horizon objective at the plan's shares (B/T
+    on the target), as is_nash_no_diversity prices it; ties in argmin p
+    break to the lowest index.
     """
     check_profile(policy, None, None, config)
     target = int(np.argmin(policy.probs))
     plan = make_middle_block(config, target)
-    payoff = reduced_objective(policy, target, config.alpha, config.horizon_T)
+    payoff = _middle_block_payoff(policy.probs.tolist(), target,
+                                  config.blocked_share, config.horizon_T)
     return AdversaryResponse(plan=plan, payoff=payoff, target=target)
 
 

@@ -35,10 +35,11 @@ import numpy as np
 
 from .age_asymptotic import (
     _blocked_age,
-    diversity_user_ages,
-    reduced_objective,
+    _diversity_ages,
+    _middle_block_payoff,
+    _system_age,
+    _warn_if_small_horizon,
     reduced_payoff_for_split,
-    system_age_no_diversity,
     unblocked_user_age,
 )
 from .age_exact import (
@@ -324,8 +325,8 @@ SOURCES = {
                                           spec["probs"]),
             {"probs": Field(_vector("num_users"), None)}),
         "counter-block": Source(
-            lambda sc, spec, _: counter_block_policy(
-                sc.system.num_users, sc.system.alpha, spec["target"]),
+            lambda sc, spec, _: counter_block_policy(sc.system,
+                                                     spec["target"]),
             {"target": Field(_int(0, "num_users"), 0)}),
     },
     "subcarrier_policy": {
@@ -560,7 +561,7 @@ def _run_exact(sc, out_dir, emit):
 
 def _run_asymptotic(sc, out_dir, emit):
     policy = resolve(sc, "policy")
-    system = sc.system
+    share, T = sc.system.blocked_share, sc.system.horizon_T
     spec = _spec(sc, "plan")
     source = spec["source"]
     if sc.model not in SOURCES["plan"][source].asymptotic:
@@ -573,19 +574,17 @@ def _run_asymptotic(sc, out_dir, emit):
         value = float(np.mean(per_user))
         emit(f"asymptotic system age (no blocking): {value:.6f}")
     elif source == "uniform-subcarrier":
-        per_user = diversity_user_ages(policy, system.alpha,
-                                       system.num_subcarriers)
+        per_user = _diversity_ages(policy.probs, share,
+                                   sc.system.num_subcarriers)
         value = float(np.mean(per_user))
         emit(f"asymptotic diversity system age: {value:.6f}")
     else:  # middle-block, no-diversity model
         target = spec["target"]
         # the one AsymptoticValidityWarning: T*min(p) covers the target
-        value = system_age_no_diversity(
-            policy, target, system.alpha, system.horizon_T)
-        reduced = reduced_objective(
-            policy, target, system.alpha, system.horizon_T)
-        per_user[target] = _blocked_age(
-            policy.probs[target], system.alpha, system.horizon_T)
+        _warn_if_small_horizon(T, float(policy.probs.min()))
+        value = _system_age(policy.probs, target, share, T)
+        reduced = _middle_block_payoff(policy.probs.tolist(), target, share, T)
+        per_user[target] = _blocked_age(policy.probs[target], share, T)
         emit(f"asymptotic system age (user {target} blocked): {value:.6f}")
         emit(f"reduced payoff: {reduced:.6f}")
     rows = [(i, _fmt(v)) for i, v in enumerate(per_user)]
@@ -643,9 +642,7 @@ def _run_oracle(sc, out_dir, emit):
 
 def _run_br_dynamics(sc, out_dir, emit):
     exp = sc.experiment
-    report = best_response_dynamics(
-        sc.system.num_users, sc.system.alpha, sc.system.horizon_T,
-        exp["iterations"])
+    report = best_response_dynamics(sc.system, exp["iterations"])
     write_dynamics_csv(os.path.join(out_dir, "dynamics.csv"), report.trace)
     targets = [s.blocked_user for s in report.trace]
     emit(f"blocked-user sequence: {targets}")
@@ -656,9 +653,8 @@ def _run_br_dynamics(sc, out_dir, emit):
 def _run_stackelberg(sc, out_dir, emit):
     exp = sc.experiment
     leader, plan, payoff = stackelberg_equilibrium(
-        sc.system.num_users, sc.system.alpha, sc.system.horizon_T,
-        target=exp["target"], certify_samples=exp["certify_samples"],
-        seed=exp["seed"])
+        sc.system, target=exp["target"],
+        certify_samples=exp["certify_samples"], seed=exp["seed"])
     write_equilibrium_csv(
         os.path.join(out_dir, "equilibrium.csv"),
         [("stackelberg", None, payoff,

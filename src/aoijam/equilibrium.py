@@ -8,7 +8,7 @@ cycle; is_nash_no_diversity witness-checks any candidate pair.  Committing
 first rescues the base station: stackelberg_equilibrium returns the uniform
 leader policy with a sampled-dominance certificate.  With diversity, uniform
 everything is a genuine Nash point, verified against sampled deviations on
-both sides.
+both sides.  A game is a SystemConfig; prices read its share B/T.
 """
 
 import math
@@ -21,8 +21,7 @@ from .age_asymptotic import (
     _check_horizon,
     _diversity_ages,
     _follower_aware_payoffs,
-    diversity_system_age,
-    reduced_objective,
+    _middle_block_payoff,
     reduced_payoff_for_split,
 )
 from .age_exact import _window_system_ages, expected_age_trajectory_diversity
@@ -32,7 +31,6 @@ from .errors import (
     DimensionMismatchError,
     InsufficientRunsError,
     InvalidAlphaError,
-    NoDiversityError,
     NonPositiveEntryError,
     NotNormalizedError,
 )
@@ -176,29 +174,32 @@ def is_nash_no_diversity(policy: SchedulingPolicy, plan: BlockingPlan,
     return EquilibriumReport(kind="nash-check", holds=True, payoff=current)
 
 
-def best_response_dynamics(N: int, alpha: float, T: int,
+def best_response_dynamics(config: SystemConfig,
                            max_iter: int) -> EquilibriumReport:
     """Alternate the two best-response maps from a uniform start.
 
     Each step records the base station's current policy, the user the
     adversary blocks in response, and the reduced payoff.  holds reports
     whether any step was a simultaneous fixed point of both maps; the
-    no-equilibrium phenomenon is precisely that it never is, with the
-    blocked target changing every single iteration.
+    no-equilibrium phenomenon is precisely that it never is once B > 0,
+    with the blocked target changing every single iteration.
     """
     if max_iter < 2:
         raise InsufficientRunsError(f"max_iter must be >= 2, got {max_iter}")
+    start = uniform_policy(config.num_users)
+    check_profile(start, None, None, config)
+    share, T = config.blocked_share, config.horizon_T
     # a step depends only on the previous step's target (None at the
     # uniform start), so each distinct step is built once
     step_after = {}
     previous, steps = None, []
     for it in range(max_iter):
         if previous not in step_after:
-            policy = (uniform_policy(N) if previous is None
-                      else counter_block_policy(N, alpha, previous))
+            policy = (start if previous is None
+                      else counter_block_policy(config, previous))
             target = int(np.argmin(policy.probs))
-            step_after[previous] = (
-                policy, target, reduced_objective(policy, target, alpha, T))
+            step_after[previous] = (policy, target, _middle_block_payoff(
+                policy.probs.tolist(), target, share, T))
         policy, target, payoff = step_after[previous]
         steps.append(TraceStep(it, policy, target, payoff))
         previous = target
@@ -246,7 +247,7 @@ def _certification_policies(N: int, samples: int, seed: int) -> np.ndarray:
         (head, tail / tail.sum(axis=1, keepdims=True)))[:samples])
 
 
-def stackelberg_equilibrium(N: int, alpha: float, T: int, target: int = 0,
+def stackelberg_equilibrium(config: SystemConfig, target: int = 0,
                             certify_samples: int = 200, seed: int = 0):
     """Uniform leader policy, middle-block follower plan, leader payoff.
 
@@ -260,12 +261,13 @@ def stackelberg_equilibrium(N: int, alpha: float, T: int, target: int = 0,
     if certify_samples < 1:
         raise InsufficientRunsError(
             f"certify_samples must be >= 1, got {certify_samples}")
-    config = SystemConfig(horizon_T=T, num_users=N, alpha=alpha)
+    N, share, T = config.num_users, config.blocked_share, config.horizon_T
     leader = uniform_policy(N)
-    payoff = reduced_objective(leader, target, alpha, T)
+    check_profile(leader, None, None, config)
     plan = make_middle_block(config, target)
+    payoff = _middle_block_payoff(leader.probs.tolist(), target, share, T)
     rivals = _certification_policies(N, certify_samples, seed)
-    rival_payoffs = _follower_aware_payoffs(rivals, alpha, T)
+    rival_payoffs = _follower_aware_payoffs(rivals, share, T)
     beaten = payoff > rival_payoffs + IMPROVEMENT_TOL
     if beaten.any():
         i = int(np.argmax(beaten))
@@ -281,15 +283,13 @@ def stackelberg_equilibrium(N: int, alpha: float, T: int, target: int = 0,
 # ===========================================================================
 
 
-def diversity_nash_point(N: int, N_sub: int, alpha: float, T: int):
+def diversity_nash_point(config: SystemConfig):
     """The mutual-best-response point: uniform p, uniform q, uniform
-    sub-carrier blocking of the middle window."""
-    if N_sub < 2:
-        raise NoDiversityError(f"N_sub = {N_sub} must be >= 2")
-    config = SystemConfig(horizon_T=T, num_users=N, alpha=alpha,
-                          num_subcarriers=N_sub)
-    return (uniform_policy(N), uniform_subcarrier_policy(N_sub),
-            make_uniform_subcarrier_block(config))
+    sub-carrier blocking of the middle window.  A no-diversity config
+    raises NoDiversityError."""
+    plan = make_uniform_subcarrier_block(config)
+    return (uniform_policy(config.num_users),
+            uniform_subcarrier_policy(config.num_subcarriers), plan)
 
 
 def _sample_bs_deviations(N, N_sub, bs_samples, rng):
@@ -437,11 +437,11 @@ def verify_diversity_nash(point, config: SystemConfig, bs_samples: int,
     policy, subpolicy, plan = point
     check_profile(policy, subpolicy, plan, config)
     rng = np.random.default_rng(seed)
-    alpha, n_sub = config.alpha, config.num_subcarriers
+    share, n_sub = config.blocked_share, config.num_subcarriers
 
-    current_asym = diversity_system_age(policy, alpha, n_sub)
+    current_asym = float(_diversity_ages(policy.probs, share, n_sub).mean())
     p_rows, q_rows = _sample_bs_deviations(policy.n, n_sub, bs_samples, rng)
-    values = _diversity_ages(_fsum_rows(p_rows), alpha, n_sub).mean(axis=1)
+    values = _diversity_ages(_fsum_rows(p_rows), share, n_sub).mean(axis=1)
     better = values < current_asym - IMPROVEMENT_TOL
     if better.any():
         i = int(np.argmax(better))

@@ -44,10 +44,10 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Horizon, population sizes, and the adversary's jamming fraction.
-
-    budget_B = floor(alpha * horizon_T) is the number of slots the adversary
-    may block in total; num_subcarriers == 1 means the no-diversity model.
+    """The game: horizon, population sizes, and the adversary's jamming
+    fraction.  budget_B = floor(alpha * horizon_T) is the number of slots
+    the adversary may block in total; num_subcarriers == 1 means the
+    no-diversity model.  Each size must be an integer >= 1.
     """
 
     horizon_T: int
@@ -56,15 +56,15 @@ class SystemConfig:
     num_subcarriers: int = 1
 
     def __post_init__(self):
-        if self.horizon_T < 1:
-            raise DimensionMismatchError(
-                f"horizon_T must be >= 1, got {self.horizon_T}")
-        if self.num_users < 1:
-            raise DimensionMismatchError(
-                f"num_users must be >= 1, got {self.num_users}")
-        if self.num_subcarriers < 1:
-            raise DimensionMismatchError(
-                f"num_subcarriers must be >= 1, got {self.num_subcarriers}")
+        for name in ("horizon_T", "num_users", "num_subcarriers"):
+            size = getattr(self, name)
+            # a bool is no size; a numpy integer is, stored as an int so
+            # that no size arithmetic wraps at its width
+            if (not isinstance(size, (int, np.integer))
+                    or isinstance(size, bool) or size < 1):
+                raise DimensionMismatchError(
+                    f"{name} must be an integer >= 1, got {size!r}")
+            object.__setattr__(self, name, int(size))
         if not 0.0 < self.alpha < 1.0:
             raise InvalidAlphaError(
                 f"alpha must lie in (0, 1), got {self.alpha}")
@@ -80,6 +80,11 @@ class SystemConfig:
         if math.isclose(product, nearest, rel_tol=1e-9):
             return nearest
         return math.floor(product)
+
+    @property
+    def blocked_share(self) -> float:
+        """B/T, the alpha of every large-horizon price of a game function."""
+        return self.budget_B / self.horizon_T
 
     @property
     def has_diversity(self) -> bool:

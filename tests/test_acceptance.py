@@ -41,7 +41,8 @@ def test_criterion_01_closed_form_matches_numeric_best_response():
     worst = 0.0
     for n in (2, 3, 5, 10):
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
-            closed = counter_block_policy(n, alpha, 0)
+            game = SystemConfig(horizon_T=100, num_users=n, alpha=alpha)
+            closed = counter_block_policy(game, 0)
             weights = np.ones(n)
             weights[0] = 1.0 + alpha
             numeric = numeric_simplex_minimizer(weights)
@@ -106,7 +107,8 @@ def test_criterion_05_best_response_dynamics_never_settles():
     start = perf_counter()
     for n in (2, 3):
         for alpha in (0.3, 0.5):
-            report = best_response_dynamics(n, alpha, 1000, 20)
+            report = best_response_dynamics(
+                SystemConfig(horizon_T=1000, num_users=n, alpha=alpha), 20)
             targets = [step.blocked_user for step in report.trace]
             assert len(targets) == 20
             changes = [a != b for a, b in zip(targets, targets[1:])]
@@ -127,7 +129,8 @@ def test_criterion_06_ordered_solver_returns_uniform_and_uniform_is_minimax():
     rng = np.random.default_rng(606)
     for n in range(2, 9):
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
-            ordered = ordered_kkt_solver(n, alpha)
+            ordered = ordered_kkt_solver(
+                SystemConfig(horizon_T=10_000, num_users=n, alpha=alpha))
             worst = max(worst,
                         float(np.abs(ordered.probs - 1.0 / n).max()))
             value = follower_aware_payoff(uniform_policy(n), alpha, 10_000)
@@ -177,7 +180,7 @@ def test_criterion_08_diversity_equilibrium_survives_sampled_deviations():
             for alpha in (0.2, 0.5):
                 config = SystemConfig(horizon_T=400, num_users=n, alpha=alpha,
                                       num_subcarriers=nsub)
-                point = diversity_nash_point(n, nsub, alpha, 400)
+                point = diversity_nash_point(config)
                 report = verify_diversity_nash(point, config, 500, 500,
                                                seed=808)
                 assert report.holds, (

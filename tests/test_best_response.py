@@ -40,13 +40,19 @@ from aoijam.model import (
 # ===========================================================================
 
 
+def _game(n, alpha, T=100):
+    """A no-diversity game whose share B/T is alpha, bit for bit, for every
+    alpha of two decimals at the default T."""
+    return SystemConfig(horizon_T=T, num_users=n, alpha=alpha)
+
+
 def test_single_block_closed_form_example():
-    pol = counter_block_policy(3, 0.44, 0)
+    pol = counter_block_policy(_game(3, 0.44), 0)
     np.testing.assert_allclose(pol.probs, [0.375, 0.3125, 0.3125], atol=1e-12)
 
 
 def test_single_block_blocked_user_listed_first():
-    pol = counter_block_policy(2, 0.5, 0)
+    pol = counter_block_policy(_game(2, 0.5), 0)
     root = math.sqrt(1.5)
     np.testing.assert_allclose(
         pol.probs, [root / (1 + root), 1 / (1 + root)], atol=1e-12)
@@ -54,20 +60,21 @@ def test_single_block_blocked_user_listed_first():
 
 
 def test_single_block_tiny_alpha_near_uniform():
-    pol = counter_block_policy(4, 1e-9, 0)
+    pol = counter_block_policy(_game(4, 1e-9, 10**9), 0)
     np.testing.assert_allclose(pol.probs, 0.25, atol=1e-9)
 
 
 def test_single_block_rejects_bad_alpha():
+    # the game refuses these alphas before any reply is asked for
     with pytest.raises(InvalidAlphaError):
-        counter_block_policy(3, 0.0, 0)
+        counter_block_policy(_game(3, 0.0), 0)
     with pytest.raises(InvalidAlphaError):
-        counter_block_policy(3, 1.0, 0)
+        counter_block_policy(_game(3, 1.0), 0)
 
 
 def test_single_block_single_user():
     np.testing.assert_allclose(
-        counter_block_policy(1, 0.5, 0).probs, [1.0])
+        counter_block_policy(_game(1, 0.5), 0).probs, [1.0])
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -84,14 +91,15 @@ def test_counter_block_permutes_the_validated_response(n, alpha):
         order = [target] + [i for i in range(n) if i != target]
         probs = np.empty(n)
         probs[order] = base
-        assert counter_block_policy(n, alpha, target).probs.tobytes() == (
+        reply = counter_block_policy(_game(n, alpha), target)
+        assert reply.probs.tobytes() == (
             validate_policy(probs).probs.tobytes())
 
 
 @pytest.mark.parametrize("target", [-1, 3, 7])
 def test_counter_block_target_range_checked(target):
     with pytest.raises(IndexOutOfRangeError, match=f"target {target} outside"):
-        counter_block_policy(3, 0.3, target)
+        counter_block_policy(_game(3, 0.3), target)
 
 
 def test_numeric_minimizer_uniform_weights():
@@ -131,7 +139,7 @@ def test_numeric_minimizer_reproduces_single_block_response():
         w = np.ones(n)
         w[0] = 1 + alpha
         numeric = numeric_simplex_minimizer(w)
-        closed = counter_block_policy(n, alpha, 0)
+        closed = counter_block_policy(_game(n, alpha), 0)
         np.testing.assert_allclose(numeric.probs, closed.probs, atol=1e-6)
 
 
@@ -150,8 +158,9 @@ def test_closed_form_vs_numeric_acceptance_grid_is_fast():
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
             w = np.ones(n)
             w[0] = 1 + alpha
+            closed = counter_block_policy(_game(n, alpha), 0)
             dev = np.max(np.abs(numeric_simplex_minimizer(w).probs
-                                - counter_block_policy(n, alpha, 0).probs))
+                                - closed.probs))
             assert dev <= 1e-6
     assert time.perf_counter() - start < 1.0
 
@@ -163,12 +172,12 @@ def test_closed_form_vs_numeric_acceptance_grid_is_fast():
 
 def test_ordered_solver_returns_uniform():
     for n, alpha in [(2, 0.5), (3, 0.5), (5, 0.2), (8, 0.9)]:
-        pol = ordered_kkt_solver(n, alpha)
+        pol = ordered_kkt_solver(_game(n, alpha))
         np.testing.assert_allclose(pol.probs, 1.0 / n, atol=1e-6)
 
 
 def test_ordered_solver_output_is_feasible():
-    pol = ordered_kkt_solver(6, 0.7)
+    pol = ordered_kkt_solver(_game(6, 0.7))
     assert np.all(np.diff(pol.probs) <= 1e-10)
     assert pol.probs.sum() == pytest.approx(1.0, abs=1e-10)
 
@@ -186,14 +195,15 @@ def test_unordered_minimizer_would_break_the_ordering():
 
 def test_ordered_solver_validates_inputs():
     with pytest.raises(ValueError):
-        ordered_kkt_solver(1, 0.5)
+        ordered_kkt_solver(_game(1, 0.5))
+    # the game refuses alpha outside (0, 1) before the solver runs
     with pytest.raises(InvalidAlphaError):
-        ordered_kkt_solver(3, 1.2)
+        ordered_kkt_solver(_game(3, 1.2))
 
 
 @pytest.mark.parametrize("solve", [
     lambda: numeric_simplex_minimizer([1.0, 2.0, 3.0]),
-    lambda: ordered_kkt_solver(4, 0.5),
+    lambda: ordered_kkt_solver(_game(4, 0.5)),
 ], ids=["simplex", "ordered"])
 def test_disagreeing_routes_raise(monkeypatch, solve):
     # no drift, not even 0, passes a negative agreement bound
@@ -232,7 +242,7 @@ def test_ordered_solver_beats_every_sampled_ordered_policy(n):
     for alpha in (0.1, 0.5, 0.9):
         w = np.ones(n)
         w[-1] = 1.0 + alpha
-        probs = ordered_kkt_solver(n, alpha).probs
+        probs = ordered_kkt_solver(_game(n, alpha)).probs
         assert np.all(np.diff(probs) <= 0.0)
         best = float(np.sum(w / probs))
         rivals = -np.sort(-rng.dirichlet(np.ones(n), size=300), axis=1)

@@ -109,7 +109,7 @@ def _skewed_diversity_audit():
     """A diversity audit the adversary side refutes (a heavy sub-carrier)."""
     cfg = SystemConfig(horizon_T=200, num_users=2, alpha=0.4,
                        num_subcarriers=4)
-    p, _, plan = equilibrium.diversity_nash_point(2, 4, 0.4, 200)
+    p, _, plan = equilibrium.diversity_nash_point(cfg)
     skew = aoijam.validate_subcarrier_policy([0.7, 0.1, 0.1, 0.1])
     return lambda: equilibrium.verify_diversity_nash(
         (p, skew, plan), cfg, 20, 60, seed=9)
@@ -170,7 +170,9 @@ def test_stackelberg_dominance_check_fires(monkeypatch):
                         lambda probs, alpha, T: np.zeros(len(probs)))
     first = equilibrium._certification_policies(3, 4, 0)[0]
     with pytest.raises(CertificateError, match="uniform leader") as caught:
-        stackelberg_equilibrium(3, 0.3, 200, certify_samples=4)
+        stackelberg_equilibrium(
+            SystemConfig(horizon_T=200, num_users=3, alpha=0.3),
+            certify_samples=4)
     assert f"sampled policy {first} gives the leader 0.0," in str(
         caught.value)
 

@@ -452,14 +452,15 @@ def test_br_dynamics_trace_and_csv_match_a_per_step_loop(tmp_path):
     # the dynamics build each distinct step once and format each distinct
     # policy once; the trace and the CSV are those of building every step
     n, alpha, horizon, iterations = 8, 0.2, 1000, 200
+    game = SystemConfig(horizon_T=horizon, num_users=n, alpha=alpha)
     policy, expected = uniform_policy(n), []
     for it in range(iterations):
         target = int(np.argmin(policy.probs))
         expected.append((it, target, policy.probs,
                          reduced_objective(policy, target, alpha, horizon)))
-        policy = counter_block_policy(n, alpha, target)
+        policy = counter_block_policy(game, target)
 
-    report = best_response_dynamics(n, alpha, horizon, iterations)
+    report = best_response_dynamics(game, iterations)
     assert len(report.trace) == iterations
     for step, (it, target, probs, payoff) in zip(report.trace, expected):
         assert (step.iteration, step.blocked_user) == (it, target)
@@ -590,7 +591,8 @@ def test_cli_import_leaves_scipy_unloaded():
     # numpy is the only dependency, the ordered leader solver included
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, aoijam, aoijam.cli; aoijam.ordered_kkt_solver(4, 0.3); "
+         "import sys, aoijam, aoijam.cli; aoijam.ordered_kkt_solver("
+         "aoijam.SystemConfig(horizon_T=10, num_users=4, alpha=0.3)); "
          "assert 'scipy' not in sys.modules"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -66,8 +66,9 @@ from aoijam.model import (
 # ===========================================================================
 
 
-def _cfg(T=100, n=2, alpha=0.5):
-    return SystemConfig(horizon_T=T, num_users=n, alpha=alpha)
+def _cfg(T=100, n=2, alpha=0.5, n_sub=1):
+    return SystemConfig(horizon_T=T, num_users=n, alpha=alpha,
+                        num_subcarriers=n_sub)
 
 
 def test_uniform_with_middle_block_fails_on_bs_side():
@@ -86,7 +87,7 @@ def test_uniform_with_middle_block_fails_on_bs_side():
 
 def test_best_response_policy_fails_on_adversary_side():
     cfg = _cfg()
-    policy = counter_block_policy(2, 0.5, 0)  # shields user 0
+    policy = counter_block_policy(cfg, 0)  # shields user 0
     report = is_nash_no_diversity(policy, make_middle_block(cfg, 0), cfg)
     assert report.holds is False
     w = report.witness
@@ -146,7 +147,7 @@ def test_failed_report_must_carry_witness():
 
 
 def test_dynamics_two_users_alternate_targets():
-    report = best_response_dynamics(2, 0.5, 10_000, 8)
+    report = best_response_dynamics(_cfg(T=10_000), 8)
     targets = [s.blocked_user for s in report.trace]
     assert targets == [0, 1, 0, 1, 0, 1, 0, 1]
     assert report.holds is False
@@ -154,7 +155,7 @@ def test_dynamics_two_users_alternate_targets():
 
 
 def test_dynamics_policies_cycle_without_fixed_point():
-    report = best_response_dynamics(2, 0.5, 10_000, 9)
+    report = best_response_dynamics(_cfg(T=10_000), 9)
     probs = [s.policy.probs for s in report.trace]
     np.testing.assert_allclose(probs[1], probs[3], atol=1e-15)
     np.testing.assert_allclose(probs[2], probs[4], atol=1e-15)
@@ -167,20 +168,20 @@ def test_dynamics_policies_cycle_without_fixed_point():
 
 @pytest.mark.parametrize("n,alpha", [(2, 0.3), (2, 0.5), (3, 0.3), (3, 0.5)])
 def test_dynamics_target_changes_every_iteration(n, alpha):
-    report = best_response_dynamics(n, alpha, 10_000, 20)
+    report = best_response_dynamics(_cfg(10_000, n, alpha), 20)
     targets = [s.blocked_user for s in report.trace]
     assert all(a != b for a, b in zip(targets, targets[1:]))
     assert report.holds is False
 
 
 def test_dynamics_minimal_and_invalid_iterations():
-    assert len(best_response_dynamics(2, 0.4, 1000, 2).trace) == 2
+    assert len(best_response_dynamics(_cfg(1000, 2, 0.4), 2).trace) == 2
     with pytest.raises(ValueError):
-        best_response_dynamics(2, 0.4, 1000, 1)
+        best_response_dynamics(_cfg(1000, 2, 0.4), 1)
 
 
 def test_dynamics_payoffs_are_reduced_objective_values():
-    report = best_response_dynamics(3, 0.4, 5000, 4)
+    report = best_response_dynamics(_cfg(5000, 3, 0.4), 4)
     for step in report.trace:
         expect = reduced_objective(step.policy, step.blocked_user, 0.4, 5000)
         assert step.payoff == pytest.approx(expect, abs=1e-12)
@@ -192,7 +193,7 @@ def test_dynamics_payoffs_are_reduced_objective_values():
 
 
 def test_stackelberg_example_value():
-    leader, plan, payoff = stackelberg_equilibrium(2, 0.5, 100)
+    leader, plan, payoff = stackelberg_equilibrium(_cfg())
     np.testing.assert_allclose(leader.probs, 0.5)
     assert payoff == pytest.approx(17.25, abs=1e-12)
     start, stop = middle_window(100, 50)
@@ -201,22 +202,23 @@ def test_stackelberg_example_value():
 
 
 def test_stackelberg_target_parameter_picks_tied_plan():
-    _, plan0, pay0 = stackelberg_equilibrium(3, 0.4, 300, target=0)
-    _, plan2, pay2 = stackelberg_equilibrium(3, 0.4, 300, target=2)
+    _, plan0, pay0 = stackelberg_equilibrium(_cfg(300, 3, 0.4), target=0)
+    _, plan2, pay2 = stackelberg_equilibrium(_cfg(300, 3, 0.4), target=2)
     assert pay0 == pytest.approx(pay2, abs=1e-12)
     assert plan0.block_prob[0].sum() > 0
     assert plan2.block_prob[2].sum() > 0
 
 
 def test_stackelberg_single_user():
-    leader, plan, _ = stackelberg_equilibrium(1, 0.3, 100)
+    leader, plan, _ = stackelberg_equilibrium(_cfg(100, 1, 0.3))
     np.testing.assert_allclose(leader.probs, [1.0])
     assert plan.total_blocked() == 30
 
 
 def test_stackelberg_leader_beats_sampled_rivals():
     rng = np.random.default_rng(5)
-    _, _, payoff = stackelberg_equilibrium(3, 0.6, 2000, certify_samples=50)
+    _, _, payoff = stackelberg_equilibrium(_cfg(2000, 3, 0.6),
+                                           certify_samples=50)
     for _ in range(50):
         p = np.clip(rng.dirichlet(np.ones(3)), 1e-6, None)
         rival = validate_policy(p / p.sum())
@@ -269,7 +271,7 @@ def test_stackelberg_names_the_first_beating_rival(monkeypatch):
     monkeypatch.setattr(equilibrium, "_follower_aware_payoffs",
                         lambda probs, alpha, T: payoffs)
     with pytest.raises(CertificateError) as caught:
-        stackelberg_equilibrium(3, 0.3, 200, certify_samples=20)
+        stackelberg_equilibrium(_cfg(200, 3, 0.3), certify_samples=20)
     assert str(caught.value).startswith(
         f"sampled policy {rivals[7]} gives the leader 0.5,")
 
@@ -277,7 +279,8 @@ def test_stackelberg_names_the_first_beating_rival(monkeypatch):
 @pytest.mark.parametrize("samples", [0, -5])
 def test_stackelberg_needs_a_rival(samples):
     with pytest.raises(InsufficientRunsError, match="certify_samples"):
-        stackelberg_equilibrium(3, 0.3, 200, certify_samples=samples)
+        stackelberg_equilibrium(_cfg(200, 3, 0.3),
+                                certify_samples=samples)
 
 
 def test_follower_aware_payoff_targets_min_probability():
@@ -306,7 +309,7 @@ def test_follower_aware_payoff_rejects_bad_alpha_then_horizon(alpha, T,
 
 
 def test_diversity_point_components():
-    p, q, plan = diversity_nash_point(2, 2, 0.5, 10)
+    p, q, plan = diversity_nash_point(_cfg(10, 2, 0.5, 2))
     np.testing.assert_allclose(p.probs, 0.5)
     np.testing.assert_allclose(q.probs, 0.5)
     start, stop = middle_window(10 - 1, 5)  # centred on the live slots
@@ -315,19 +318,19 @@ def test_diversity_point_components():
 
 
 def test_diversity_point_zero_budget():
-    _, _, plan = diversity_nash_point(2, 2, 0.01, 50)  # B = 0
+    _, _, plan = diversity_nash_point(_cfg(50, 2, 0.01, 2))  # B = 0
     assert plan.total_blocked() == 0.0
 
 
 def test_diversity_point_needs_subcarriers():
     with pytest.raises(NoDiversityError):
-        diversity_nash_point(2, 1, 0.5, 100)
+        diversity_nash_point(_cfg())
 
 
 def test_verify_holds_at_the_uniform_point():
     cfg = SystemConfig(horizon_T=200, num_users=2, alpha=0.4,
                        num_subcarriers=2)
-    point = diversity_nash_point(2, 2, 0.4, 200)
+    point = diversity_nash_point(cfg)
     report = verify_diversity_nash(point, cfg, 120, 120, seed=3)
     assert report.holds is True
     assert report.witness is None
@@ -344,7 +347,7 @@ def test_verify_holds_at_the_uniform_point_for_every_small_horizon(
         cfg = SystemConfig(horizon_T=T, num_users=N, alpha=alpha,
                            num_subcarriers=N_sub)
         report = verify_diversity_nash(
-            diversity_nash_point(N, N_sub, alpha, T), cfg, 20, 100, seed=0)
+            diversity_nash_point(cfg), cfg, 20, 100, seed=0)
         if not report.holds:
             failed.append((T, report.witness.description))
     assert failed == []
@@ -353,7 +356,7 @@ def test_verify_holds_at_the_uniform_point_for_every_small_horizon(
 def test_verify_flags_nonuniform_bs_policy():
     cfg = SystemConfig(horizon_T=200, num_users=2, alpha=0.4,
                        num_subcarriers=2)
-    _, q, plan = diversity_nash_point(2, 2, 0.4, 200)
+    _, q, plan = diversity_nash_point(cfg)
     report = verify_diversity_nash(
         (validate_policy([0.7, 0.3]), q, plan), cfg, 50, 1, seed=3)
     assert report.holds is False
@@ -392,7 +395,7 @@ def test_verify_bs_witness_matches_per_sample_reference(probs, n_sub):
     N = len(probs)
     cfg = SystemConfig(horizon_T=200, num_users=N, alpha=0.4,
                        num_subcarriers=n_sub)
-    _, q, plan = diversity_nash_point(N, n_sub, 0.4, 200)
+    _, q, plan = diversity_nash_point(cfg)
     policy = validate_policy(probs)
     report = verify_diversity_nash((policy, q, plan), cfg, 60, 1, seed=8)
     reference = _reference_bs_witness(policy, n_sub, 0.4, 60, 8)
@@ -417,7 +420,7 @@ def test_bs_witness_is_always_the_uniform_row():
         N, n_sub = int(rng.integers(2, 7)), int(rng.choice([2, 3, 5]))
         cfg = SystemConfig(horizon_T=60, num_users=N, alpha=0.3,
                            num_subcarriers=n_sub)
-        _, q, plan = diversity_nash_point(N, n_sub, 0.3, 60)
+        _, q, plan = diversity_nash_point(cfg)
         p = rng.dirichlet(np.ones(N)) + 1e-3
         report = verify_diversity_nash((validate_policy(p / p.sum()), q, plan),
                                        cfg, 50, 1, seed=int(rng.integers(100)))
@@ -516,7 +519,7 @@ def test_verify_needs_a_sample_on_each_side(bs_samples, adv_samples):
     # no adversary sample would certify a plan that is no best response
     cfg = SystemConfig(horizon_T=40, num_users=2, alpha=0.2,
                        num_subcarriers=2)
-    p, q, _ = diversity_nash_point(2, 2, 0.2, 40)
+    p, q, _ = diversity_nash_point(cfg)
     name = "bs_samples" if bs_samples < 1 else "adv_samples"
     with pytest.raises(InsufficientRunsError, match=name):
         verify_diversity_nash((p, q, empty_plan(cfg)), cfg, bs_samples,
@@ -527,7 +530,7 @@ def test_verify_flags_skewed_subcarrier_choice():
     # a skewed q hands the adversary a fat target: jam the heavy sub-carrier
     cfg = SystemConfig(horizon_T=200, num_users=2, alpha=0.4,
                        num_subcarriers=4)
-    p, _, plan = diversity_nash_point(2, 4, 0.4, 200)
+    p, _, plan = diversity_nash_point(cfg)
     from aoijam.model import validate_subcarrier_policy
     skew = validate_subcarrier_policy([0.7, 0.1, 0.1, 0.1])
     report = verify_diversity_nash((p, skew, plan), cfg, 100, 100, seed=9)
@@ -712,12 +715,12 @@ def _reference_audit(point, config, bs_samples, adv_samples, seed):
     priced alone by expected_age_trajectory_diversity."""
     policy, subpolicy, plan = point
     rng = np.random.default_rng(seed)
-    alpha, n_sub = config.alpha, config.num_subcarriers
-    current = diversity_system_age(policy, alpha, n_sub)
+    share, n_sub = config.blocked_share, config.num_subcarriers
+    current = diversity_system_age(policy, share, n_sub)
     p_rows, q_rows = _sample_bs_deviations(policy.n, n_sub, bs_samples, rng)
     for p_row, q_row in zip(p_rows, q_rows):
         p_dev = validate_policy(p_row)
-        value = diversity_system_age(p_dev, alpha, n_sub)
+        value = diversity_system_age(p_dev, share, n_sub)
         if value < current - IMPROVEMENT_TOL:
             return (False, current, "base-station",
                     (p_dev, validate_subcarrier_policy(q_row)), value)
@@ -789,7 +792,7 @@ def test_audit_prices_samples_across_chunks(monkeypatch):
     # a chunk of one sample, so the witness comes from a later chunk
     cfg = SystemConfig(horizon_T=200, num_users=4, alpha=0.4,
                        num_subcarriers=4)
-    p, _, plan = diversity_nash_point(4, 4, 0.4, 200)
+    p, _, plan = diversity_nash_point(cfg)
     point = (p, validate_subcarrier_policy([0.7, 0.1, 0.1, 0.1]), plan)
     whole = verify_diversity_nash(point, cfg, 10, 100, seed=9)
     monkeypatch.setattr(equilibrium, "PRICE_CELLS", 1)
@@ -804,12 +807,12 @@ def test_audit_prices_samples_across_chunks(monkeypatch):
 
 def test_verify_requires_diversity_and_feasible_plan():
     cfg_flat = SystemConfig(horizon_T=100, num_users=2, alpha=0.5)
-    point = diversity_nash_point(2, 2, 0.5, 100)
+    point = diversity_nash_point(_cfg(n_sub=2))
     with pytest.raises(NoDiversityError):
         verify_diversity_nash(point, cfg_flat, 5, 5)
     cfg = SystemConfig(horizon_T=100, num_users=2, alpha=0.2,
                        num_subcarriers=2)
-    big = diversity_nash_point(2, 2, 0.5, 100)  # spends 50 > B = 20
+    big = diversity_nash_point(_cfg(n_sub=2))  # spends 50 > B = 20
     with pytest.raises(ValueError):
         verify_diversity_nash(big, cfg, 5, 5)
 
@@ -817,7 +820,7 @@ def test_verify_requires_diversity_and_feasible_plan():
 def test_verify_rejects_wrong_user_count():
     cfg = SystemConfig(horizon_T=100, num_users=2, alpha=0.2,
                        num_subcarriers=2)
-    _, q, plan = diversity_nash_point(2, 2, 0.2, 100)
+    _, q, plan = diversity_nash_point(cfg)
     with pytest.raises(DimensionMismatchError, match="policy has 5 users"):
         verify_diversity_nash((uniform_policy(5), q, plan), cfg, 5, 5)
 

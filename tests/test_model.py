@@ -64,6 +64,33 @@ def test_alpha_outside_open_interval_rejected(alpha):
         SystemConfig(horizon_T=10, num_users=2, alpha=alpha)
 
 
+# the horizon cases of test_closed_forms_reject_horizon_below_one, and the
+# sizes that once passed here: NaN, fractions and bools
+@pytest.mark.parametrize("field, value", [
+    ("horizon_T", 0), ("horizon_T", -5), ("horizon_T", 0.5),
+    ("horizon_T", math.nan), ("horizon_T", 10.5), ("horizon_T", True),
+    ("num_users", math.nan), ("num_users", 2.5), ("num_users", False),
+    ("num_subcarriers", math.nan), ("num_subcarriers", 2.0),
+])
+def test_sizes_must_be_integers_of_at_least_one(field, value):
+    sizes = {"horizon_T": 10, "num_users": 2, "num_subcarriers": 1,
+             field: value}
+    with pytest.raises(DimensionMismatchError,
+                       match=f"{field} must be an integer >= 1, got"):
+        SystemConfig(alpha=0.4, **sizes)
+
+
+def test_numpy_integer_sizes_are_stored_as_ints():
+    # kept as np.uint8, a horizon of 200 overflows the diversity audit's
+    # count of age cells
+    cfg = SystemConfig(horizon_T=np.uint8(200), num_users=np.int32(3),
+                       alpha=0.5, num_subcarriers=np.uint8(2))
+    assert cfg == SystemConfig(horizon_T=200, num_users=3, alpha=0.5,
+                               num_subcarriers=2)
+    assert {type(cfg.horizon_T), type(cfg.num_users),
+            type(cfg.num_subcarriers)} == {int}
+
+
 def test_channel_count_follows_model_variant():
     no_div = SystemConfig(horizon_T=10, num_users=3, alpha=0.2)
     assert not no_div.has_diversity
@@ -139,15 +166,18 @@ def test_policies_accept_only_1d_vectors(build, raw):
         build(raw)
 
 
-@pytest.mark.parametrize("build", [
-    uniform_policy,
-    uniform_subcarrier_policy,
-    lambda n: best_response_dynamics(n, 0.2, 10, 5),
+@pytest.mark.parametrize("build, message", [
+    (uniform_policy, "n >= 1"),
+    (uniform_subcarrier_policy, "n >= 1"),
+    # the game's user count is checked where the game is built
+    (lambda n: best_response_dynamics(
+        SystemConfig(horizon_T=10, num_users=n, alpha=0.2), 5),
+     "num_users must be an integer >= 1"),
 ], ids=["uniform_policy", "uniform_subcarrier_policy",
         "best_response_dynamics"])
 @pytest.mark.parametrize("n", [0, -1])
-def test_uniform_vectors_reject_count_below_one(build, n):
-    with pytest.raises(DimensionMismatchError, match="n >= 1"):
+def test_uniform_vectors_reject_count_below_one(build, message, n):
+    with pytest.raises(DimensionMismatchError, match=message):
         build(n)
 
 
