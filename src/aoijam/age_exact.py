@@ -1,50 +1,41 @@
 """Exact expected-age trajectories at finite horizon.
 
-Each user's expected age follows the linear recursion
+Both models follow one delivery law: user i receives its update in slot t
+with probability p_i * (1 - r(t)), r being the interception row the user
+reads, so its expected age follows the linear recursion
 
-    age(t+1) = age(t) * (1 - delivery_prob(t)) + 1,    age(1) = 1,
+    age(t+1) = age(t) * s(t) + 1,    s = 1 - p_i * (1 - r(t)),  age(1) = 1.
 
-where delivery_prob(t) is the probability the user receives an update in slot
-t: its scheduling probability when the channel is clear, damped by the
-blocking probability otherwise.  The equivalent sum form (a sum of survival
-products over all possible last-delivery slots) is quadratic in T; it lives
-in the tests as a cross-check.
+Without diversity user i reads plan row i; with it every user reads the
+one vector r = sum_j q_j * block_prob[j] (_intercepted).  One body,
+_profile_series, prices every profile: it cuts each row into runs of
+constant r once, prices each distinct (row, p_i) pair once through the
+row core _price_row, and copies that row to the pair's other users.  The
+diversity audit's _window_system_ages reads its rows' runs off its
+(start, stop, weights) windows and calls the same row core; nothing
+builds an N x T delivery matrix.  The quadratic sum form of the recursion
+lives in the tests as a cross-check.
 
-The recursion is evaluated in floating point exactly as the per-slot loop
-would, but it skips work the loop would repeat.  One core, _run_ages, takes
-a row as its runs of constant survival s = 1 - delivery_prob, each a
-(start, s) pair, and writes the row's ages.  The callers find the runs
-where they are cheapest: expected_age_trajectory in each plan row,
-expected_age_trajectory_diversity once in the interception vector that
-every distinct p_i shares, and the audit's window pricing straight from
-its (start, stop, weights) windows, so none of them builds an N x T
-delivery matrix.  _recurse_ages, the dense entry the lock tests drive,
-finds the runs of a delivery matrix and feeds the same core.  Any cut
-into runs gives the same floats, as every run is filled as the loop fills
-it; two neighbouring runs may share one s.  For s >= 0 the rounded map
-age -> age*s + 1.0 is monotone, so inside a run the ages move monotonically
-and reach a float that the map sends to itself; from there on every slot of
-the run holds that float, and the rest of the run is filled without
-iterating.  Structured plans (middle blocks, uniform sub-carrier blocking,
-the audit's deviation families) are a few runs per row, so most slots are
-filled this way.  The s = 1 run of a surely blocked window never reaches a
-fixed point: it is a ramp of +1.0 steps, filled by one np.cumsum, which
-adds in sequence as the loop does (age*1.0 is exact).  Any other run that
-ends before its fixed point (a tiny delivery probability) is iterated slot
-by slot, so the worst case stays O(N*T), as do all public operations.
+The row core's _run_ages writes, from a row's runs of constant s, the
+floats of the plain per-slot loop.  Any cut into runs gives the same
+floats, as every run is filled as the loop fills it.  For s >= 0 the
+rounded map age -> age*s + 1.0 is monotone, so inside a run the ages move
+monotonically and reach a float that the map sends to itself; the rest of
+the run holds that float and is filled without iterating.  Structured
+plans (middle blocks, uniform sub-carrier blocking, the audit's deviation
+families) are a few runs per row, so most slots are filled this way.  The
+s = 1 run of a surely blocked window is a ramp of +1.0 steps, filled by
+one np.cumsum, which adds in sequence as the loop does (age*1.0 is exact).
+Any other run that ends before its fixed point (a tiny delivery
+probability) is iterated slot by slot, so the worst case stays O(N*T).
+Within one call a converged run's trajectory is kept under its (entry age,
+s), and a later run with that key, in any row, copies it (or the prefix
+that fits): the audit's samples share their clear stretches.
 
-Within one call, the trajectory of every run that reached its fixed point
-is kept, keyed by the run's (entry age, s): the map is deterministic, so a
-later run with the same key, in any row, copies that trajectory (or the
-prefix of it that fits) instead of iterating.  Rows of many plans that
-share their clear stretches, as the diversity audit's samples do, cost a
-few dictionary lookups each.  The cache is dropped when the call returns.
-
-In the diversity model the per-slot interception sum_j q_j * b_j is added
-in sub-carrier order with elementwise operations (_intercepted), never by a
-matrix product, whose last bit may depend on the operands' shapes and on
-the BLAS build: a plan's value is the same whether it is priced alone or
-in a batch.
+The interception is added in sub-carrier order with elementwise
+operations, never by a matrix product, whose last bit may depend on the
+operands' shapes and on the BLAS build: a plan's value is the same whether
+it is priced alone or in a batch.
 """
 
 from dataclasses import dataclass
@@ -86,21 +77,13 @@ class AgeSeries:
         return self.per_user.shape[1]
 
 
-def _check_age_range(ages: np.ndarray) -> np.ndarray:
-    """Return `ages`, a matrix with one slot per column, after checking
-    that every entry lies in [1, t] within 1e-9; CertificateError if not."""
-    t_grid = np.arange(1, ages.shape[1] + 1)
-    if not (np.all(ages >= 1.0 - 1e-9) and np.all(ages <= t_grid + 1e-9)):
+def _check_age_range(ages: np.ndarray) -> None:
+    """Raise CertificateError unless every entry of `ages`, a matrix with
+    one slot per column, lies in [1, t] within 1e-9 (a NaN fails too)."""
+    excess = ages.max(axis=0)
+    excess -= np.arange(1, ages.shape[1] + 1)
+    if not (ages.min() >= 1.0 - 1e-9 and excess.max() <= 1e-9):
         raise CertificateError("expected age outside [1, t]")
-    return ages
-
-
-def _make_series(per_user: np.ndarray) -> AgeSeries:
-    per_user = _check_age_range(np.asarray(per_user, dtype=float))
-    per_user.setflags(write=False)
-    per_user_avg = per_user.mean(axis=1)
-    per_user_avg.setflags(write=False)
-    return AgeSeries(per_user, per_user_avg, float(per_user_avg.mean()))
 
 
 # ===========================================================================
@@ -122,7 +105,8 @@ def _run_ages(row: np.ndarray, starts: list, survival: list,
     later slot of the run holds the same float and is filled by one slice
     assignment.  The slots a converged run iterated are kept in `converged`
     under its (entry age, s), as (those ages as an array, the fixed point);
-    a later run with that key, in any row of the call, copies them.  A run with s == 1.0 is a ramp, filled by one cumsum.
+    a later run with that key, in any row of the call, copies them.  A run
+    with s == 1.0 is a ramp, filled by one cumsum.
     """
     horizon = row.size
     row[0] = 1.0
@@ -183,20 +167,6 @@ def _run_starts(values: np.ndarray) -> list:
     return [[0, *cuts[a:b]] for a, b in zip(row_cuts, row_cuts[1:])]
 
 
-def _recurse_ages(delivery_prob: np.ndarray) -> np.ndarray:
-    """Run age(t+1) = age(t)*s(t) + 1, s = 1 - delivery, per row of an
-    (N, T) matrix, bit for bit as the plain per-slot loop would: each row
-    is cut into runs where its delivery probability changes (where two
-    probabilities round to one s, the next run just goes on iterating) and
-    handed to _run_ages, with one converged-run cache for the call."""
-    out = np.empty(delivery_prob.shape)
-    converged = {}
-    for row, delivery, starts in zip(out, delivery_prob,
-                                     _run_starts(delivery_prob)):
-        _run_ages(row, starts, (1.0 - delivery[starts]).tolist(), converged)
-    return out
-
-
 def _intercepted(q: np.ndarray, block_prob: np.ndarray) -> np.ndarray:
     """Per-column probability that the drawn sub-carrier is blocked,
     sum_j q_j * block_prob[j], added in sub-carrier order by elementwise
@@ -207,24 +177,60 @@ def _intercepted(q: np.ndarray, block_prob: np.ndarray) -> np.ndarray:
     return hit
 
 
-def expected_age_trajectory(
-        policy: SchedulingPolicy, plan: BlockingPlan,
-        config: SystemConfig) -> AgeSeries:
+def _price_row(row: np.ndarray, p: float, starts: list, clear: np.ndarray,
+               converged: dict) -> None:
+    """Write the ages of a user scheduled with probability p whose channel
+    is clear with probability clear[k] over run k (runs as in _run_ages):
+    the delivery law of both models, survival s = 1 - p*clear."""
+    _run_ages(row, starts, (1.0 - p * clear).tolist(), converged)
+
+
+def _profile_series(policy: SchedulingPolicy,
+                    subpolicy: SubcarrierPolicy | None, plan: BlockingPlan,
+                    config: SystemConfig) -> AgeSeries:
+    """Exact ages of a strategy profile in either model; subpolicy is None
+    exactly in the no-diversity model.
+
+    User i reads one interception row: plan row i when each user owns a
+    channel, else the vector _intercepted(q, block_prob) that every user
+    shares.  Each row is cut into runs once; each distinct (row, p_i) pair
+    is priced once, into its first user's output row, and those rows are
+    certified before they are copied to the pair's other users.
+    """
+    check_profile(policy, subpolicy, plan, config)
+    if subpolicy is None:
+        rows, row_of = plan.block_prob, range(policy.n)
+    else:
+        rows = _intercepted(subpolicy.probs, plan.block_prob)[None]
+        row_of = [0] * policy.n
+    runs = [(starts, 1.0 - row[starts])
+            for row, starts in zip(rows, _run_starts(rows))]
+    out = np.empty((policy.n, config.horizon_T))
+    first, converged = {}, {}
+    source = [first.setdefault(pair, user) for user, pair
+              in enumerate(zip(row_of, policy.probs.tolist()))]
+    for (r, p), user in first.items():
+        _price_row(out[user], p, *runs[r], converged)
+    priced = list(first.values())  # increasing: a prefix iff it ends at k - 1
+    k = len(priced)
+    _check_age_range(out[:k] if priced[-1] == k - 1 else out[priced])
+    for user, src in enumerate(source):
+        if src != user:
+            out[user] = out[src]
+    out.setflags(write=False)
+    per_user_avg = out.mean(axis=1)
+    per_user_avg.setflags(write=False)
+    return AgeSeries(out, per_user_avg, float(per_user_avg.mean()))
+
+
+def expected_age_trajectory(policy: SchedulingPolicy, plan: BlockingPlan,
+                            config: SystemConfig) -> AgeSeries:
     """Exact per-user expected ages when each user owns one channel.
 
     Plan rows index users; randomized plans are allowed, with per-slot
-    delivery probability p_i * (1 - block_prob[i, t]).  Row i's runs are
-    the runs of block_prob[i], so no delivery matrix is built.
+    delivery probability p_i * (1 - block_prob[i, t]).
     """
-    check_profile(policy, None, plan, config)
-    out = np.empty(plan.block_prob.shape)
-    converged = {}
-    for row, p, blocked, starts in zip(out, policy.probs.tolist(),
-                                       plan.block_prob,
-                                       _run_starts(plan.block_prob)):
-        _run_ages(row, starts, (1.0 - p * (1.0 - blocked[starts])).tolist(),
-                  converged)
-    return _make_series(out)
+    return _profile_series(policy, None, plan, config)
 
 
 def expected_age_trajectory_diversity(
@@ -235,20 +241,10 @@ def expected_age_trajectory_diversity(
     Delivery probability for user i in slot t is
     p_i * sum_j q_j * (1 - block_prob[j, t]): the scheduled user receives the
     update unless the drawn sub-carrier is blocked.  When every sub-carrier is
-    blocked with the same probability the q-dependence cancels.  A row
-    depends on p_i alone, so the recursion runs once per distinct p_i, over
-    the runs of the interception vector, which every row shares.
+    blocked with the same probability the q-dependence cancels.  Users with
+    one p_i have one row, priced once.
     """
-    check_profile(policy, subpolicy, plan, config)
-    intercepted = _intercepted(subpolicy.probs, plan.block_prob)
-    probs, user_row = np.unique(policy.probs, return_inverse=True)
-    (starts,) = _run_starts(intercepted[None, :])
-    clear = 1.0 - intercepted[starts]
-    out = np.empty((probs.size, config.horizon_T))
-    converged = {}
-    for row, p in zip(out, probs.tolist()):
-        _run_ages(row, starts, (1.0 - p * clear).tolist(), converged)
-    return _make_series(out[user_row])
+    return _profile_series(policy, subpolicy, plan, config)
 
 
 def _window_system_ages(policy: SchedulingPolicy, subpolicy: SubcarrierPolicy,
@@ -259,41 +255,43 @@ def _window_system_ages(policy: SchedulingPolicy, subpolicy: SubcarrierPolicy,
     A sample is a sequence of disjoint (start, stop, weights) windows: its
     plan blocks sub-carrier j with probability weights[j] in slots
     start+1..stop and nowhere else.  The caller has checked the profile and
-    every sample's feasibility.  Rows are one per (sample, distinct p_i);
-    each is at most 2k + 1 runs for k windows, read off the windows with
-    s = 1 - p_i outside them and s = 1 - p_i*(1 - sum_j q_j w_j) inside,
-    added as _intercepted adds.  The ages of every row go into one buffer,
-    and the [1, t] certificate covers all of them.
+    every sample's feasibility.  A sample's row is at most 2k + 1 runs for
+    k windows, clear with probability 1 outside them and 1 - sum_j q_j w_j
+    inside; each (sample, distinct p_i) row is priced by _price_row into
+    one buffer, and the [1, t] certificate covers all of them.
     """
-    probs, user_row = np.unique(policy.probs, return_inverse=True)
+    first = {}
+    user_row = [first.setdefault(p, len(first))
+                for p in policy.probs.tolist()]
     windows = [w for sample in samples for w in sample]
     if windows:
-        hit = _intercepted(subpolicy.probs,
-                           np.column_stack([w for _, _, w in windows]))
-        window_s = iter((1.0 - probs[:, None] * (1.0 - hit)).T.tolist())
-    clear_s = (1.0 - probs).tolist()  # s = 1 - p_i*(1 - 0) outside windows
+        window_clear = iter((1.0 - _intercepted(
+            subpolicy.probs,
+            np.column_stack([w for _, _, w in windows]))).tolist())
     last = horizon - 1  # carry indices run over [0, T - 1)
-    ages = np.empty((len(samples), probs.size, horizon))
+    ages = np.empty((len(samples), len(first), horizon))
     converged = {}
     for rows, sample in zip(ages, samples):
-        starts, runs, free = [], [], 0
+        starts, clear, free = [], [], 0
         for start, stop, _ in sample:
-            inside = next(window_s)
+            inside = next(window_clear)
             stop = min(stop, last)
             if start >= stop:  # an empty window, or one past the last carry
                 continue
             if free < start:
                 starts.append(free)
-                runs.append(clear_s)
+                clear.append(1.0)
             starts.append(start)
-            runs.append(inside)
+            clear.append(inside)
             free = stop
         if free < last:
             starts.append(free)
-            runs.append(clear_s)
-        for k, row in enumerate(rows):
-            _run_ages(row, starts, [s[k] for s in runs], converged)
-    ages = _check_age_range(ages.reshape(-1, horizon))
-    row_avg = ages.mean(axis=1).reshape(len(samples), probs.size)
+            clear.append(1.0)
+        clear = np.array(clear)
+        for row, p in zip(rows, first):
+            _price_row(row, p, starts, clear, converged)
+    ages = ages.reshape(-1, horizon)
+    _check_age_range(ages)
+    row_avg = ages.mean(axis=1).reshape(len(samples), len(first))
     # contiguous rows, so each mean adds as the evaluator's 1-D mean does
     return np.ascontiguousarray(row_avg[:, user_row]).mean(axis=1)

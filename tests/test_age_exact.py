@@ -5,7 +5,8 @@ import pytest
 
 from aoijam.age_exact import (
     _intercepted,
-    _recurse_ages,
+    _run_ages,
+    _run_starts,
     expected_age_trajectory,
     expected_age_trajectory_diversity,
 )
@@ -254,9 +255,61 @@ def test_no_diversity_evaluator_rejects_diversity_config():
         expected_age_trajectory(uniform_policy(2), empty_plan(cfg), cfg)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_one_user_models_coincide_bit_for_bit(seed):
+    # with q = (1, 0) and plan rows (b, 0) the drawn sub-carrier is blocked
+    # with probability b itself, so both models deliver through row b
+    rng = np.random.default_rng(seed)
+    horizon = 400
+    b = np.repeat(rng.choice([0.0, 0.0, 1.0, *rng.random(3)], 40), 10)
+    plain_cfg = SystemConfig(horizon_T=horizon, num_users=1, alpha=0.6)
+    div_cfg = SystemConfig(horizon_T=horizon, num_users=1, alpha=0.6,
+                           num_subcarriers=2)
+    policy = validate_policy([1.0])
+    plain = expected_age_trajectory(policy, BlockingPlan(b[None]), plain_cfg)
+    div = expected_age_trajectory_diversity(
+        policy, validate_subcarrier_policy([1.0, 0.0]),
+        BlockingPlan(np.stack([b, np.zeros(horizon)])), div_cfg)
+    assert div.per_user.tobytes() == plain.per_user.tobytes()
+
+
+@pytest.mark.parametrize("probs", [[0.25, 0.25, 0.5], [0.25, 0.5, 0.25],
+                                   [0.5, 0.25, 0.25]])
+def test_users_sharing_p_match_their_own_pricing(probs):
+    # two users share p = 0.25, so one priced row serves both; each row is
+    # the per-slot loop on that user's own delivery p_i * (1 - q.b)
+    cfg = SystemConfig(horizon_T=500, num_users=3, alpha=0.4,
+                       num_subcarriers=3)
+    rng = np.random.default_rng(5)
+    m = (rng.dirichlet(np.ones(3), 500).T
+         * np.repeat(rng.random(50) * 0.6, 10))
+    policy = validate_policy(probs)
+    subpolicy = validate_subcarrier_policy([0.5, 0.3, 0.2])
+    series = expected_age_trajectory_diversity(
+        policy, subpolicy, BlockingPlan(m), cfg)
+    clear = 1.0 - _intercepted(subpolicy.probs, m)
+    for i, p in enumerate(policy.probs):
+        alone = _recurse_reference((p * clear)[None])[0]
+        assert series.per_user[i].tobytes() == alone.tobytes(), i
+
+
 # ===========================================================================
-#  Recursion lock: _recurse_ages against the plain per-slot loop
+#  Recursion lock: the run core against the plain per-slot loop
 # ===========================================================================
+
+
+def _recurse_ages(delivery_prob):
+    """The dense driver of the run core: each row of an (N, T) delivery
+    matrix is cut into runs where its delivery probability changes (where
+    two probabilities round to one s, the next run just goes on iterating)
+    and handed to _run_ages with s = 1 - delivery, with one converged-run
+    cache for the call."""
+    out = np.empty(delivery_prob.shape)
+    converged = {}
+    for row, delivery, starts in zip(out, delivery_prob,
+                                     _run_starts(delivery_prob)):
+        _run_ages(row, starts, (1.0 - delivery[starts]).tolist(), converged)
+    return out
 
 
 def _recurse_reference(delivery_prob):

@@ -105,6 +105,39 @@ def test_age_range_check_fires(monkeypatch):
                                 cfg)
 
 
+def test_age_range_check_fires_above_t(monkeypatch):
+    # age T in every slot stays below the horizon but exceeds t before T
+    cfg = SystemConfig(horizon_T=4, num_users=2, alpha=0.25)
+    monkeypatch.setattr(age_exact, "_run_ages",
+                        lambda row, *runs: row.fill(row.size))
+    with pytest.raises(CertificateError, match=r"outside \[1, t\]"):
+        expected_age_trajectory(validate_policy([0.5, 0.5]), empty_plan(cfg),
+                                cfg)
+
+
+@pytest.mark.parametrize("subcarriers", [1, 3])
+def test_age_range_check_covers_every_priced_row(monkeypatch, subcarriers):
+    # only the last row priced comes back as zeros: user 2 in both models,
+    # as users 0 and 1 share one row under diversity
+    cfg = SystemConfig(horizon_T=6, num_users=3, alpha=0.2,
+                       num_subcarriers=subcarriers)
+    policy = validate_policy([0.25, 0.25, 0.5])
+    subpolicy = (None if subcarriers == 1 else
+                 aoijam.validate_subcarrier_policy([0.5, 0.3, 0.2]))
+    priced = []
+    real = age_exact._run_ages
+
+    def zero_last_row(row, *runs):
+        real(row, *runs)
+        priced.append(row)
+        if len(priced) == 3 - (subpolicy is not None):
+            row[:] = 0.0
+
+    monkeypatch.setattr(age_exact, "_run_ages", zero_last_row)
+    with pytest.raises(CertificateError, match=r"outside \[1, t\]"):
+        age_exact._profile_series(policy, subpolicy, empty_plan(cfg), cfg)
+
+
 def _skewed_diversity_audit():
     """A diversity audit the adversary side refutes (a heavy sub-carrier)."""
     cfg = SystemConfig(horizon_T=200, num_users=2, alpha=0.4,
@@ -125,12 +158,15 @@ def test_audit_age_range_check_fires(monkeypatch):
 
 def test_audit_batch_age_range_check_fires(monkeypatch):
     # the candidate is priced as before; only the rows of the batched
-    # adversary samples come back as zeros
+    # adversary samples come back as zeros: both paths reach _run_ages
+    # through _price_row, so the batch is told apart by the row core's caller
     real = age_exact._run_ages
 
     def zero_batch_rows(row, *runs):
         real(row, *runs)
-        if sys._getframe(1).f_code.co_name == "_window_system_ages":
+        core = sys._getframe(1)
+        if (core.f_code.co_name, core.f_back.f_code.co_name) == (
+                "_price_row", "_window_system_ages"):
             row[:] = 0.0
 
     monkeypatch.setattr(age_exact, "_run_ages", zero_batch_rows)
