@@ -14,7 +14,7 @@ from aoijam import (
     empty_plan,
     expected_age_trajectory,
     make_middle_block,
-    system_age_no_diversity,
+    reduced_payoff_for_split,
     unblocked_user_age,
     validate_policy,
 )
@@ -44,8 +44,10 @@ print(f"  exact time-average      {jammed.per_user_avg[0]:9.4f}")
 print(f"  closed-form prediction  {predicted:9.4f}")
 print(f"  relative error          {abs(jammed.per_user_avg[0] - predicted) / predicted:9.2e}")
 
-system_predicted = system_age_no_diversity(
-    policy, 0, config.alpha, config.horizon_T)
+# The system average is the reduced payoff, the users' closed-form ages
+# summed, over N.
+system_predicted = reduced_payoff_for_split(
+    policy, [config.alpha, 0.0], config.horizon_T) / config.num_users
 print(f"\nsystem average: exact {jammed.system_avg:.4f}, "
       f"closed form {system_predicted:.4f}")
 

@@ -14,7 +14,7 @@ from aoijam import (
     SystemConfig,
     follower_aware_payoff,
     ordered_kkt_solver,
-    reduced_objective,
+    reduced_payoff_for_split,
     stackelberg_equilibrium,
     uniform_policy,
     validate_policy,
@@ -31,8 +31,8 @@ print(f"leader commitment: {np.round(leader.probs, 6)}")
 print(f"guaranteed payoff (jammer replies optimally): {payoff:.4f}")
 # at the uniform commitment every target ties: jamming the last user for
 # B slots is worth as much as jamming the first
-print(f"same payoff with user {N - 1} jammed instead: "
-      f"{reduced_objective(leader, N - 1, SHARE, T):.4f}\n")
+last = reduced_payoff_for_split(leader, SHARE * np.eye(N)[N - 1], T)
+print(f"same payoff with user {N - 1} jammed instead: {last:.4f}\n")
 
 # The follower-aware payoff prices a policy by the jammer's best reply to
 # it. Tilting the schedule always costs the leader.

@@ -12,7 +12,7 @@ import numpy as np
 from aoijam import (
     SystemConfig,
     diversity_nash_point,
-    diversity_system_age,
+    diversity_user_ages,
     expected_age_trajectory_diversity,
     make_uniform_subcarrier_block,
     uniform_policy,
@@ -40,7 +40,7 @@ print("identical to every printed digit: the choice is neutralized\n")
 # Claim 2: the closed form prices the diversity game without T appearing,
 # and the uniform profile passes a sampled equilibrium audit on both
 # sides.
-closed = diversity_system_age(policy, config.blocked_share, NSUB)
+closed = diversity_user_ages(policy, config.blocked_share, NSUB).mean()
 print(f"closed-form long-horizon system age: {closed:.4f}")
 
 point = diversity_nash_point(config)
@@ -52,6 +52,6 @@ print(f"equilibrium audit ({report.kind}): holds = {report.holds}, "
 # More sub-carriers shrink the jamming damage toward nothing.
 print("\ndamage shrinks as diversity grows (same alpha):")
 for nsub in (2, 3, 4, 8, 16):
-    value = diversity_system_age(policy, config.blocked_share, nsub)
+    value = diversity_user_ages(policy, config.blocked_share, nsub).mean()
     print(f"  N_sub={nsub:3d}: system age {value:.4f}")
 print(f"  no jamming at all would give {1 / policy.probs[0] :.4f}")

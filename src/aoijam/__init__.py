@@ -11,11 +11,9 @@ from .age_asymptotic import (
     ASYMPTOTIC_REGIME_MIN,
     AsymptoticValidityWarning,
     blocked_user_age,
-    diversity_system_age,
     diversity_user_ages,
-    reduced_objective,
+    follower_aware_payoff,
     reduced_payoff_for_split,
-    system_age_no_diversity,
     unblocked_user_age,
 )
 from .age_exact import (
@@ -38,7 +36,6 @@ from .equilibrium import (
     TraceStep,
     best_response_dynamics,
     diversity_nash_point,
-    follower_aware_payoff,
     is_nash_no_diversity,
     stackelberg_equilibrium,
     verify_diversity_nash,
@@ -113,7 +110,6 @@ __all__ = [
     "blocking_feasible",
     "counter_block_policy",
     "diversity_nash_point",
-    "diversity_system_age",
     "diversity_user_ages",
     "empty_plan",
     "estimate_average_age",
@@ -127,10 +123,8 @@ __all__ = [
     "numeric_simplex_minimizer",
     "oracle_plan_count",
     "ordered_kkt_solver",
-    "reduced_objective",
     "reduced_payoff_for_split",
     "stackelberg_equilibrium",
-    "system_age_no_diversity",
     "unblocked_user_age",
     "uniform_policy",
     "uniform_subcarrier_policy",

@@ -2,14 +2,17 @@
 
 These formulas assume the horizon dwarfs every user's renewal time
 (T >> 1/p_i).  An unblocked user's time-average age tends to 1/p_i; a user
-blocked for a consecutive alpha*T-slot window picks up an extra term that
-grows linearly in T.  The functions that return an age, blocked_user_age
-and system_age_no_diversity, emit AsymptoticValidityWarning when
-T * min_i p_i < 100, the point where the 1/p approximation drifts past
-roughly 1%.  The reduced game payoffs do not warn: the players only compare
-them.  A game function prices with its config's blocked_share, B/T, in
-place of alpha; it calls the unchecked private forms, since that share is
-1.0 when B = T.
+blocked for a consecutive a*T-slot window ages (1+a)/p_i - a + a(1+a*T)/2,
+which grows linearly in T.  The reduced payoff, what both players optimize,
+is the sum of those ages over the users: N times the large-horizon system
+age.  _reduced_payoff is its one scalar body and _follower_aware_payoffs
+its array form; every no-diversity closed form here is one of the two.
+blocked_user_age, the one function that returns an age in T, emits
+AsymptoticValidityWarning when T * p < 100, the point where the 1/p
+approximation drifts past roughly 1%.  The game payoffs do not warn: the
+players only compare them.  A game function prices with its config's
+blocked_share, B/T, in place of alpha; it calls the unchecked private
+forms, since that share is 1.0 when B = T.
 """
 
 import math
@@ -19,7 +22,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    IndexOutOfRangeError,
     InvalidAlphaError,
     NoDiversityError,
     NonPositiveEntryError,
@@ -43,6 +45,11 @@ def _warn_if_small_horizon(T: float, p_min: float) -> None:
             AsymptoticValidityWarning, stacklevel=3)
 
 
+def _check_probability(name: str, p: float) -> None:
+    if not 0.0 < p <= 1.0:  # NaN fails too
+        raise NonPositiveEntryError(f"{name} = {p} must lie in (0, 1]")
+
+
 def _check_alpha(alpha: float) -> None:
     if not 0.0 <= alpha < 1.0:
         raise InvalidAlphaError(f"alpha must lie in [0, 1), got {alpha}")
@@ -53,62 +60,31 @@ def _check_horizon(T: int) -> None:
         raise DimensionMismatchError(f"T must be >= 1, got {T}")
 
 
-def _check_user(n: int, blocked_user: int) -> None:
-    if not 0 <= blocked_user < n:
-        raise IndexOutOfRangeError(
-            f"blocked_user {blocked_user} outside 0..{n - 1}")
-
-
 # ===========================================================================
 #  Per-user ages
 # ===========================================================================
 
 
 def unblocked_user_age(p_j: float) -> float:
-    """Time-average age of a never-blocked user: 1/p_j."""
-    if p_j <= 0.0:
-        raise NonPositiveEntryError(f"p_j = {p_j} must be > 0")
+    """Time-average age of a never-blocked user: 1/p_j, for p_j in (0, 1]."""
+    _check_probability("p_j", p_j)
     return 1.0 / p_j
-
-
-def _blocked_age(p_1: float, alpha: float, T: int) -> float:
-    return (1 + alpha) * (1 - p_1) / p_1 + alpha * (1 + alpha * T) / 2 + 1.0
 
 
 def blocked_user_age(p_1: float, alpha: float, T: int) -> float:
     """Time-average age of the user blocked for the middle alpha*T slots.
 
-    (1+alpha)(1-p_1)/p_1 + alpha(1+alpha*T)/2 + 1.  The first term is the
-    renewal cost inflated by the lost fraction, the second the linear ramp
-    accumulated inside the blocked window.  At alpha=0 this collapses to
-    1/p_1.
+    (1+alpha)/p_1 - alpha + alpha(1+alpha*T)/2: the renewal cost inflated
+    by the lost fraction, plus the linear ramp accumulated inside the
+    blocked window.  It is the reduced payoff of a one-user system, and at
+    alpha=0 it is 1/p_1.  Raises NonPositiveEntryError for p_1 outside
+    (0, 1], then InvalidAlphaError, then DimensionMismatchError for T < 1.
     """
-    if p_1 <= 0.0:
-        raise NonPositiveEntryError(f"p_1 = {p_1} must be > 0")
+    _check_probability("p_1", p_1)
     _check_alpha(alpha)
     _check_horizon(T)
     _warn_if_small_horizon(T, p_1)
-    return _blocked_age(p_1, alpha, T)
-
-
-def system_age_no_diversity(
-        policy: SchedulingPolicy, blocked_user: int, alpha: float,
-        T: int) -> float:
-    """User-average age when one user absorbs the whole middle-block budget."""
-    p = policy.probs
-    _check_user(p.size, blocked_user)
-    _check_alpha(alpha)
-    _check_horizon(T)
-    _warn_if_small_horizon(T, float(p.min()))
-    return _system_age(p, blocked_user, alpha, T)
-
-
-def _system_age(p: np.ndarray, blocked_user: int, alpha: float,
-                T: int) -> float:
-    unblocked = math.fsum(
-        1.0 / p[j] for j in range(p.size) if j != blocked_user)
-    blocked = _blocked_age(float(p[blocked_user]), alpha, T)
-    return (unblocked + blocked) / p.size
+    return _reduced_payoff([p_1], [alpha], T)
 
 
 # ===========================================================================
@@ -139,6 +115,17 @@ def _follower_aware_payoffs(probs: np.ndarray, alpha: float,
     return (unblocked + blocked + alpha * (1 + alpha * T) / 2).max(axis=1)
 
 
+def follower_aware_payoff(policy: SchedulingPolicy, alpha: float,
+                          T: int) -> float:
+    """Leader's payoff when the adversary best-responds: the worst single
+    middle-blocked target's reduced payoff, the one-row case of
+    _follower_aware_payoffs.  Raises InvalidAlphaError for alpha outside
+    [0, 1), then DimensionMismatchError for T < 1."""
+    _check_alpha(alpha)
+    _check_horizon(T)
+    return float(_follower_aware_payoffs(policy.probs[None], alpha, T)[0])
+
+
 def reduced_payoff_for_split(policy: SchedulingPolicy, shares,
                              T: int) -> float:
     """Reduced payoff when user i is blocked for shares[i]*T consecutive slots.
@@ -148,7 +135,8 @@ def reduced_payoff_for_split(policy: SchedulingPolicy, shares,
     other shape, InvalidAlphaError for a negative or non-finite entry).
     Convex in the shares, so a budget is best spent at a vertex:
     concentrated on argmax_i 1/p_i.  All-zero shares give the no-adversary
-    payoff sum_i 1/p_i.
+    payoff sum_i 1/p_i; one-hot shares give the single middle-blocked
+    target's payoff, N times the large-horizon system age.
     """
     a = np.asarray(shares, dtype=float)
     if a.shape != (policy.n,):
@@ -162,21 +150,6 @@ def reduced_payoff_for_split(policy: SchedulingPolicy, shares,
             f"shares[{i}] = {a[i]} must be a finite number >= 0")
     _check_horizon(T)
     return _reduced_payoff(policy.probs.tolist(), a.tolist(), T)
-
-
-def reduced_objective(policy: SchedulingPolicy, blocked_user: int,
-                      alpha: float, T: int) -> float:
-    """Reduced payoff for a single middle-blocked user: the value of
-    reduced_payoff_for_split with share alpha on blocked_user, 0 elsewhere.
-
-    Equals num_users * system_age_no_diversity up to rounding (the dropped
-    "constants" cancel to zero), so both share their argmin in the policy
-    and their argmax in the target.
-    """
-    _check_user(policy.n, blocked_user)
-    _check_alpha(alpha)
-    _check_horizon(T)
-    return _middle_block_payoff(policy.probs.tolist(), blocked_user, alpha, T)
 
 
 def _middle_block_payoff(p: list, target: int, share: float, T: int) -> float:
@@ -197,7 +170,8 @@ def diversity_user_ages(policy: SchedulingPolicy, alpha: float,
 
     (1-alpha)/p_i + alpha/(p_i(1-1/N_sub)): outside the window user i renews
     at rate p_i, inside at rate p_i(1-1/N_sub) since one of N_sub
-    sub-carriers is jammed.  Independent of the sub-carrier distribution q.
+    sub-carriers is jammed.  Independent of the sub-carrier distribution q;
+    their mean is the diversity system age.
     """
     if N_sub < 2:
         raise NoDiversityError(f"N_sub = {N_sub} must be >= 2")
@@ -209,9 +183,3 @@ def _diversity_ages(p: np.ndarray, alpha: float, N_sub: int) -> np.ndarray:
     """diversity_user_ages, unchecked, elementwise on an array of scheduling
     probabilities of any shape (one policy per row of a 2-D array)."""
     return (1 - alpha) / p + alpha / (p * (1 - 1.0 / N_sub))
-
-
-def diversity_system_age(policy: SchedulingPolicy, alpha: float,
-                         N_sub: int) -> float:
-    """User average of diversity_user_ages."""
-    return float(diversity_user_ages(policy, alpha, N_sub).mean())

@@ -77,9 +77,11 @@ def counter_block_policy(config: SystemConfig,
                          target: int) -> SchedulingPolicy:
     """Scheduling policy minimizing system age when user `target` is
     middle-blocked: sqrt(1+a)/(N-1+sqrt(1+a)) on the target, 1/(N-1+sqrt(1+a))
-    on everyone else, for a = blocked_share (either model).  Raises
-    IndexOutOfRangeError for a target outside 0..N-1."""
+    on everyone else, for a = blocked_share.  A diversity config raises
+    DimensionMismatchError, as no diversity plan middle-blocks a user; a
+    target outside 0..N-1 raises IndexOutOfRangeError."""
     N = config.num_users
+    check_profile(uniform_policy(N), None, None, config)
     if not 0 <= target < N:
         raise IndexOutOfRangeError(f"target {target} outside 0..{N - 1}")
     root = math.sqrt(1.0 + config.blocked_share)

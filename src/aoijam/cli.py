@@ -34,10 +34,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .age_asymptotic import (
-    _blocked_age,
     _diversity_ages,
     _middle_block_payoff,
-    _system_age,
+    _reduced_payoff,
     _warn_if_small_horizon,
     reduced_payoff_for_split,
     unblocked_user_age,
@@ -327,7 +326,8 @@ SOURCES = {
         "counter-block": Source(
             lambda sc, spec, _: counter_block_policy(sc.system,
                                                      spec["target"]),
-            {"target": Field(_int(0, "num_users"), 0)}),
+            {"target": Field(_int(0, "num_users"), 0)},
+            models=_NO_DIVERSITY),
     },
     "subcarrier_policy": {
         "uniform": Source(lambda sc, *_: uniform_subcarrier_policy(
@@ -582,9 +582,9 @@ def _run_asymptotic(sc, out_dir, emit):
         target = spec["target"]
         # the one AsymptoticValidityWarning: T*min(p) covers the target
         _warn_if_small_horizon(T, float(policy.probs.min()))
-        value = _system_age(policy.probs, target, share, T)
         reduced = _middle_block_payoff(policy.probs.tolist(), target, share, T)
-        per_user[target] = _blocked_age(policy.probs[target], share, T)
+        value = reduced / policy.n
+        per_user[target] = _reduced_payoff([policy.probs[target]], [share], T)
         emit(f"asymptotic system age (user {target} blocked): {value:.6f}")
         emit(f"reduced payoff: {reduced:.6f}")
     rows = [(i, _fmt(v)) for i, v in enumerate(per_user)]

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .age_asymptotic import (
-    _check_alpha,
-    _check_horizon,
     _diversity_ages,
     _follower_aware_payoffs,
     _middle_block_payoff,
@@ -116,22 +114,6 @@ def _refuted(kind: str, current: float, player: str, strategy, value: float,
     return EquilibriumReport(
         kind=kind, holds=False, payoff=current,
         witness=DeviationWitness(player, strategy, current, value, description))
-
-
-# ===========================================================================
-#  Follower-aware payoff
-# ===========================================================================
-
-
-def follower_aware_payoff(policy: SchedulingPolicy, alpha: float,
-                          T: int) -> float:
-    """Leader's payoff when the adversary best-responds: the worst single
-    middle-blocked target's reduced payoff, the one-row case of
-    _follower_aware_payoffs.  Raises InvalidAlphaError for alpha outside
-    [0, 1), then DimensionMismatchError for T < 1."""
-    _check_alpha(alpha)
-    _check_horizon(T)
-    return float(_follower_aware_payoffs(policy.probs[None], alpha, T)[0])
 
 
 # ===========================================================================

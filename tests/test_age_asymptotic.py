@@ -1,6 +1,7 @@
 """Closed-form large-horizon ages and the reduced game payoffs."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,17 +9,16 @@ import pytest
 
 from aoijam.age_asymptotic import (
     AsymptoticValidityWarning,
+    _middle_block_payoff,
     blocked_user_age,
-    diversity_system_age,
-    reduced_objective,
+    diversity_user_ages,
+    follower_aware_payoff,
     reduced_payoff_for_split,
-    system_age_no_diversity,
     unblocked_user_age,
 )
 from aoijam.age_exact import expected_age_trajectory
 from aoijam.errors import (
     DimensionMismatchError,
-    IndexOutOfRangeError,
     InvalidAlphaError,
     NoDiversityError,
     NonPositiveEntryError,
@@ -38,6 +38,24 @@ def _quiet(fn, *args, **kwargs):
         return fn(*args, **kwargs)
 
 
+def _system_age(policy, blocked_user, alpha, T):
+    """Large-horizon system age with one user middle-blocked: the one-hot
+    reduced payoff over N."""
+    shares = alpha * np.eye(policy.n)[blocked_user]
+    return reduced_payoff_for_split(policy, shares, T) / policy.n
+
+
+def _user_ages(policy, blocked_user, alpha, T):
+    """Each user's closed-form age with one user middle-blocked."""
+    return [_quiet(blocked_user_age, p, alpha, T) if i == blocked_user
+            else unblocked_user_age(p) for i, p in enumerate(policy.probs)]
+
+
+def _diversity_system_age(policy, alpha, n_sub):
+    """The users' mean diversity age."""
+    return float(diversity_user_ages(policy, alpha, n_sub).mean())
+
+
 # ===========================================================================
 #  Per-user closed forms
 # ===========================================================================
@@ -48,6 +66,18 @@ def test_unblocked_age_is_reciprocal():
     assert unblocked_user_age(1.0) == 1.0
     with pytest.raises(NonPositiveEntryError):
         unblocked_user_age(0.0)
+
+
+@pytest.mark.parametrize("p", [0.0, -0.25, 1.5, 2.0, math.inf, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda p: unblocked_user_age(p),
+    lambda p: blocked_user_age(p, 0.2, 1000),
+], ids=["unblocked_user_age", "blocked_user_age"])
+def test_closed_forms_refuse_a_non_probability(call, p):
+    # 1/p would give an age below 1, an age of 0 or a NaN age
+    with pytest.raises(NonPositiveEntryError,
+                       match=re.escape(f" = {p} must lie in (0, 1]")):
+        call(p)
 
 
 def test_unblocked_age_matches_exact_recursion():
@@ -102,44 +132,39 @@ def test_blocked_age_alpha_validation():
 
 
 def test_system_age_example():
-    val = _quiet(system_age_no_diversity,
-                 validate_policy([0.5, 0.5]), 0, 0.5, 100)
+    val = _system_age(validate_policy([0.5, 0.5]), 0, 0.5, 100)
     assert val == pytest.approx((2.0 + 1.5 + 12.75 + 1.0) / 2, abs=1e-12)
 
 
 def test_system_age_single_user():
+    # one user: the blocked age is the reduced payoff, bit for bit
     pol = validate_policy([1.0])
-    assert _quiet(system_age_no_diversity, pol, 0, 0.3, 500) == pytest.approx(
-        _quiet(blocked_user_age, 1.0, 0.3, 500), abs=1e-12)
+    assert _system_age(pol, 0, 0.3, 500) == _quiet(
+        blocked_user_age, 1.0, 0.3, 500)
 
 
 def test_system_age_symmetric_in_spared_users():
-    a = _quiet(system_age_no_diversity,
-               validate_policy([0.5, 0.2, 0.3]), 0, 0.4, 2000)
-    b = _quiet(system_age_no_diversity,
-               validate_policy([0.5, 0.3, 0.2]), 0, 0.4, 2000)
+    a = _system_age(validate_policy([0.5, 0.2, 0.3]), 0, 0.4, 2000)
+    b = _system_age(validate_policy([0.5, 0.3, 0.2]), 0, 0.4, 2000)
     assert a == pytest.approx(b, abs=1e-12)
 
 
-def test_system_age_index_checked():
-    with pytest.raises(IndexOutOfRangeError):
-        _quiet(system_age_no_diversity, uniform_policy(2), 2, 0.4, 100)
-
-
 def test_reduced_objective_example():
-    payoff = reduced_objective(validate_policy([0.5, 0.5]), 0, 0.5, 100)
+    payoff = reduced_payoff_for_split(validate_policy([0.5, 0.5]), [0.5, 0.0],
+                                      100)
     assert payoff == pytest.approx(2.0 + 3.0 - 0.5 + 12.75, abs=1e-12)
 
 
 def test_reduced_objective_alpha_zero_is_weight_sum():
     pol = validate_policy([0.25, 0.25, 0.5])
-    payoff = reduced_objective(pol, 1, 0.0, 100)
+    payoff = reduced_payoff_for_split(pol, 0.0 * np.eye(3)[1], 100)
     assert payoff == pytest.approx(float(np.sum(1 / pol.probs)), abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_reduced_equals_scaled_system_age(seed):
-    # the dropped constants cancel exactly: reduced = N * system average
+    # the dropped constants cancel exactly: reduced = N * the users' mean
+    # closed-form age
     rng = np.random.default_rng(100 + seed)
     n = int(rng.integers(1, 6))
     p = rng.dirichlet(np.ones(n) * 3) * 0.98 + 0.02 / n
@@ -147,17 +172,35 @@ def test_reduced_equals_scaled_system_age(seed):
     b = int(rng.integers(n))
     alpha = float(rng.uniform(0.05, 0.95))
     T = int(rng.integers(10, 100_000))
-    lhs = reduced_objective(pol, b, alpha, T)
-    rhs = n * _quiet(system_age_no_diversity, pol, b, alpha, T)
+    lhs = reduced_payoff_for_split(pol, alpha * np.eye(n)[b], T)
+    rhs = n * float(np.mean(_user_ages(pol, b, alpha, T)))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def test_per_user_closed_forms_sum_to_the_reduced_payoff():
+    # any split, a share of 0 included: math.fsum of the users' ages is the
+    # reduced payoff to within 4 eps, relative
+    rng = np.random.default_rng(7)
+    eps = np.finfo(float).eps
+    for _ in range(500):
+        n = int(rng.integers(1, 9))
+        pol = validate_policy(rng.dirichlet(np.ones(n)) * 0.99 + 0.01 / n)
+        shares = np.where(rng.random(n) < 0.5, 0.0,
+                          rng.uniform(0.0, 0.99, n))
+        T = int(rng.integers(1, 10**6))
+        ages = math.fsum(_quiet(blocked_user_age, p, a, T)
+                         for p, a in zip(pol.probs, shares))
+        payoff = reduced_payoff_for_split(pol, shares, T)
+        assert abs(ages - payoff) <= 4 * eps * payoff
+
+
 def test_reduced_objective_argmin_matches_system_grid():
-    # coarse simplex grid, N=2: both objectives pick the same best policy
+    # coarse simplex grid, N=2: the reduced payoff and the users' mean
+    # closed-form age pick the same best policy
     alpha, T = 0.6, 5000
     grid = [validate_policy([x, 1 - x]) for x in np.arange(0.05, 1.0, 0.05)]
-    red = [reduced_objective(g, 0, alpha, T) for g in grid]
-    sys_ = [_quiet(system_age_no_diversity, g, 0, alpha, T) for g in grid]
+    red = [reduced_payoff_for_split(g, [alpha, 0.0], T) for g in grid]
+    sys_ = [np.mean(_user_ages(g, 0, alpha, T)) for g in grid]
     assert int(np.argmin(red)) == int(np.argmin(sys_))
 
 
@@ -211,9 +254,10 @@ def test_reduced_payoff_for_split_matches_single_target(seed):
     alpha = float(rng.uniform(0.05, 0.9))
     T = int(rng.integers(100, 50_000))
     b = int(rng.integers(n))
-    # the single-target payoff is the one-hot case, bit for bit
+    # the game functions' single-target payoff is the one-hot case, bit
+    # for bit
     assert reduced_payoff_for_split(pol, alpha * np.eye(n)[b], T) == (
-        reduced_objective(pol, b, alpha, T))
+        _middle_block_payoff(pol.probs.tolist(), b, alpha, T))
 
 
 def test_reduced_payoff_for_empty_split_is_base_cost():
@@ -256,32 +300,31 @@ def test_split_shares_are_validated(shares, error, message):
     assert message in str(info.value)
 
 
-# ===========================================================================
-#  Diversity system age
-# ===========================================================================
-
-
 @pytest.mark.parametrize("call", [
     lambda T: blocked_user_age(0.5, 0.2, T),
-    lambda T: system_age_no_diversity(uniform_policy(2), 0, 0.2, T),
     lambda T: reduced_payoff_for_split(uniform_policy(2), [0.2, 0.0], T),
-    lambda T: reduced_objective(uniform_policy(2), 0, 0.2, T),
-], ids=["blocked_user_age", "system_age_no_diversity",
-        "reduced_payoff_for_split", "reduced_objective"])
+    lambda T: follower_aware_payoff(uniform_policy(2), 0.2, T),
+], ids=["blocked_user_age", "reduced_payoff_for_split",
+        "follower_aware_payoff"])
 @pytest.mark.parametrize("horizon", [0, -5, 0.5, math.nan])
 def test_closed_forms_reject_horizon_below_one(call, horizon):
     with pytest.raises(DimensionMismatchError, match="T must be >= 1"):
         call(horizon)
 
 
+# ===========================================================================
+#  Diversity system age
+# ===========================================================================
+
+
 def test_diversity_age_example():
-    assert diversity_system_age(
+    assert _diversity_system_age(
         validate_policy([0.5, 0.5]), 0.5, 2) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_diversity_age_zero_alpha():
     pol = validate_policy([0.25, 0.75])
-    assert diversity_system_age(pol, 0.0, 4) == pytest.approx(
+    assert _diversity_system_age(pol, 0.0, 4) == pytest.approx(
         float(np.mean(1 / pol.probs)), abs=1e-12)
 
 
@@ -290,7 +333,7 @@ def test_diversity_age_many_subcarriers_approaches_unblocked():
     base = float(np.mean(1 / pol.probs))
     prev = np.inf
     for nsub in (2, 4, 16, 256):
-        val = diversity_system_age(pol, 0.5, nsub)
+        val = _diversity_system_age(pol, 0.5, nsub)
         assert base < val < prev
         prev = val
     assert prev == pytest.approx(base, rel=0.005)
@@ -298,7 +341,7 @@ def test_diversity_age_many_subcarriers_approaches_unblocked():
 
 def test_diversity_age_requires_subcarriers():
     with pytest.raises(NoDiversityError):
-        diversity_system_age(uniform_policy(2), 0.5, 1)
+        diversity_user_ages(uniform_policy(2), 0.5, 1)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -309,7 +352,7 @@ def test_diversity_age_midpoint_convexity(seed):
     pa = validate_policy(a / a.sum())
     pb = validate_policy(b / b.sum())
     mid = validate_policy((pa.probs + pb.probs) / 2)
-    f = lambda q: diversity_system_age(q, 0.4, 3)
+    f = lambda q: _diversity_system_age(q, 0.4, 3)
     assert f(mid) <= (f(pa) + f(pb)) / 2 + 1e-12
 
 
@@ -322,20 +365,19 @@ def test_warns_when_horizon_too_short():
     with pytest.warns(AsymptoticValidityWarning):
         blocked_user_age(0.5, 0.3, 100)  # T*p = 50
     with pytest.warns(AsymptoticValidityWarning):
-        system_age_no_diversity(uniform_policy(4), 0, 0.3, 300)  # T*p = 75
+        blocked_user_age(0.25, 0.3, 300)  # T*p = 75
 
 
 def test_no_warning_in_valid_regime():
     with warnings.catch_warnings():
         warnings.simplefilter("error", AsymptoticValidityWarning)
         blocked_user_age(0.5, 0.3, 1000)
-        reduced_objective(uniform_policy(2), 0, 0.5, 400)
+        reduced_payoff_for_split(uniform_policy(2), [0.5, 0.0], 400)
 
 
 def test_warning_points_at_the_caller():
     for call in (lambda: blocked_user_age(0.5, 0.3, 100),
-                 lambda: system_age_no_diversity(uniform_policy(4), 0, 0.3,
-                                                 300)):
+                 lambda: blocked_user_age(0.25, 0.3, 300)):
         with pytest.warns(AsymptoticValidityWarning) as record:
             call()
         assert [w.filename for w in record] == [__file__]
@@ -345,15 +387,15 @@ def test_game_payoffs_do_not_warn():
     # T*min(p) = 2.5: the ages warn here, the payoffs do not
     with warnings.catch_warnings():
         warnings.simplefilter("error", AsymptoticValidityWarning)
-        reduced_objective(uniform_policy(4), 0, 0.3, 10)
         reduced_payoff_for_split(uniform_policy(4), [0.3, 0, 0, 0], 10)
+        follower_aware_payoff(uniform_policy(4), 0.3, 10)
 
 
 def test_single_blocked_user_values_are_pinned():
-    # repr of each value, taken before the two payoffs shared their code
+    # repr of each value, taken before the payoffs and the system age
+    # shared their code
     pol = validate_policy([0.2, 0.5, 0.3])
-    assert repr(reduced_objective(pol, 1, 0.25, 1000)) == "41.958333333333336"
-    assert repr(system_age_no_diversity(pol, 1, 0.25, 1000)) == (
-        "13.986111111111112")
-    assert repr(system_age_no_diversity(pol, 0, 0.37, 777)) == (
-        "21.727994444444445")
+    assert repr(reduced_payoff_for_split(pol, [0.0, 0.25, 0.0], 1000)) == (
+        "41.958333333333336")
+    assert repr(_system_age(pol, 1, 0.25, 1000)) == "13.986111111111112"
+    assert repr(_system_age(pol, 0, 0.37, 777)) == "21.727994444444445"

@@ -270,15 +270,16 @@ def test_structured_response_tie_breaks_low_index():
 
 
 def test_structured_payoff_dominates_other_targets():
-    from aoijam.age_asymptotic import reduced_objective
+    from aoijam.age_asymptotic import reduced_payoff_for_split
     cfg = SystemConfig(horizon_T=5000, num_users=3, alpha=0.4)
     pol = validate_policy([0.5, 0.2, 0.3])
     resp = adversary_best_response(pol, cfg)
+    one_hot = cfg.alpha * np.eye(3)
     for other in range(3):
-        alt = reduced_objective(pol, other, cfg.alpha, cfg.horizon_T)
+        alt = reduced_payoff_for_split(pol, one_hot[other], cfg.horizon_T)
         assert resp.payoff >= alt - 1e-12
     assert resp.payoff == pytest.approx(
-        reduced_objective(pol, 1, cfg.alpha, cfg.horizon_T))
+        reduced_payoff_for_split(pol, one_hot[1], cfg.horizon_T))
 
 
 def test_structured_response_rejects_diversity_config():

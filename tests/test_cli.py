@@ -13,7 +13,7 @@ import pytest
 
 from aoijam.age_asymptotic import (
     AsymptoticValidityWarning,
-    reduced_objective,
+    blocked_user_age,
     reduced_payoff_for_split,
 )
 from aoijam.best_response import counter_block_policy, numeric_simplex_minimizer
@@ -394,6 +394,8 @@ def test_asymptotic_middle_block_gives_the_blocked_closed_form(tmp_path):
                             {"source": "middle-block", "target": 1})
     assert ages == pytest.approx(
         [1 / 0.4, 1.3 * 0.4 / 0.6 + 0.3 * 301 / 2 + 1], rel=1e-14)
+    # the CSV row is the library's closed form, bit for bit
+    assert repr(ages[1]) == repr(blocked_user_age(0.6, 0.3, 1000))
 
 
 def test_asymptotic_uniform_subcarrier_gives_diversity_ages(tmp_path):
@@ -456,8 +458,9 @@ def test_br_dynamics_trace_and_csv_match_a_per_step_loop(tmp_path):
     policy, expected = uniform_policy(n), []
     for it in range(iterations):
         target = int(np.argmin(policy.probs))
+        shares = alpha * np.eye(n)[target]
         expected.append((it, target, policy.probs,
-                         reduced_objective(policy, target, alpha, horizon)))
+                         reduced_payoff_for_split(policy, shares, horizon)))
         policy = counter_block_policy(game, target)
 
     report = best_response_dynamics(game, iterations)
@@ -695,6 +698,9 @@ def stray(section, spec, key, doc=base_doc):
          div_doc(**explicit_plan([[0] * 20, [0] * 20])), "plan.source"),
     case("asymptotic-oracle-plan", "asymptotic",
          base_doc(plan={"source": "oracle"}), "plan.source"),
+    # no diversity plan middle-blocks a user: nothing for it to counter
+    case("counter-block-diversity", "exact",
+         div_doc(policy={"source": "counter-block"}), "policy.source"),
     # a misspelt key once fell back to its default without a word
     case("unknown-top-level-key", "exact",
          base_doc(polcy={"source": "uniform"}), "polcy"),

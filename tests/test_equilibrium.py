@@ -9,8 +9,9 @@ import pytest
 import aoijam.equilibrium as equilibrium
 from aoijam.age_asymptotic import (
     _diversity_ages,
-    diversity_system_age,
-    reduced_objective,
+    diversity_user_ages,
+    follower_aware_payoff,
+    reduced_payoff_for_split,
 )
 from aoijam.best_response import counter_block_policy
 from aoijam.equilibrium import (
@@ -20,7 +21,6 @@ from aoijam.equilibrium import (
     EquilibriumReport,
     best_response_dynamics,
     diversity_nash_point,
-    follower_aware_payoff,
     is_nash_no_diversity,
     stackelberg_equilibrium,
     _certification_policies,
@@ -60,6 +60,19 @@ from aoijam.model import (
     validate_policy,
     validate_subcarrier_policy,
 )
+
+
+def _one_hot_payoff(policy, target, share, T):
+    """The single middle-blocked target's reduced payoff: share on target
+    alone."""
+    return reduced_payoff_for_split(policy, share * np.eye(policy.n)[target],
+                                    T)
+
+
+def _diversity_system_age(policy, alpha, n_sub):
+    """The large-horizon diversity system age, the users' mean age."""
+    return float(diversity_user_ages(policy, alpha, n_sub).mean())
+
 
 # ===========================================================================
 #  Nash witness checks (no diversity)
@@ -102,7 +115,7 @@ def test_nash_check_payoff_is_the_single_target_payoff():
     cfg = _cfg(T=1000, n=8, alpha=0.2)
     report = is_nash_no_diversity(
         uniform_policy(8), make_middle_block(cfg, 0), cfg)
-    assert report.payoff == reduced_objective(uniform_policy(8), 0, 0.2, 1000)
+    assert report.payoff == _one_hot_payoff(uniform_policy(8), 0, 0.2, 1000)
     assert report.payoff == 85.5
 
 
@@ -183,7 +196,7 @@ def test_dynamics_minimal_and_invalid_iterations():
 def test_dynamics_payoffs_are_reduced_objective_values():
     report = best_response_dynamics(_cfg(5000, 3, 0.4), 4)
     for step in report.trace:
-        expect = reduced_objective(step.policy, step.blocked_user, 0.4, 5000)
+        expect = _one_hot_payoff(step.policy, step.blocked_user, 0.4, 5000)
         assert step.payoff == pytest.approx(expect, abs=1e-12)
 
 
@@ -259,7 +272,7 @@ def test_follower_aware_payoffs_match_scalar_payoff(N):
     # the array form against the fsum route, target by target
     rivals = _certification_policies(N, 200, 4)
     batched = _follower_aware_payoffs(rivals, 0.35, 1500)
-    scalar = [max(reduced_objective(validate_policy(row), b, 0.35, 1500)
+    scalar = [max(_one_hot_payoff(validate_policy(row), b, 0.35, 1500)
                   for b in range(N)) for row in rivals]
     np.testing.assert_allclose(batched, scalar, rtol=1e-12, atol=0)
 
@@ -287,7 +300,7 @@ def test_follower_aware_payoff_targets_min_probability():
     pol = validate_policy([0.5, 0.2, 0.3])
     value = follower_aware_payoff(pol, 0.4, 1000)
     assert value == pytest.approx(
-        reduced_objective(pol, 1, 0.4, 1000), abs=1e-12)
+        _one_hot_payoff(pol, 1, 0.4, 1000), abs=1e-12)
 
 
 @pytest.mark.parametrize("alpha, T, error, message", [
@@ -378,9 +391,9 @@ def _reference_bs_witness(policy, n_sub, alpha, bs_samples, seed):
     for i in range(bs_samples - 1):
         p = dirichlet[i] if broad[i] else wiggle[i]
         pairs.append((validate_policy(p), validate_subcarrier_policy(q[i])))
-    current = diversity_system_age(policy, alpha, n_sub)
+    current = _diversity_system_age(policy, alpha, n_sub)
     for p_dev, q_dev in pairs:
-        value = diversity_system_age(p_dev, alpha, n_sub)
+        value = _diversity_system_age(p_dev, alpha, n_sub)
         if value < current - IMPROVEMENT_TOL:
             return (p_dev, q_dev), current, value
     return None
@@ -509,7 +522,7 @@ def test_batched_bs_price_is_the_scalar_price_bit_for_bit(N, n_sub):
     for alpha in (0.1, 0.45, 0.9):
         batched = _diversity_ages(_fsum_rows(p_rows), alpha, n_sub).mean(axis=1)
         for row, value in zip(p_rows, batched):
-            scalar = diversity_system_age(validate_policy(row), alpha, n_sub)
+            scalar = _diversity_system_age(validate_policy(row), alpha, n_sub)
             assert float(value).hex() == scalar.hex()
 
 
@@ -716,11 +729,11 @@ def _reference_audit(point, config, bs_samples, adv_samples, seed):
     policy, subpolicy, plan = point
     rng = np.random.default_rng(seed)
     share, n_sub = config.blocked_share, config.num_subcarriers
-    current = diversity_system_age(policy, share, n_sub)
+    current = _diversity_system_age(policy, share, n_sub)
     p_rows, q_rows = _sample_bs_deviations(policy.n, n_sub, bs_samples, rng)
     for p_row, q_row in zip(p_rows, q_rows):
         p_dev = validate_policy(p_row)
-        value = diversity_system_age(p_dev, share, n_sub)
+        value = _diversity_system_age(p_dev, share, n_sub)
         if value < current - IMPROVEMENT_TOL:
             return (False, current, "base-station",
                     (p_dev, validate_subcarrier_policy(q_row)), value)

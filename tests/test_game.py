@@ -109,8 +109,9 @@ def test_share_is_the_budget_over_the_horizon(T, alpha, share):
     lambda cfg: ordered_kkt_solver(cfg),
     lambda cfg: best_response_dynamics(cfg, 3),
     lambda cfg: stackelberg_equilibrium(cfg),
+    lambda cfg: counter_block_policy(cfg, 0),
 ], ids=["ordered_kkt_solver", "best_response_dynamics",
-        "stackelberg_equilibrium"])
+        "stackelberg_equilibrium", "counter_block_policy"])
 def test_no_diversity_functions_reject_a_diversity_game(call):
     with pytest.raises(DimensionMismatchError,
                        match="no sub-carrier policy was given"):
@@ -123,8 +124,10 @@ def test_diversity_point_rejects_a_no_diversity_game():
 
 
 def test_counter_block_reply_reads_only_users_and_share():
-    # the CLI's counter-block source serves both models
-    assert counter_block_policy(DIVERSE, 1) == counter_block_policy(FLAT, 1)
+    # ten times the horizon at the same share gives the same reply
+    wider = SystemConfig(horizon_T=1000, num_users=3, alpha=0.2)
+    assert wider.blocked_share == FLAT.blocked_share
+    assert counter_block_policy(wider, 1) == counter_block_policy(FLAT, 1)
 
 
 # ===========================================================================
@@ -173,8 +176,12 @@ def test_whole_horizon_budget_runs_every_cli_runner(tmp_path, model, plan,
     system = dict(FULL, horizon_T=6 if command == "oracle" else 100)
     if model == "diversity":
         system["num_subcarriers"] = 2
+    # the counter-block source replies to a middle block, which only the
+    # no-diversity model has
+    policy = ({"source": "counter-block", "target": 1}
+              if model == "no-diversity" else {"source": "uniform"})
     doc = {"schema_version": 1, "model": model, "system": system,
-           "policy": {"source": "counter-block", "target": 1},
+           "policy": policy,
            "plan": {"source": plan},
            "experiment": {"name": command, **experiment}}
     path = tmp_path / "scenario_in.json"
