@@ -16,6 +16,7 @@ forms, since that share is 1.0 when B = T.
 """
 
 import math
+import numbers
 import warnings
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
     NoDiversityError,
     NonPositiveEntryError,
 )
-from .model import SchedulingPolicy
+from .model import SchedulingPolicy, _is_integer
 
 ASYMPTOTIC_REGIME_MIN = 100.0
 
@@ -46,13 +47,13 @@ def _warn_if_small_horizon(T: float, p_min: float) -> None:
 
 
 def _check_probability(name: str, p: float) -> None:
-    if not 0.0 < p <= 1.0:  # NaN fails too
-        raise NonPositiveEntryError(f"{name} = {p} must lie in (0, 1]")
+    if not (isinstance(p, numbers.Real) and 0.0 < p <= 1.0):  # NaN fails too
+        raise NonPositiveEntryError(f"{name} = {p!r} must lie in (0, 1]")
 
 
 def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha < 1.0:
-        raise InvalidAlphaError(f"alpha must lie in [0, 1), got {alpha}")
+    if not (isinstance(alpha, numbers.Real) and 0.0 <= alpha < 1.0):
+        raise InvalidAlphaError(f"alpha must lie in [0, 1), got {alpha!r}")
 
 
 def _check_horizon(T: int) -> None:
@@ -173,8 +174,8 @@ def diversity_user_ages(policy: SchedulingPolicy, alpha: float,
     sub-carriers is jammed.  Independent of the sub-carrier distribution q;
     their mean is the diversity system age.
     """
-    if N_sub < 2:
-        raise NoDiversityError(f"N_sub = {N_sub} must be >= 2")
+    if not (_is_integer(N_sub) and N_sub >= 2):
+        raise NoDiversityError(f"N_sub = {N_sub!r} must be an integer >= 2")
     _check_alpha(alpha)
     return _diversity_ages(policy.probs, alpha, N_sub)
 

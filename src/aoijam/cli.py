@@ -38,7 +38,6 @@ from .age_asymptotic import (
     _middle_block_payoff,
     _reduced_payoff,
     _warn_if_small_horizon,
-    reduced_payoff_for_split,
     unblocked_user_age,
 )
 from .age_exact import (
@@ -46,10 +45,10 @@ from .age_exact import (
     expected_age_trajectory_diversity,
 )
 from .best_response import (
+    _plan_reply,
     adversary_best_response,
     adversary_oracle,
     counter_block_policy,
-    numeric_simplex_minimizer,
 )
 from .montecarlo import estimate_average_age
 from .equilibrium import (
@@ -605,20 +604,16 @@ def _run_montecarlo(sc, out_dir, emit):
 
 def _run_best_response(sc, out_dir, emit):
     policy = resolve(sc, "policy")
-    rows = []
     adv = adversary_best_response(policy, sc.system)
-    rows.append(("adversary-best-response", None, adv.payoff,
-                 f"target={adv.target}; " + serialize_strategy(adv.plan)))
     emit(f"adversary best response: middle-block user {adv.target}, "
          f"reduced payoff {adv.payoff:.6f}")
-    plan = resolve(sc, "plan", policy)
-    T = sc.system.horizon_T
-    shares = plan.block_prob.sum(axis=1) / T
-    bs = numeric_simplex_minimizer(1.0 + shares)
-    bs_payoff = reduced_payoff_for_split(bs, shares, T)
-    rows.append(("bs-best-response", None, bs_payoff, serialize_strategy(bs)))
-    emit(f"base-station best response to the plan: {np.array2string(bs.probs, precision=6)}")
-    write_equilibrium_csv(os.path.join(out_dir, "equilibrium.csv"), rows)
+    bs, bs_payoff = _plan_reply(resolve(sc, "plan", policy), sc.system)
+    write_equilibrium_csv(os.path.join(out_dir, "equilibrium.csv"), [
+        ("adversary-best-response", None, adv.payoff,
+         f"target={adv.target}; " + serialize_strategy(adv.plan)),
+        ("bs-best-response", None, bs_payoff, serialize_strategy(bs))])
+    emit("base-station best response to the plan: "
+         + np.array2string(bs.probs, precision=6))
 
 
 def _run_oracle(sc, out_dir, emit):

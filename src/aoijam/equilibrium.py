@@ -4,11 +4,12 @@ Without sub-carrier diversity the game has no Nash equilibrium: the
 adversary's best response chases the least-scheduled user while the base
 station's best response protects whoever is being chased, so composing the
 two best-response maps cycles forever.  best_response_dynamics exhibits that
-cycle; is_nash_no_diversity witness-checks any candidate pair.  Committing
-first rescues the base station: stackelberg_equilibrium returns the uniform
-leader policy with a sampled-dominance certificate.  With diversity, uniform
-everything is a genuine Nash point, verified against sampled deviations on
-both sides.  A game is a SystemConfig; prices read its share B/T.
+cycle and is_nash_no_diversity witness-checks any candidate pair, both with
+best_response's one reply per player.  Committing first rescues the base
+station: stackelberg_equilibrium returns the uniform leader policy with a
+sampled-dominance certificate.  With diversity, uniform everything is a
+genuine Nash point, verified against sampled deviations on both sides.  A
+game is a SystemConfig; prices read its share B/T.
 """
 
 import math
@@ -23,11 +24,14 @@ from .age_asymptotic import (
     reduced_payoff_for_split,
 )
 from .age_exact import _window_system_ages, expected_age_trajectory_diversity
-from .best_response import counter_block_policy, numeric_simplex_minimizer
+from .best_response import (
+    _plan_reply,
+    adversary_best_response,
+    counter_block_policy,
+)
 from .errors import (
     CertificateError,
     DimensionMismatchError,
-    InsufficientRunsError,
     InvalidAlphaError,
     NonPositiveEntryError,
     NotNormalizedError,
@@ -37,6 +41,7 @@ from .model import (
     BlockingPlan,
     SchedulingPolicy,
     SystemConfig,
+    _check_count,
     check_profile,
     make_middle_block,
     make_uniform_subcarrier_block,
@@ -125,30 +130,23 @@ def is_nash_no_diversity(policy: SchedulingPolicy, plan: BlockingPlan,
                          config: SystemConfig) -> EquilibriumReport:
     """Witness-check a candidate (policy, plan) pair under the reduced payoff.
 
-    Adversary deviations tried: a single-user middle-block plan on every
-    user, most promising targets (ascending scheduling probability) first.
-    Base-station deviation tried: the exact best response to the plan's
-    per-user shares of the horizon.  Plans are priced through those shares
+    The deviations tried are the players' replies: adversary_best_response
+    and the base station's reply to the plan's per-user shares of the
+    horizon.  Plans are priced through those shares
     (reduced_payoff_for_split), so a feasible plan spending its budget
     off-center is treated as its same-share middle placement.
     """
     check_profile(policy, None, plan, config)
     T = config.horizon_T
-    shares = plan.block_prob.sum(axis=1) / T
-    current = reduced_payoff_for_split(policy, shares, T)
+    current = reduced_payoff_for_split(
+        policy, plan.block_prob.sum(axis=1) / T, T)
 
-    # adversary side: does any middle-block target strictly raise the payoff?
-    for target in sorted(range(policy.n), key=lambda i: (policy.probs[i], i)):
-        candidate = make_middle_block(config, target)
-        value = reduced_payoff_for_split(
-            policy, candidate.block_prob.sum(axis=1) / T, T)
-        if value > current + IMPROVEMENT_TOL:
-            return _refuted("nash-check", current, "adversary", candidate,
-                            value, f"middle-block user {target}")
+    adv = adversary_best_response(policy, config)
+    if adv.payoff > current + IMPROVEMENT_TOL:
+        return _refuted("nash-check", current, "adversary", adv.plan,
+                        adv.payoff, f"middle-block user {adv.target}")
 
-    # base-station side: exact best response to the plan's shares
-    best = numeric_simplex_minimizer(1.0 + shares)
-    improved = reduced_payoff_for_split(best, shares, T)
+    best, improved = _plan_reply(plan, config)
     if improved < current - IMPROVEMENT_TOL:
         return _refuted("nash-check", current, "base-station", best, improved,
                         "best-response scheduling policy")
@@ -160,17 +158,15 @@ def best_response_dynamics(config: SystemConfig,
                            max_iter: int) -> EquilibriumReport:
     """Alternate the two best-response maps from a uniform start.
 
-    Each step records the base station's current policy, the user the
-    adversary blocks in response, and the reduced payoff.  holds reports
-    whether any step was a simultaneous fixed point of both maps; the
-    no-equilibrium phenomenon is precisely that it never is once B > 0,
-    with the blocked target changing every single iteration.
+    Each step records the base station's policy (counter_block_policy after
+    the start), the user adversary_best_response blocks, and the reduced
+    payoff.  holds reports whether any step was a simultaneous fixed point
+    of both maps; the no-equilibrium phenomenon is precisely that it never
+    is once B > 0, with the blocked target changing every single iteration.
+    max_iter is an integer >= 2.
     """
-    if max_iter < 2:
-        raise InsufficientRunsError(f"max_iter must be >= 2, got {max_iter}")
-    start = uniform_policy(config.num_users)
-    check_profile(start, None, None, config)
-    share, T = config.blocked_share, config.horizon_T
+    _check_count("max_iter", max_iter, 2)
+    start = uniform_policy(config.num_users)  # its reply checks the model
     # a step depends only on the previous step's target (None at the
     # uniform start), so each distinct step is built once
     step_after = {}
@@ -179,9 +175,8 @@ def best_response_dynamics(config: SystemConfig,
         if previous not in step_after:
             policy = (start if previous is None
                       else counter_block_policy(config, previous))
-            target = int(np.argmin(policy.probs))
-            step_after[previous] = (policy, target, _middle_block_payoff(
-                policy.probs.tolist(), target, share, T))
+            reply = adversary_best_response(policy, config)
+            step_after[previous] = (policy, reply.target, reply.payoff)
         policy, target, payoff = step_after[previous]
         steps.append(TraceStep(it, policy, target, payoff))
         previous = target
@@ -235,14 +230,12 @@ def stackelberg_equilibrium(config: SystemConfig, target: int = 0,
 
     At uniform scheduling every blocking target ties, so `target` only picks
     which tied follower response to materialize.  Before returning, the
-    leader payoff is checked against `certify_samples` (at least 1)
+    leader payoff is checked against `certify_samples` (an integer >= 1)
     alternative policies, each priced at the follower's best response;
     uniform must weakly win.  The first rival that beats it by more than
     IMPROVEMENT_TOL raises CertificateError.
     """
-    if certify_samples < 1:
-        raise InsufficientRunsError(
-            f"certify_samples must be >= 1, got {certify_samples}")
+    _check_count("certify_samples", certify_samples, 1)
     N, share, T = config.num_users, config.blocked_share, config.horizon_T
     leader = uniform_policy(N)
     check_profile(leader, None, None, config)
@@ -399,7 +392,7 @@ def verify_diversity_nash(point, config: SystemConfig, bs_samples: int,
     be the first pair, (uniform p, uniform q); the other rows confirm, and
     never refute, a candidate.  Adversary side:
     `adv_samples` feasible plans from ADV_DEVIATION_FAMILIES, priced by the
-    exact recursion at the candidate's (p, q).  Both counts must be >= 1.
+    exact recursion at the candidate's (p, q).  Both counts are integers >= 1.
 
     Adversary samples stay (start, stop, weights) windows: each (sample,
     distinct p_i) row is priced from its runs, read off the windows, by the
@@ -412,10 +405,8 @@ def verify_diversity_nash(point, config: SystemConfig, bs_samples: int,
     bit, else CertificateError.  The payoff is the large-horizon age, or
     the exact age beside an adversary witness.
     """
-    for name, count in (("bs_samples", bs_samples),
-                        ("adv_samples", adv_samples)):
-        if count < 1:
-            raise InsufficientRunsError(f"{name} must be >= 1, got {count}")
+    _check_count("bs_samples", bs_samples, 1)
+    _check_count("adv_samples", adv_samples, 1)
     policy, subpolicy, plan = point
     check_profile(policy, subpolicy, plan, config)
     rng = np.random.default_rng(seed)

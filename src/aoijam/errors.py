@@ -25,7 +25,7 @@ class NotNormalizedError(AoijamError, ValueError):
 
 
 class NoDiversityError(AoijamError, ValueError):
-    """Operation requires at least 2 sub-carriers."""
+    """Operation requires an integer count of at least 2 sub-carriers."""
 
 
 class DimensionMismatchError(AoijamError, ValueError):
@@ -55,8 +55,8 @@ class CertificateError(AoijamError, RuntimeError):
 
 
 class InsufficientRunsError(AoijamError, ValueError):
-    """A run or iteration count is below its minimum (Monte Carlo needs 2
-    runs for a standard error, best-response dynamics 2 iterations)."""
+    """A run, sample or iteration count is not an integer at or above its
+    minimum (2 runs for a standard error, 2 rounds of dynamics)."""
 
 
 class InstanceTooLargeError(AoijamError, ValueError):

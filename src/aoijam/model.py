@@ -13,6 +13,7 @@ middle_window(T - 1, B); with B = T the window is all T slots.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
+    InsufficientRunsError,
     InvalidAlphaError,
     NoDiversityError,
     NonPositiveEntryError,
@@ -31,15 +33,27 @@ SUM_ACCEPT_TOL = 1e-9
 ENTRY_TOL = 1e-12
 
 
+def _is_integer(x) -> bool:
+    """True for an int or a numpy integer; a bool is no count or index."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_count(name: str, count, least: int) -> None:
+    """Raise InsufficientRunsError unless `count` is an integer >= least."""
+    if not (_is_integer(count) and count >= least):
+        raise InsufficientRunsError(
+            f"{name} must be an integer >= {least}, got {count!r}")
+
+
+def _check_target(target, count: int) -> None:
+    """Raise IndexOutOfRangeError unless `target` is an integer < count."""
+    if not (_is_integer(target) and 0 <= target < count):
+        raise IndexOutOfRangeError(f"target {target} outside 0..{count - 1}")
+
+
 def _first_non_finite(a: np.ndarray) -> tuple:
     """Index of the first NaN or infinite entry of `a` (which must have one)."""
     return np.unravel_index(int(np.argmin(np.isfinite(a))), a.shape)
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -58,16 +72,14 @@ class SystemConfig:
     def __post_init__(self):
         for name in ("horizon_T", "num_users", "num_subcarriers"):
             size = getattr(self, name)
-            # a bool is no size; a numpy integer is, stored as an int so
-            # that no size arithmetic wraps at its width
-            if (not isinstance(size, (int, np.integer))
-                    or isinstance(size, bool) or size < 1):
+            # stored as an int: no size arithmetic wraps at a numpy width
+            if not (_is_integer(size) and size >= 1):
                 raise DimensionMismatchError(
                     f"{name} must be an integer >= 1, got {size!r}")
             object.__setattr__(self, name, int(size))
-        if not 0.0 < self.alpha < 1.0:
+        if not (isinstance(self.alpha, numbers.Real) and 0 < self.alpha < 1):
             raise InvalidAlphaError(
-                f"alpha must lie in (0, 1), got {self.alpha}")
+                f"alpha must lie in (0, 1), got {self.alpha!r}")
 
     @property
     def budget_B(self) -> int:
@@ -131,7 +143,9 @@ class _ProbabilityVector:
                 f"{floor}")
         if abs(s - 1.0) > SUM_ACCEPT_TOL:
             raise NotNormalizedError(f"probabilities sum to {s}, expected 1")
-        object.__setattr__(self, "probs", _freeze(x / s))
+        probs = x / s
+        probs.setflags(write=False)
+        object.__setattr__(self, "probs", probs)
 
     @property
     def n(self) -> int:
@@ -262,13 +276,11 @@ def middle_window(horizon_T: int, budget_B: int) -> tuple[int, int]:
 def make_middle_block(config: SystemConfig, target: int) -> BlockingPlan:
     """Deterministic plan blocking one channel for the middle B live slots.
 
-    With B = 0 the plan is empty (all zeros), still a valid plan.
+    With B = 0 the plan is empty (all zeros), still a valid plan.  A target
+    that is not an integer in 0..channels-1 raises IndexOutOfRangeError.
     """
-    channels = config.num_channels
-    if not 0 <= target < channels:
-        raise IndexOutOfRangeError(
-            f"target {target} outside 0..{channels - 1}")
-    m = np.zeros((channels, config.horizon_T))
+    _check_target(target, config.num_channels)
+    m = np.zeros((config.num_channels, config.horizon_T))
     start, stop = middle_window(config.horizon_T - 1, config.budget_B)
     m[target, start:stop] = 1.0
     return BlockingPlan(m)

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientRunsError
 from .model import (
     BlockingPlan,
     SchedulingPolicy,
     SystemConfig,
+    _check_count,
     check_profile,
 )
 
@@ -220,9 +220,7 @@ def estimate_average_age(policy: SchedulingPolicy, subpolicy, plan: BlockingPlan
     run's integer ages bit for bit.  Aggregation uses exact compensated
     sums, so the estimate is independent of run order.
     """
-    if runs < 2:
-        raise InsufficientRunsError(
-            f"runs = {runs}; need >= 2 for a standard error")
+    _check_count("runs", runs, 2)  # a standard error needs two runs
     check_profile(policy, subpolicy, plan, config)
     horizon, n = config.horizon_T, policy.n
     channels = plan.block_prob.shape[0]

@@ -68,15 +68,17 @@ def test_unblocked_age_is_reciprocal():
         unblocked_user_age(0.0)
 
 
-@pytest.mark.parametrize("p", [0.0, -0.25, 1.5, 2.0, math.inf, math.nan])
+@pytest.mark.parametrize("p", [0.0, -0.25, 1.5, 2.0, math.inf, math.nan, "0.5",
+                               None])
 @pytest.mark.parametrize("call", [
     lambda p: unblocked_user_age(p),
     lambda p: blocked_user_age(p, 0.2, 1000),
 ], ids=["unblocked_user_age", "blocked_user_age"])
 def test_closed_forms_refuse_a_non_probability(call, p):
-    # 1/p would give an age below 1, an age of 0 or a NaN age
+    # 1/p would give an age below 1, an age of 0 or a NaN age; a string or
+    # None is named, never compared
     with pytest.raises(NonPositiveEntryError,
-                       match=re.escape(f" = {p} must lie in (0, 1]")):
+                       match=re.escape(f" = {p!r} must lie in (0, 1]")):
         call(p)
 
 
@@ -342,6 +344,13 @@ def test_diversity_age_many_subcarriers_approaches_unblocked():
 def test_diversity_age_requires_subcarriers():
     with pytest.raises(NoDiversityError):
         diversity_user_ages(uniform_policy(2), 0.5, 1)
+
+
+@pytest.mark.parametrize("n_sub", [2.5, 3.0, True, "3"])
+def test_diversity_age_counts_whole_subcarriers(n_sub):
+    with pytest.raises(NoDiversityError,
+                       match=re.escape(f"N_sub = {n_sub!r} must be an integer")):
+        diversity_user_ages(uniform_policy(2), 0.5, n_sub)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from aoijam import best_response, model
+from aoijam.age_asymptotic import reduced_payoff_for_split
 from aoijam.age_exact import expected_age_trajectory
 from aoijam.best_response import (
     AdversaryResponse,
+    _plan_reply,
     adversary_best_response,
     adversary_oracle,
     counter_block_policy,
@@ -28,8 +30,10 @@ from aoijam.errors import (
     InvalidAlphaError,
     NonPositiveEntryError,
 )
+from aoijam.equilibrium import stackelberg_equilibrium
 from aoijam.model import (
     SystemConfig,
+    make_middle_block,
     middle_window,
     uniform_policy,
     validate_policy,
@@ -96,10 +100,41 @@ def test_counter_block_permutes_the_validated_response(n, alpha):
             validate_policy(probs).probs.tobytes())
 
 
-@pytest.mark.parametrize("target", [-1, 3, 7])
+# a bool or a float is no user index: numpy would read True as a mask and
+# 0.5 as an error of its own
+@pytest.mark.parametrize("target", [-1, 3, 7, True, False, 0.5, 1.0, "1"])
 def test_counter_block_target_range_checked(target):
-    with pytest.raises(IndexOutOfRangeError, match=f"target {target} outside"):
-        counter_block_policy(_game(3, 0.3), target)
+    game = _game(3, 0.3)
+    for build in (counter_block_policy, make_middle_block,
+                  lambda config, t: stackelberg_equilibrium(config, target=t)):
+        with pytest.raises(IndexOutOfRangeError,
+                           match=f"target {target} outside"):
+            build(game, target)
+
+
+def test_numpy_integer_target_is_a_user_index():
+    game = _game(3, 0.3)
+    assert counter_block_policy(game, np.int64(1)) == (
+        counter_block_policy(game, 1))
+    assert make_middle_block(game, np.uint8(2)) == make_middle_block(game, 2)
+
+
+@pytest.mark.parametrize("n, horizon, alpha, target", [
+    (4, 100, 0.02, 0),  # B = 2: the two renderings once differed here
+    (4, 100, 0.02, 3), (3, 60, 0.2, 1), (5, 997, 0.15, 4), (1, 10, 0.3, 0),
+    (6, 10, 0.05, 2),  # B = 0
+])
+def test_counter_block_is_the_reply_to_its_middle_block(n, horizon, alpha,
+                                                        target):
+    # one base-station reply: the counter-block policy and the reply to a
+    # middle block's shares are one closed form, bit for bit
+    game = SystemConfig(horizon_T=horizon, num_users=n, alpha=alpha)
+    reply, payoff = _plan_reply(make_middle_block(game, target), game)
+    assert counter_block_policy(game, target).probs.tobytes() == (
+        reply.probs.tobytes())
+    shares = np.zeros(n)
+    shares[target] = game.blocked_share
+    assert payoff == reduced_payoff_for_split(reply, shares, horizon)
 
 
 def test_numeric_minimizer_uniform_weights():
@@ -214,10 +249,13 @@ def test_disagreeing_routes_raise(monkeypatch, solve):
 
 
 def test_numeric_minimizer_returns_the_closed_form_bit_for_bit():
+    # sqrt(w) over its math.fsum, then normalized twice
     rng = np.random.default_rng(718)
     for _ in range(50):
         w = rng.uniform(0.01, 100.0, size=rng.integers(1, 12))
-        expected = validate_policy(np.sqrt(w) / np.sqrt(w).sum())
+        root = np.sqrt(w)
+        expected = validate_policy(validate_policy(
+            root / math.fsum(root.tolist())).probs)
         assert numeric_simplex_minimizer(w).probs.tobytes() == (
             expected.probs.tobytes())
 

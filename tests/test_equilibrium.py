@@ -13,7 +13,7 @@ from aoijam.age_asymptotic import (
     follower_aware_payoff,
     reduced_payoff_for_split,
 )
-from aoijam.best_response import counter_block_policy
+from aoijam.best_response import adversary_best_response, counter_block_policy
 from aoijam.equilibrium import (
     ADV_DEVIATION_FAMILIES,
     IMPROVEMENT_TOL,
@@ -135,6 +135,56 @@ def test_zero_budget_nonuniform_still_fails_bs_side():
     assert report.witness.player == "base-station"
 
 
+def _search_every_target(policy, cfg, current):
+    """The per-target search the Nash check once ran: the middle block on
+    each user, lowest p first, and the first that raises the reduced payoff
+    above `current` by more than IMPROVEMENT_TOL, as (target, value)."""
+    for target in sorted(range(policy.n), key=lambda i: (policy.probs[i], i)):
+        value = _one_hot_payoff(policy, target, cfg.blocked_share,
+                                cfg.horizon_T)
+        if value > current + IMPROVEMENT_TOL:
+            return target, value
+    return None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_nash_check_adversary_side_is_the_adversary_reply(seed):
+    # random p, tied minima and B = 0 among them: the check's adversary
+    # witness is adversary_best_response's plan, payoff and target, and the
+    # search over every target finds the same deviation
+    rng = np.random.default_rng(900 + seed)
+    seen = {"adversary": 0, "tie": 0, "B=0": 0}
+    for _ in range(150):
+        n = int(rng.integers(1, 7))
+        cfg = _cfg(T=int(rng.choice([10, 40, 100, 999])), n=n,
+                   alpha=float(rng.uniform(0.01, 0.9)))
+        p = rng.dirichlet(np.ones(n))
+        if n > 1 and rng.random() < 0.4:
+            p[rng.choice(n, 2, replace=False)] = p.min()  # a tied minimum
+        policy = validate_policy(p / p.sum())
+        plan = (empty_plan(cfg) if rng.random() < 0.4
+                else make_middle_block(cfg, int(rng.integers(n))))
+        reply = adversary_best_response(policy, cfg)
+        report = is_nash_no_diversity(policy, plan, cfg)
+        found = _search_every_target(policy, cfg, report.payoff)
+        lowest = np.flatnonzero(policy.probs == policy.probs.min())
+        seen["tie"] += lowest.size > 1
+        seen["B=0"] += cfg.budget_B == 0
+        assert reply.target == lowest[0]
+        if reply.payoff > report.payoff + IMPROVEMENT_TOL:
+            seen["adversary"] += 1
+            w = report.witness
+            assert (w.player, w.strategy, w.payoff_after, w.description) == (
+                "adversary", reply.plan, reply.payoff,
+                f"middle-block user {reply.target}")
+            assert found == (reply.target, reply.payoff)
+        else:
+            assert found is None
+            assert report.witness is None or (
+                report.witness.player == "base-station")
+    assert min(seen.values()) > 0, seen
+
+
 def test_nash_check_rejects_diversity_and_infeasible_inputs():
     div_cfg = SystemConfig(horizon_T=100, num_users=2, alpha=0.5,
                            num_subcarriers=2)
@@ -191,6 +241,27 @@ def test_dynamics_minimal_and_invalid_iterations():
     assert len(best_response_dynamics(_cfg(1000, 2, 0.4), 2).trace) == 2
     with pytest.raises(ValueError):
         best_response_dynamics(_cfg(1000, 2, 0.4), 1)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, 3.0, True, "4"])
+def test_dynamics_iterations_must_be_an_integer(max_iter):
+    with pytest.raises(InsufficientRunsError,
+                       match="max_iter must be an integer >= 2, got"):
+        best_response_dynamics(_cfg(1000, 2, 0.4), max_iter)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_dynamics_compose_the_two_replies(n):
+    # every step is counter_block_policy against the previous target, then
+    # adversary_best_response against that policy, bit for bit
+    cfg = _cfg(1000, n, 0.3)
+    trace = best_response_dynamics(cfg, 6).trace
+    for previous, step in zip((None,) + trace, trace):
+        policy = (uniform_policy(n) if previous is None
+                  else counter_block_policy(cfg, previous.blocked_user))
+        reply = adversary_best_response(policy, cfg)
+        assert step.policy == policy
+        assert (step.blocked_user, step.payoff) == (reply.target, reply.payoff)
 
 
 def test_dynamics_payoffs_are_reduced_objective_values():
@@ -289,7 +360,7 @@ def test_stackelberg_names_the_first_beating_rival(monkeypatch):
         f"sampled policy {rivals[7]} gives the leader 0.5,")
 
 
-@pytest.mark.parametrize("samples", [0, -5])
+@pytest.mark.parametrize("samples", [0, -5, 2.5, True])
 def test_stackelberg_needs_a_rival(samples):
     with pytest.raises(InsufficientRunsError, match="certify_samples"):
         stackelberg_equilibrium(_cfg(200, 3, 0.3),
@@ -308,6 +379,8 @@ def test_follower_aware_payoff_targets_min_probability():
     (-0.1, 100, InvalidAlphaError, "alpha must lie in [0, 1), got -0.1"),
     (1.5, 0, InvalidAlphaError, "alpha must lie in [0, 1), got 1.5"),
     (0.4, 0, DimensionMismatchError, "T must be >= 1, got 0"),
+    ("0.4", 100, InvalidAlphaError, "alpha must lie in [0, 1), got '0.4'"),
+    (None, 100, InvalidAlphaError, "alpha must lie in [0, 1), got None"),
 ])
 def test_follower_aware_payoff_rejects_bad_alpha_then_horizon(alpha, T,
                                                               error, message):
@@ -527,13 +600,15 @@ def test_batched_bs_price_is_the_scalar_price_bit_for_bit(N, n_sub):
 
 
 @pytest.mark.parametrize("bs_samples, adv_samples", [
-    (0, 5), (-1, 5), (5, 0), (5, -1)])
+    (0, 5), (-1, 5), (5, 0), (5, -1), (2.5, 5), (True, 5), (5, 2.5),
+    (5, False), (5, "3")])
 def test_verify_needs_a_sample_on_each_side(bs_samples, adv_samples):
-    # no adversary sample would certify a plan that is no best response
+    # no adversary sample would certify a plan that is no best response;
+    # a count that is no integer is no count (each row spoils one side)
     cfg = SystemConfig(horizon_T=40, num_users=2, alpha=0.2,
                        num_subcarriers=2)
     p, q, _ = diversity_nash_point(cfg)
-    name = "bs_samples" if bs_samples < 1 else "adv_samples"
+    name = "adv_samples" if bs_samples == 5 else "bs_samples"
     with pytest.raises(InsufficientRunsError, match=name):
         verify_diversity_nash((p, q, empty_plan(cfg)), cfg, bs_samples,
                               adv_samples, seed=4)

@@ -10,6 +10,7 @@ from aoijam.equilibrium import best_response_dynamics
 from aoijam.errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
+    InvalidAlphaError,
     NoDiversityError,
     NonPositiveEntryError,
     NotNormalizedError,
@@ -58,10 +59,12 @@ def test_budget_survives_float_error(alpha, horizon, budget):
                         alpha=alpha).budget_B == budget
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, "0.5", None, math.nan])
 def test_alpha_outside_open_interval_rejected(alpha):
-    with pytest.raises(ValueError):
+    # a string or None is named, never compared
+    with pytest.raises(InvalidAlphaError) as caught:
         SystemConfig(horizon_T=10, num_users=2, alpha=alpha)
+    assert str(caught.value) == f"alpha must lie in (0, 1), got {alpha!r}"
 
 
 # the horizon cases of test_closed_forms_reject_horizon_below_one, and the

@@ -363,6 +363,15 @@ def test_estimate_requires_two_runs():
         estimate_average_age(pol, None, empty_plan(cfg), cfg, 1, 0)
 
 
+@pytest.mark.parametrize("runs", [2.5, 3.0, True, "4"])
+def test_estimate_runs_must_be_an_integer(runs):
+    cfg = SystemConfig(horizon_T=10, num_users=2, alpha=0.2)
+    with pytest.raises(InsufficientRunsError,
+                       match="runs must be an integer >= 2, got"):
+        estimate_average_age(validate_policy([0.5, 0.5]), None,
+                             empty_plan(cfg), cfg, runs, 0)
+
+
 def test_estimate_is_deterministic_in_master_seed():
     cfg = SystemConfig(horizon_T=60, num_users=2, alpha=0.3)
     pol = validate_policy([0.6, 0.4])
