@@ -420,7 +420,8 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-# a run of at least this many equal ages is written as numpy byte blocks;
+# a run of at least this many equal ages, or a ramp of at least this many
+# ages each exactly 1.0 above the last, is written as numpy byte blocks;
 # about where one block per run starts to beat str.join per slot
 SETTLED_RUN = 64
 
@@ -439,34 +440,72 @@ def _slot_digits(width, horizon):
     return table
 
 
-def _settled_blocks(user_text, age_text, a, b, slot_digits):
-    """The lines of slots a+1..b, all holding `age_text`, as one uint8
-    block per slot-digit width: the line template tiled, then the digit
-    columns copied from that width's `slot_digits(width)` table."""
+def _digits(slot_digits, lo, hi):
+    """The digits of lo..hi, integers of one width, one integer per row."""
+    first = 10 ** (len(str(lo)) - 1)
+    return slot_digits(len(str(lo)))[:, lo - first:hi - first + 1].T
+
+
+def _line_blocks(user_text, age_text, step, a, b, slot_digits):
+    """The lines of slots a+1..b as uint8 blocks: the line template tiled,
+    then the digit columns copied from the `slot_digits(width)` tables.
+
+    With step 0 every line holds `age_text`.  With step 1 that is slot
+    a+1's age and each later age is 1.0 more: its integer part (at most
+    the horizon, so the slot tables hold it) is copied in, its fraction
+    digits stay.  A block ends where the slot's or the age integer's digit
+    width changes.
+    """
     col = len(user_text) + 1
-    for width in range(len(str(a + 1)), len(str(b)) + 1):
-        first = 10 ** (width - 1)
-        lo, hi = max(a + 1, first), min(b, 10 * first - 1)
+    head = age_text[:age_text.index(".")] if step else ""
+    tail = age_text[len(head):]
+    lift = int(head) - a - 1 if step else 0  # slot s's age integer: s + lift
+    s = a + 1
+    while s <= b:
+        width, age_width = len(str(s)), 0
+        hi = min(b, 10 ** width - 1)
+        if step:
+            age_width = len(str(s + lift))
+            hi = min(hi, 10 ** age_width - 1 - lift)
         line = np.frombuffer(
-            f"{user_text},{'0' * width},{age_text}".encode(), dtype=np.uint8)
-        block = np.tile(line, hi - lo + 1).reshape(hi - lo + 1, line.size)
-        block[:, col:col + width] = slot_digits(width)[
-            :, lo - first:hi - first + 1].T
+            f"{user_text},{'0' * width},{'0' * age_width}{tail}".encode(),
+            dtype=np.uint8)
+        block = np.tile(line, hi - s + 1).reshape(hi - s + 1, line.size)
+        block[:, col:col + width] = _digits(slot_digits, s, hi)
+        if step:
+            at = col + width + 1
+            block[:, at:at + age_width] = _digits(
+                slot_digits, s + lift, hi + lift)
         yield block.data
+        s = hi + 1
 
 
 def write_trajectories_csv(path, series):
-    """One `user,slot,repr(age)` line per user-slot, one write per user.
+    """One `user,slot,repr(age)` line per user-slot, written user by user.
 
     The bytes are those csv.writer gives for these rows.  A row is cut
-    into runs of equal ages.  A run of at least SETTLED_RUN slots (ages
-    settle within a few hundred slots) is written as numpy byte blocks, one
-    per slot-digit width (_settled_blocks).  The shorter runs between them
-    (an s = 1 ramp, an unsettled prefix, every slot of a row at a small
-    delivery rate) are joined as str parts, with slot texts built once per
-    call for the slots they cover.  Each distinct age is repr'd once per
-    call; equal floats share a repr here because every age is >= 1, so 0.0
-    and -0.0 never meet.
+    into runs of equal ages.  Two kinds of stretch are written as numpy
+    byte blocks (_line_blocks): a run of at least SETTLED_RUN slots (ages
+    settle within a few hundred slots), and a ramp of at least SETTLED_RUN
+    one-slot runs, each age exactly 1.0 above the last (a surely blocked
+    window), all in one binade, at least 1 and at most the horizon.  The
+    rest (an unsettled prefix, a short ramp, every slot of a row at a small
+    delivery rate) is joined as str parts, with slot texts built once per
+    call for the slots it covers.  Each distinct age outside the ramps and
+    each ramp's first age is repr'd once per call; equal floats share a
+    repr here because every age is >= 1, so 0.0 and -0.0 never meet.
+
+    A ramp's later texts are computed: repr(x + k) is repr(x) with k added
+    to its integer part.  A horizon is far below 2**51, so in the binade of
+    an age at most the horizon the gap u between neighbouring floats is at
+    most 1/2 and x + k is exact.  The interval of reals that round to
+    x + k is then that of x moved by k, and k/u is even, so the significand
+    keeps its parity, which decides whether the interval's ends round to
+    it.  repr picks the shortest, then closest, decimal in that interval;
+    moving the interval by k moves that decimal by k and keeps its
+    fraction digits.  (A first age at the bottom of its binade has a
+    lopsided interval, but it is a power of two, so it and the ages after
+    it are integers, written as `<integer>.0`.)
     """
     ages = series.per_user
     n, horizon = ages.shape
@@ -474,16 +513,40 @@ def write_trajectories_csv(path, series):
     np.not_equal(ages[:, 1:], ages[:, :-1], out=change[:, 1:])
     starts = np.flatnonzero(change)  # runs, in (user, slot) order
     lengths = np.diff(starts, append=n * horizon)
-    values, which = np.unique(ages.ravel()[starts], return_inverse=True)
-    texts = np.array([f"{v!r}\n" for v in values.tolist()],
-                     dtype=object)[which]
+    values = ages.ravel()[starts]
+    # runs i and i + 1 are one-slot steps of one ramp
+    linked = ((lengths[:-1] == 1) & (lengths[1:] == 1)
+              & (starts[1:] % horizon != 0) & (np.diff(values) == 1.0)
+              & (values[:-1] >= 1.0) & (values[1:] <= horizon)
+              & (np.frexp(values[:-1])[1] == np.frexp(values[1:])[1]))
+    lo, hi = np.flatnonzero(np.diff(
+        linked, prepend=False, append=False)).reshape(-1, 2).T
+    long = hi - lo + 1 >= SETTLED_RUN
+    lo, hi = lo[long], hi[long] + 1  # ramp runs lo..hi-1
+    bounds = np.zeros(len(starts) + 1, dtype=np.intp)
+    bounds[lo] += 1
+    bounds[hi] -= 1
+    in_ramp = np.cumsum(bounds[:-1]) > 0
     settled = lengths >= SETTLED_RUN
-    row_runs = np.searchsorted(starts, np.arange(n + 1) * horizon)
+    need = ~in_ramp  # runs whose text is repr'd: all but the ramp steps
+    need[lo] = True
+    distinct, which = np.unique(values[need], return_inverse=True)
+    texts = np.empty(len(starts), dtype=object)
+    texts[need] = np.array([f"{v!r}\n" for v in distinct.tolist()],
+                           dtype=object)[which]
+    # each block's (first run, end run, step), in run order
     settled_runs = np.flatnonzero(settled)
-    row_settled = np.split(settled_runs,
-                           np.searchsorted(settled_runs, row_runs[1:-1]))
+    blocks = np.concatenate([
+        np.stack([settled_runs, settled_runs + 1,
+                  np.zeros_like(settled_runs)], axis=1),
+        np.stack([lo, hi, np.ones_like(lo)], axis=1)])
+    blocks = blocks[np.argsort(blocks[:, 0])]
+    row_runs = np.searchsorted(starts, np.arange(n + 1) * horizon)
+    row_blocks = np.split(blocks, np.searchsorted(blocks[:, 0],
+                                                  row_runs[1:-1]))
     parts = [""] * (3 * horizon)  # user, ",slot,", "age\n" for every slot
-    short = np.repeat(~settled, lengths).reshape(n, horizon).any(axis=0)
+    short = np.repeat(~(settled | in_ramp), lengths).reshape(
+        n, horizon).any(axis=0)
     edges = np.flatnonzero(np.diff(short, prepend=False, append=False))
     for a, b in edges.reshape(-1, 2).tolist():
         parts[3 * a + 1:3 * b:3] = [f",{t}," for t in range(a + 1, b + 1)]
@@ -494,22 +557,21 @@ def write_trajectories_csv(path, series):
         fh.write(b"user,slot,expected_age\n")
         for user, (k, stop) in enumerate(zip(row_runs[:-1].tolist(),
                                              row_runs[1:].tolist())):
-            base, user_text, chunks = user * horizon, str(user), []
-            # each settled run j after the short runs before it, then the
-            # short runs after the last one
-            for j in row_settled[user].tolist() + [stop]:
+            base, user_text = user * horizon, str(user)
+            # each block of runs j..e-1 after the short runs before it, then
+            # the short runs after the last one
+            for j, e, step in row_blocks[user].tolist() + [[stop, stop, 0]]:
                 if k < j:  # runs k..j-1 are short
                     a, b = starts[k] - base, starts[j] - base
                     parts[3 * a:3 * b:3] = [user_text] * (b - a)
                     parts[3 * a + 2:3 * b:3] = np.repeat(
                         texts[k:j], lengths[k:j]).tolist()
-                    chunks.append("".join(parts[3 * a:3 * b]).encode())
+                    fh.write("".join(parts[3 * a:3 * b]).encode())
                 if j < stop:
-                    chunks.extend(_settled_blocks(
-                        user_text, texts[j], starts[j] - base,
-                        starts[j + 1] - base, slot_digits))
-                k = j + 1
-            fh.write(b"".join(chunks))
+                    fh.writelines(_line_blocks(
+                        user_text, texts[j], step, starts[j] - base,
+                        starts[e] - base, slot_digits))
+                k = e
 
 
 def write_sim_csv(path, result):

@@ -410,6 +410,50 @@ def _middle_block_rows(users, horizon):
     return rows
 
 
+def _ramp(anchor, length):
+    """`length` ages from `anchor`, each the last plus 1.0, summed in
+    sequence as the exact recursion does."""
+    return np.cumsum(np.r_[anchor, np.ones(length - 1)])
+
+
+def _binade_crossing_rows():
+    # row 0 ramps from slot 1 past the horizon, so its last age is repr'd;
+    # row 1 ramps from slot 20 with slot and age widths changing apart.
+    # Both cross binades, where a +1.0 step rounds and the fraction changes
+    horizon = 10_050
+    return np.array([_ramp(4 / 3, horizon),
+                     np.r_[np.full(19, 1.0), _ramp(1.1, horizon - 19)]])
+
+
+def _ramp_length_rows():
+    # ramps inside [64, 128) of SETTLED_RUN lines and of one line fewer;
+    # rows 2 and 3 split one ramp of SETTLED_RUN ages between two users
+    edge = SETTLED_RUN
+    return np.array([
+        np.r_[1.0, _ramp(64.5, edge), 2.0, _ramp(64.5, edge - 1), 3.0],
+        np.r_[1.0, _ramp(64.5, edge - 1), 2.0, _ramp(64.5, edge), 3.0],
+        np.r_[np.full(90, 1.0), _ramp(64.5, 40)],
+        np.r_[_ramp(104.5, edge - 40), np.full(106, 1.0)]])
+
+
+def _near_integer_rows():
+    # anchors one float off an integer: row 0 from the float after 9.0,
+    # rows 1 and 2 from either side of 9000.0, through 9,999 -> 10,000
+    return np.array([_ramp(np.nextafter(9.0, 10.0), 12_000),
+                     np.r_[np.full(999, 1.0), _ramp(np.nextafter(
+                         9000.0, 10_000.0), 11_001)],
+                     np.r_[np.full(999, 1.0), _ramp(np.nextafter(
+                         9000.0, 0.0), 11_001)]])
+
+
+def _repr_fallback_rows():
+    # +1.0 steps near 2**53, inexact past it, with ages far above the
+    # horizon, and steps through negative ages: every line is repr'd
+    return np.array([_ramp(2.0**53 - 150.0, 300),
+                     2.0**53 - 150.5 + np.arange(300.0),
+                     _ramp(-200.5, 300)])
+
+
 @pytest.mark.parametrize("rows", [
     pytest.param(_distinct_rows, id="all-distinct"),
     pytest.param(_settling_rows, id="settles-to-constant"),
@@ -423,6 +467,13 @@ def _middle_block_rows(users, horizon):
     pytest.param(_middle_block_rows(50, 1000), id="N=50-all-distinct"),
     pytest.param(lambda: [_runs((1.0, 1), (2.0, 999))], id="T=1000"),
     pytest.param(lambda: np.full((2, 10_000), 1.0), id="T=10000"),
+    # at p = 1/2 the blocked user's ages run 3.0, 4.0, ... through the block
+    pytest.param(_middle_block_rows(2, 2000), id="integer-ramp"),
+    pytest.param(_binade_crossing_rows, id="ramp-crosses-binades-and-widths"),
+    pytest.param(_ramp_length_rows, id="ramps-of-SETTLED_RUN-and-one-less"),
+    pytest.param(lambda: [np.arange(1.0, 301.0)], id="ramp-from-slot-1"),
+    pytest.param(_near_integer_rows, id="near-integer-anchors"),
+    pytest.param(_repr_fallback_rows, id="near-2**53-and-negative"),
 ])
 def test_trajectory_writer_matches_csv_writer(rows, tmp_path):
     series = _series(rows())
@@ -430,3 +481,21 @@ def test_trajectory_writer_matches_csv_writer(rows, tmp_path):
     _csv_writer_reference(tmp_path / "ref.csv", series)
     assert (tmp_path / "new.csv").read_bytes() == (
         tmp_path / "ref.csv").read_bytes()
+
+
+def test_ramp_step_adds_to_the_integer_part_of_repr():
+    # the rule the ramp blocks rely on: in one binade below 2**51,
+    # repr(x + k) is repr(x) with k added to its integer part.  Anchors are
+    # the binade's first float, random floats, an integer and the floats
+    # either side of it; k runs to the binade's end, at most 2,000 steps
+    rng = np.random.default_rng(29)
+    for e in range(41):
+        low = 2.0**e
+        whole = np.floor(low * (1 + rng.random()))
+        anchors = np.r_[low, low * (1 + rng.random(2)), whole,
+                        np.nextafter(whole, 0.0), np.nextafter(whole, 2**52)]
+        for x in anchors[(anchors >= low) & (anchors < 2 * low)].tolist():
+            head, frac = repr(x).split(".")
+            steps = range(1, min(int(np.ceil(2 * low - x)), 2001))
+            assert [repr(x + k) for k in steps] == [
+                f"{int(head) + k}.{frac}" for k in steps], x
