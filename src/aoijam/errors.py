@@ -56,7 +56,8 @@ class CertificateError(AoijamError, RuntimeError):
 
 class InsufficientRunsError(AoijamError, ValueError):
     """A run, sample or iteration count is not an integer at or above its
-    minimum (2 runs for a standard error, 2 rounds of dynamics)."""
+    minimum (2 runs for a standard error, 2 rounds of dynamics), or a Monte
+    Carlo seed is not an integer."""
 
 
 class InstanceTooLargeError(AoijamError, ValueError):

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InsufficientRunsError
 from .model import (
     BlockingPlan,
     SchedulingPolicy,
     SystemConfig,
     _check_count,
+    _is_integer,
     check_profile,
 )
 
@@ -71,7 +73,10 @@ def _draw_words(master_seed: int, stream: int, first_run: int,
     first_slot + r + 1).  `slot_words[r]` must hold r·gamma mod 2**64: a
     counter's gamma multiple plus the seed offset splits into that row term
     and a column term, so the words cost one add and the finaliser's
-    rounds."""
+    rounds.  Each word depends only on its own counter, so `out` may be any
+    contiguous run of a block's rows: estimate_average_age draws stream 0
+    on every row of a chunk and streams 1 and 2 only on the rows inside the
+    plan's window, with first_slot the window's first slot in the chunk."""
     rows, cols = out.shape
     column = np.arange(first_run, first_run + cols, dtype=np.uint64)
     column *= np.uint64(3)
@@ -191,17 +196,24 @@ def estimate_average_age(policy: SchedulingPolicy, subpolicy, plan: BlockingPlan
                          master_seed: int) -> SimResult:
     """Average the system age over `runs` independent runs.
 
-    Pass subpolicy=None for the no-diversity model.  Run k draws u(k, s, t)
-    = (mix_seed(master_seed, (3k + s)T + t - 1) >> 11)·2**-53 on stream 0
-    to schedule a user, on stream 1 to pick the sub-carrier and, only when
+    Pass subpolicy=None for the no-diversity model.  `master_seed` is an
+    int or a numpy integer, taken mod 2**64 and stored as an int; a bool,
+    float or str raises InsufficientRunsError.  Run k draws u(k, s, t) =
+    (mix_seed(master_seed, (3k + s)T + t - 1) >> 11)·2**-53 on stream 0 to
+    schedule a user, on stream 1 to pick the sub-carrier and, only when
     some plan entry lies strictly between 0 and 1, on stream 2 to pick the
     blocked channel, so the adversary's draws never depend on the realized
-    schedule.  Blocks are min(T, BLOCK_CELLS) slots by min(runs,
+    schedule.  Streams 1 and 2 are drawn only on the slots of the plan's
+    window, the hull [a, b) of its nonzero columns (empty for an empty
+    plan): outside it nothing is blocked, every word there would be
+    discarded, and a counter's word does not depend on which others are
+    drawn.  Blocks are min(T, BLOCK_CELLS) slots by min(runs,
     max(1, BLOCK_CELLS // T)) runs, each slot-major: one row per slot and
     one column per run, so every per-slot step is one vectorised row
-    operation across the block's runs.  Every buffer is allocated once per
-    call.  A run longer than BLOCK_CELLS slots is walked in slot chunks,
-    each user carrying its last delivery slot from one chunk into the next.
+    operation across the block's runs, and the window is a contiguous run
+    of rows.  Every buffer is allocated once per call.  A run longer than
+    BLOCK_CELLS slots is walked in slot chunks, each user carrying its last
+    delivery slot from one chunk into the next.
 
     The uniforms are never formed: a block's raw words are drawn in place
     (see _draw_words) and compared with integer thresholds, which decide
@@ -209,18 +221,25 @@ def estimate_average_age(policy: SchedulingPolicy, subpolicy, plan: BlockingPlan
     the sub-carrier, the blocked channel, -1 for "delivered to nobody") are
     int8 codes while max(N, channels) <= 127, then int16 and int32.  Slot
     stamps are int16 while T < 2**15, then int32 while T < 2**31, then
-    int64.  Each user's last delivery slot is its code mask times the slot
-    stamps, then a running maximum down the slots by doubling (see
-    _running_max).
+    int64, held in a block-shaped buffer that is refilled only when the
+    chunk or the group width changes.  Each user's last delivery slot is
+    its code mask times the stamps, then a running maximum down the slots
+    by doubling (see _running_max).
 
     A user's time-average age in a run is its exact integer age sum divided
     by T: with last(t) the latest delivery slot up to t (0 if none), the sum
-    is T(T+1)/2 - sum(last(1..T-1)), summed in int64.  While T(T+1)/2 < 2**53
-    every partial sum is an exact float, so this equals the mean of the
-    run's integer ages bit for bit.  Aggregation uses exact compensated
-    sums, so the estimate is independent of run order.
+    is T(T+1)/2 - sum(last(1..T-1)).  A chunk of S slots adds at most S·T,
+    so its sum is taken in int32 while S·T < 2**31 and in int64 beyond; the
+    running total is int64.  While T(T+1)/2 < 2**53 every partial sum is an
+    exact float, so this equals the mean of the run's integer ages bit for
+    bit.  Aggregation uses exact compensated sums, so the estimate is
+    independent of run order.
     """
     _check_count("runs", runs, 2)  # a standard error needs two runs
+    if not _is_integer(master_seed):
+        raise InsufficientRunsError(
+            f"master_seed must be an integer, got {master_seed!r}")
+    master_seed = int(master_seed)
     check_profile(policy, subpolicy, plan, config)
     horizon, n = config.horizon_T, policy.n
     channels = plan.block_prob.shape[0]
@@ -229,6 +248,11 @@ def estimate_average_age(policy: SchedulingPolicy, subpolicy, plan: BlockingPlan
     sched = _scalar_thresholds(np.cumsum(policy.probs))
     if subpolicy is not None:
         sub = _scalar_thresholds(np.cumsum(subpolicy.probs))
+    # the plan's window: the hull of its nonzero columns, empty for no plan
+    blocking = plan.block_prob.any(axis=0)
+    support = np.flatnonzero(blocking)
+    win_start, win_stop = ((int(support[0]), int(support[-1]) + 1)
+                           if len(support) else (0, 0))
     randomized = not plan.is_deterministic
     if randomized:
         # one (T, 1) threshold column per channel, broadcast across the
@@ -239,17 +263,17 @@ def estimate_average_age(policy: SchedulingPolicy, subpolicy, plan: BlockingPlan
         adv_always = adv_always.astype(code_type)
     else:
         # a 0/1 column blocks the channel holding its 1, an empty one none
-        m = plan.block_prob
-        blocked = np.where(m.any(axis=0), m.argmax(axis=0), -1).astype(
-            code_type)[:, None]
-    stamps = np.arange(1, horizon + 1, dtype=slot_type)[:, None]
+        blocked = np.where(blocking, plan.block_prob.argmax(axis=0),
+                           -1).astype(code_type)[:, None]
     full_sum = horizon * (horizon + 1) // 2
 
     chunk = min(horizon, BLOCK_CELLS)
     group = min(runs, max(1, BLOCK_CELLS // horizon))
+    sum_type = _narrowest((np.int32, np.int64), chunk * horizon)
     slot_words = np.arange(chunk, dtype=np.uint64) * np.uint64(_SPLITMIX_GAMMA)
     dtypes = {"words": np.uint64, "scratch": np.uint64, "hit": bool,
-              "codes": code_type, "last": slot_type, "spare": slot_type}
+              "codes": code_type, "stamps": slot_type, "last": slot_type,
+              "spare": slot_type}
     if subpolicy is not None:
         dtypes["channel"] = code_type
     if randomized:
@@ -258,59 +282,73 @@ def estimate_average_age(policy: SchedulingPolicy, subpolicy, plan: BlockingPlan
                for name, dtype in dtypes.items()}
 
     per_run_user = np.empty((runs, n))
+    stamped = None  # the (first slot, runs) the stamp buffer holds
     for start in range(0, runs, group):
         cols = min(group, runs - start)
         carry = np.zeros((n, cols), dtype=slot_type)
         sums = np.zeros((n, cols), dtype=np.int64)
         for first in range(0, horizon, chunk):
             stop = min(first + chunk, horizon)
-            b = {name: buf[:(stop - first) * cols].reshape(stop - first, cols)
+            rows = stop - first
+            b = {name: buf[:rows * cols].reshape(rows, cols)
                  for name, buf in buffers.items()}
             w, h, codes = b["words"], b["hit"], b["codes"]
 
-            def draw(stream):
-                _draw_words(master_seed, stream, start, first, horizon,
-                            slot_words, w, b["scratch"])
+            def draw(stream, lo, hi):
+                _draw_words(master_seed, stream, start, first + lo, horizon,
+                            slot_words, w[lo:hi], b["scratch"][lo:hi])
 
-            draw(0)
+            draw(0, 0, rows)
             _categories(w, *sched, codes, h)
-            channel = codes
-            if subpolicy is not None:
-                draw(1)
-                channel = b["channel"]
-                _categories(w, *sub, channel, h)
-            if randomized:
-                draw(2)
-                adv = b["blocked"]
-                _categories(w, adv_always[first:stop],
-                            adv_above[:-1, first:stop], adv, h)
-                np.greater(w, adv_above[-1, first:stop], out=h)
-                _set_none(adv, h)
-            else:
-                adv = blocked[first:stop]
-            # the user whose update got through, -1 where it was blocked;
-            # a word above a sum that rounds below 1 (code N) matches no user
-            np.equal(channel, adv, out=h)
-            _set_none(codes, h)
+            # the chunk's rows inside the window; outside it adv is -1, so
+            # the codes there are final after stream 0
+            lo = min(max(win_start - first, 0), rows)
+            hi = max(min(win_stop - first, rows), lo)
+            if lo < hi:
+                win, slots = slice(lo, hi), slice(first + lo, first + hi)
+                wr, hr = w[win], h[win]
+                channel = codes[win]
+                if subpolicy is not None:
+                    draw(1, lo, hi)
+                    channel = b["channel"][win]
+                    _categories(wr, *sub, channel, hr)
+                if randomized:
+                    draw(2, lo, hi)
+                    adv = b["blocked"][win]
+                    _categories(wr, adv_always[slots], adv_above[:-1, slots],
+                                adv, hr)
+                    np.greater(wr, adv_above[-1, slots], out=hr)
+                    _set_none(adv, hr)
+                else:
+                    adv = blocked[slots]
+                # the user whose update got through, -1 where it was
+                # blocked; a word above a sum that rounds below 1 (code N)
+                # matches no user
+                np.equal(channel, adv, out=hr)
+                _set_none(codes[win], hr)
+            if stamped != (first, cols):
+                stamped = (first, cols)
+                b["stamps"][...] = np.arange(first + 1, stop + 1,
+                                             dtype=slot_type)[:, None]
             # slot T's stamp never enters the age sum
-            live = stop - first - (stop == horizon)
+            live = rows - (stop == horizon)
             for i in range(n):
                 last = b["last"]
                 np.equal(codes, i, out=h)
-                np.multiply(h, stamps[first:stop], out=last)
+                np.multiply(h, b["stamps"], out=last)
                 np.maximum(last[0], carry[i], out=last[0])
                 last = _running_max(last, b["spare"])
-                sums[i] += last[:live].sum(axis=0, dtype=np.int64)
+                sums[i] += last[:live].sum(axis=0, dtype=sum_type)
                 carry[i] = last[-1]
         per_run_user[start:start + cols] = (full_sum - sums.T) / horizon
 
     per_user_mean = np.array(
-        [math.fsum(per_run_user[:, i]) / runs for i in range(policy.n)])
+        [math.fsum(per_run_user[:, i].tolist()) / runs for i in range(n)])
     per_user_mean.setflags(write=False)
     system_per_run = per_run_user.mean(axis=1)
-    mean_system = math.fsum(system_per_run) / runs
+    mean_system = math.fsum(system_per_run.tolist()) / runs
     centered = system_per_run - mean_system
-    sample_var = math.fsum(centered * centered) / (runs - 1)
+    sample_var = math.fsum((centered * centered).tolist()) / (runs - 1)
     return SimResult(
         mean_system_age=mean_system,
         per_user_mean=per_user_mean,

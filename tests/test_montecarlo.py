@@ -275,32 +275,67 @@ def test_randomized_plan_uses_adversary_stream():
     assert a.mean_system_age > 1.0
 
 
+def _spy_draws(monkeypatch):
+    """Record (stream, first run, first slot, slots) of every stream draw
+    in the returned list."""
+    real, draws = montecarlo._draw_words, []
+
+    def spy(master_seed, stream, first_run, first_slot, horizon, slot_words,
+            out, scratch):
+        draws.append((stream, first_run, first_slot, len(out)))
+        return real(master_seed, stream, first_run, first_slot, horizon,
+                    slot_words, out, scratch)
+
+    monkeypatch.setattr(montecarlo, "_draw_words", spy)
+    return draws
+
+
 def test_zero_one_plan_draws_no_adversary_stream(monkeypatch):
     # the entries decide: a 0/1 plan blocks without drawing, one fractional
-    # entry brings in the adversary's stream
+    # entry brings in the adversary's stream; streams 1 and 2 are drawn
+    # only on the window, the hull of the plan's nonzero columns
     cfg = SystemConfig(horizon_T=12, num_users=2, alpha=0.35,
                        num_subcarriers=2)  # B = 4
     pol, q = validate_policy([0.4, 0.6]), uniform_subcarrier_policy(2)
-    real, streams = montecarlo._draw_words, []
+    draws = _spy_draws(monkeypatch)
 
-    def spy(master_seed, stream, *args):
-        streams.append(stream)
-        return real(master_seed, stream, *args)
+    def drawn(*profile):
+        """(stream, first slot, end slot) of each draw of a 2-run call."""
+        draws.clear()
+        estimate_average_age(*profile, 2, 5)
+        return [(s, first, first + slots) for s, _, first, slots in draws]
 
-    monkeypatch.setattr(montecarlo, "_draw_words", spy)
     m = np.zeros((2, 12))
     m[0, 4:7] = 1.0
-    estimate_average_age(pol, q, BlockingPlan(m), cfg, 2, 5)
-    assert streams == [0, 1]
-    streams.clear()
-    m[1, 8] = 0.5
-    estimate_average_age(pol, q, BlockingPlan(m), cfg, 2, 5)
-    assert streams == [0, 1, 2]
+    assert drawn(pol, q, BlockingPlan(m), cfg) == [(0, 0, 12), (1, 4, 7)]
+    m[1, 8] = 0.5  # the hull now takes in the clear slot 8
+    assert drawn(pol, q, BlockingPlan(m), cfg) == [
+        (0, 0, 12), (1, 4, 9), (2, 4, 9)]
+    start, stop = middle_window(12, cfg.budget_B)
+    assert stop - start == cfg.budget_B
+    assert drawn(pol, q, make_uniform_subcarrier_block(cfg), cfg) == [
+        (0, 0, 12), (1, start, stop), (2, start, stop)]
+    assert drawn(pol, q, empty_plan(cfg), cfg) == [(0, 0, 12)]
     # without diversity the scheduled user's channel is its own
-    streams.clear()
     cfg = SystemConfig(horizon_T=12, num_users=2, alpha=0.35)
-    estimate_average_age(pol, None, make_middle_block(cfg, 0), cfg, 2, 5)
-    assert streams == [0]
+    assert drawn(pol, None, make_middle_block(cfg, 0), cfg) == [(0, 0, 12)]
+
+
+def test_window_streams_follow_the_slot_chunks(monkeypatch):
+    # chunks of 8 slots at T = 20: the middle window [7, 13) is drawn as
+    # its part in each chunk, and the last chunk, past it, draws stream 0
+    monkeypatch.setattr(montecarlo, "BLOCK_CELLS", 8)
+    cfg = SystemConfig(horizon_T=20, num_users=2, alpha=0.3,
+                       num_subcarriers=2)  # B = 6
+    assert middle_window(20, cfg.budget_B) == (7, 13)
+    draws = _spy_draws(monkeypatch)
+    estimate_average_age(validate_policy([0.4, 0.6]),
+                         uniform_subcarrier_policy(2),
+                         make_uniform_subcarrier_block(cfg), cfg, 2, 5)
+    per_run = [(0, 0, 8), (1, 7, 1), (2, 7, 1), (0, 8, 8), (1, 8, 5),
+               (2, 8, 5), (0, 16, 4)]
+    assert draws == [(s, k, first, rows) for k in (0, 1)
+                     for s, first, rows in per_run]
 
 
 @pytest.mark.parametrize("randomized", [False, True], ids=["zero-one",
@@ -370,6 +405,40 @@ def test_estimate_runs_must_be_an_integer(runs):
                        match="runs must be an integer >= 2, got"):
         estimate_average_age(validate_policy([0.5, 0.5]), None,
                              empty_plan(cfg), cfg, runs, 0)
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.int8(7)])
+def test_numpy_integer_seed_is_the_int_seed(seed):
+    cfg = SystemConfig(horizon_T=60, num_users=3, alpha=0.3,
+                       num_subcarriers=3)
+    profile = (validate_policy([0.5, 0.3, 0.2]),
+               uniform_subcarrier_policy(3),
+               make_uniform_subcarrier_block(cfg), cfg, 5)
+    a = estimate_average_age(*profile, 7)
+    b = estimate_average_age(*profile, seed)
+    assert repr(a.mean_system_age) == repr(b.mean_system_age)
+    assert repr(a.std_error) == repr(b.std_error)
+    assert a.per_user_mean.tobytes() == b.per_user_mean.tobytes()
+    assert type(b.seed) is int and b.seed == 7
+
+
+def test_numpy_seed_past_int64_matches_the_int_seed():
+    cfg = SystemConfig(horizon_T=30, num_users=2, alpha=0.3)
+    profile = (validate_policy([0.6, 0.4]), None, make_middle_block(cfg, 1),
+               cfg, 3)
+    a = estimate_average_age(*profile, 2**64 - 1)
+    b = estimate_average_age(*profile, np.uint64(2**64 - 1))
+    assert a.per_user_mean.tobytes() == b.per_user_mean.tobytes()
+    assert b.seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("seed", [True, False, 7.0, np.float64(7.0), "7"])
+def test_estimate_seed_must_be_an_integer(seed):
+    cfg = SystemConfig(horizon_T=10, num_users=2, alpha=0.2)
+    with pytest.raises(InsufficientRunsError,
+                       match="master_seed must be an integer, got"):
+        estimate_average_age(validate_policy([0.5, 0.5]), None,
+                             empty_plan(cfg), cfg, 2, seed)
 
 
 def test_estimate_is_deterministic_in_master_seed():
@@ -503,8 +572,25 @@ def _lock_scenario(plan_kind, horizon):
     past the int8 codes; past 255 an int8 count would wrap onto the codes
     of other channels.  randomized (fractional entries, no diversity) and
     diversity-zero-one (a 0/1 sub-carrier block) take the paths on which
-    blocking decides per draw, not per user."""
+    blocking decides per draw, not per user.  scattered (a randomized
+    diversity plan with mass at slot 1, one middle slot and the last two
+    slots) has clear slots inside its window, and late-window (a 0/1 plan
+    whose support lies wholly in the second small-block chunk) leaves the
+    first chunk without a window."""
     pol = validate_policy(_LOCK_PROBS)
+    if plan_kind == "scattered":
+        cfg = SystemConfig(horizon, 3, 0.3, num_subcarriers=3)
+        m = np.zeros((3, horizon))
+        m[0, 0] = 0.5
+        m[1:, horizon // 2] = 0.25, 0.5
+        m[:, -2:] = 0.25
+        return (pol, validate_subcarrier_policy([0.5, 0.25, 0.25]),
+                BlockingPlan(m), cfg)
+    if plan_kind == "late-window":
+        cfg = SystemConfig(horizon, 3, 0.3)
+        m = np.zeros((3, horizon))
+        m[2, _SMALL_BLOCK + 5:_SMALL_BLOCK + 105] = 1.0
+        return pol, None, BlockingPlan(m), cfg
     if plan_kind in ("randomized", "diversity-zero-one"):
         nsub = 3 if plan_kind == "diversity-zero-one" else 1
         cfg = SystemConfig(horizon, 3, 0.3, num_subcarriers=nsub)
@@ -563,10 +649,19 @@ _LOCK_CELLS = [(kind, horizon, runs, _LOCK_BLOCK)
     ("middle", 2**15 + 1, 2, _LOCK_BLOCK),
 ] + [(kind, horizon, runs, _SMALL_BLOCK)
      for kind in ("empty", "middle", "diversity", "wide-users", "randomized",
-                  "diversity-zero-one")
+                  "diversity-zero-one", "scattered")
      for horizon, runs in _SMALL_SIZES] + [
+    # the plan's window starts in the second chunk and ends in it
+    ("late-window", 2 * _SMALL_BLOCK, 2, _SMALL_BLOCK),
+    ("late-window", 2 * _SMALL_BLOCK + 276, 3, _SMALL_BLOCK),
     # two chunks at the real block size
     ("middle", BLOCK_CELLS + 1, 3, BLOCK_CELLS),
+    # one chunk of S = T slots adds at most S·T to a user's age sum: int32
+    # while S·T < 2**31 (T = 46,340), int64 past it (T = 46,341)
+    ("middle", 46_340, 2, BLOCK_CELLS),
+    ("middle", 46_341, 2, BLOCK_CELLS),
+    # the second chunk's sums pass 2**31, where int32 would wrap
+    ("empty", 100_000, 2, BLOCK_CELLS),
 ]
 
 
