@@ -44,10 +44,10 @@ print(f"  exact time-average      {jammed.per_user_avg[0]:9.4f}")
 print(f"  closed-form prediction  {predicted:9.4f}")
 print(f"  relative error          {abs(jammed.per_user_avg[0] - predicted) / predicted:9.2e}")
 
-# The system average is the reduced payoff, the users' closed-form ages
-# summed, over N.
+# The closed-form system average prices the plan by each user's share of
+# the horizon: here alpha on user 0 and nothing on user 1.
 system_predicted = reduced_payoff_for_split(
-    policy, [config.alpha, 0.0], config.horizon_T) / config.num_users
+    policy, [config.alpha, 0.0], config.horizon_T)
 print(f"\nsystem average: exact {jammed.system_avg:.4f}, "
       f"closed form {system_predicted:.4f}")
 

@@ -29,7 +29,8 @@ print("uniform policy + jam user 0:")
 print(f"  equilibrium? {report.holds}")
 w = report.witness
 print(f"  deviation found for the {w.player}: {w.description}")
-print(f"  payoff moves {w.payoff_before:.4f} -> {w.payoff_after:.4f}\n")
+print(f"  system age moves {w.payoff_before:.4f} -> "
+      f"{w.payoff_after:.4f}\n")
 
 # Candidate 2: the base station plays its best reply to that jamming plan.
 # Now the *other* user is weaker, so the jammer re-aims. Not an
@@ -48,7 +49,7 @@ dyn = best_response_dynamics(config, max_iter=10)
 for step in dyn.trace:
     probs = np.round(step.policy.probs, 4)
     print(f"  round {step.iteration:2d}: facing {probs}, jammer aims at "
-          f"user {step.blocked_user}, payoff {step.payoff:.4f}")
+          f"user {step.blocked_user}, system age {step.payoff:.4f}")
 print(f"\nfixed point reached: {dyn.holds} -- the target flips every round, "
       "so no profile is stable")
 

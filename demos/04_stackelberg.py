@@ -28,21 +28,21 @@ SHARE = config.blocked_share
 leader, plan, payoff = stackelberg_equilibrium(config)
 print(f"N={N}, alpha={ALPHA}, T={T}, B={config.budget_B}")
 print(f"leader commitment: {np.round(leader.probs, 6)}")
-print(f"guaranteed payoff (jammer replies optimally): {payoff:.4f}")
+print(f"guaranteed system age (jammer replies optimally): {payoff:.4f}")
 # at the uniform commitment every target ties: jamming the last user for
 # B slots is worth as much as jamming the first
 last = reduced_payoff_for_split(leader, SHARE * np.eye(N)[N - 1], T)
-print(f"same payoff with user {N - 1} jammed instead: {last:.4f}\n")
+print(f"same system age with user {N - 1} jammed instead: {last:.4f}\n")
 
-# The follower-aware payoff prices a policy by the jammer's best reply to
-# it. Tilting the schedule always costs the leader.
+# The follower-aware payoff prices a policy by the system age under the
+# jammer's best reply to it. Tilting the schedule always costs the leader.
 rivals = {
     "uniform": uniform_policy(N),
     "mild tilt": validate_policy([0.4, 0.35, 0.25]),
     "strong tilt": validate_policy([0.6, 0.25, 0.15]),
     "one favourite": validate_policy([0.8, 0.1, 0.1]),
 }
-print(f"{'policy':>14} {'worst-case payoff':>18}")
+print(f"{'policy':>14} {'worst-case age':>18}")
 for name, rival in rivals.items():
     value = follower_aware_payoff(rival, SHARE, T)
     marker = "  <- leader" if name == "uniform" else ""

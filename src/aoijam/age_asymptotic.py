@@ -3,16 +3,16 @@
 These formulas assume the horizon dwarfs every user's renewal time
 (T >> 1/p_i).  An unblocked user's time-average age tends to 1/p_i; a user
 blocked for a consecutive a*T-slot window ages (1+a)/p_i - a + a(1+a*T)/2,
-which grows linearly in T.  The reduced payoff, what both players optimize,
-is the sum of those ages over the users: N times the large-horizon system
-age.  _reduced_payoff is its one scalar body and _follower_aware_payoffs
-its array form; every no-diversity closed form here is one of the two.
-blocked_user_age, the one function that returns an age in T, emits
-AsymptoticValidityWarning when T * p < 100, the point where the 1/p
-approximation drifts past roughly 1%.  The game payoffs do not warn: the
-players only compare them.  A game function prices with its config's
-blocked_share, B/T, in place of alpha; it calls the unchecked private
-forms, since that share is 1.0 when B = T.
+which grows linearly in T.  _reduced_payoff, the one scalar body of every
+no-diversity closed form here, sums those ages over the users, and
+_follower_aware_payoffs is its array form.  Every game payoff is that sum
+over N, the large-horizon system age both players optimize; no other
+module divides by N.  blocked_user_age, the one function that returns an
+age in T, emits AsymptoticValidityWarning when T * p < 100, the point
+where the 1/p approximation drifts past roughly 1%.  The game payoffs do
+not warn: the players only compare them.  A game function prices with its
+config's blocked_share, B/T, in place of alpha; it calls the unchecked
+private forms, since that share is 1.0 when B = T.
 """
 
 import math
@@ -57,8 +57,8 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _check_horizon(T: int) -> None:
-    if not T >= 1:
-        raise DimensionMismatchError(f"T must be >= 1, got {T}")
+    if not (_is_integer(T) and T >= 1):
+        raise DimensionMismatchError(f"T must be an integer >= 1, got {T!r}")
 
 
 # ===========================================================================
@@ -77,9 +77,10 @@ def blocked_user_age(p_1: float, alpha: float, T: int) -> float:
 
     (1+alpha)/p_1 - alpha + alpha(1+alpha*T)/2: the renewal cost inflated
     by the lost fraction, plus the linear ramp accumulated inside the
-    blocked window.  It is the reduced payoff of a one-user system, and at
+    blocked window.  It is the system age of a one-user system, and at
     alpha=0 it is 1/p_1.  Raises NonPositiveEntryError for p_1 outside
-    (0, 1], then InvalidAlphaError, then DimensionMismatchError for T < 1.
+    (0, 1], then InvalidAlphaError, then DimensionMismatchError unless T is
+    an integer >= 1.
     """
     _check_probability("p_1", p_1)
     _check_alpha(alpha)
@@ -89,14 +90,14 @@ def blocked_user_age(p_1: float, alpha: float, T: int) -> float:
 
 
 # ===========================================================================
-#  Reduced payoff (N times the large-horizon system age; what both players
-#  optimize)
+#  Game payoffs (the large-horizon system age; what both players optimize)
 # ===========================================================================
 
 
 def _reduced_payoff(p: list, shares: list, T: int) -> float:
-    """fsum of three fsums: 1/p_j over users with share 0, then
-    (1+a_j)/p_j - a_j and a_j(1+a_j*T)/2 over users with share a_j > 0."""
+    """The users' ages summed, N times the system age: fsum of three fsums,
+    1/p_j over users with share 0, then (1+a_j)/p_j - a_j and
+    a_j(1+a_j*T)/2 over users with share a_j > 0."""
     unblocked = math.fsum(1.0 / p_j for p_j, a in zip(p, shares) if a == 0.0)
     hit = [(p_j, a) for p_j, a in zip(p, shares) if a > 0.0]
     blocked = math.fsum((1 + a) / p_j - a for p_j, a in hit)
@@ -106,22 +107,23 @@ def _reduced_payoff(p: list, shares: list, T: int) -> float:
 
 def _follower_aware_payoffs(probs: np.ndarray, alpha: float,
                             T: int) -> np.ndarray:
-    """The worst single middle-blocked target's reduced payoff for every
-    row of a (samples, N) matrix of scheduling policies, in one array
-    expression: with share alpha on user b it is (sum_j 1/p_j - 1/p_b) +
-    ((1+alpha)/p_b - alpha) + alpha(1+alpha*T)/2, maximized over b."""
+    """The worst single middle-blocked target's system age for every row of
+    a (samples, N) matrix of scheduling policies, in one array expression:
+    with share alpha on user b the ages sum to (sum_j 1/p_j - 1/p_b) +
+    ((1+alpha)/p_b - alpha) + alpha(1+alpha*T)/2; the largest, over N."""
     inverse = 1.0 / probs
     unblocked = inverse.sum(axis=1, keepdims=True) - inverse
     blocked = (1 + alpha) / probs - alpha
-    return (unblocked + blocked + alpha * (1 + alpha * T) / 2).max(axis=1)
+    return ((unblocked + blocked + alpha * (1 + alpha * T) / 2).max(axis=1)
+            / probs.shape[1])
 
 
 def follower_aware_payoff(policy: SchedulingPolicy, alpha: float,
                           T: int) -> float:
     """Leader's payoff when the adversary best-responds: the worst single
-    middle-blocked target's reduced payoff, the one-row case of
+    middle-blocked target's system age, the one-row case of
     _follower_aware_payoffs.  Raises InvalidAlphaError for alpha outside
-    [0, 1), then DimensionMismatchError for T < 1."""
+    [0, 1), then DimensionMismatchError unless T is an integer >= 1."""
     _check_alpha(alpha)
     _check_horizon(T)
     return float(_follower_aware_payoffs(policy.probs[None], alpha, T)[0])
@@ -129,35 +131,35 @@ def follower_aware_payoff(policy: SchedulingPolicy, alpha: float,
 
 def reduced_payoff_for_split(policy: SchedulingPolicy, shares,
                              T: int) -> float:
-    """Reduced payoff when user i is blocked for shares[i]*T consecutive slots.
+    """A plan priced by its per-user shares: the large-horizon system age
+    when user i is blocked for shares[i]*T consecutive slots.
 
-    sum_i 1/p_i + sum_i (a_i/p_i - a_i + a_i(1+a_i*T)/2) with a = shares,
-    a 1-D array of N finite entries >= 0 (DimensionMismatchError for any
-    other shape, InvalidAlphaError for a negative or non-finite entry).
-    Convex in the shares, so a budget is best spent at a vertex:
-    concentrated on argmax_i 1/p_i.  All-zero shares give the no-adversary
-    payoff sum_i 1/p_i; one-hot shares give the single middle-blocked
-    target's payoff, N times the large-horizon system age.
+    (sum_i 1/p_i + sum_i (a_i/p_i - a_i + a_i(1+a_i*T)/2)) / N with
+    a = shares, a 1-D array of N entries in [0, 1] (DimensionMismatchError
+    for any other shape, InvalidAlphaError naming the first entry outside;
+    a share of 1 blocks every slot).  Convex in the shares, so a budget is
+    best spent at a vertex: concentrated on argmax_i 1/p_i.  All-zero
+    shares give the no-adversary age mean_i 1/p_i; one-hot shares give the
+    single middle-blocked target's system age.
     """
     a = np.asarray(shares, dtype=float)
     if a.shape != (policy.n,):
         raise DimensionMismatchError(
             f"shares must be a 1-D array of {policy.n} entries, got shape "
             f"{a.shape}")
-    bad = ~(a >= 0.0) | np.isinf(a)
+    bad = ~((a >= 0.0) & (a <= 1.0))
     if bad.any():
         i = int(np.argmax(bad))
-        raise InvalidAlphaError(
-            f"shares[{i}] = {a[i]} must be a finite number >= 0")
+        raise InvalidAlphaError(f"shares[{i}] = {a[i]} must lie in [0, 1]")
     _check_horizon(T)
-    return _reduced_payoff(policy.probs.tolist(), a.tolist(), T)
+    return _reduced_payoff(policy.probs.tolist(), a.tolist(), T) / policy.n
 
 
 def _middle_block_payoff(p: list, target: int, share: float, T: int) -> float:
-    """_reduced_payoff with `share` on user `target` and 0 elsewhere."""
+    """The system age with `share` on user `target` and 0 elsewhere."""
     shares = [0.0] * len(p)
     shares[target] = share
-    return _reduced_payoff(p, shares, T)
+    return _reduced_payoff(p, shares, T) / len(p)
 
 
 # ===========================================================================

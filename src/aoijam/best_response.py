@@ -53,10 +53,9 @@ ORACLE_WINDOW = 1e-9  # first search: this far, relative, below a known plan
 
 @dataclass(frozen=True)
 class AdversaryResponse:
-    """A blocking plan the adversary picked, with the payoff it achieves.
-
-    The structured reply sets target, its blocked user (asymptotic payoff).
-    The oracle's payoff is exact; its tied_actions is a (ties, T) integer
+    """A blocking plan the adversary picked, with the system age it achieves:
+    large-horizon for the structured reply, which sets target, its blocked
+    user; exact for the oracle, whose tied_actions is a (ties, T) integer
     array, one row per maximizer within relative 1e-12 of the best, smallest
     first, whose entry t is 0 for idle, 1+i for blocking user i in slot t+1.
     """
@@ -131,7 +130,7 @@ def numeric_simplex_minimizer(weights) -> SchedulingPolicy:
 
 def _plan_reply(plan: BlockingPlan, config: SystemConfig) -> tuple:
     """The base station's reply to a plan's per-user shares of the horizon,
-    and its reduced payoff at those shares."""
+    and the system age it gets at those shares."""
     shares = plan.block_prob.sum(axis=1) / config.horizon_T
     reply = numeric_simplex_minimizer(1.0 + shares)
     return reply, reduced_payoff_for_split(reply, shares, config.horizon_T)
@@ -179,8 +178,8 @@ def adversary_best_response(policy: SchedulingPolicy,
                             config: SystemConfig) -> AdversaryResponse:
     """The adversary's reply: one middle window on the least-scheduled user.
 
-    Payoff is the reduced large-horizon objective at the plan's shares (B/T
-    on the target); ties in argmin p break to the lowest index.
+    Payoff is the large-horizon system age at the plan's shares (B/T on the
+    target); ties in argmin p break to the lowest index.
     """
     check_profile(policy, None, None, config)
     target = int(np.argmin(policy.probs))

@@ -643,11 +643,9 @@ def _run_asymptotic(sc, out_dir, emit):
         target = spec["target"]
         # the one AsymptoticValidityWarning: T*min(p) covers the target
         _warn_if_small_horizon(T, float(policy.probs.min()))
-        reduced = _middle_block_payoff(policy.probs.tolist(), target, share, T)
-        value = reduced / policy.n
+        value = _middle_block_payoff(policy.probs.tolist(), target, share, T)
         per_user[target] = _reduced_payoff([policy.probs[target]], [share], T)
         emit(f"asymptotic system age (user {target} blocked): {value:.6f}")
-        emit(f"reduced payoff: {reduced:.6f}")
     rows = [(i, _fmt(v)) for i, v in enumerate(per_user)]
     _write_csv(os.path.join(out_dir, "asymptotic.csv"),
                ("user", "asymptotic_age"), rows)
@@ -668,7 +666,7 @@ def _run_best_response(sc, out_dir, emit):
     policy = resolve(sc, "policy")
     adv = adversary_best_response(policy, sc.system)
     emit(f"adversary best response: middle-block user {adv.target}, "
-         f"reduced payoff {adv.payoff:.6f}")
+         f"system age {adv.payoff:.6f}")
     bs, bs_payoff = _plan_reply(resolve(sc, "plan", policy), sc.system)
     write_equilibrium_csv(os.path.join(out_dir, "equilibrium.csv"), [
         ("adversary-best-response", None, adv.payoff,
@@ -717,7 +715,7 @@ def _run_stackelberg(sc, out_dir, emit):
         [("stackelberg", None, payoff,
           serialize_strategy(leader) + "&" + serialize_strategy(plan))])
     emit(f"leader policy: {np.array2string(leader.probs, precision=6)}")
-    emit(f"leader reduced payoff: {payoff:.6f}")
+    emit(f"leader system age: {payoff:.6f}")
 
 
 def _run_nash_verify(sc, out_dir, emit):

@@ -128,7 +128,7 @@ def _refuted(kind: str, current: float, player: str, strategy, value: float,
 
 def is_nash_no_diversity(policy: SchedulingPolicy, plan: BlockingPlan,
                          config: SystemConfig) -> EquilibriumReport:
-    """Witness-check a candidate (policy, plan) pair under the reduced payoff.
+    """Witness-check a candidate (policy, plan) pair under the system age.
 
     The deviations tried are the players' replies: adversary_best_response
     and the base station's reply to the plan's per-user shares of the
@@ -159,8 +159,8 @@ def best_response_dynamics(config: SystemConfig,
     """Alternate the two best-response maps from a uniform start.
 
     Each step records the base station's policy (counter_block_policy after
-    the start), the user adversary_best_response blocks, and the reduced
-    payoff.  holds reports whether any step was a simultaneous fixed point
+    the start), the user adversary_best_response blocks, and the system
+    age.  holds reports whether any step was a simultaneous fixed point
     of both maps; the no-equilibrium phenomenon is precisely that it never
     is once B > 0, with the blocked target changing every single iteration.
     max_iter is an integer >= 2.

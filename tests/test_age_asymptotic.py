@@ -1,4 +1,4 @@
-"""Closed-form large-horizon ages and the reduced game payoffs."""
+"""Closed-form large-horizon ages and the game payoffs, system ages."""
 
 import math
 import re
@@ -40,9 +40,9 @@ def _quiet(fn, *args, **kwargs):
 
 def _system_age(policy, blocked_user, alpha, T):
     """Large-horizon system age with one user middle-blocked: the one-hot
-    reduced payoff over N."""
+    split's payoff."""
     shares = alpha * np.eye(policy.n)[blocked_user]
-    return reduced_payoff_for_split(policy, shares, T) / policy.n
+    return reduced_payoff_for_split(policy, shares, T)
 
 
 def _user_ages(policy, blocked_user, alpha, T):
@@ -129,7 +129,7 @@ def test_blocked_age_alpha_validation():
 
 
 # ===========================================================================
-#  System age and reduced payoff
+#  System age, the game payoff
 # ===========================================================================
 
 
@@ -139,7 +139,7 @@ def test_system_age_example():
 
 
 def test_system_age_single_user():
-    # one user: the blocked age is the reduced payoff, bit for bit
+    # one user: the blocked age is the system age, bit for bit
     pol = validate_policy([1.0])
     assert _system_age(pol, 0, 0.3, 500) == _quiet(
         blocked_user_age, 1.0, 0.3, 500)
@@ -154,18 +154,18 @@ def test_system_age_symmetric_in_spared_users():
 def test_reduced_objective_example():
     payoff = reduced_payoff_for_split(validate_policy([0.5, 0.5]), [0.5, 0.0],
                                       100)
-    assert payoff == pytest.approx(2.0 + 3.0 - 0.5 + 12.75, abs=1e-12)
+    assert payoff == pytest.approx((2.0 + 3.0 - 0.5 + 12.75) / 2, abs=1e-12)
 
 
 def test_reduced_objective_alpha_zero_is_weight_sum():
     pol = validate_policy([0.25, 0.25, 0.5])
     payoff = reduced_payoff_for_split(pol, 0.0 * np.eye(3)[1], 100)
-    assert payoff == pytest.approx(float(np.sum(1 / pol.probs)), abs=1e-12)
+    assert payoff == pytest.approx(float(np.mean(1 / pol.probs)), abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_reduced_equals_scaled_system_age(seed):
-    # the dropped constants cancel exactly: reduced = N * the users' mean
+    # the dropped constants cancel exactly: the payoff is the users' mean
     # closed-form age
     rng = np.random.default_rng(100 + seed)
     n = int(rng.integers(1, 6))
@@ -175,13 +175,13 @@ def test_reduced_equals_scaled_system_age(seed):
     alpha = float(rng.uniform(0.05, 0.95))
     T = int(rng.integers(10, 100_000))
     lhs = reduced_payoff_for_split(pol, alpha * np.eye(n)[b], T)
-    rhs = n * float(np.mean(_user_ages(pol, b, alpha, T)))
+    rhs = float(np.mean(_user_ages(pol, b, alpha, T)))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_per_user_closed_forms_sum_to_the_reduced_payoff():
-    # any split, a share of 0 included: math.fsum of the users' ages is the
-    # reduced payoff to within 4 eps, relative
+    # any split, a share of 0 included: math.fsum of the users' ages over N
+    # is the system age to within 4 eps, relative
     rng = np.random.default_rng(7)
     eps = np.finfo(float).eps
     for _ in range(500):
@@ -193,11 +193,11 @@ def test_per_user_closed_forms_sum_to_the_reduced_payoff():
         ages = math.fsum(_quiet(blocked_user_age, p, a, T)
                          for p, a in zip(pol.probs, shares))
         payoff = reduced_payoff_for_split(pol, shares, T)
-        assert abs(ages - payoff) <= 4 * eps * payoff
+        assert abs(ages / n - payoff) <= 4 * eps * payoff
 
 
 def test_reduced_objective_argmin_matches_system_grid():
-    # coarse simplex grid, N=2: the reduced payoff and the users' mean
+    # coarse simplex grid, N=2: the split's payoff and the users' mean
     # closed-form age pick the same best policy
     alpha, T = 0.6, 5000
     grid = [validate_policy([x, 1 - x]) for x in np.arange(0.05, 1.0, 0.05)]
@@ -214,18 +214,19 @@ def test_reduced_objective_argmin_matches_system_grid():
 def test_split_zero_budget_is_unjammed_payoff():
     pol = uniform_policy(3)
     for T in (10, 1000, 10**6):
-        assert reduced_payoff_for_split(pol, np.zeros(3), T) == 9.0
+        assert reduced_payoff_for_split(pol, np.zeros(3), T) == 3.0
 
 
 def test_split_concentration_beats_uniform_by_known_gap():
-    # at uniform p the gap is alpha^2*T/2*(1 - 1/N)
+    # at uniform p the gap is alpha^2*T/2*(1 - 1/N), over N
     n, alpha, T = 4, 0.6, 2000
     pol = uniform_policy(n)
     conc = np.eye(n)[0] * alpha
     unif = np.full(n, alpha / n)
     gap = reduced_payoff_for_split(pol, conc, T) - reduced_payoff_for_split(
         pol, unif, T)
-    assert gap == pytest.approx(alpha**2 * T / 2 * (1 - 1 / n), rel=1e-12)
+    assert gap == pytest.approx(alpha**2 * T / 2 * (1 - 1 / n) / n,
+                                rel=1e-12)
 
 
 def test_split_grid_maximum_is_concentration_on_slowest_user():
@@ -265,17 +266,17 @@ def test_reduced_payoff_for_split_matches_single_target(seed):
 def test_reduced_payoff_for_empty_split_is_base_cost():
     pol = validate_policy([0.4, 0.6])
     assert reduced_payoff_for_split(pol, np.zeros(2), 1000) == pytest.approx(
-        1 / 0.4 + 1 / 0.6, abs=1e-12)
+        (1 / 0.4 + 1 / 0.6) / 2, abs=1e-12)
 
 
 def test_reduced_payoff_groups_unblocked_blocked_and_linear_sums():
-    # fsum of three fsums: 1/p_j over unshared users, (1+a)/p - a and
-    # a(1+aT)/2 over the shared ones
+    # fsum of three fsums, over N: 1/p_j over unshared users, (1+a)/p - a
+    # and a(1+aT)/2 over the shared ones
     p, a, T = [0.2, 0.5, 0.3], [0.0, 0.25, 0.1], 1000
     expect = math.fsum((
         1 / 0.2,
         math.fsum(((1 + 0.25) / 0.5 - 0.25, (1 + 0.1) / 0.3 - 0.1)),
-        math.fsum((0.25 * (1 + 0.25 * T) / 2, 0.1 * (1 + 0.1 * T) / 2))))
+        math.fsum((0.25 * (1 + 0.25 * T) / 2, 0.1 * (1 + 0.1 * T) / 2)))) / 3
     assert reduced_payoff_for_split(validate_policy(p), a, T) == expect
 
 
@@ -295,6 +296,12 @@ def test_reduced_payoff_groups_unblocked_blocked_and_linear_sums():
                  id="inf"),
     pytest.param([-0.5, np.nan], InvalidAlphaError, "shares[0] = -0.5",
                  id="first-bad-entry"),
+    # a share above 1 would block more slots than the horizon has
+    pytest.param([5.0, 3.0], InvalidAlphaError, "shares[0] = 5.0",
+                 id="above-one"),
+    pytest.param([1.0, 1.0 + 2**-52], InvalidAlphaError,
+                 "shares[1] = 1.0000000000000002 must lie in [0, 1]",
+                 id="just-above-one"),
 ])
 def test_split_shares_are_validated(shares, error, message):
     with pytest.raises(error) as info:
@@ -308,9 +315,13 @@ def test_split_shares_are_validated(shares, error, message):
     lambda T: follower_aware_payoff(uniform_policy(2), 0.2, T),
 ], ids=["blocked_user_age", "reduced_payoff_for_split",
         "follower_aware_payoff"])
-@pytest.mark.parametrize("horizon", [0, -5, 0.5, math.nan])
+@pytest.mark.parametrize("horizon", [0, -5, 0.5, math.nan, True, 10.5,
+                                     np.float64(100)])
 def test_closed_forms_reject_horizon_below_one(call, horizon):
-    with pytest.raises(DimensionMismatchError, match="T must be >= 1"):
+    # a horizon counts slots, as SystemConfig's does: a bool or a float,
+    # even a whole one, is refused
+    with pytest.raises(DimensionMismatchError,
+                       match="T must be an integer >= 1"):
         call(horizon)
 
 
@@ -402,9 +413,9 @@ def test_game_payoffs_do_not_warn():
 
 def test_single_blocked_user_values_are_pinned():
     # repr of each value, taken before the payoffs and the system age
-    # shared their code
+    # shared their code; the split's payoff is that system age
     pol = validate_policy([0.2, 0.5, 0.3])
     assert repr(reduced_payoff_for_split(pol, [0.0, 0.25, 0.0], 1000)) == (
-        "41.958333333333336")
+        "13.986111111111112")
     assert repr(_system_age(pol, 1, 0.25, 1000)) == "13.986111111111112"
     assert repr(_system_age(pol, 0, 0.37, 777)) == "21.727994444444445"

@@ -335,7 +335,7 @@ def test_asymptotic_csv_and_summary(tmp_path, capsys):
     assert main(["asymptotic", "--config", path,
                  "--out-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "reduced payoff" in out
+    assert "asymptotic system age (user 0 blocked): 106.505556\n" in out
     lines = (tmp_path / "asymptotic.csv").read_text().splitlines()
     assert lines[0] == "user,asymptotic_age"
     blocked_age = float(lines[1].split(",")[1])
@@ -417,7 +417,7 @@ def test_best_response_writes_both_players(tmp_path):
     assert lines[1].startswith("adversary-best-response,,")
     assert "target=0" in lines[1]
     assert lines[2].startswith("bs-best-response,,")
-    # the base station's row is the reduced payoff of its reply, as is the
+    # the base station's row is the system age of its reply, as is the
     # adversary's
     config = SystemConfig(horizon_T=100, num_users=3, alpha=0.5)
     shares = make_middle_block(config, 0).block_prob.sum(axis=1) / 100
@@ -494,11 +494,11 @@ def test_stackelberg_known_payoff(tmp_path, capsys):
     path = write_scenario(tmp_path, doc)
     assert main(["stackelberg", "--config", path,
                  "--out-dir", str(tmp_path)]) == 0
-    assert "17.25" in capsys.readouterr().out
+    assert "leader system age: 8.625000\n" in capsys.readouterr().out
     line = (tmp_path / "equilibrium.csv").read_text().splitlines()[1]
     kind, holds, payoff, _ = line.split(",", maxsplit=3)
     assert (kind, holds) == ("stackelberg", "")
-    assert float(payoff) == pytest.approx(17.25)
+    assert float(payoff) == pytest.approx(8.625)
 
 
 def test_nash_verify_no_diversity_fails_with_witness(tmp_path, capsys):

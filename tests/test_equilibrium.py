@@ -63,7 +63,7 @@ from aoijam.model import (
 
 
 def _one_hot_payoff(policy, target, share, T):
-    """The single middle-blocked target's reduced payoff: share on target
+    """The single middle-blocked target's system age: share on target
     alone."""
     return reduced_payoff_for_split(policy, share * np.eye(policy.n)[target],
                                     T)
@@ -116,7 +116,7 @@ def test_nash_check_payoff_is_the_single_target_payoff():
     report = is_nash_no_diversity(
         uniform_policy(8), make_middle_block(cfg, 0), cfg)
     assert report.payoff == _one_hot_payoff(uniform_policy(8), 0, 0.2, 1000)
-    assert report.payoff == 85.5
+    assert report.payoff == 10.6875
 
 
 def test_zero_budget_uniform_pair_is_nash():
@@ -137,7 +137,7 @@ def test_zero_budget_nonuniform_still_fails_bs_side():
 
 def _search_every_target(policy, cfg, current):
     """The per-target search the Nash check once ran: the middle block on
-    each user, lowest p first, and the first that raises the reduced payoff
+    each user, lowest p first, and the first that raises the system age
     above `current` by more than IMPROVEMENT_TOL, as (target, value)."""
     for target in sorted(range(policy.n), key=lambda i: (policy.probs[i], i)):
         value = _one_hot_payoff(policy, target, cfg.blocked_share,
@@ -279,7 +279,7 @@ def test_dynamics_payoffs_are_reduced_objective_values():
 def test_stackelberg_example_value():
     leader, plan, payoff = stackelberg_equilibrium(_cfg())
     np.testing.assert_allclose(leader.probs, 0.5)
-    assert payoff == pytest.approx(17.25, abs=1e-12)
+    assert payoff == pytest.approx(8.625, abs=1e-12)
     start, stop = middle_window(100, 50)
     assert np.all(plan.block_prob[0, start:stop] == 1.0)
     assert plan.block_prob[1].sum() == 0.0
@@ -378,7 +378,7 @@ def test_follower_aware_payoff_targets_min_probability():
     (1.0, 100, InvalidAlphaError, "alpha must lie in [0, 1), got 1.0"),
     (-0.1, 100, InvalidAlphaError, "alpha must lie in [0, 1), got -0.1"),
     (1.5, 0, InvalidAlphaError, "alpha must lie in [0, 1), got 1.5"),
-    (0.4, 0, DimensionMismatchError, "T must be >= 1, got 0"),
+    (0.4, 0, DimensionMismatchError, "T must be an integer >= 1, got 0"),
     ("0.4", 100, InvalidAlphaError, "alpha must lie in [0, 1), got '0.4'"),
     (None, 100, InvalidAlphaError, "alpha must lie in [0, 1), got None"),
 ])

@@ -2,6 +2,7 @@
 the B = floor(alpha*T) slots its plans block, at the share B/T."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -56,7 +57,7 @@ def test_structured_reply_prices_its_own_plan():
     assert reply.payoff == reduced_payoff_for_split(policy, shares, 10)
     assert reply.payoff == is_nash_no_diversity(policy, reply.plan,
                                                 cfg).payoff
-    assert repr(reply.payoff) == "5.5285714285714285"
+    assert repr(reply.payoff) == "2.7642857142857142"
 
 
 def test_dynamics_without_budget_stop_at_the_uniform_point():
@@ -67,7 +68,7 @@ def test_dynamics_without_budget_stop_at_the_uniform_point():
     assert [s.blocked_user for s in report.trace] == [0, 0, 0, 0]
     assert all(s.policy == uniform for s in report.trace)
     expected = reduced_payoff_for_split(uniform, np.zeros(2), 10)
-    assert report.payoff == expected == 4.0
+    assert report.payoff == expected == 2.0
     assert is_nash_no_diversity(uniform, empty_plan(cfg), cfg).payoff == (
         expected)
 
@@ -190,3 +191,69 @@ def test_whole_horizon_budget_runs_every_cli_runner(tmp_path, model, plan,
         warnings.simplefilter("ignore", AsymptoticValidityWarning)
         assert main([REGISTRY[command].command, "--config", str(path),
                      "--out-dir", str(tmp_path), "--quiet"]) == 0
+
+
+# ===========================================================================
+#  One payoff unit: every experiment reports the system age
+# ===========================================================================
+
+UNIT = {"schema_version": 1, "model": "no-diversity",
+        "system": {"horizon_T": 20_000, "num_users": 3, "alpha": 0.2},
+        "policy": {"source": "explicit", "probs": [0.5, 0.3, 0.2]},
+        "plan": {"source": "middle-block", "target": 2}}
+
+
+def _run(tmp_path, capsys, command, doc):
+    """Run `command` on `doc` in a directory of its own: (directory,
+    stdout)."""
+    out = tmp_path / command
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, "--config", str(path), "--out-dir", str(out)]) == 0
+    return out, capsys.readouterr().out
+
+
+def _cell(out, kind):
+    """The payoff cell of the `kind` row of out/equilibrium.csv."""
+    rows = (out / "equilibrium.csv").read_text().splitlines()
+    return next(row.split(",")[2] for row in rows
+                if row.startswith(kind + ","))
+
+
+def _stated(stdout, label):
+    """The number printed after `label`."""
+    return re.search(re.escape(label) + r" ([0-9.]+)\n", stdout).group(1)
+
+
+def test_game_payoffs_are_the_system_age_the_evaluators_report(tmp_path,
+                                                               capsys):
+    # the adversary's reply to p is the plan itself, so both game cells
+    # price this profile
+    reply = _cell(_run(tmp_path, capsys, "best-response", UNIT)[0],
+                  "adversary-best-response")
+    check = _cell(_run(tmp_path, capsys, "nash-verify", UNIT)[0],
+                  "nash-check")
+    assert reply == check
+    assert float(reply) == reduced_payoff_for_split(
+        validate_policy([0.5, 0.3, 0.2]), [0.0, 0.0, 0.2], 20_000)
+    # the closed-form system age, as asymptotic prints it, and the exact
+    # system average
+    closed = _stated(_run(tmp_path, capsys, "asymptotic", UNIT)[1],
+                     "asymptotic system age (user 2 blocked):")
+    assert f"{float(reply):.6f}" == closed
+    exact = _stated(_run(tmp_path, capsys, "exact", UNIT)[1],
+                    "exact system average age:")
+    assert float(reply) == pytest.approx(float(exact), rel=1e-3)
+
+
+def test_stackelberg_payoff_is_its_plans_system_age(tmp_path, capsys):
+    game = {key: UNIT[key] for key in ("schema_version", "model", "system")}
+    out, _ = _run(tmp_path, capsys, "stackelberg", {
+        **game, "experiment": {"name": "stackelberg", "target": 2}})
+    leader = _cell(out, "stackelberg")
+    exact = _stated(_run(tmp_path, capsys, "exact", {
+        **game, "policy": {"source": "uniform"},
+        "plan": {"source": "middle-block", "target": 2}})[1],
+        "exact system average age:")
+    assert float(leader) == pytest.approx(float(exact), rel=1e-3)

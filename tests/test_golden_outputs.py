@@ -216,20 +216,20 @@ GOLDEN = {
     "asymptotic-middle-block-default-target": {
         "asymptotic.csv": "b217ccfd2a4da7cf8f44341fcd5dffdf832a213adbab94df2e97bdf7c681aa24",
         "scenario.json": "aded7f05e170c7b837123e1fc684ec0711c9df9da9f02eba29e2f982f06404a6",
-        "stdout": "f05fca62b4bb1901345b083e803baa955c4c353a1fcaa951fcd8c6f88cc41e50",
+        "stdout": "b727bdb6a0b0c511f9a8bc02a9f5a43e3139d6e322ce1e20d52870edf7698da5",
     },
     "asymptotic-no-diversity": {
         "asymptotic.csv": "8858f626f26eff98b638e5c5b97ac4bc5597ee7ba205f9098af643e63e54cd9a",
         "scenario.json": "5beaa601ae813e9b377cf79f5a1b25cc2b4d59791e71b42b15af56c35fb775fe",
-        "stdout": "70f9ea287dffb85b7c5bdf40ea8bf5eafb5c99939b657f7e2bdf2f2a9f226add",
+        "stdout": "ca53b21e7acd427217b9fa815fb6bd70b133fdaa604caa1f3e7aa945a3ae710c",
     },
     "best-response": {
-        "equilibrium.csv": "88cc8259bf8b1c9096b73166cecb538db30c423534e99bd02ce77b3a715b42ba",
+        "equilibrium.csv": "53470f99a35df00698974d4583ec0209517b63c719f5b8ac6144d1e848933cc4",
         "scenario.json": "1633b86b75195bdbbcb3b2ba1acf460a4d41442dcba813c5b61d07cc280f1daa",
-        "stdout": "9c091eb4da4b2b6d9ede988884b7bb6bdf098485d48563c07ed52936d63f8a8b",
+        "stdout": "e30028717869f06dfb655fb58c9181154d37ca99784ed065594cdd9e59b979cc",
     },
     "br-dynamics": {
-        "dynamics.csv": "6d034e4577a7a238bd7a0ad2327832e3919df7e8203e52700e384fc954bb5ee3",
+        "dynamics.csv": "835dcb8b571e3a6b729f98ee219ae16b7bf0b3a464279a0f8d10d094f3c7275f",
         "scenario.json": "bfb0443bf4f77f184178d46001e148a1c8f9694fbd1f6aacce7fa7dc94651beb",
         "stdout": "c2a0d00ed8624ffdb7c63a7f15d049a2058fe981678259fbcb6b210055b2ca47",
     },
@@ -284,14 +284,14 @@ GOLDEN = {
         "stdout": "a302991064be900132f1660a5e00fa83c02796bfa980119f831585c00dcf7c16",
     },
     "nash-verify-no-diversity-bs-witness": {
-        "equilibrium.csv": "44716a6ae3546afc1d9c5f12382cf89f65e10ac1749ce2b4ba15af67457c3c50",
+        "equilibrium.csv": "bfbf4caf7e4fa67a33408e3a07aaa8ff73bded3cdb59e49fabc24469ca937cd9",
         "scenario.json": "e8070fff1056de13746a2691676063d27e734ab4f0d5c3a2a8851c1fb5cd63d1",
-        "stdout": "216fc34605eb70928f68d1a27deba0488f533eb2f78c471582ea0aa12198ce9c",
+        "stdout": "131b92c2161e12d4be98ca8f068c2a2d1a9b76e39d1e6604c309c7cc717ef433",
     },
     "nash-verify-no-diversity-witness": {
-        "equilibrium.csv": "4e72c3bf081acf1f6e159e8c9bfc686bf2c2d76326895bf0558f1b87a4b772ff",
+        "equilibrium.csv": "8e5520186564b150c729f98f8d187f87c6cfeadb8d73368d3a85a9fb90ded2a5",
         "scenario.json": "1f5d81e30dbf327fd27e82882696231cb8d3b0898dfb3e894d131dc089adbf18",
-        "stdout": "5c8f5234a71c3e23e39dce0963b539f659be9aabe0edf990d93c874b45bcccb4",
+        "stdout": "e7695d106935277920e1ec21a855c9ba914754083dec33463842522d36e72378",
     },
     "oracle": {
         "equilibrium.csv": "c0bcd0dfd726c99ca3691f010fdde64e1b8da673de2bd9c6e5e680d7eecc2fa0",
@@ -314,9 +314,9 @@ GOLDEN = {
         "stdout": "ab454b2126da895df7e17277af7360eb520de034698b7e3d9629436ffeb428ac",
     },
     "stackelberg": {
-        "equilibrium.csv": "c368135dca9ff8e080b93656a22d23be553ded15a0e6fda4789a9ee9aad97bf9",
+        "equilibrium.csv": "bc0c9488f00affdd37c4e8ba5ad4e78f57e6df2ec4a95443b80fc469647029ed",
         "scenario.json": "501413ce3bb37ac263c5610f110980c029e582e6f94564b24dc9e6468e7a08ad",
-        "stdout": "9ed7d2c8815f8954356e5ab0c1ecd3d62b2ac998188dcd063485e23da323df45",
+        "stdout": "479493e004d5f1eb50a46c9cbcad89d054b9ea31168be2046964176ad4d9d9f9",
     },
 }
 
