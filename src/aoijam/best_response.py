@@ -46,6 +46,8 @@ from .model import (
 )
 
 CLOSED_FORM_AGREEMENT = 1e-8
+# the KKT bisection stops once 1/sqrt(lo) - 1/sqrt(hi) is this small
+BISECTION_STOP = 1e-10
 ORACLE_MAX_PLANS = 10_000_000
 ORACLE_TIE_REL = 1e-12  # oracle maximizers within this relative gap tie
 ORACLE_WINDOW = 1e-9  # first search: this far, relative, below a known plan
@@ -95,10 +97,15 @@ def numeric_simplex_minimizer(weights) -> SchedulingPolicy:
     bisection on the KKT level lam with sum_i sqrt(u_i/lam) = 1 for
     u = w/max(w), so p_i = sqrt(u_i/lam).  As sum_i sqrt(u_i) lies in
     [1, N], lam lies in [1, N^2], whatever the scale of w; the bisection
-    halves that bracket until its midpoint equals an endpoint.  Routes more
-    than CLOSED_FORM_AGREEMENT apart raise ConvergenceFailureError.  Weights
-    other than a 1-D array raise DimensionMismatchError; an empty array or
-    an entry that is not a finite number > 0 raises NonPositiveEntryError.
+    halves that bracket until 1/sqrt(lo) - 1/sqrt(hi) <= BISECTION_STOP
+    (1e-10): 24 to 32 rounds for weights in [1, 2] at N from 2 to 500, at
+    most about 51 when one weight dwarfs the rest.  As every u_i <= 1,
+    sqrt(u_i/lam) then lies within 1e-10 of the root's p_i for every lam in
+    the bracket.  Routes more than CLOSED_FORM_AGREEMENT apart raise
+    ConvergenceFailureError, so a closed form more than 1e-8 + 1e-10 off
+    the root always does.  Weights other than a 1-D array raise
+    DimensionMismatchError; an empty array or an entry that is not a finite
+    number > 0 raises NonPositiveEntryError.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1:
@@ -114,13 +121,13 @@ def numeric_simplex_minimizer(weights) -> SchedulingPolicy:
     closed = np.sqrt(w) / math.fsum(np.sqrt(w).tolist())
     u = w / w.max()
     lo, hi = 1.0, float(w.size) ** 2
-    lam = (lo + hi) / 2
-    while lo < lam < hi:
+    while 1.0 / math.sqrt(lo) - 1.0 / math.sqrt(hi) > BISECTION_STOP:
+        lam = (lo + hi) / 2
         if np.sqrt(u / lam).sum() > 1.0:
             lo = lam
         else:
             hi = lam
-        lam = (lo + hi) / 2
+    lam = (lo + hi) / 2
     drift = float(np.max(np.abs(np.sqrt(u / lam) - closed)))
     if drift > CLOSED_FORM_AGREEMENT:
         raise ConvergenceFailureError(

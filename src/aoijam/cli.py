@@ -399,9 +399,15 @@ def serialize_strategy(obj) -> str:
     if isinstance(obj, SubcarrierPolicy):
         return "q=" + _vec(obj.probs)
     if isinstance(obj, BlockingPlan):
-        rows, cols = np.nonzero(obj.block_prob)  # row by row, slots ascending
-        cells = [f"{r}:{t}={_fmt(v)}" for r, t, v in zip(
-            rows.tolist(), cols.tolist(), obj.block_prob[rows, cols].tolist())]
+        m, horizon = obj.block_prob, obj.horizon
+        at = np.flatnonzero(m != 0.0)  # row by row, slots ascending
+        texts = {}  # value -> repr, once per distinct value
+        cells = []
+        for k, v in zip(at.tolist(), m.ravel()[at].tolist()):
+            if v not in texts:
+                texts[v] = _fmt(v)
+            r, t = divmod(k, horizon)
+            cells.append(f"{r}:{t}={texts[v]}")
         mode = "deterministic" if obj.is_deterministic else "randomized"
         return f"plan[{mode}]{{{'|'.join(cells)}}}"
     if isinstance(obj, tuple):
@@ -428,16 +434,23 @@ SETTLED_RUN = 64
 
 def _slot_digits(width, horizon):
     """The ASCII digits of slots 10**(width-1) .. min(10**width - 1, horizon),
-    one slot per column of a (width, count) uint8 matrix."""
+    one slot per column of a (width, count) uint8 matrix.
+
+    In order, those slots are lead digit 1, 2, ... each followed by every
+    (width-1)-digit suffix, so digit k's ten characters are broadcast
+    along axis k of a (lead, 10, ..., 10) grid, which is then cut to the
+    count.
+    """
     first = 10 ** (width - 1)
     count = min(10 * first - 1, horizon) - first + 1
-    table = np.empty((width, count), dtype=np.uint8)
-    for k in range(width):  # digit k steps every 10**(width-1-k) slots
-        step = 10 ** (width - 1 - k)
-        values = np.arange(first // step, (first + count - 1) // step + 1)
-        table[k] = np.repeat((values % 10 + 48).astype(np.uint8),
-                             step)[:count]
-    return table
+    lead = -(-count // first)  # lead digits 1..lead cover the count
+    grid = np.empty((width, lead) + (10,) * (width - 1), dtype=np.uint8)
+    grid[0] = np.arange(49, 49 + lead, dtype=np.uint8).reshape(
+        (lead,) + (1,) * (width - 1))
+    for k in range(1, width):
+        grid[k] = np.arange(48, 58, dtype=np.uint8).reshape(
+            (1,) * k + (10,) + (1,) * (width - 1 - k))
+    return grid.reshape(width, -1)[:, :count]
 
 
 def _digits(slot_digits, lo, hi):
@@ -672,7 +685,7 @@ def _run_best_response(sc, out_dir, emit):
         ("adversary-best-response", None, adv.payoff,
          f"target={adv.target}; " + serialize_strategy(adv.plan)),
         ("bs-best-response", None, bs_payoff, serialize_strategy(bs))])
-    emit("base-station best response to the plan: "
+    emit(lambda: "base-station best response to the plan: "
          + np.array2string(bs.probs, precision=6))
 
 
@@ -714,7 +727,8 @@ def _run_stackelberg(sc, out_dir, emit):
         os.path.join(out_dir, "equilibrium.csv"),
         [("stackelberg", None, payoff,
           serialize_strategy(leader) + "&" + serialize_strategy(plan))])
-    emit(f"leader policy: {np.array2string(leader.probs, precision=6)}")
+    emit(lambda: "leader policy: "
+         + np.array2string(leader.probs, precision=6))
     emit(f"leader system age: {payoff:.6f}")
 
 
@@ -785,8 +799,10 @@ def run_scenario(path: str, out_dir: str | None = None,
     replaces the seed of experiments that have one, after scenario.json.
     """
     def emit(line):
+        """Print a summary line; a callable is called for its line only
+        when the line is printed."""
         if not quiet:
-            print(line)
+            print(line() if callable(line) else line)
 
     if out_dir is None:
         out_dir = os.environ.get(OUT_DIR_ENV, ".")

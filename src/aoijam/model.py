@@ -181,6 +181,15 @@ class BlockingPlan:
     total-budget constraint depends on the config and is checked by
     blocking_feasible().  Entries within 1e-12 outside [0, 1] are accepted
     and stored clipped to [0, 1]; the caller's array is left as it is.
+
+    Validation runs in this order, and the first failure raises: a matrix
+    that is not 2-D (DimensionMismatchError), the first NaN or infinite
+    entry in row-major order (NonPositiveEntryError naming its index), an
+    entry more than 1e-12 outside [0, 1] (NonPositiveEntryError), then,
+    with two or more channels, the slot of the largest column sum if any
+    column sums to more than 1 + 1e-9 (NotNormalizedError).  The two entry
+    checks and the clip run only when the entries' min or max lies outside
+    [0, 1] (or is NaN).
     """
 
     block_prob: np.ndarray
@@ -190,20 +199,27 @@ class BlockingPlan:
         if m.ndim != 2:
             raise DimensionMismatchError(
                 f"block_prob must be 2-D (channels x slots), got shape {m.shape}")
-        if not np.isfinite(m).all():
-            bad = _first_non_finite(m)
-            raise NonPositiveEntryError(
-                f"block_prob[{bad[0]}, {bad[1]}] = {m[bad]} is not a finite "
-                "probability")
-        if np.any(m < -ENTRY_TOL) or np.any(m > 1.0 + ENTRY_TOL):
-            raise NonPositiveEntryError(
-                "block probabilities must lie in [0, 1]")
-        if m.shape[0] > 0 and np.any(m.sum(axis=0) > 1.0 + SUM_ACCEPT_TOL):
-            t = int(np.argmax(m.sum(axis=0)))
-            raise NotNormalizedError(
-                f"slot {t + 1}: per-slot blocking mass exceeds 1 "
-                "(the adversary blocks at most one channel per slot)")
-        np.clip(m, 0.0, 1.0, out=m)
+        # the min and max (a NaN fails both tests) decide whether the
+        # entry diagnostics and the clip run at all
+        inside = m.size == 0 or (m.min() >= 0.0 and m.max() <= 1.0)
+        if not inside:
+            if not np.isfinite(m).all():
+                bad = _first_non_finite(m)
+                raise NonPositiveEntryError(
+                    f"block_prob[{bad[0]}, {bad[1]}] = {m[bad]} is not a "
+                    "finite probability")
+            if m.min() < -ENTRY_TOL or m.max() > 1.0 + ENTRY_TOL:
+                raise NonPositiveEntryError(
+                    "block probabilities must lie in [0, 1]")
+        if m.shape[0] > 1:  # one channel's column sums are its entries
+            mass = m.sum(axis=0)
+            if (mass > 1.0 + SUM_ACCEPT_TOL).any():
+                t = int(np.argmax(mass))
+                raise NotNormalizedError(
+                    f"slot {t + 1}: per-slot blocking mass exceeds 1 "
+                    "(the adversary blocks at most one channel per slot)")
+        if not inside:
+            np.clip(m, 0.0, 1.0, out=m)
         m.setflags(write=False)
         object.__setattr__(self, "block_prob", m)
 
@@ -218,7 +234,8 @@ class BlockingPlan:
     @property
     def is_deterministic(self) -> bool:
         """True iff every entry is exactly 0 or 1 (no draw is needed)."""
-        return bool(np.isin(self.block_prob, (0.0, 1.0)).all())
+        m = self.block_prob
+        return bool(((m == 0.0) | (m == 1.0)).all())
 
     def total_blocked(self) -> float:
         """Expected number of blocked slots (counts against the budget)."""

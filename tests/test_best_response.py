@@ -5,6 +5,7 @@ import functools
 import math
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -246,6 +247,44 @@ def test_disagreeing_routes_raise(monkeypatch, solve):
     with pytest.raises(ConvergenceFailureError,
                        match="closed form and its bisection disagree"):
         solve()
+
+
+def _shifted_closed_form(monkeypatch, w, shift):
+    """Make the closed form's largest entry `shift` off: its math.fsum
+    denominator is scaled; the bisection keeps the real square root."""
+    root = np.sqrt(w)
+    top = root.max() / math.fsum(root.tolist())
+    monkeypatch.setattr(best_response, "math", types.SimpleNamespace(
+        sqrt=math.sqrt, fsum=lambda xs: math.fsum(xs) / (1 + shift / top)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 500])
+@pytest.mark.parametrize("shift", [2e-8, -2e-8])
+def test_closed_form_off_by_2e_8_still_raises(monkeypatch, n, shift):
+    # the stopped bracket is 1e-10 wide in p: it keeps the 1e-8 check sharp
+    w = np.random.default_rng(730 + n).uniform(1.0, 2.0, size=n)
+    _shifted_closed_form(monkeypatch, w, shift)
+    with pytest.raises(ConvergenceFailureError,
+                       match="closed form and its bisection disagree"):
+        numeric_simplex_minimizer(w)
+
+
+@pytest.mark.parametrize("n", [2, 8, 50, 500])
+def test_bisection_stops_within_32_rounds_at_game_weights(monkeypatch, n):
+    # weights 1 + share lie in [1, 2]; halving the bracket down to its
+    # float limit would take 52 to 54 rounds
+    calls = []
+
+    def counted_sqrt(x):
+        calls.append(x)
+        return math.sqrt(x)
+
+    monkeypatch.setattr(best_response, "math", types.SimpleNamespace(
+        sqrt=counted_sqrt, fsum=math.fsum))
+    w = np.random.default_rng(750 + n).uniform(1.0, 2.0, size=n)
+    numeric_simplex_minimizer(w)
+    rounds = len(calls) // 2 - 1  # two square roots per stop test
+    assert 20 <= rounds <= 32
 
 
 def test_numeric_minimizer_returns_the_closed_form_bit_for_bit():

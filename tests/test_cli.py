@@ -322,6 +322,71 @@ def test_serialized_plan_is_labelled_by_its_entries():
         "plan[randomized]{0:1=1.0|1:0=0.5}")
 
 
+def _per_cell_plan_text(plan):
+    """serialize_strategy's plan text as it was first written: np.nonzero
+    over the matrix, one repr per cell, np.isin for the label."""
+    m = plan.block_prob
+    rows, cols = np.nonzero(m)
+    cells = [f"{r}:{t}={float(v)!r}" for r, t, v in zip(
+        rows.tolist(), cols.tolist(), m[rows, cols].tolist())]
+    mode = ("deterministic" if np.isin(m, (0.0, 1.0)).all()
+            else "randomized")
+    return f"plan[{mode}]{{{'|'.join(cells)}}}"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_serialized_plan_matches_the_per_cell_reference(seed):
+    rng = np.random.default_rng(5300 + seed)
+    pool = [0.5, 0.25, 1 / 3, 1.0, 0.1, -0.0]  # repeated values
+    for _ in range(40):
+        channels, slots = int(rng.integers(1, 6)), int(rng.integers(0, 40))
+        m = np.zeros((channels, slots))
+        rows = rng.integers(channels, size=slots)
+        if seed % 2:
+            values = rng.choice(pool, size=slots)
+        else:  # mostly distinct values
+            values = rng.uniform(0.0, 1.0, size=slots)
+            values[rng.uniform(size=slots) < 0.3] = 0.0
+        m[rows, np.arange(slots)] = values
+        if channels > 1 and slots:  # a column shared by two channels
+            m[:, 0] = 0.0
+            m[:2, 0] = [0.375, 0.625]
+        plan = BlockingPlan(m)
+        assert serialize_strategy(plan) == _per_cell_plan_text(plan)
+
+
+@pytest.mark.parametrize("command, doc, line", [
+    ("best-response", base_doc(
+        system={"horizon_T": 1000, "num_users": 50, "alpha": 0.2},
+        policy={"source": "uniform"},
+        plan={"source": "middle-block", "target": 7}),
+     "base-station best response to the plan: [0.019962 "),
+    ("stackelberg", base_doc(
+        system={"horizon_T": 200, "num_users": 4, "alpha": 0.2},
+        policy={"source": "uniform"},
+        experiment={"name": "stackelberg", "target": 1,
+                    "certify_samples": 50, "seed": 3}),
+     "leader policy: [0.25 0.25 0.25 0.25]\n"),
+])
+def test_quiet_runs_format_no_summary(tmp_path, monkeypatch, capsys,
+                                      command, doc, line):
+    path = write_scenario(tmp_path, doc)
+    assert main([command, "--config", path, "--out-dir",
+                 str(tmp_path / "loud")]) == 0
+    assert line in capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a --quiet run formatted its summary")
+
+    monkeypatch.setattr(np, "array2string", refuse)
+    assert main([command, "--config", path, "--out-dir",
+                 str(tmp_path / "quiet"), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    for name in ("equilibrium.csv", "scenario.json"):
+        assert (tmp_path / "quiet" / name).read_bytes() == (
+            tmp_path / "loud" / name).read_bytes()
+
+
 # ---------------------------------------------------------------- analysis
 
 

@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 
 from aoijam.age_exact import AgeSeries, expected_age_trajectory
-from aoijam.cli import SETTLED_RUN, run_scenario, write_trajectories_csv
+from aoijam.cli import (
+    SETTLED_RUN,
+    _slot_digits,
+    run_scenario,
+    write_trajectories_csv,
+)
 from aoijam.model import (
     SystemConfig,
     empty_plan,
@@ -481,6 +486,18 @@ def test_trajectory_writer_matches_csv_writer(rows, tmp_path):
     _csv_writer_reference(tmp_path / "ref.csv", series)
     assert (tmp_path / "new.csv").read_bytes() == (
         tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("horizon", [1, 9, 10, 12_000, 80_000, 99_999,
+                                     100_100])
+def test_slot_digit_tables_spell_the_slot_numbers(horizon):
+    # every width up to the horizon's, the last one cut at the horizon
+    for width in range(1, len(str(horizon)) + 1):
+        first = 10 ** (width - 1)
+        slots = range(first, min(10 * first - 1, horizon) + 1)
+        table = _slot_digits(width, horizon)
+        assert table.dtype == np.uint8
+        assert table.T.tobytes() == "".join(map(str, slots)).encode()
 
 
 def test_ramp_step_adds_to_the_integer_part_of_repr():

@@ -331,6 +331,154 @@ def test_plan_stores_tolerated_entries_clipped():
     assert raw.tolist() == [[-1e-13, 1 + 1e-13]]  # the caller's copy
 
 
+def _reference_plan(raw):
+    """BlockingPlan's checks with every pass run on every plan, the
+    reference for its min/max-gated form: (error class, message) or the
+    stored matrix."""
+    m = np.array(raw, dtype=float)
+    try:
+        if m.ndim != 2:
+            raise DimensionMismatchError(
+                "block_prob must be 2-D (channels x slots), got shape "
+                f"{m.shape}")
+        if not np.isfinite(m).all():
+            bad = np.unravel_index(int(np.argmin(np.isfinite(m))), m.shape)
+            raise NonPositiveEntryError(
+                f"block_prob[{bad[0]}, {bad[1]}] = {m[bad]} is not a finite "
+                "probability")
+        if np.any(m < -1e-12) or np.any(m > 1.0 + 1e-12):
+            raise NonPositiveEntryError(
+                "block probabilities must lie in [0, 1]")
+        if m.shape[0] > 0 and np.any(m.sum(axis=0) > 1.0 + 1e-9):
+            t = int(np.argmax(m.sum(axis=0)))
+            raise NotNormalizedError(
+                f"slot {t + 1}: per-slot blocking mass exceeds 1 "
+                "(the adversary blocks at most one channel per slot)")
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return np.clip(m, 0.0, 1.0)
+
+
+def _built(raw):
+    try:
+        return BlockingPlan(raw).block_prob
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _same_outcome(got, want):
+    if isinstance(want, tuple):
+        return got == want
+    return (isinstance(got, np.ndarray) and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+_CELLS = np.full((2, 4), 0.25)
+
+
+def _with(i, j, value):
+    m = _CELLS.copy()
+    m[i, j] = value
+    return m
+
+
+@pytest.mark.parametrize("raw, error, message", [
+    (_with(1, 2, math.nan), NonPositiveEntryError,
+     "block_prob[1, 2] = nan is not a finite probability"),
+    (_with(0, 3, math.inf), NonPositiveEntryError,
+     "block_prob[0, 3] = inf is not a finite probability"),
+    (_with(1, 0, -math.inf), NonPositiveEntryError,
+     "block_prob[1, 0] = -inf is not a finite probability"),
+    ([[5.0, math.nan]], NonPositiveEntryError,
+     "block_prob[0, 1] = nan is not a finite probability"),
+    ([[0.5, -2e-12, 0.0]], NonPositiveEntryError,
+     "block probabilities must lie in [0, 1]"),
+    ([[0.0, 1 + 2e-12, 0.0]], NonPositiveEntryError,
+     "block probabilities must lie in [0, 1]"),
+    ([[1 + 2e-12, 1.0], [0.5, 0.5]], NonPositiveEntryError,
+     "block probabilities must lie in [0, 1]"),
+    ([[0.5, 0.5, 0.5], [0.2, 0.5 + 2e-9, 0.1]], NotNormalizedError,
+     "slot 2: per-slot blocking mass exceeds 1 (the adversary blocks at "
+     "most one channel per slot)"),
+    ([0.5, 0.5], DimensionMismatchError,
+     "block_prob must be 2-D (channels x slots), got shape (2,)"),
+], ids=["nan", "inf", "-inf", "nan-before-range", "below-zero",
+        "above-one", "range-before-mass", "column-mass", "1-d"])
+def test_plan_errors_keep_their_class_and_message(raw, error, message):
+    with pytest.raises(error) as info:
+        BlockingPlan(raw)
+    assert type(info.value) is error
+    assert str(info.value) == message
+    assert _reference_plan(raw) == (error, message)
+
+
+@pytest.mark.parametrize("raw", [
+    [[-1e-13, 1 + 1e-13, 0.5]],
+    [[0.5, 1.0, 0.0]],
+    np.zeros((0, 5)),
+    np.zeros((3, 0)),
+    [[-0.0, 1.0], [-0.0, -0.0]],
+    [[-0.0, 1 + 1e-13], [-0.0, -0.0]],
+    [[0.0, 1.0, 0.5 + 1e-10], [0.5, 0.0, 0.5]],
+], ids=["clipped", "one-channel", "no-channels", "no-slots",
+        "negative-zero", "negative-zero-clipped", "mass-within-1e-9"])
+def test_accepted_plans_store_the_reference_bits(raw):
+    stored = BlockingPlan(raw).block_prob
+    want = _reference_plan(raw)
+    assert stored.shape == want.shape
+    assert stored.tobytes() == want.tobytes()  # -0.0 keeps its sign bit
+    assert not stored.flags.writeable
+
+
+def _random_plan_matrix(rng):
+    """A small matrix that is valid, clipped or broken in one of the ways
+    BlockingPlan checks, at random."""
+    m = rng.dirichlet(np.ones(rng.integers(1, 5)),
+                      size=rng.integers(1, 7)).T
+    m *= rng.uniform(0.0, 1.0, size=m.shape[1])
+    kind = rng.integers(6)
+    if kind == 1:
+        m = (m > 0.3).astype(float) * (np.arange(m.shape[0])[:, None] == 0)
+    at = (rng.integers(m.shape[0]), rng.integers(m.shape[1]))
+    if kind == 2:
+        m[at] = rng.choice([math.nan, math.inf, -math.inf])
+    elif kind == 3:
+        m[at] = rng.choice([-2e-12, 1 + 2e-12, -1e-13, 1 + 1e-13, -0.0])
+    elif kind == 4:
+        m[:, at[1]] *= (1 + rng.choice([2e-9, 5e-10])) / max(
+            m[:, at[1]].sum(), 1e-300)
+    elif kind == 5:
+        m[at] = rng.uniform(-0.5, 1.5)
+    return m
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_plan_validation_replays_the_reference(seed):
+    rng = np.random.default_rng(4100 + seed)
+    for _ in range(500):
+        m = _random_plan_matrix(rng)
+        got, want = _built(m), _reference_plan(m)
+        assert _same_outcome(got, want), (m, got, want)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_is_deterministic_is_every_entry_zero_or_one(seed):
+    rng = np.random.default_rng(4200 + seed)
+    for _ in range(300):
+        channels, slots = rng.integers(1, 5), rng.integers(0, 9)
+        m = np.zeros((channels, slots))
+        rows = rng.integers(channels, size=slots)
+        m[rows, np.arange(slots)] = rng.integers(0, 2, size=slots)
+        kind = rng.integers(3)
+        if kind == 1 and slots:  # a fractional entry
+            m[rows[0], 0] = rng.choice([0.5, 1e-300, 1.0 - 2**-53])
+        elif kind == 2 and slots:  # entries clipped to exactly 0 or 1
+            m[rows[-1], -1] = rng.choice([-1e-13, 1 + 1e-13, -0.0])
+        plan = BlockingPlan(m)
+        assert plan.is_deterministic is bool(
+            np.isin(plan.block_prob, (0.0, 1.0)).all())
+
+
 def test_feasibility_rejects_over_budget():
     cfg = SystemConfig(horizon_T=10, num_users=2, alpha=0.4)  # B = 4
     m = np.zeros((2, 10))
