@@ -23,7 +23,12 @@ from .age_asymptotic import (
     _middle_block_payoff,
     reduced_payoff_for_split,
 )
-from .age_exact import _window_system_ages, expected_age_trajectory_diversity
+from .age_exact import (
+    _screen_margin,
+    _window_screen,
+    _window_system_ages,
+    expected_age_trajectory_diversity,
+)
 from .best_response import (
     _plan_reply,
     adversary_best_response,
@@ -53,9 +58,9 @@ from .model import (
 )
 
 IMPROVEMENT_TOL = 1e-9  # strict-improvement threshold for witnesses
-# Age cells the diversity audit writes at once, one per (sample, distinct
-# p_i, slot): a chunk holds max(1, PRICE_CELLS // (distinct p_i * T))
-# adversary samples.
+# Age cells the diversity audit writes at once for the adversary samples it
+# prices densely, one per (sample, distinct p_i, slot): a chunk holds
+# max(1, PRICE_CELLS // (distinct p_i * T)) samples.
 PRICE_CELLS = 2**18
 
 # Structured adversary deviation families sampled by verify_diversity_nash;
@@ -378,7 +383,7 @@ def _window_plan(windows, config: SystemConfig) -> BlockingPlan:
     m = np.zeros((config.num_subcarriers, config.horizon_T))
     for start, stop, weights in windows:
         m[:, start:stop] = weights[:, None]
-    return BlockingPlan(m)
+    return BlockingPlan._adopt(m)
 
 
 def verify_diversity_nash(point, config: SystemConfig, bs_samples: int,
@@ -394,13 +399,24 @@ def verify_diversity_nash(point, config: SystemConfig, bs_samples: int,
     `adv_samples` feasible plans from ADV_DEVIATION_FAMILIES, priced by the
     exact recursion at the candidate's (p, q).  Both counts are integers >= 1.
 
-    Adversary samples stay (start, stop, weights) windows: each (sample,
-    distinct p_i) row is priced from its runs, read off the windows, by the
-    evaluator's recursion core and interception rule, with no plan or
-    delivery matrix.  The ages go into chunks of about PRICE_CELLS age
-    cells, with one [1, t] certificate per chunk.
-    The first sample above the candidate by more than IMPROVEMENT_TOL is
-    the witness; it alone becomes a BlockingPlan, and its price from
+    Adversary samples stay (start, stop, weights) windows, with no plan or
+    delivery matrix: each (sample, distinct p_i) row is read off the
+    windows as runs, under the evaluator's interception rule.  Every sample
+    is first screened (_window_screen): its rows' ages are summed run by
+    run with one converged-run cache for the call, each run certified in
+    [1, t] at its ends, and no age is written.  The screened value and the
+    dense price add the same positive ages in different orders, so each is
+    within gamma_n = n*u / (1 - n*u) of the exact mean, n = T + N + 8 and
+    u = 2**-53; _screen_margin, 4*n*u times the screened value, is at least
+    twice their distance.  Only a sample that screens within that margin
+    of current + IMPROVEMENT_TOL, or above it, can price above it.  Those
+    samples alone, in sample order, are priced densely by
+    _window_system_ages in chunks of about PRICE_CELLS age cells, with one
+    [1, t] certificate per chunk; a densely priced sample farther from its
+    screened value than the margin raises CertificateError.  The first
+    sample whose dense price is above the candidate by more than
+    IMPROVEMENT_TOL is the witness, the one that pricing every sample
+    densely finds; it alone becomes a BlockingPlan, and its price from
     expected_age_trajectory_diversity must equal its batched price bit for
     bit, else CertificateError.  The payoff is the large-horizon age, or
     the exact age beside an adversary witness.
@@ -426,17 +442,30 @@ def verify_diversity_nash(point, config: SystemConfig, bs_samples: int,
     current_exact = expected_age_trajectory_diversity(
         policy, subpolicy, plan, config).system_avg
     samples = _sample_adv_deviations(config, adv_samples, rng)
+    horizon, threshold = config.horizon_T, current_exact + IMPROVEMENT_TOL
+    screened = _window_screen(policy, subpolicy, samples, horizon)
+    margin = _screen_margin(screened, horizon, policy.n)
+    # only these samples can price above the threshold
+    near = np.flatnonzero(screened >= threshold - margin).tolist()
     # distinct p_i, counted without np.unique (which imports numpy.ma)
-    cells_per_sample = len(set(policy.probs.tolist())) * config.horizon_T
+    cells_per_sample = len(set(policy.probs.tolist())) * horizon
     chunk = max(1, PRICE_CELLS // cells_per_sample)
-    for first in range(0, len(samples), chunk):
-        values = _window_system_ages(policy, subpolicy,
-                                     samples[first:first + chunk],
-                                     config.horizon_T)
-        raised = values > current_exact + IMPROVEMENT_TOL
+    for first in range(0, len(near), chunk):
+        picked = near[first:first + chunk]
+        values = _window_system_ages(
+            policy, subpolicy, [samples[k] for k in picked], horizon)
+        apart = np.abs(values - screened[picked]) > margin[picked]
+        if apart.any():
+            i = int(np.argmax(apart))
+            k = picked[i]
+            raise CertificateError(
+                f"adversary sample {k} priced {float(values[i])!r} densely "
+                f"but screened at {float(screened[k])!r}, farther apart than "
+                f"the rounding margin {float(margin[k])!r}")
+        raised = values > threshold
         if raised.any():
             i = int(np.argmax(raised))
-            candidate = _window_plan(samples[first + i], config)
+            candidate = _window_plan(samples[picked[i]], config)
             value = expected_age_trajectory_diversity(
                 policy, subpolicy, candidate, config).system_avg
             if value != values[i]:

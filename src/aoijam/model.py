@@ -180,7 +180,9 @@ class BlockingPlan:
     channel can be blocked per slot, so each column sums to <= 1.  The
     total-budget constraint depends on the config and is checked by
     blocking_feasible().  Entries within 1e-12 outside [0, 1] are accepted
-    and stored clipped to [0, 1]; the caller's array is left as it is.
+    and stored clipped to [0, 1]; the caller's array is left as it is, as
+    the plan stores its own copy.  The plan constructors hand over the
+    matrix they just built instead (_adopt), so it is built only once.
 
     Validation runs in this order, and the first failure raises: a matrix
     that is not 2-D (DimensionMismatchError), the first NaN or infinite
@@ -195,7 +197,21 @@ class BlockingPlan:
     block_prob: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.block_prob, dtype=float)  # own copy, clipped below
+        self._validate(np.array(self.block_prob, dtype=float))  # own copy
+
+    @classmethod
+    def _adopt(cls, m: np.ndarray) -> "BlockingPlan":
+        """The plan of `m`, a float matrix that a plan constructor has just
+        built and keeps no other reference to: the checks of
+        BlockingPlan(m), in the same order, then `m` itself is stored,
+        where BlockingPlan(m) would store a copy."""
+        plan = object.__new__(cls)
+        plan._validate(m)
+        return plan
+
+    def _validate(self, m: np.ndarray) -> None:
+        """Run the checks on `m`, a float matrix the plan owns, then clip
+        it in place if needed and store it read-only as block_prob."""
         if m.ndim != 2:
             raise DimensionMismatchError(
                 f"block_prob must be 2-D (channels x slots), got shape {m.shape}")
@@ -300,7 +316,7 @@ def make_middle_block(config: SystemConfig, target: int) -> BlockingPlan:
     m = np.zeros((config.num_channels, config.horizon_T))
     start, stop = middle_window(config.horizon_T - 1, config.budget_B)
     m[target, start:stop] = 1.0
-    return BlockingPlan(m)
+    return BlockingPlan._adopt(m)
 
 
 def make_uniform_subcarrier_block(config: SystemConfig) -> BlockingPlan:
@@ -315,7 +331,7 @@ def make_uniform_subcarrier_block(config: SystemConfig) -> BlockingPlan:
     m = np.zeros((config.num_subcarriers, config.horizon_T))
     start, stop = middle_window(config.horizon_T - 1, config.budget_B)
     m[:, start:stop] = 1.0 / config.num_subcarriers
-    return BlockingPlan(m)
+    return BlockingPlan._adopt(m)
 
 
 def blocking_feasible(plan: BlockingPlan, config: SystemConfig) -> bool:
@@ -360,4 +376,5 @@ def check_profile(policy: SchedulingPolicy,
 
 def empty_plan(config: SystemConfig) -> BlockingPlan:
     """All-zeros plan (the adversary idles)."""
-    return BlockingPlan(np.zeros((config.num_channels, config.horizon_T)))
+    return BlockingPlan._adopt(
+        np.zeros((config.num_channels, config.horizon_T)))

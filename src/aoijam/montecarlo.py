@@ -26,7 +26,7 @@ from .model import (
 
 # Cells simulated at once: estimate_average_age works in blocks of
 # min(T, BLOCK_CELLS) slots by min(runs, max(1, BLOCK_CELLS // T)) runs and
-# allocates its buffers once per call at that size.
+# allocates its buffers once per call at that size, as one block.
 BLOCK_CELLS = 2**16
 
 _MASK64 = (1 << 64) - 1
@@ -278,8 +278,17 @@ def estimate_average_age(policy: SchedulingPolicy, subpolicy, plan: BlockingPlan
         dtypes["channel"] = code_type
     if randomized:
         dtypes["blocked"] = code_type
-    buffers = {name: np.empty(chunk * group, dtype)
-               for name, dtype in dtypes.items()}
+    # every buffer is a view of one allocation, widest type first so each
+    # view is aligned: freed as one block, it lifts glibc's mmap threshold
+    # above its size, so later calls reuse its heap pages instead of
+    # faulting fresh ones in, whatever the calls before them freed
+    cells, widths = chunk * group, {
+        name: np.dtype(dtype).itemsize for name, dtype in dtypes.items()}
+    pool = np.empty(cells * sum(widths.values()), np.uint8)
+    buffers, at = {}, 0
+    for name in sorted(dtypes, key=widths.get, reverse=True):
+        buffers[name] = pool[at:at + cells * widths[name]].view(dtypes[name])
+        at += cells * widths[name]
 
     per_run_user = np.empty((runs, n))
     stamped = None  # the (first slot, runs) the stamp buffer holds

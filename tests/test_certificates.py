@@ -186,6 +186,93 @@ def test_audit_witness_reprice_check_fires(monkeypatch):
         _skewed_diversity_audit()()
 
 
+_VERTEX0, _THIRDS = np.array([1.0, 0.0, 0.0]), np.full(3, 1.0 / 3.0)
+# explicit pieces (a one-slot window, an s = 1 ramp under q on sub-carrier
+# 0) and copied runs (the clear stretches, the uniform window)
+_SCREEN_SAMPLE = [(50, 51, _VERTEX0), (100, 140, _VERTEX0),
+                  (200, 260, _THIRDS)]
+
+
+def _screen_sample():
+    return age_exact._window_screen(
+        validate_policy([0.5, 0.5]),
+        aoijam.validate_subcarrier_policy(_VERTEX0), [_SCREEN_SAMPLE], 400)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1e9], ids=["below-1", "above-t"])
+@pytest.mark.parametrize("piece", ["explicit", "copied"])
+def test_screen_age_range_check_fires(monkeypatch, piece, bad):
+    # the run walker hands the screen one kind of piece with a bad age
+    real = age_exact._walk_runs
+    kinds = set()
+
+    def walk(*args):
+        for values, fill, repeat, head in real(*args):
+            kind = "explicit" if head is None else "copied"
+            kinds.add(kind)
+            if kind == piece:
+                values, fill = np.full(len(values), bad), bad
+            yield values, fill, repeat, head
+
+    assert _screen_sample().size == 1
+    monkeypatch.setattr(age_exact, "_walk_runs", walk)
+    with pytest.raises(CertificateError, match=r"outside \[1, t\]"):
+        _screen_sample()
+    assert piece in kinds
+
+
+def test_audit_screen_margin_check_fires(monkeypatch):
+    # screened values pushed 1e-7 up: the samples priced densely now sit
+    # farther from their screened value than the rounding margin
+    real = equilibrium._window_screen
+    monkeypatch.setattr(equilibrium, "_window_screen",
+                        lambda *args: real(*args) + 1e-7)
+    with pytest.raises(CertificateError, match="rounding margin"):
+        _skewed_diversity_audit()()
+
+
+_OPTIMIZED_SCREEN_CHECKS = """
+import numpy as np
+import aoijam.age_exact as age_exact
+import aoijam.equilibrium as equilibrium
+from aoijam import (CertificateError, SystemConfig, validate_policy,
+                    validate_subcarrier_policy)
+
+real_walk, real_screen = age_exact._walk_runs, equilibrium._window_screen
+
+def walk(*args):
+    for values, fill, repeat, head in real_walk(*args):
+        yield np.zeros(len(values)), 0.0, repeat, head
+
+age_exact._walk_runs = walk
+try:
+    age_exact._window_screen(
+        validate_policy([0.5, 0.5]), validate_subcarrier_policy([0.5, 0.5]),
+        [[(3, 9, np.array([0.5, 0.5]))]], 20)
+except CertificateError as exc:
+    print("range", exc)
+age_exact._walk_runs = real_walk
+
+equilibrium._window_screen = lambda *args: real_screen(*args) + 1e-7
+cfg = SystemConfig(horizon_T=200, num_users=2, alpha=0.4, num_subcarriers=4)
+p, _, plan = equilibrium.diversity_nash_point(cfg)
+skew = validate_subcarrier_policy([0.7, 0.1, 0.1, 0.1])
+try:
+    equilibrium.verify_diversity_nash((p, skew, plan), cfg, 20, 60, seed=9)
+except CertificateError as exc:
+    print("margin", "rounding margin" in str(exc))
+"""
+
+
+def test_screen_checks_survive_optimized_mode():
+    proc = subprocess.run([sys.executable, "-O", "-c",
+                           _OPTIMIZED_SCREEN_CHECKS],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "range expected age outside [1, t]", "margin True"]
+
+
 def test_oracle_reevaluation_check_fires(monkeypatch):
     cfg = SystemConfig(horizon_T=4, num_users=2, alpha=0.25)
     policy = validate_policy([0.6, 0.4])

@@ -33,6 +33,8 @@ from aoijam.equilibrium import (
     verify_diversity_nash,
 )
 from aoijam.age_exact import (
+    _screen_margin,
+    _window_screen,
     _window_system_ages,
     expected_age_trajectory_diversity,
 )
@@ -796,6 +798,11 @@ def test_window_prices_of_edge_samples_are_the_evaluator_prices(q):
         assert series.per_user[4, -2] < series.per_user[4, -1], name
         alone = _window_system_ages(policy, subpolicy, [windows], _EDGE_T)
         assert alone.tobytes() == value.tobytes(), name
+    # the screen of the same samples: ramps under q on sub-carrier 0, the
+    # 1e-4 user's unsettled runs, empty samples
+    screened = _window_screen(policy, subpolicy, samples, _EDGE_T)
+    assert np.all(np.abs(screened - batched)
+                  <= _screen_margin(screened, _EDGE_T, 5) / 2)
 
 
 def _reference_audit(point, config, bs_samples, adv_samples, seed):
@@ -891,6 +898,122 @@ def test_audit_prices_samples_across_chunks(monkeypatch):
         chunked.witness.payoff_after.hex())
     assert _reference_audit(point, cfg, 10, 100, 9)[4] == (
         whole.witness.payoff_after)
+
+
+# ===========================================================================
+#  The adversary samples' screen
+# ===========================================================================
+
+
+def _screen_and_prices(policy, subpolicy, samples, T):
+    """(screened values, dense values, margins) of window samples."""
+    screened = _window_screen(policy, subpolicy, samples, T)
+    return (screened, _window_system_ages(policy, subpolicy, samples, T),
+            _screen_margin(screened, T, policy.n))
+
+
+def _random_screen_case(rng, T):
+    """A random diversity profile at horizon T and its adversary samples:
+    some users share a p_i, one p_i may be tiny, q may sit on one
+    sub-carrier (a vertex window there is a sure block, s = 1), and a small
+    alpha leaves B = 0."""
+    N, n_sub = int(rng.integers(1, 7)), int(rng.choice([2, 3, 5]))
+    alpha = float(rng.choice([0.01, rng.uniform(0.05, 0.95)]))
+    cfg = SystemConfig(horizon_T=T, num_users=N, alpha=alpha,
+                       num_subcarriers=n_sub)
+    p = rng.dirichlet(np.ones(N)) + 1e-3
+    if N > 2:
+        p[1] = p[0]  # two users share one row
+    if rng.random() < 0.3:
+        p[-1] = 1e-6 * p.sum()  # never settles within the horizon
+    q = (np.eye(n_sub)[int(rng.integers(n_sub))] if rng.random() < 0.3
+         else rng.dirichlet(np.ones(n_sub)))
+    policy = validate_policy(p / p.sum())
+    subpolicy = validate_subcarrier_policy(q)
+    return policy, subpolicy, _sample_adv_deviations(cfg, 25, rng)
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 17, 240, 1500])
+@pytest.mark.parametrize("seed", range(6))
+def test_screen_agrees_with_the_dense_prices_within_the_margin(T, seed):
+    rng = np.random.default_rng(9100 + 10 * T + seed)
+    policy, subpolicy, samples = _random_screen_case(rng, T)
+    screened, dense, margin = _screen_and_prices(policy, subpolicy, samples,
+                                                 T)
+    assert np.all(margin > 0.0)
+    assert np.all(np.abs(screened - dense) <= margin / 2), (
+        np.abs(screened - dense) / margin)
+
+
+def _spy_dense_prices(monkeypatch):
+    """Record the samples the audit prices densely, one list per call."""
+    calls, real = [], equilibrium._window_system_ages
+
+    def spy(policy, subpolicy, samples, horizon):
+        calls.append(list(samples))
+        return real(policy, subpolicy, samples, horizon)
+
+    monkeypatch.setattr(equilibrium, "_window_system_ages", spy)
+    return calls
+
+
+def test_sample_within_the_margin_of_the_threshold_is_priced_densely(
+        monkeypatch):
+    # scale the candidate's window until its exact age plus IMPROVEMENT_TOL
+    # lies just above the highest sampled age, within the rounding margin:
+    # that sample must be priced densely, and it is no witness.  At
+    # uniform q the window samples that span B slots tie with it.
+    cfg = SystemConfig(horizon_T=300, num_users=3, alpha=0.2,
+                       num_subcarriers=3)
+    policy, subpolicy, full = diversity_nash_point(cfg)
+    rng = np.random.default_rng(1)  # the audit's draws at seed 1
+    _sample_bs_deviations(3, 3, 1, rng)
+    samples = _sample_adv_deviations(cfg, 40, rng)
+    screened = _window_screen(policy, subpolicy, samples, 300)
+    margin = _screen_margin(screened, 300, 3)
+    top = int(np.argmax(screened))
+
+    def candidate(scale):
+        return BlockingPlan(full.block_prob * scale)
+
+    def gap(scale):
+        exact = expected_age_trajectory_diversity(
+            policy, subpolicy, candidate(scale), cfg).system_avg
+        return exact + IMPROVEMENT_TOL - screened[top]
+
+    def key(windows):
+        return [(start, stop, w.tobytes()) for start, stop, w in windows]
+
+    low, high = 0.0, 1.0
+    assert gap(low) < 0.0 < gap(high)
+    while (low + high) / 2 not in (low, high):
+        mid = (low + high) / 2
+        low, high = (mid, high) if gap(mid) <= 0.0 else (low, mid)
+    assert 0.0 < gap(high) <= margin[top] / 4
+
+    calls = _spy_dense_prices(monkeypatch)
+    point = (policy, subpolicy, candidate(high))
+    report = verify_diversity_nash(point, cfg, 1, 40, seed=1)
+    priced = [key(windows) for call in calls for windows in call]
+    assert key(samples[top]) in priced
+    near = [key(samples[k]) for k in np.flatnonzero(
+        screened >= screened[top] - 4 * margin[top])]
+    assert all(windows in near for windows in priced)
+    assert len(near) < len(samples)
+    assert report.holds is True
+    assert report.payoff.hex() == _reference_audit(
+        point, cfg, 1, 40, 1)[1].hex()
+
+
+def test_game_audit_prices_no_sample_densely(monkeypatch):
+    cfg = SystemConfig(horizon_T=5000, num_users=4, alpha=0.2,
+                       num_subcarriers=3)
+    point = diversity_nash_point(cfg)
+    calls = _spy_dense_prices(monkeypatch)
+    for seed in range(5):
+        report = verify_diversity_nash(point, cfg, 500, 200, seed=seed)
+        assert report.holds is True
+    assert calls == []
 
 
 def test_verify_requires_diversity_and_feasible_plan():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from aoijam.equilibrium import best_response_dynamics
+from aoijam.equilibrium import _window_plan, best_response_dynamics
 from aoijam.errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
@@ -410,6 +410,11 @@ def test_plan_errors_keep_their_class_and_message(raw, error, message):
     assert type(info.value) is error
     assert str(info.value) == message
     assert _reference_plan(raw) == (error, message)
+    # the constructors' route, which adopts the matrix, raises the same
+    with pytest.raises(error) as adopted:
+        BlockingPlan._adopt(np.array(raw, dtype=float))
+    assert type(adopted.value) is error
+    assert str(adopted.value) == message
 
 
 @pytest.mark.parametrize("raw", [
@@ -459,6 +464,62 @@ def test_plan_validation_replays_the_reference(seed):
         m = _random_plan_matrix(rng)
         got, want = _built(m), _reference_plan(m)
         assert _same_outcome(got, want), (m, got, want)
+
+
+def test_plan_keeps_its_own_copy_of_the_callers_array():
+    m = np.zeros((2, 5))
+    m[1, 2] = 0.5
+    plan = BlockingPlan(m)
+    m[0, :] = 1.0
+    m[1, 2] = 0.0
+    assert plan.block_prob.tolist() == [[0.0] * 5,
+                                        [0.0, 0.0, 0.5, 0.0, 0.0]]
+    assert m.flags.writeable  # the caller's array stays writable
+
+
+def _constructor_plans():
+    """(name, plan, the matrix it holds) for every plan constructor that
+    hands BlockingPlan the matrix it built."""
+    flat = SystemConfig(horizon_T=40, num_users=3, alpha=0.3)
+    div = SystemConfig(horizon_T=40, num_users=3, alpha=0.3,
+                       num_subcarriers=3)
+    windows = [(2, 9, np.array([0.5, 0.25, 0.0])),
+               (20, 23, np.full(3, 1.0 / 3.0))]
+    plans = [("middle-block", make_middle_block(flat, 1)),
+             ("middle-block-diversity", make_middle_block(div, 2)),
+             ("uniform-subcarrier", make_uniform_subcarrier_block(div)),
+             ("empty", empty_plan(flat)),
+             ("empty-diversity", empty_plan(div)),
+             ("window-plan", _window_plan(windows, div))]
+    return [(name, plan, np.array(plan.block_prob)) for name, plan in plans]
+
+
+@pytest.mark.parametrize("name, plan, held", _constructor_plans(),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_constructor_plans_are_read_only_copies_of_their_matrix(
+        name, plan, held):
+    assert not plan.block_prob.flags.writeable
+    with pytest.raises(ValueError):
+        plan.block_prob[0, 0] = 1.0
+    rebuilt = BlockingPlan(np.array(held))
+    assert rebuilt.block_prob.dtype == plan.block_prob.dtype
+    assert rebuilt.block_prob.shape == plan.block_prob.shape
+    assert rebuilt.block_prob.tobytes() == plan.block_prob.tobytes()
+    assert rebuilt == plan
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_adopted_matrices_pass_the_same_checks(seed):
+    # the constructors' route raises what BlockingPlan raises, with the
+    # same text, and stores the same bits
+    rng = np.random.default_rng(4300 + seed)
+    for _ in range(300):
+        m = _random_plan_matrix(rng)
+        try:
+            got = BlockingPlan._adopt(np.array(m, dtype=float)).block_prob
+        except ValueError as exc:
+            got = type(exc), str(exc)
+        assert _same_outcome(got, _built(m)), m
 
 
 @pytest.mark.parametrize("seed", range(3))
