@@ -10,12 +10,12 @@ Without diversity user i reads plan row i; with it every user reads the
 one vector r = sum_j q_j * block_prob[j] (_intercepted).  One body,
 _profile_series, prices every profile: it cuts each row into runs of
 constant r once, prices each distinct (row, p_i) pair once through the
-row core _price_row, and copies that row to the pair's other users.  The
+row core _run_ages, and copies that row to the pair's other users.  The
 diversity audit reads its rows' runs off its (start, stop, weights)
-windows (_window_runs): _window_system_ages prices them by the same row
-core, and _window_screen only sums them; nothing builds an N x T delivery
-matrix.  The quadratic sum form of the recursion lives in the tests as a
-cross-check.
+windows (_window_runs) and _window_screen only sums them, building no
+plan and no N x T delivery matrix; the few samples it prices densely go
+through expected_age_trajectory_diversity.  The quadratic sum form of the
+recursion lives in the tests as a cross-check.
 
 One run walker, _walk_runs, holds the recursion's loop and yields, from a
 row's runs of constant s, the floats of the plain per-slot loop.  It has
@@ -36,14 +36,14 @@ Within one call a converged run's trajectory is kept under its (entry age,
 s), with its prefix sums, and a later run with that key, in any row,
 copies it (or the prefix that fits): the audit's samples share their clear
 stretches, and _run_sum adds such a run as one prefix sum plus the fixed
-point times the slots left, O(runs) per row.  The screened and the dense
-system ages add the same ages in different orders; _screen_margin bounds
-their distance.
+point times the slots left, O(runs) per row.  The screened system age
+and the evaluator's add the same ages in different orders; _screen_margin
+bounds their distance.
 
 The interception is added in sub-carrier order with elementwise
 operations, never by a matrix product, whose last bit may depend on the
-operands' shapes and on the BLAS build: a plan's value is the same whether
-it is priced alone or in a batch.
+operands' shapes and on the BLAS build: a slot's interception is the same
+read off a whole plan or off the audit's windows.
 """
 
 from dataclasses import dataclass
@@ -220,13 +220,6 @@ def _survival(p: float, clear: np.ndarray) -> list:
     return (1.0 - p * clear).tolist()
 
 
-def _price_row(row: np.ndarray, p: float, starts: list, clear: np.ndarray,
-               converged: dict) -> None:
-    """Write the ages of a user scheduled with probability p whose channel
-    is clear with probability clear[k] over run k (runs as in _run_ages)."""
-    _run_ages(row, starts, _survival(p, clear), converged)
-
-
 def _profile_series(policy: SchedulingPolicy,
                     subpolicy: SubcarrierPolicy | None, plan: BlockingPlan,
                     config: SystemConfig) -> AgeSeries:
@@ -252,7 +245,8 @@ def _profile_series(policy: SchedulingPolicy,
     source = [first.setdefault(pair, user) for user, pair
               in enumerate(zip(row_of, policy.probs.tolist()))]
     for (r, p), user in first.items():
-        _price_row(out[user], p, *runs[r], converged)
+        starts, clear = runs[r]
+        _run_ages(out[user], starts, _survival(p, clear), converged)
     priced = list(first.values())  # increasing: a prefix iff it ends at k - 1
     k = len(priced)
     _check_age_range(out[:k] if priced[-1] == k - 1 else out[priced])
@@ -325,34 +319,6 @@ def _window_runs(subpolicy: SubcarrierPolicy, samples,
     return starts, np.array(clear), bounds
 
 
-def _window_system_ages(policy: SchedulingPolicy, subpolicy: SubcarrierPolicy,
-                        samples, horizon: int) -> np.ndarray:
-    """expected_age_trajectory_diversity(...).system_avg of every sample
-    plan, bit for bit, without building any plan or delivery matrix.
-
-    A sample is a sequence of disjoint (start, stop, weights) windows: its
-    plan blocks sub-carrier j with probability weights[j] in slots
-    start+1..stop and nowhere else.  The caller has checked the profile and
-    every sample's feasibility.  Each (sample, distinct p_i) row is priced
-    from its _window_runs by _price_row into one buffer, and the [1, t]
-    certificate covers all of them.
-    """
-    first = {}
-    user_row = [first.setdefault(p, len(first))
-                for p in policy.probs.tolist()]
-    ages = np.empty((len(samples), len(first), horizon))
-    starts, clear, bounds = _window_runs(subpolicy, samples, horizon)
-    converged = {}
-    for rows, runs, a, b in zip(ages, starts, bounds, bounds[1:]):
-        for row, p in zip(rows, first):
-            _price_row(row, p, runs, clear[a:b], converged)
-    ages = ages.reshape(-1, horizon)
-    _check_age_range(ages)
-    row_avg = ages.mean(axis=1).reshape(len(samples), len(first))
-    # contiguous rows, so each mean adds as the evaluator's 1-D mean does
-    return np.ascontiguousarray(row_avg[:, user_row]).mean(axis=1)
-
-
 def _run_sum(starts: list, survival: list, horizon: int,
              converged: dict) -> float:
     """The sum of one row's ages (runs as in _run_ages), from _walk_runs's
@@ -389,11 +355,16 @@ def _run_sum(starts: list, survival: list, horizon: int,
 
 def _window_screen(policy: SchedulingPolicy, subpolicy: SubcarrierPolicy,
                    samples, horizon: int) -> np.ndarray:
-    """Every sample's system age within _screen_margin of
-    _window_system_ages's, each (sample, distinct p_i) row summed by
-    _run_sum from the same runs and the same survivals, with one
-    converged-run cache for the call and no age written.  Each row's
-    [1, t] certificate is _run_sum's."""
+    """Every window sample's system age within _screen_margin of
+    expected_age_trajectory_diversity(...).system_avg of its plan, without
+    building any plan or delivery matrix.
+
+    A sample is a sequence of disjoint (start, stop, weights) windows: its
+    plan blocks sub-carrier j with probability weights[j] in slots
+    start+1..stop and nowhere else.  The caller has checked the profile and
+    every sample's feasibility.  Each (sample, distinct p_i) row is summed
+    by _run_sum from its _window_runs, with one converged-run cache for the
+    call and no age written.  Each row's [1, t] certificate is _run_sum's."""
     counts = {}
     for p in policy.probs.tolist():
         counts[p] = counts.get(p, 0) + 1
@@ -410,8 +381,9 @@ def _window_screen(policy: SchedulingPolicy, subpolicy: SubcarrierPolicy,
 
 def _screen_margin(values: np.ndarray, horizon: int,
                    users: int) -> np.ndarray:
-    """An upper bound on |_window_screen - _window_system_ages| for samples
-    whose screened system ages are `values`, twice over.
+    """An upper bound, twice over, on the distance between _window_screen's
+    value of a sample and expected_age_trajectory_diversity(...).system_avg
+    of its plan, for samples whose screened system ages are `values`.
 
     Both routes add the same positive ages, weighted by 1/(T*N), in
     different orders: along any path from one age to the result they

@@ -26,7 +26,6 @@ from .age_asymptotic import (
 from .age_exact import (
     _screen_margin,
     _window_screen,
-    _window_system_ages,
     expected_age_trajectory_diversity,
 )
 from .best_response import (
@@ -58,10 +57,6 @@ from .model import (
 )
 
 IMPROVEMENT_TOL = 1e-9  # strict-improvement threshold for witnesses
-# Age cells the diversity audit writes at once for the adversary samples it
-# prices densely, one per (sample, distinct p_i, slot): a chunk holds
-# max(1, PRICE_CELLS // (distinct p_i * T)) samples.
-PRICE_CELLS = 2**18
 
 # Structured adversary deviation families sampled by verify_diversity_nash;
 # a middle window centres on the T - 1 live slots, middle_window(T - 1, B).
@@ -410,16 +405,13 @@ def verify_diversity_nash(point, config: SystemConfig, bs_samples: int,
     u = 2**-53; _screen_margin, 4*n*u times the screened value, is at least
     twice their distance.  Only a sample that screens within that margin
     of current + IMPROVEMENT_TOL, or above it, can price above it.  Those
-    samples alone, in sample order, are priced densely by
-    _window_system_ages in chunks of about PRICE_CELLS age cells, with one
-    [1, t] certificate per chunk; a densely priced sample farther from its
-    screened value than the margin raises CertificateError.  The first
-    sample whose dense price is above the candidate by more than
-    IMPROVEMENT_TOL is the witness, the one that pricing every sample
-    densely finds; it alone becomes a BlockingPlan, and its price from
-    expected_age_trajectory_diversity must equal its batched price bit for
-    bit, else CertificateError.  The payoff is the large-horizon age, or
-    the exact age beside an adversary witness.
+    samples alone, in sample order, become a BlockingPlan and are priced
+    densely by expected_age_trajectory_diversity, whose [1, t] certificate
+    covers them; a densely priced sample farther from its screened value
+    than the margin raises CertificateError.  The first sample whose dense
+    price is above the candidate by more than IMPROVEMENT_TOL is the
+    witness, the one that pricing every sample densely finds.  The payoff
+    is the large-horizon age, or the exact age beside an adversary witness.
     """
     _check_count("bs_samples", bs_samples, 1)
     _check_count("adv_samples", adv_samples, 1)
@@ -447,31 +439,16 @@ def verify_diversity_nash(point, config: SystemConfig, bs_samples: int,
     margin = _screen_margin(screened, horizon, policy.n)
     # only these samples can price above the threshold
     near = np.flatnonzero(screened >= threshold - margin).tolist()
-    # distinct p_i, counted without np.unique (which imports numpy.ma)
-    cells_per_sample = len(set(policy.probs.tolist())) * horizon
-    chunk = max(1, PRICE_CELLS // cells_per_sample)
-    for first in range(0, len(near), chunk):
-        picked = near[first:first + chunk]
-        values = _window_system_ages(
-            policy, subpolicy, [samples[k] for k in picked], horizon)
-        apart = np.abs(values - screened[picked]) > margin[picked]
-        if apart.any():
-            i = int(np.argmax(apart))
-            k = picked[i]
+    for k in near:
+        candidate = _window_plan(samples[k], config)
+        value = expected_age_trajectory_diversity(
+            policy, subpolicy, candidate, config).system_avg
+        if abs(value - screened[k]) > margin[k]:
             raise CertificateError(
-                f"adversary sample {k} priced {float(values[i])!r} densely "
-                f"but screened at {float(screened[k])!r}, farther apart than "
+                f"adversary sample {k} priced {value!r} densely but "
+                f"screened at {float(screened[k])!r}, farther apart than "
                 f"the rounding margin {float(margin[k])!r}")
-        raised = values > threshold
-        if raised.any():
-            i = int(np.argmax(raised))
-            candidate = _window_plan(samples[picked[i]], config)
-            value = expected_age_trajectory_diversity(
-                policy, subpolicy, candidate, config).system_avg
-            if value != values[i]:
-                raise CertificateError(
-                    f"adversary witness priced {value!r} alone but "
-                    f"{float(values[i])!r} in its batch")
+        if value > threshold:
             return _refuted("diversity-nash", current_exact, "adversary",
                             candidate, value,
                             "blocking deviation raises system age")

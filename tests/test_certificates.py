@@ -156,34 +156,28 @@ def test_audit_age_range_check_fires(monkeypatch):
         audit()
 
 
-def test_audit_batch_age_range_check_fires(monkeypatch):
-    # the candidate is priced as before; only the rows of the batched
-    # adversary samples come back as zeros: both paths reach _run_ages
-    # through _price_row, so the batch is told apart by the row core's caller
-    real = age_exact._run_ages
+def test_audit_dense_sample_age_range_check_fires(monkeypatch):
+    # the candidate is priced as before; only the evaluator call that
+    # prices an adversary sample, the second, writes zero ages
+    plans = []
+    real_series, real_ages = age_exact._profile_series, age_exact._run_ages
 
-    def zero_batch_rows(row, *runs):
-        real(row, *runs)
-        core = sys._getframe(1)
-        if (core.f_code.co_name, core.f_back.f_code.co_name) == (
-                "_price_row", "_window_system_ages"):
+    def series(policy, subpolicy, plan, config):
+        plans.append(plan)
+        return real_series(policy, subpolicy, plan, config)
+
+    def zero_second_call(row, *runs):
+        real_ages(row, *runs)
+        if len(plans) == 2:
             row[:] = 0.0
 
-    monkeypatch.setattr(age_exact, "_run_ages", zero_batch_rows)
+    monkeypatch.setattr(age_exact, "_profile_series", series)
+    monkeypatch.setattr(age_exact, "_run_ages", zero_second_call)
     with pytest.raises(CertificateError,
                        match=r"outside \[1, t\]") as caught:
         _skewed_diversity_audit()()
-    assert caught.traceback[-2].name == "_window_system_ages"
-
-
-def test_audit_witness_reprice_check_fires(monkeypatch):
-    # a batch price one ulp above the witness's own price is refused
-    real = equilibrium._window_system_ages
-    monkeypatch.setattr(
-        equilibrium, "_window_system_ages",
-        lambda *args: np.nextafter(real(*args), np.inf))
-    with pytest.raises(CertificateError, match="alone but"):
-        _skewed_diversity_audit()()
+    assert len(plans) == 2 and plans[1] is not plans[0]
+    assert caught.traceback[-2].name == "_profile_series"
 
 
 _VERTEX0, _THIRDS = np.array([1.0, 0.0, 0.0]), np.full(3, 1.0 / 3.0)

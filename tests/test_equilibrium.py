@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import aoijam.age_exact as age_exact
 import aoijam.equilibrium as equilibrium
 from aoijam.age_asymptotic import (
     _diversity_ages,
@@ -33,9 +34,10 @@ from aoijam.equilibrium import (
     verify_diversity_nash,
 )
 from aoijam.age_exact import (
+    _intercepted,
     _screen_margin,
+    _window_runs,
     _window_screen,
-    _window_system_ages,
     expected_age_trajectory_diversity,
 )
 from aoijam.errors import (
@@ -738,25 +740,6 @@ def test_window_check_raises_what_the_plan_check_raises(windows, error):
                           plan, cfg)
 
 
-@pytest.mark.parametrize("n_sub", [2, 3, 5])
-@pytest.mark.parametrize("N", [1, 2, 7, 9, 16])
-def test_window_prices_are_the_evaluator_prices_bit_for_bit(N, n_sub):
-    # every sample, not only a witness: one interception rule, one mean
-    # order, whatever the batch's shape
-    rng = np.random.default_rng(N * 10 + n_sub)
-    cfg = SystemConfig(horizon_T=90, num_users=N, alpha=0.3,
-                       num_subcarriers=n_sub)
-    p = rng.dirichlet(np.ones(N)) + 0.01
-    policy = validate_policy(p / p.sum())
-    subpolicy = validate_subcarrier_policy(rng.dirichlet(np.ones(n_sub)))
-    samples = _sample_adv_deviations(cfg, 40, rng)
-    batched = _window_system_ages(policy, subpolicy, samples, 90)
-    for windows, value in zip(samples, batched):
-        alone = expected_age_trajectory_diversity(
-            policy, subpolicy, _window_plan(windows, cfg), cfg).system_avg
-        assert float(value).hex() == alone.hex()
-
-
 _EDGE_T = 600  # B = 300 at alpha = 0.5
 _UNIFORM3, _VERTEX0 = np.full(3, 1.0 / 3.0), np.array([1.0, 0.0, 0.0])
 _EDGE_SAMPLES = {
@@ -790,18 +773,16 @@ def test_window_prices_of_edge_samples_are_the_evaluator_prices(q):
     subpolicy = validate_subcarrier_policy(q)
     samples = list(_EDGE_SAMPLES.values())
     _check_windows(samples, cfg)
-    batched = _window_system_ages(policy, subpolicy, samples, _EDGE_T)
-    for name, windows, value in zip(_EDGE_SAMPLES, samples, batched):
+    dense = []
+    for name, windows in zip(_EDGE_SAMPLES, samples):
         series = expected_age_trajectory_diversity(
             policy, subpolicy, _window_plan(windows, cfg), cfg)
-        assert float(value).hex() == series.system_avg.hex(), name
         assert series.per_user[4, -2] < series.per_user[4, -1], name
-        alone = _window_system_ages(policy, subpolicy, [windows], _EDGE_T)
-        assert alone.tobytes() == value.tobytes(), name
+        dense.append(series.system_avg)
     # the screen of the same samples: ramps under q on sub-carrier 0, the
     # 1e-4 user's unsettled runs, empty samples
     screened = _window_screen(policy, subpolicy, samples, _EDGE_T)
-    assert np.all(np.abs(screened - batched)
+    assert np.all(np.abs(screened - dense)
                   <= _screen_margin(screened, _EDGE_T, 5) / 2)
 
 
@@ -852,52 +833,48 @@ def _random_audit(rng):
     return point, cfg, int(rng.integers(1, 12)), int(rng.integers(1, 30))
 
 
-def test_audit_replays_the_per_plan_reference(monkeypatch):
+def _replay_audit(point, cfg, bs, adv, seed):
+    """Check verify_diversity_nash against _reference_audit bit for bit;
+    return the witness's player, None where the audit holds."""
+    report = verify_diversity_nash(point, cfg, bs, adv, seed=seed)
+    holds, payoff, player, strategy, after = _reference_audit(
+        point, cfg, bs, adv, seed)
+    assert report.holds is holds
+    assert report.payoff.hex() == payoff.hex()
+    if holds:
+        assert report.witness is None
+        return None
+    w = report.witness
+    assert w.player == player
+    assert w.payoff_after.hex() == after.hex()
+    if player == "adversary":
+        assert w.strategy.block_prob.tobytes() == (
+            strategy.block_prob.tobytes())
+    else:
+        assert w.strategy == strategy
+    return player
+
+
+def test_audit_replays_the_per_plan_reference():
     rng = np.random.default_rng(2024)
-    players, cells = [], equilibrium.PRICE_CELLS
-    for k in range(400):
+    players = []
+    for _ in range(400):
         point, cfg, bs, adv = _random_audit(rng)
-        seed = int(rng.integers(1000))
-        # every other audit prices a few samples per chunk
-        monkeypatch.setattr(equilibrium, "PRICE_CELLS",
-                            cells if k % 2 else 1000)
-        report = verify_diversity_nash(point, cfg, bs, adv, seed=seed)
-        holds, payoff, player, strategy, after = _reference_audit(
-            point, cfg, bs, adv, seed)
-        assert report.holds is holds
-        assert report.payoff.hex() == payoff.hex()
-        if holds:
-            assert report.witness is None
-            continue
-        w = report.witness
-        players.append(w.player)
-        assert w.player == player
-        assert w.payoff_after.hex() == after.hex()
-        if player == "adversary":
-            assert w.strategy.block_prob.tobytes() == (
-                strategy.block_prob.tobytes())
-        else:
-            assert w.strategy == strategy
+        players.append(_replay_audit(point, cfg, bs, adv,
+                                     int(rng.integers(1000))))
     # every branch of the audit ran
-    assert {"adversary", "base-station"} <= set(players)
-    assert len(players) < 400
+    assert set(players) == {"adversary", "base-station", None}
 
 
-def test_audit_prices_samples_across_chunks(monkeypatch):
-    # a chunk of one sample, so the witness comes from a later chunk
+def test_audit_prices_samples_across_chunks():
+    # a heavy sub-carrier at T=200 and N=4: the audit prices its near
+    # samples one plan at a time, and the witness is the one that pricing
+    # every sample densely finds
     cfg = SystemConfig(horizon_T=200, num_users=4, alpha=0.4,
                        num_subcarriers=4)
     p, _, plan = diversity_nash_point(cfg)
     point = (p, validate_subcarrier_policy([0.7, 0.1, 0.1, 0.1]), plan)
-    whole = verify_diversity_nash(point, cfg, 10, 100, seed=9)
-    monkeypatch.setattr(equilibrium, "PRICE_CELLS", 1)
-    chunked = verify_diversity_nash(point, cfg, 10, 100, seed=9)
-    assert whole.witness.player == chunked.witness.player == "adversary"
-    assert whole.witness.strategy == chunked.witness.strategy
-    assert whole.witness.payoff_after.hex() == (
-        chunked.witness.payoff_after.hex())
-    assert _reference_audit(point, cfg, 10, 100, 9)[4] == (
-        whole.witness.payoff_after)
+    assert _replay_audit(point, cfg, 10, 100, 9) == "adversary"
 
 
 # ===========================================================================
@@ -905,18 +882,22 @@ def test_audit_prices_samples_across_chunks(monkeypatch):
 # ===========================================================================
 
 
-def _screen_and_prices(policy, subpolicy, samples, T):
-    """(screened values, dense values, margins) of window samples."""
+def _screen_and_prices(policy, subpolicy, samples, cfg):
+    """(screened values, dense values, margins) of window samples, each
+    dense value expected_age_trajectory_diversity's of the sample's plan."""
+    T = cfg.horizon_T
     screened = _window_screen(policy, subpolicy, samples, T)
-    return (screened, _window_system_ages(policy, subpolicy, samples, T),
-            _screen_margin(screened, T, policy.n))
+    dense = np.array([expected_age_trajectory_diversity(
+        policy, subpolicy, _window_plan(windows, cfg), cfg).system_avg
+        for windows in samples])
+    return screened, dense, _screen_margin(screened, T, policy.n)
 
 
 def _random_screen_case(rng, T):
-    """A random diversity profile at horizon T and its adversary samples:
-    some users share a p_i, one p_i may be tiny, q may sit on one
-    sub-carrier (a vertex window there is a sure block, s = 1), and a small
-    alpha leaves B = 0."""
+    """A random diversity profile at horizon T, its adversary samples and
+    its config: some users share a p_i, one p_i may be tiny, q may sit on
+    one sub-carrier (a vertex window there is a sure block, s = 1), and a
+    small alpha leaves B = 0."""
     N, n_sub = int(rng.integers(1, 7)), int(rng.choice([2, 3, 5]))
     alpha = float(rng.choice([0.01, rng.uniform(0.05, 0.95)]))
     cfg = SystemConfig(horizon_T=T, num_users=N, alpha=alpha,
@@ -930,30 +911,40 @@ def _random_screen_case(rng, T):
          else rng.dirichlet(np.ones(n_sub)))
     policy = validate_policy(p / p.sum())
     subpolicy = validate_subcarrier_policy(q)
-    return policy, subpolicy, _sample_adv_deviations(cfg, 25, rng)
+    return policy, subpolicy, _sample_adv_deviations(cfg, 25, rng), cfg
 
 
 @pytest.mark.parametrize("T", [1, 2, 3, 17, 240, 1500])
 @pytest.mark.parametrize("seed", range(6))
 def test_screen_agrees_with_the_dense_prices_within_the_margin(T, seed):
     rng = np.random.default_rng(9100 + 10 * T + seed)
-    policy, subpolicy, samples = _random_screen_case(rng, T)
+    policy, subpolicy, samples, cfg = _random_screen_case(rng, T)
     screened, dense, margin = _screen_and_prices(policy, subpolicy, samples,
-                                                 T)
+                                                 cfg)
     assert np.all(margin > 0.0)
     assert np.all(np.abs(screened - dense) <= margin / 2), (
         np.abs(screened - dense) / margin)
+    # the margin's premise, that both routes add the same ages: every carry
+    # slot of a sample's runs is clear with the probability the evaluator
+    # reads off the sample's plan, bit for bit
+    starts, clear, bounds = _window_runs(subpolicy, samples, T)
+    for windows, runs, a, b in zip(samples, starts, bounds, bounds[1:]):
+        plan = _window_plan(windows, cfg).block_prob
+        lengths = np.diff(runs + [T - 1]).astype(int)
+        assert np.repeat(clear[a:b], lengths).tobytes() == (
+            1.0 - _intercepted(subpolicy.probs, plan))[:T - 1].tobytes()
 
 
 def _spy_dense_prices(monkeypatch):
-    """Record the samples the audit prices densely, one list per call."""
-    calls, real = [], equilibrium._window_system_ages
+    """Record the samples the audit prices densely, in order: the audit
+    builds the plan of those samples alone."""
+    calls, real = [], equilibrium._window_plan
 
-    def spy(policy, subpolicy, samples, horizon):
-        calls.append(list(samples))
-        return real(policy, subpolicy, samples, horizon)
+    def spy(windows, config):
+        calls.append(windows)
+        return real(windows, config)
 
-    monkeypatch.setattr(equilibrium, "_window_system_ages", spy)
+    monkeypatch.setattr(equilibrium, "_window_plan", spy)
     return calls
 
 
@@ -994,7 +985,7 @@ def test_sample_within_the_margin_of_the_threshold_is_priced_densely(
     calls = _spy_dense_prices(monkeypatch)
     point = (policy, subpolicy, candidate(high))
     report = verify_diversity_nash(point, cfg, 1, 40, seed=1)
-    priced = [key(windows) for call in calls for windows in call]
+    priced = [key(windows) for windows in calls]
     assert key(samples[top]) in priced
     near = [key(samples[k]) for k in np.flatnonzero(
         screened >= screened[top] - 4 * margin[top])]
@@ -1014,6 +1005,39 @@ def test_game_audit_prices_no_sample_densely(monkeypatch):
         report = verify_diversity_nash(point, cfg, 500, 200, seed=seed)
         assert report.holds is True
     assert calls == []
+
+
+def test_skewed_audit_prices_each_near_sample_once(monkeypatch):
+    # a heavy sub-carrier at N = 2: 9 samples screen within the rounding
+    # margin of the threshold, or above it, and the first is the witness.
+    # The users share one p, so the evaluator writes one row per price:
+    # the candidate's and the witness's, and no other.
+    cfg = SystemConfig(horizon_T=200, num_users=2, alpha=0.4,
+                       num_subcarriers=4)
+    policy, _, plan = diversity_nash_point(cfg)
+    skew = validate_subcarrier_policy([0.7, 0.1, 0.1, 0.1])
+    rng = np.random.default_rng(9)  # the audit's draws at seed 9
+    _sample_bs_deviations(2, 4, 20, rng)
+    samples = _sample_adv_deviations(cfg, 60, rng)
+    screened = _window_screen(policy, skew, samples, 200)
+    threshold = expected_age_trajectory_diversity(
+        policy, skew, plan, cfg).system_avg + IMPROVEMENT_TOL
+    near = np.flatnonzero(
+        screened >= threshold - _screen_margin(screened, 200, 2))
+    assert near.size == 9
+
+    rows, real = [], age_exact._run_ages
+
+    def spy(row, *runs):
+        rows.append(row)
+        real(row, *runs)
+
+    monkeypatch.setattr(age_exact, "_run_ages", spy)
+    report = verify_diversity_nash((policy, skew, plan), cfg, 20, 60, seed=9)
+    assert report.witness.player == "adversary"
+    assert report.witness.strategy.block_prob.tobytes() == (
+        _window_plan(samples[near[0]], cfg).block_prob.tobytes())
+    assert len(rows) == 2
 
 
 def test_verify_requires_diversity_and_feasible_plan():
