@@ -195,9 +195,42 @@ def best_response_dynamics(config: SystemConfig,
 
 
 def _fsum_rows(rows: np.ndarray) -> np.ndarray:
-    """Every row divided by its math.fsum, as validate_policy divides it."""
-    return rows / np.fromiter(map(math.fsum, rows.tolist()), float,
-                              count=len(rows))[:, None]
+    """Every row of a 2-D float array with at least one column divided by
+    its math.fsum, as validate_policy divides it, bit for bit.
+
+    The sums are exact and batched.  One walk over the columns applies
+    Knuth's TwoSum to every row at once: t = s + x, and e = s + x - t
+    exactly; err adds up the e and mag the |t|.  Let m be the row's
+    smallest nonzero |entry|.  Every entry, s and e is a multiple of the
+    unit in the last place of m, and |e| <= 2**-53 |t|, so while the sum of
+    the |t| stays below m * 2**53, every partial sum of the errors is a
+    float: err is exact, and s + err rounds the exact total once, which is
+    math.fsum's value (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26(6),
+    2005).  A row whose computed mag is not below m * 2**52 (the factor 2
+    covers mag's own rounding), that has no nonzero entry or whose total
+    overflows is summed by math.fsum instead: a non-finite entry or a range
+    beyond 2**52 between m and the partial sums sends it there.  Both
+    callers' rows are probabilities clipped at 1e-9 or above, so mag is
+    about their column count and they fall back only past 4 million
+    columns.
+    """
+    cols = rows.T.copy()  # one contiguous array per column
+    a = np.abs(cols)
+    a[a == 0.0] = np.inf
+    m = a.min(axis=0)
+    s, err, mag = cols[0], np.zeros(len(rows)), np.abs(cols[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf rows fall back
+        for x in cols[1:]:
+            t = s + x
+            b = t - s
+            err += (s - (t - b)) + (x - b)
+            s = t
+            mag += np.abs(t)
+        total = s + err
+        exact = (0.0 < mag) & (mag < m * 2.0**52) & np.isfinite(total)
+    slow = np.flatnonzero(~exact)
+    total[slow] = [math.fsum(row) for row in rows[slow].tolist()]
+    return rows / total[:, None]
 
 
 def _certification_policies(N: int, samples: int, seed: int) -> np.ndarray:
@@ -206,8 +239,12 @@ def _certification_policies(N: int, samples: int, seed: int) -> np.ndarray:
     One rival per row of a (samples, N) matrix: max(2, samples // 4) grid
     rows (a linspace of p_0 for N = 2, Dirichlet draws otherwise), then
     Dirichlet draws sorted largest first, cut to `samples` rows.  Drawn rows
-    are clipped at 1e-6 and divided by their sum; every row is then divided
-    by its math.fsum, as validate_policy does.
+    are clipped at 1e-6 and divided by their sum; every row is then
+    normalized by _fsum_rows, an exact batched fsum that is bit for bit
+    validate_policy's math.fsum division, with math.fsum as the fallback.
+    A row is summed exactly while the sum of its partial sums' magnitudes
+    stays below 2**52 times its smallest nonzero entry; these rows, clipped
+    at 1e-6 and summing to about 1, always are.
     """
     rng = np.random.default_rng(seed)
     grid = max(2, samples // 4)

@@ -135,7 +135,7 @@ class _ProbabilityVector:
             why = " (unscheduled users age forever)" if self.POSITIVE else ""
             raise NonPositiveEntryError(
                 f"{self.SYMBOL}[{bad}] = {x[bad]} must be {floor}{why}")
-        s = math.fsum(x)
+        s = math.fsum(x.tolist())
         if not math.isfinite(s):  # a NaN or +inf entry; -inf failed above
             bad, = _first_non_finite(x)
             raise NonPositiveEntryError(
