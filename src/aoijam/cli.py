@@ -292,11 +292,23 @@ class Source(NamedTuple):
 
 
 def _explicit(field: str, build, raw):
-    """build(raw as a float array); a model ValueError names `field`."""
+    """build(raw as a float array); an entry that is no number, one past
+    the float range or a model ValueError names `field`."""
+    _check_numbers(field, raw)
     try:
         return build(np.asarray(raw, dtype=float))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         _fail(field, str(exc))
+
+
+def _check_numbers(field: str, raw: list):
+    """Fail `field` at an entry of the nested lists `raw` that is not a
+    JSON int or float: a bool or a numeric string is no number."""
+    for entry in raw:
+        if isinstance(entry, list):
+            _check_numbers(field, entry)
+        elif isinstance(entry, bool) or not isinstance(entry, (int, float)):
+            _fail(field, f"could not convert {entry!r} to a number")
 
 
 def _explicit_plan(sc, spec, policy) -> BlockingPlan:

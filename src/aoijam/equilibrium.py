@@ -12,7 +12,6 @@ genuine Nash point, verified against sampled deviations on both sides.  A
 game is a SystemConfig; prices read its share B/T.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,57 +193,15 @@ def best_response_dynamics(config: SystemConfig,
 # ===========================================================================
 
 
-def _fsum_rows(rows: np.ndarray) -> np.ndarray:
-    """Every row of a 2-D float array with at least one column divided by
-    its math.fsum, as validate_policy divides it, bit for bit.
-
-    The sums are exact and batched.  One walk over the columns applies
-    Knuth's TwoSum to every row at once: t = s + x, and e = s + x - t
-    exactly; err adds up the e and mag the |t|.  Let m be the row's
-    smallest nonzero |entry|.  Every entry, s and e is a multiple of the
-    unit in the last place of m, and |e| <= 2**-53 |t|, so while the sum of
-    the |t| stays below m * 2**53, every partial sum of the errors is a
-    float: err is exact, and s + err rounds the exact total once, which is
-    math.fsum's value (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26(6),
-    2005).  A row whose computed mag is not below m * 2**52 (the factor 2
-    covers mag's own rounding), that has no nonzero entry or whose total
-    overflows is summed by math.fsum instead: a non-finite entry or a range
-    beyond 2**52 between m and the partial sums sends it there.  Both
-    callers' rows are probabilities clipped at 1e-9 or above, so mag is
-    about their column count and they fall back only past 4 million
-    columns.
-    """
-    cols = rows.T.copy()  # one contiguous array per column
-    a = np.abs(cols)
-    a[a == 0.0] = np.inf
-    m = a.min(axis=0)
-    s, err, mag = cols[0], np.zeros(len(rows)), np.abs(cols[0])
-    with np.errstate(over="ignore", invalid="ignore"):  # inf rows fall back
-        for x in cols[1:]:
-            t = s + x
-            b = t - s
-            err += (s - (t - b)) + (x - b)
-            s = t
-            mag += np.abs(t)
-        total = s + err
-        exact = (0.0 < mag) & (mag < m * 2.0**52) & np.isfinite(total)
-    slow = np.flatnonzero(~exact)
-    total[slow] = [math.fsum(row) for row in rows[slow].tolist()]
-    return rows / total[:, None]
-
-
 def _certification_policies(N: int, samples: int, seed: int) -> np.ndarray:
-    """Simplex grid plus random ordered policies, deterministic in seed.
+    """Simplex grid plus random policies, deterministic in seed.
 
     One rival per row of a (samples, N) matrix: max(2, samples // 4) grid
     rows (a linspace of p_0 for N = 2, Dirichlet draws otherwise), then
-    Dirichlet draws sorted largest first, cut to `samples` rows.  Drawn rows
-    are clipped at 1e-6 and divided by their sum; every row is then
-    normalized by _fsum_rows, an exact batched fsum that is bit for bit
-    validate_policy's math.fsum division, with math.fsum as the fallback.
-    A row is summed exactly while the sum of its partial sums' magnitudes
-    stays below 2**52 times its smallest nonzero entry; these rows, clipped
-    at 1e-6 and summing to about 1, always are.
+    Dirichlet draws, cut to `samples` rows.  Every row is clipped at 1e-6
+    and divided by its sum.  The rows keep their drawn order of users: the
+    follower-aware payoff is symmetric in the users, so a sort would move a
+    price by rounding only.
     """
     rng = np.random.default_rng(seed)
     grid = max(2, samples // 4)
@@ -252,13 +209,10 @@ def _certification_policies(N: int, samples: int, seed: int) -> np.ndarray:
         x = np.linspace(0.02, 0.98, grid)
         head = np.column_stack((x, 1 - x))
     else:
-        head = np.clip(rng.dirichlet(np.ones(N), size=grid), 1e-6, None)
-        head /= head.sum(axis=1, keepdims=True)
-    tail = np.clip(rng.dirichlet(np.ones(N), size=max(samples - grid, 0)),
-                   1e-6, None)
-    tail = np.sort(tail, axis=1)[:, ::-1]  # ordered policies, largest first
-    return _fsum_rows(np.concatenate(
-        (head, tail / tail.sum(axis=1, keepdims=True)))[:samples])
+        head = rng.dirichlet(np.ones(N), size=grid)
+    tail = rng.dirichlet(np.ones(N), size=max(samples - grid, 0))
+    rows = np.clip(np.concatenate((head, tail))[:samples], 1e-6, None)
+    return rows / rows.sum(axis=1, keepdims=True)
 
 
 def stackelberg_equilibrium(config: SystemConfig, target: int = 0,
@@ -307,8 +261,8 @@ def diversity_nash_point(config: SystemConfig):
 def _sample_bs_deviations(N, N_sub, bs_samples, rng):
     """Perturbed (p, q) pairs as two matrices, one pair per row: uniform
     first, then broad Dirichlet draws or local wiggles of p, each with a
-    Dirichlet q.  Row i is the raw vector validate_policy and
-    validate_subcarrier_policy normalize into that pair's policies.
+    Dirichlet q.  The audit prices the p rows as they are; only a witness's
+    row goes through validate_policy and validate_subcarrier_policy.
 
     The bs_samples - 1 drawn rows take four array calls, in this order: a
     coin per row (below 0.5 picks the broad row), every broad row, every
@@ -423,11 +377,13 @@ def verify_diversity_nash(point, config: SystemConfig, bs_samples: int,
     """Sampled unilateral-deviation check of a diversity-model candidate point.
 
     Base-station side: `bs_samples` perturbed (p, q) pairs, uniform first so
-    a non-uniform candidate cannot pass by luck, each priced once by the
-    large-horizon diversity age (q never matters there).  Uniform p
-    minimizes that age, sum_i c/p_i, so the base-station witness can only
-    be the first pair, (uniform p, uniform q); the other rows confirm, and
-    never refute, a candidate.  Adversary side:
+    a non-uniform candidate cannot pass by luck, each sampled p priced once,
+    as drawn, by the large-horizon diversity age (q never matters there).
+    Uniform p minimizes that age, sum_i c/p_i, so the base-station witness
+    can only be the first pair, (uniform p, uniform q); the other rows
+    confirm, and never refute, a candidate.  Only the witness is re-priced:
+    its payoff_after is the age of the validated policy it reports.
+    Adversary side:
     `adv_samples` feasible plans from ADV_DEVIATION_FAMILIES, priced by the
     exact recursion at the candidate's (p, q).  Both counts are integers >= 1.
 
@@ -459,14 +415,16 @@ def verify_diversity_nash(point, config: SystemConfig, bs_samples: int,
 
     current_asym = float(_diversity_ages(policy.probs, share, n_sub).mean())
     p_rows, q_rows = _sample_bs_deviations(policy.n, n_sub, bs_samples, rng)
-    values = _diversity_ages(_fsum_rows(p_rows), share, n_sub).mean(axis=1)
+    values = _diversity_ages(p_rows, share, n_sub).mean(axis=1)
     better = values < current_asym - IMPROVEMENT_TOL
     if better.any():
         i = int(np.argmax(better))
+        p_dev = validate_policy(p_rows[i])
         return _refuted(
             "diversity-nash", current_asym, "base-station",
-            (validate_policy(p_rows[i]), validate_subcarrier_policy(q_rows[i])),
-            float(values[i]), "scheduling deviation lowers system age")
+            (p_dev, validate_subcarrier_policy(q_rows[i])),
+            float(_diversity_ages(p_dev.probs, share, n_sub).mean()),
+            "scheduling deviation lowers system age")
 
     current_exact = expected_age_trajectory_diversity(
         policy, subpolicy, plan, config).system_avg

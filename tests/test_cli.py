@@ -684,6 +684,12 @@ def explicit_plan(matrix, mode="deterministic"):
     return {"plan": {"source": "explicit", "mode": mode, "block_prob": matrix}}
 
 
+def one_user(**overrides):
+    return base_doc(**{
+        "system": {"horizon_T": 3, "num_users": 1, "alpha": 0.4},
+        "policy": {"source": "explicit", "probs": [1.0]}, **overrides})
+
+
 def seeded(name, seed, **fields):
     return {"experiment": {"name": name, "seed": seed, **fields}}
 
@@ -734,6 +740,25 @@ def stray(section, spec, key, doc=base_doc):
     case("non-numeric-subcarrier-policy", "exact",
          div_doc(subcarrier_policy={"source": "explicit", "probs": ["x", 0.5]}),
          "subcarrier_policy.probs"),
+    # a bool or a numeric string is no JSON number, whatever numpy makes of
+    # it, and an integer past the float range is no probability
+    case("bool-policy", "exact",
+         one_user(policy={"source": "explicit", "probs": [True]}), POLICY),
+    case("string-policy", "exact",
+         one_user(policy={"source": "explicit", "probs": ["1"]}), POLICY),
+    case("string-entry-policy", "exact",
+         base_doc(policy={"source": "explicit", "probs": [0.5, "0.5"]}),
+         POLICY),
+    case("huge-int-policy", "exact",
+         one_user(policy={"source": "explicit", "probs": [10**400]}), POLICY),
+    case("bool-subcarrier-policy", "exact",
+         div_doc(subcarrier_policy={"source": "explicit",
+                                    "probs": [True, False]}),
+         "subcarrier_policy.probs"),
+    case("bool-plan", "exact", one_user(**explicit_plan([[False, True, False]])),
+         PLAN),
+    case("string-plan", "exact",
+         base_doc(**explicit_plan([[0, 1, 0], [0, "0", 0]])), PLAN),
     case("nested-policy", "exact", base_doc(policy=NESTED), POLICY),
     case("nested-policy-asymptotic", "asymptotic", base_doc(policy=NESTED),
          POLICY),
@@ -835,6 +860,8 @@ def test_malformed_field_exits_2_and_names_it(tmp_path, capsys, command, doc,
     (div_doc(subcarrier_policy={"source": "explicit", "probs": ["x", 0.5]},
              **explicit_plan([[0] * 20, [0] * 20])),
      "subcarrier_policy.probs", "could not convert"),
+    (one_user(policy={"source": "explicit", "probs": [True]}), POLICY,
+     "could not convert True to a number"),
 ])
 def test_explicit_plan_errors_name_one_field_once(tmp_path, capsys, doc,
                                                   field, problem):

@@ -26,7 +26,6 @@ from aoijam.equilibrium import (
     stackelberg_equilibrium,
     _certification_policies,
     _follower_aware_payoffs,
-    _fsum_rows,
     _check_windows,
     _sample_adv_deviations,
     _sample_bs_deviations,
@@ -321,13 +320,8 @@ def _reference_rivals(N, samples, seed):
     if N == 2:
         for x in np.linspace(0.02, 0.98, grid):
             out.append(validate_policy([x, 1 - x]))
-    else:
-        for _ in range(grid):
-            p = np.clip(rng.dirichlet(np.ones(N)), 1e-6, None)
-            out.append(validate_policy(p / p.sum()))
-    while len(out) < samples:
+    while len(out) < max(samples, grid):
         p = np.clip(rng.dirichlet(np.ones(N)), 1e-6, None)
-        p = np.sort(p)[::-1]
         out.append(validate_policy(p / p.sum()))
     return out[:samples]
 
@@ -336,108 +330,26 @@ def _reference_rivals(N, samples, seed):
 @pytest.mark.parametrize("samples", [1, 2, 3, 50, 2000])
 @pytest.mark.parametrize("N", [1, 2, 3, 6, 8, 40])
 def test_certification_rivals_match_per_rival_reference(N, samples, seed):
+    # the same draws, each row left in its drawn order of users
     rivals = _certification_policies(N, samples, seed)
     reference = np.array([r.probs for r in _reference_rivals(N, samples, seed)])
     assert rivals.shape == (samples, N)
-    assert rivals.tobytes() == reference.tobytes()
+    np.testing.assert_allclose(rivals, reference, rtol=1e-15, atol=0)
+    for row in rivals:
+        assert abs(math.fsum(row) - 1.0) <= 1e-12
+        validate_policy(row)
 
 
-def _clipped_dirichlet(floor):
-    def rows(rng, n, N):
-        p = np.clip(rng.dirichlet(np.ones(N), size=n), floor, None)
-        return p / p.sum(axis=1, keepdims=True)
-    return rows
-
-
-def _cancelling_rows(rng, n, N):
-    # the last entry nearly cancels the others, columns shuffled
-    rows = rng.standard_normal((n, N)) * 2.0 ** rng.integers(-20, 21, (n, N))
-    rows[:, -1] = (-rows[:, :-1].sum(axis=1)
-                   + 1e-12 * rng.standard_normal(n))
-    return rng.permuted(rows, axis=1)
-
-
-def _rows_with_zeros(rng, n, N):
-    rows = _clipped_dirichlet(1e-6)(rng, n, N)
-    rows[rng.random((n, N)) < 0.3] = 0.0
-    rows[~rows.any(axis=1), 0] = 1.0  # every row keeps a nonzero entry
-    return rows
-
-
-# row families for the batched sum: the two callers' clipped probability
-# rows, then rows chosen to reach the guard and the fallback
-FSUM_ROW_FAMILIES = {
-    "dirichlet-1e-6": _clipped_dirichlet(1e-6),
-    "dirichlet-1e-9": _clipped_dirichlet(1e-9),
-    "exponents-300": lambda rng, n, N: (
-        rng.choice([-1.0, 1.0], (n, N)) * rng.random((n, N))
-        * 2.0 ** rng.integers(-300, 301, (n, N))),
-    "cancelling": _cancelling_rows,
-    "zeros": _rows_with_zeros,
-    "subnormal": lambda rng, n, N: (
-        rng.choice([-1.0, 1.0], (n, N)) * rng.integers(1, 2**52, (n, N))
-        * 2.0**-1074),
-}
-
-
-def _fsum_quotients(rows):
-    """Each row over its math.fsum, one row at a time, as float.hex."""
-    totals = np.array([math.fsum(row) for row in rows.tolist()])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quotients = rows / totals.reshape(-1, 1)
-    return [x.hex() for x in quotients.ravel().tolist()]
-
-
-def _fsum_rows_hex(rows):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return [x.hex() for x in _fsum_rows(rows).ravel().tolist()]
-
-
-@pytest.mark.parametrize("family", FSUM_ROW_FAMILIES)
-@pytest.mark.parametrize("N", [1, 2, 3, 6, 50])
-def test_fsum_rows_is_the_per_row_fsum_bit_for_bit(family, N):
-    rng = np.random.default_rng([N, list(FSUM_ROW_FAMILIES).index(family)])
-    rows = FSUM_ROW_FAMILIES[family](rng, 300, N)
-    assert _fsum_rows_hex(rows) == _fsum_quotients(rows)
-
-
-@pytest.mark.parametrize("N", [1, 6])
-def test_fsum_rows_of_an_empty_batch(N):
-    assert _fsum_rows(np.empty((0, N))).shape == (0, N)
-
-
-def test_fsum_rows_falls_back_to_fsum_for_rows_failing_the_guard(
-        monkeypatch):
-    rng = np.random.default_rng(7)
-    exact = _clipped_dirichlet(1e-9)(rng, 100, 4)
-    failing = np.array([
-        [1.0, 2.0**-60, 0.5, 0.25],  # a range beyond 2**52
-        [2.0**-1074, 1.0, 0.0, 0.0],  # a subnormal beside 1
-        [np.inf, 1.0, 0.5, 0.25],
-        [np.nan, 1.0, 0.5, 0.25],
-        [0.0, -0.0, 0.0, 0.0],  # no nonzero entry
-        [1e308, -1e308, 1e308, 1e300],  # the sum of the |t| overflows
-    ])
-    rows = np.insert(exact, [10, 20, 30, 40, 50, 60], failing, axis=0)
-    expected_exact, expected = _fsum_quotients(exact), _fsum_quotients(rows)
-    fsum, summed = math.fsum, []
-
-    def spy(row):
-        summed.append(row)
-        return fsum(row)
-
-    monkeypatch.setattr(math, "fsum", spy)
-    assert _fsum_rows_hex(exact) == expected_exact
-    assert summed == []  # rows summed exactly take no math.fsum call
-    assert _fsum_rows_hex(rows) == expected
-    assert np.array_equal(summed, failing, equal_nan=True)
-
-
-@pytest.mark.parametrize("row, error", [
-    ([np.inf, -np.inf], ValueError), ([1e308, 1e308], OverflowError)])
-def test_fsum_rows_raises_where_fsum_raises(row, error):
-    with pytest.raises(error, match="in fsum"):
-        _fsum_rows(np.array([[0.5, 0.5], row]))
+@pytest.mark.parametrize("N", [1, 2, 3, 6, 8, 40])
+def test_follower_aware_payoffs_ignore_the_order_of_users(N):
+    # the certificate's rows go unsorted: a row and its reverse are one
+    # rival to the follower-aware payoff
+    rivals = _certification_policies(N, 500, N)
+    for share, T in ((0.05, 100), (0.35, 1500), (0.9, 20000)):
+        np.testing.assert_allclose(
+            _follower_aware_payoffs(rivals, share, T),
+            _follower_aware_payoffs(rivals[:, ::-1], share, T),
+            rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 6, 8])
@@ -686,19 +598,6 @@ def test_half_the_bs_deviations_are_broad():
     took_wiggle = np.all(p_rows[1:] == wiggle, axis=1)
     assert np.all(took_broad != took_wiggle)
     assert 0.45 <= took_broad.mean() <= 0.55
-
-
-@pytest.mark.parametrize("n_sub", [2, 3, 5])
-@pytest.mark.parametrize("N", [1, 2, 3, 7, 16])
-def test_batched_bs_price_is_the_scalar_price_bit_for_bit(N, n_sub):
-    # the audit prices every sample once, batched; a witness's payoff_after
-    # must still be the age of the policy it reports
-    p_rows, _ = _sample_bs_deviations(N, n_sub, 60, np.random.default_rng(N))
-    for alpha in (0.1, 0.45, 0.9):
-        batched = _diversity_ages(_fsum_rows(p_rows), alpha, n_sub).mean(axis=1)
-        for row, value in zip(p_rows, batched):
-            scalar = _diversity_system_age(validate_policy(row), alpha, n_sub)
-            assert float(value).hex() == scalar.hex()
 
 
 @pytest.mark.parametrize("bs_samples, adv_samples", [

@@ -79,6 +79,18 @@ SCENARIOS = {
         "experiment": {"name": "nash-verify", "bs_samples": 10,
                        "adv_samples": 10, "seed": 4},
     },
+    # a skewed p loses to uniform p: the base-station witness, re-priced
+    # as the policy it reports
+    "nash-verify-diversity-bs-witness": {
+        "model": "diversity",
+        "system": {"horizon_T": 300, "num_users": 6, "alpha": 0.3,
+                   "num_subcarriers": 3},
+        "policy": {"source": "explicit",
+                   "probs": [0.3, 0.2, 0.15, 0.15, 0.1, 0.1]},
+        "plan": {"source": "uniform-subcarrier"},
+        "experiment": {"name": "nash-verify", "bs_samples": 30,
+                       "adv_samples": 10, "seed": 2},
+    },
     "simulate-no-diversity": {
         "model": "no-diversity",
         "system": {"horizon_T": 120, "num_users": 3, "alpha": 0.25},
@@ -282,6 +294,11 @@ GOLDEN = {
         "equilibrium.csv": "3cbd890eb08cc085a36cf304446c5fe77f3940a02c9b643bc4334327056fd906",
         "scenario.json": "fcfb6bf08dbb6c78d06b2dd7abe7e99d9df94a54273dd7200af2862c9c02703f",
         "stdout": "1f02aee43be720cf728518cf1b20ebe8e10321b8cdedd191c98483bf8e0dfd0b",
+    },
+    "nash-verify-diversity-bs-witness": {
+        "equilibrium.csv": "714e9e097065f522bef59e9aa1f81f0a639fd5d32afd4deb1c00e2212adf7a74",
+        "scenario.json": "146c9011b1f887619764c36a1fb7ee92d8557edb2e48435106bc106109677392",
+        "stdout": "ac9cbd0c192f62c42573cf6897814bb52554752e4d5a27f5f55ce4bfe4a61b1e",
     },
     "nash-verify-diversity-witness": {
         "equilibrium.csv": "daa9941411b44fc158fb3013036f3cc79cc34f99eb485e346d534b5f9ff40ee6",
