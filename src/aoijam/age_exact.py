@@ -12,33 +12,35 @@ _profile_series, prices every profile: it cuts each row into runs of
 constant r once, prices each distinct (row, p_i) pair once through the
 row core _run_ages, and copies that row to the pair's other users.  The
 diversity audit reads its rows' runs off its (start, stop, weights)
-windows (_window_runs) and _window_screen only sums them, building no
-plan and no N x T delivery matrix; the few samples it prices densely go
-through expected_age_trajectory_diversity.  The quadratic sum form of the
-recursion lives in the tests as a cross-check.
+windows (_window_table, _window_runs), building no plan and no N x T
+delivery matrix, and _window_screen prices them in closed form; the few
+samples it prices densely go through expected_age_trajectory_diversity.
+The quadratic sum form of the recursion lives in the tests as a
+cross-check.
 
 One run walker, _walk_runs, holds the recursion's loop and yields, from a
-row's runs of constant s, the floats of the plain per-slot loop.  It has
-two consumers: the row core's _run_ages writes them, and _run_sum adds
-them up and certifies [1, t] at each run's ends without writing a row.
-Any cut into runs gives the same floats, as every run is walked as the
-loop walks it.  For s >= 0 the rounded map age -> age*s + 1.0 is
-monotone, so inside a run the ages move monotonically and reach a float
-that the map sends to itself; the rest of the run holds that float and is
-filled without iterating.  Structured plans (middle blocks, uniform
-sub-carrier blocking, the audit's deviation families) are a few runs per
-row, so most slots are filled this way.  The s = 1 run of a surely
-blocked window is a ramp of +1.0 steps, built by one np.cumsum, which adds
-in sequence as the loop does (age*1.0 is exact).
-Any other run that ends before its fixed point (a tiny delivery
+row's runs of constant s, the floats of the plain per-slot loop, which
+the row core _run_ages writes.  Any cut into runs gives the same floats,
+as every run is walked as the loop walks it.  For s >= 0 the rounded map
+age -> age*s + 1.0 is monotone, so inside a run the ages move
+monotonically and reach a float that the map sends to itself; the rest of
+the run holds that float and is filled without iterating.  Structured
+plans (middle blocks, uniform sub-carrier blocking, the audit's deviation
+families) are a few runs per row, so most slots are filled this way.  The
+s = 1 run of a surely blocked window is a ramp of +1.0 steps, built by
+one np.cumsum, which adds in sequence as the loop does (age*1.0 is
+exact).  Any other run that ends before its fixed point (a tiny delivery
 probability) is iterated slot by slot, so the worst case stays O(N*T).
 Within one call a converged run's trajectory is kept under its (entry age,
-s), with its prefix sums, and a later run with that key, in any row,
-copies it (or the prefix that fits): the audit's samples share their clear
-stretches, and _run_sum adds such a run as one prefix sum plus the fixed
-point times the slots left, O(runs) per row.  The screened system age
-and the evaluator's add the same ages in different orders; _screen_margin
-bounds their distance.
+s), and a later run with that key, in any row, copies it (or the prefix
+that fits).
+
+The audit's screen does not walk: a run of constant s has a closed form
+(_run_kernel), its exit age and its age sum from its entry age, length
+and s, so every (sample, distinct p_i) row is priced by a few numpy
+passes over all samples at once, O(runs) per row at any T.  It reads the
+same per-slot s as the evaluator, bit for bit, but not the same ages;
+_screen_margin bounds the distance between the two system ages.
 
 The interception is added in sub-carrier order with elementwise
 operations, never by a matrix product, whose last bit may depend on the
@@ -47,7 +49,7 @@ read off a whole plan or off the audit's windows.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import chain
 
 import numpy as np
 
@@ -105,19 +107,15 @@ def _walk_runs(starts: list, survival: list, horizon: int, converged: dict):
     age(t)*s(t) + 1, bit for bit as the plain per-slot loop computes them,
     given the row's runs (see _run_ages).
 
-    The ages come in order as pieces (values, fill, repeat, head): the
-    next ages are `values` (a list or an array), then `repeat` copies of
-    `fill`.  head is None when `values` holds explicit ages: single-slot
-    runs, runs that end before their fixed point, and ramps.  Every other
-    piece is one run copied from the cache: head is the sum of `values`,
-    read off the cached prefix sums, and the run ends at age `fill`.
+    The ages come in order as pieces (values, fill, repeat): the next ages
+    are `values` (a list or an array), then `repeat` copies of `fill`.
     Inside a run the loop stops at the first slot where age*s + 1.0 ==
     age: the rounded map has reached a fixed point, so the rest of the run
     repeats it.  The slots a converged run iterated are kept in
     `converged` under its (entry age, s), as (those ages as an array,
-    their count, the fixed point, their prefix sums from 0.0); a later run
-    with that key, in any row of the call, copies them.  A run with
-    s == 1.0 is a ramp, built by one cumsum.
+    their count, the fixed point); a later run with that key, in any row
+    of the call, copies them.  A run with s == 1.0 is a ramp, built by one
+    cumsum.
     """
     age, ages = 1.0, []
     for s, start, stop in zip(survival, starts, starts[1:] + [horizon - 1]):
@@ -127,13 +125,13 @@ def _walk_runs(starts: list, survival: list, horizon: int, converged: dict):
             continue
         if s == 1.0:  # a ramp: age*1.0 is exact and cumsum adds in order
             if ages:
-                yield ages, 0.0, 0, None
+                yield ages, 0.0, 0
                 ages = []
             ramp = np.ones(stop - start + 1)
             ramp[0] = age
             np.cumsum(ramp, out=ramp)
             age = float(ramp[-1])
-            yield ramp[1:], 0.0, 0, None
+            yield ramp[1:], 0.0, 0
             continue
         key = (age, s)
         cached = converged.get(key)
@@ -142,9 +140,7 @@ def _walk_runs(starts: list, survival: list, horizon: int, converged: dict):
             for _ in range(stop - start):
                 nxt = age * s + 1.0
                 if nxt == age:  # every later slot of the run holds `age`
-                    cached = converged[key] = (
-                        np.array(run), len(run), age,
-                        list(accumulate(run, initial=0.0)))
+                    cached = converged[key] = (np.array(run), len(run), age)
                     break
                 age = nxt
                 run.append(age)
@@ -152,18 +148,17 @@ def _walk_runs(starts: list, survival: list, horizon: int, converged: dict):
                 ages += run
                 continue
         if ages:
-            yield ages, 0.0, 0, None
+            yield ages, 0.0, 0
             ages = []
-        trail, size, fixed, prefix = cached
+        trail, size, fixed = cached
         if stop - start > size:
             age = fixed
-            yield trail, fixed, stop - start - size, prefix[size]
+            yield trail, fixed, stop - start - size
         else:  # a prefix of the cached trajectory
-            k = stop - start
-            age = float(trail[k - 1])
-            yield trail[:k], age, 0, prefix[k]
+            age = float(trail[stop - start - 1])
+            yield trail[:stop - start], 0.0, 0
     if ages:
-        yield ages, 0.0, 0, None
+        yield ages, 0.0, 0
 
 
 def _run_ages(row: np.ndarray, starts: list, survival: list,
@@ -180,8 +175,8 @@ def _run_ages(row: np.ndarray, starts: list, survival: list,
     """
     row[0] = 1.0
     done = 1
-    for values, fill, repeat, _ in _walk_runs(starts, survival, row.size,
-                                              converged):
+    for values, fill, repeat in _walk_runs(starts, survival, row.size,
+                                           converged):
         stop = done + len(values)
         row[done:stop] = values
         done = stop + repeat
@@ -283,74 +278,111 @@ def expected_age_trajectory_diversity(
     return _profile_series(policy, subpolicy, plan, config)
 
 
+def _window_table(samples) -> tuple:
+    """The windows of a list of window samples as one flat table (owner,
+    start, stop, weights): window i is (start[i], stop[i], weights[i]) of
+    sample owner[i], the samples' windows in order, so owner is
+    nondecreasing.  weights has one row per window, or shape (0, 0)."""
+    owner = np.repeat(np.arange(len(samples)),
+                      [len(sample) for sample in samples])
+    if not owner.size:
+        return owner, owner, owner, np.zeros((0, 0))
+    start, stop, weights = zip(*chain.from_iterable(samples))
+    return (owner, np.fromiter(start, int, owner.size),
+            np.fromiter(stop, int, owner.size), np.array(weights, dtype=float))
+
+
 def _window_runs(subpolicy: SubcarrierPolicy, samples,
-                 horizon: int) -> tuple[list, np.ndarray, list]:
-    """Every window sample's runs as (starts, clear, bounds): starts[k]
-    holds the carry indices where sample k's runs start (see _run_ages),
-    and clear[bounds[k]:bounds[k+1]] the probability that the channel is
-    clear over each of them, 1 outside the windows and 1 - sum_j q_j w_j
-    inside.  A sample of k windows is at most 2k + 1 runs; an empty window,
-    or one past the last carry, makes none."""
-    windows = [w for sample in samples for w in sample]
-    if windows:
-        window_clear = iter((1.0 - _intercepted(
-            subpolicy.probs,
-            np.column_stack([w for _, _, w in windows]))).tolist())
-    last = horizon - 1  # carry indices run over [0, T - 1)
-    starts, clear, bounds = [], [], [0]
-    for sample in samples:
-        runs, free = [], 0
-        for start, stop, _ in sample:
-            inside = next(window_clear)
-            stop = min(stop, last)
-            if start >= stop:
-                continue
-            if free < start:
-                runs.append(free)
-                clear.append(1.0)
-            runs.append(start)
-            clear.append(inside)
-            free = stop
-        if free < last:
-            runs.append(free)
-            clear.append(1.0)
-        starts.append(runs)
-        bounds.append(len(clear))
-    return starts, np.array(clear), bounds
+                 horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every window sample's runs as two (runs, samples) matrices (k,
+    clear): column o lists sample o's runs in carry order (see _run_ages),
+    run r taking k[r, o] carries over which the channel is clear with
+    probability clear[r, o].  They alternate, the clear stretch before
+    each window (clear 1), then the window (1 - sum_j q_j w_j), and end
+    with the stretch after the last window, so a column's runs tile the
+    T - 1 carries; windows are cut to them.  Empty runs (k = 0) stand for
+    the stretch between abutting windows, a window with no carry and the
+    padding below a column's last run."""
+    owner, start, stop, weights = _window_table(samples)
+    n, last = len(samples), horizon - 1
+    per_sample = np.bincount(owner, minlength=n)
+    k = np.zeros((2 * int(per_sample.max(initial=0)) + 1, n))
+    clear = np.ones_like(k)
+    if owner.size:
+        lo, hi = np.minimum(start, last), np.minimum(stop, last)
+        # each window's place in its sample, and the carry its sample is
+        # free from: the end of the window before it, or 0
+        rank = np.arange(owner.size) - (np.cumsum(per_sample)
+                                        - per_sample)[owner]
+        free = np.zeros_like(hi)
+        free[1:] = hi[:-1]
+        free[rank == 0] = 0
+        k[2 * rank, owner] = lo - free
+        k[2 * rank + 1, owner] = hi - lo
+        clear[2 * rank + 1, owner] = 1.0 - _intercepted(subpolicy.probs,
+                                                        weights.T)
+    k[2 * per_sample, np.arange(n)] = last - k.sum(axis=0)
+    return k, clear
 
 
-def _run_sum(starts: list, survival: list, horizon: int,
-             converged: dict) -> float:
-    """The sum of one row's ages (runs as in _run_ages), from _walk_runs's
-    pieces without writing them: a copied run adds its cached prefix sum
-    and `fill` times its repeat count, so a row of r runs costs O(r) once
-    its runs are cached; explicit ages are summed as an array.
+_SERIES_LEVELS = 17  # its tail is below u/64 of the sum when d*k < 1
 
-    Raises CertificateError unless every age lies in [1, t] within 1e-9
-    (a NaN fails too).  Explicit ages are each checked.  A copied run is
-    checked at its last slot only: its entry age ended the piece before
-    it (or is age(1) = 1), the rounded map is monotone for s >= 0, so the
-    run's ages lie between its two ends, and age(t) - t never rises when
-    s <= 1, so no slot inside the run exceeds its slot by more than its
-    entry did.
+
+def _run_kernel(entry: np.ndarray, k: np.ndarray,
+                s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form age sums and exit ages of chains of runs of the
+    recursion age(t+1) = age(t)*s + 1.
+
+    Axis 0 of k and s (broadcast together) is a chain: run r takes k[r]
+    carries at survival s[r] and enters at the age run r - 1 exits with,
+    run 0 at `entry`.  Returns (sums, exits), the ages each run adds up and
+    the age it ends at.  With d = 1 - s and H_j = (1 - s**j)/d = 1 + s +
+    ... + s**(j-1), a run of k carries entered at age a reaches a*s**j +
+    H_j after j of them, so it exits at a*P + H and adds a*G + SH, where P
+    = s**k, H = H_k, G = s*H and SH = H_1 + ... + H_k.  Three branches, on
+    x = d*k:
+      - x = 0 (s = 1 or k = 0) is an exact ramp: P = 1, H = G = k, SH =
+        k(k+1)/2;
+      - else H = -expm1(k*log(s))/d, and for x >= 1, SH = (k - G)/d: as
+        G/k <= (1 - e**-x)/x, the difference loses at most a factor e - 1;
+      - for 0 < x < 1, SH = k(k+1)/2 * sum_r (-d)**r C(k+1, r+2) /
+        C(k+1, 2), the ratio of successive terms being d(k-1-r)/(r+3) <=
+        1/(r+3), summed by Horner from its 18th term.
+
+    Error, to first order in u = 2**-53, for numpy's power, log and expm1
+    within one ulp (2u; numpy 2.4 on x86-64 measured 1.13u at most), so
+    power is exact at k = 1: P is within 2u and exact at k <= 1 and on
+    ramps; H within 7u (log 2u, the product 3u, expm1 5u as its condition
+    number is at most 1 at a negative argument, the division and d = 1 -
+    s, inexact only for s < 1/2); G within 8u; SH within 17u (1 + 8(e - 1)
+    + 2 for x >= 1; the Horner sum within 5u for x < 1, as each level
+    passes at most 1/(r+2) of the error below it on).  So a run entered at
+    the float a exits at a*P*(1 + t1) + H*(1 + t2) with |t1| <= 4u (2u at
+    k <= 1) and |t2| <= 8u, and adds a*G*(1 + t3) + SH*(1 + t4) with |t3|
+    <= 10u and |t4| <= 18u.
     """
-    total, slot = 1.0, 1
-    for values, fill, repeat, head in _walk_runs(starts, survival, horizon,
-                                                 converged):
-        k = len(values)
-        if head is None:
-            ages = np.asarray(values)
-            low = ages.min()
-            excess = (ages - np.arange(slot + 1, slot + k + 1)).max()
-            total += float(ages.sum())
-        else:  # the run's last age
-            low = fill
-            excess = low - (slot + k + repeat)
-            total += head + fill * repeat
-        if not (low >= 1.0 - 1e-9 and excess <= 1e-9):
-            raise CertificateError("expected age outside [1, t]")
-        slot += k + repeat
-    return total
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = 1.0 - s
+        x = d * k
+        ramp = x == 0.0
+        P = s**k
+        H = np.where(ramp, k, -np.expm1(k * np.log(s)) / d)
+        G = s * H
+        SH = np.where(ramp, k * (k + 1.0) * 0.5, (k - G) / d)
+    series = np.flatnonzero((0.0 < x) & (x < 1.0))
+    if series.size:
+        d, k = d.flat[series], np.broadcast_to(k, x.shape).flat[series]
+        levels = np.arange(1.0, _SERIES_LEVELS + 1.0)[:, None]
+        v = np.ones_like(d)
+        for rho in (d * (k - levels) / (levels + 2.0))[::-1]:
+            v = 1.0 - rho * v
+        SH.flat[series] = k * (k + 1.0) * 0.5 * v
+    entries = np.empty_like(x)
+    entries[0] = entry
+    for r in range(x.shape[0] - 1):
+        entries[r + 1] = entries[r] * P[r] + H[r]
+    exits = entries[-1] * P[-1] + H[-1]
+    return entries * G + SH, np.concatenate((entries[1:], exits[None]))
 
 
 def _window_screen(policy: SchedulingPolicy, subpolicy: SubcarrierPolicy,
@@ -362,21 +394,34 @@ def _window_screen(policy: SchedulingPolicy, subpolicy: SubcarrierPolicy,
     A sample is a sequence of disjoint (start, stop, weights) windows: its
     plan blocks sub-carrier j with probability weights[j] in slots
     start+1..stop and nowhere else.  The caller has checked the profile and
-    every sample's feasibility.  Each (sample, distinct p_i) row is summed
-    by _run_sum from its _window_runs, with one converged-run cache for the
-    call and no age written.  Each row's [1, t] certificate is _run_sum's."""
+    every sample's feasibility.  The samples' runs (_window_runs) give each
+    slot the survival s = 1 - p_i * clear that the evaluator reads off the
+    plan, bit for bit; every (sample, distinct p_i) row is priced by
+    _run_kernel across all samples at once, and no age is written.
+
+    Raises CertificateError unless every run's first and last ages lie in
+    [1, t] within 1e-9 (a NaN fails too).  That covers the run: its ages
+    move monotonically from its entry age towards its fixed point, and
+    age(t) - t never rises when s <= 1.
+    """
     counts = {}
     for p in policy.probs.tolist():
         counts[p] = counts.get(p, 0) + 1
-    starts, clear, bounds = _window_runs(subpolicy, samples, horizon)
-    totals = np.zeros(len(samples))
-    converged = {}
-    for p, count in counts.items():
-        survival = _survival(p, clear)
-        totals += np.array([
-            _run_sum(runs, survival[a:b], horizon, converged)
-            for runs, a, b in zip(starts, bounds, bounds[1:])]) * count
-    return totals / (horizon * policy.n)
+    p, count = np.array(list(counts)), np.array(list(counts.values()))
+    k, clear = _window_runs(subpolicy, samples, horizon)
+    s = 1.0 - p[:, None] * clear[:, None]  # (runs, distinct p_i, samples)
+    k = k[:, None]
+    sums, exits = _run_kernel(np.ones(s.shape[1:]), k, s)
+    first = np.concatenate((np.ones((1,) + s.shape[1:]), exits[:-1])) * s
+    first += 1.0
+    done = np.cumsum(k, axis=0)  # carries up to each run's end
+    bad = ~((first >= 1.0 - 1e-9) & (exits >= 1.0 - 1e-9)
+            & (first - (done - k + 2.0) <= 1e-9)
+            & (exits - (done + 1.0) <= 1e-9))
+    if np.any(bad & (k > 0.0)):
+        raise CertificateError("expected age outside [1, t]")
+    totals = (sums.sum(axis=0) + 1.0) * count[:, None]
+    return totals.sum(axis=0) / (horizon * policy.n)
 
 
 def _screen_margin(values: np.ndarray, horizon: int,
@@ -385,14 +430,33 @@ def _screen_margin(values: np.ndarray, horizon: int,
     value of a sample and expected_age_trajectory_diversity(...).system_avg
     of its plan, for samples whose screened system ages are `values`.
 
-    Both routes add the same positive ages, weighted by 1/(T*N), in
-    different orders: along any path from one age to the result they
-    round at most n = T + N + 8 times (T - 1 additions in a row's sum and
-    the rest for the users' weights and the divisions), so each lies
-    within gamma_n = n*u / (1 - n*u) of the exact weighted sum S, u being
-    2**-53.  They differ by at most 2*gamma_n*S <= 2*gamma_n/(1 - gamma_n)
-    * value <= 2*n*u/(1 - 2*n*u) * value.  The margin is 4*n*u * value,
-    at least twice that bound while n*u <= 1/4 (any n that fits in memory),
-    so a comparison against it cannot tip by its own rounding.
+    Both routes read the same float survival s in every slot, so both
+    approximate one exact value S, the users' mean of the exact
+    recursion's time-average ages.  An exact age is a sum of positive
+    terms, age(t) = sum_j prod_{j <= i < t} s(i); a route that computes
+    each term times at most m factors (1 + delta), |delta| <= u = 2**-53
+    (an error of c*u counting as c factors), lies within m*u*S of S, to
+    first order.
+      - The evaluator's step age*s + 1.0 rounds twice, so a term gains at
+        most 2 factors per step, 2(T - 1) in all; a row's mean adds T - 1
+        additions and a division, the users' mean N - 1 additions and a
+        division: m = 3T + N - 2.
+      - The screen's run of k carries (_run_kernel) multiplies the terms
+        before it by s**k, within 2u and exact at k <= 1, and rounds
+        twice: at most 2k factors, no more than the recursion's k steps.
+        A run's own terms enter through H, within 8u with the addition,
+        and are summed through G, within 10u with the product and the
+        addition, or through SH, within 18u: a per-run error that does
+        not grow with T.  A row's first age and run sums, at most T of
+        them not 0, add T - 1 additions, its user count a product, the
+        distinct p_i N - 1 additions and the division by T*N one.  A term
+        summed in a later run than its own crosses at most T - 2 carries
+        on the way: m = 8 + 2(T - 2) + 10 + T - 1 + 1 + N - 1 + 1 = 3T + N
+        + 14.  A term summed in its own run has 18 + T - 1 + 1 + N - 1 + 1
+        = T + N + 18 factors, no more at T >= 2; at T = 1 there is no run.
+    So the two values lie within (6T + 2N + 12)*u*S of each other to
+    first order, and the margin 4*(3T + N + 6)*u * value is twice that;
+    the higher-order terms fit in its other half while (3T + N + 14)*u <=
+    1/10 (any T that fits in memory).
     """
-    return 4.0 * (horizon + users + 8) * 2.0**-53 * values
+    return 4.0 * (3 * horizon + users + 6) * 2.0**-53 * values

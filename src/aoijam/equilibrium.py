@@ -25,6 +25,7 @@ from .age_asymptotic import (
 from .age_exact import (
     _screen_margin,
     _window_screen,
+    _window_table,
     expected_age_trajectory_diversity,
 )
 from .best_response import (
@@ -335,21 +336,21 @@ def _check_windows(samples, config: SystemConfig) -> None:
     (DimensionMismatchError), weights not finite or outside [0, 1], with no
     slack (NonPositiveEntryError), a per-slot mass above 1
     (NotNormalizedError), or more than budget_B blocked slots in all
-    (InvalidAlphaError)."""
-    owner, lengths = [], []
-    for k, windows in enumerate(samples):
-        free = 0
-        for start, stop, _ in windows:
-            if not free <= start <= stop <= config.horizon_T:
-                raise DimensionMismatchError(
-                    f"window [{start}, {stop}) overlaps another or leaves "
-                    f"the {config.horizon_T} slots")
-            free = stop
-            owner.append(k)
-            lengths.append(stop - start)
-    if not owner:
+    (InvalidAlphaError).  The first bad window in sample order is named;
+    every check reads the windows' flat table (_window_table) at once."""
+    owner, start, stop, weights = _window_table(samples)
+    if not owner.size:
         return
-    weights = np.array([w for windows in samples for _, _, w in windows])
+    free = np.zeros_like(start)  # where each window's sample is free from
+    follows = owner[1:] == owner[:-1]
+    free[1:][follows] = stop[:-1][follows]
+    misplaced = ~((free <= start) & (start <= stop)
+                  & (stop <= config.horizon_T))
+    if misplaced.any():
+        i = int(np.argmax(misplaced))
+        raise DimensionMismatchError(
+            f"window [{start[i]}, {stop[i]}) overlaps another or leaves "
+            f"the {config.horizon_T} slots")
     if not (np.isfinite(weights).all() and np.all(weights >= 0.0)
             and np.all(weights <= 1.0)):
         raise NonPositiveEntryError("block probabilities must lie in [0, 1]")
@@ -358,7 +359,7 @@ def _check_windows(samples, config: SystemConfig) -> None:
         raise NotNormalizedError(
             "per-slot blocking mass exceeds 1 (the adversary blocks at most "
             "one channel per slot)")
-    spent = np.bincount(owner, weights=np.multiply(lengths, mass))
+    spent = np.bincount(owner, weights=(stop - start) * mass)
     if np.any(spent > config.budget_B + SUM_ACCEPT_TOL):
         raise InvalidAlphaError("blocking plan exceeds the adversary's budget")
 
@@ -388,23 +389,26 @@ def verify_diversity_nash(point, config: SystemConfig, bs_samples: int,
     exact recursion at the candidate's (p, q).  Both counts are integers >= 1.
 
     Adversary samples stay (start, stop, weights) windows, with no plan or
-    delivery matrix: each (sample, distinct p_i) row is read off the
-    windows as runs, under the evaluator's interception rule.  Every sample
-    is first screened (_window_screen): its rows' ages are summed run by
-    run with one converged-run cache for the call, each run certified in
-    [1, t] at its ends, and no age is written.  The screened value and the
-    dense price add the same positive ages in different orders, so each is
-    within gamma_n = n*u / (1 - n*u) of the exact mean, n = T + N + 8 and
-    u = 2**-53; _screen_margin, 4*n*u times the screened value, is at least
-    twice their distance.  Only a sample that screens within that margin
-    of current + IMPROVEMENT_TOL, or above it, can price above it.  Those
-    samples alone, in sample order, become a BlockingPlan and are priced
-    densely by expected_age_trajectory_diversity, whose [1, t] certificate
-    covers them; a densely priced sample farther from its screened value
-    than the margin raises CertificateError.  The first sample whose dense
-    price is above the candidate by more than IMPROVEMENT_TOL is the
-    witness, the one that pricing every sample densely finds.  The payoff
-    is the large-horizon age, or the exact age beside an adversary witness.
+    delivery matrix: one flat table of the windows gives every (sample,
+    distinct p_i) row its runs, under the evaluator's interception rule,
+    so each slot reads the evaluator's survival s bit for bit.  Every
+    sample is first screened (_window_screen): each run's exit age and
+    age sum come from its closed form (_run_kernel), for all samples at
+    once, each run is certified in [1, t] at its first and last ages, and
+    no age is written.  The screened value and the dense price approximate
+    the same exact mean, each with the rounding of the recursion (at most
+    2u per step, u = 2**-53), the kernel's per-run error and the sums';
+    _screen_margin, 4*(3T + N + 6)*u times the screened value, is twice
+    their first-order distance.  Only a sample that screens within that
+    margin of current + IMPROVEMENT_TOL, or above it, can price above it.
+    Those samples alone, in sample order, become a BlockingPlan and are
+    priced densely by expected_age_trajectory_diversity, whose [1, t]
+    certificate covers them; a densely priced sample farther from its
+    screened value than the margin raises CertificateError.  The first
+    sample whose dense price is above the candidate by more than
+    IMPROVEMENT_TOL is the witness, the one that pricing every sample
+    densely finds.  The payoff is the large-horizon age, or the exact age
+    beside an adversary witness.
     """
     _check_count("bs_samples", bs_samples, 1)
     _check_count("adv_samples", adv_samples, 1)

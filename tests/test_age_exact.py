@@ -1,11 +1,14 @@
 """Exact age trajectories: recursion vs. the quadratic sum form."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from aoijam.age_exact import (
     _intercepted,
     _run_ages,
+    _run_kernel,
     _run_starts,
     expected_age_trajectory,
     expected_age_trajectory_diversity,
@@ -474,3 +477,78 @@ def test_interception_is_the_same_column_alone_or_in_a_matrix():
         assert whole.tobytes() == np.array(expect).tobytes()
         for t in (0, 17, 399):
             assert _intercepted(q, m[:, t:t + 1])[0] == whole[t]
+
+
+# ===========================================================================
+#  The run kernel against an exact recursion
+# ===========================================================================
+
+_FIXED_BITS = 300  # the reference's fixed point: multiples of 2**-300
+
+
+def _exact_run(a, k, s):
+    """The run of k carries at survival s entered at age a, in exact
+    rationals: (a*P, H, a*G, SH) with P = s**k, H = H_k, G = s*H_k and SH =
+    H_1 + ... + H_k, where H_j = 1 + s + ... + s**(j-1).  The recursion
+    runs on multiples of 2**-300 and truncates each product, so every
+    value is within k*a*2**-290 of the exact one."""
+    num, den = Fraction(s).as_integer_ratio()
+    shift = den.bit_length() - 1  # den is a power of two
+    one = 1 << _FIXED_BITS
+    power, h, g, sh = one, 0, 0, 0
+    for _ in range(k):
+        power = power * num >> shift
+        h = (h * num >> shift) + one
+        g += power
+        sh += h
+    a, unit = Fraction(a), Fraction(1, one)
+    return a * power * unit, h * unit, a * g * unit, sh * unit
+
+
+def _kernel_cases():
+    """(a, k, s) on both sides of the d*k = 1 branch, with the edges: s =
+    1, s = 0, k = 1, k = 10**5 and d = 1e-12."""
+    rng = np.random.default_rng(4242)
+    cases = [(3.25, 100_000, 1.0), (1.0, 7, 1.0), (812.5, 1, 1.0),
+             (1.0, 1, 0.0), (57.0, 9, 0.0), (4.0, 1, 0.3), (1.0, 1, 0.999),
+             (2.5, 100_000, 1.0 - 1e-12), (1.0, 100_000, 1.0 - 1e-5),
+             (9000.0, 100_000, 0.7), (1.0, 3, 1.0 - 1e-12),
+             (15.0, 1000, 1.0 - 1e-3), (15.0, 1000, 1.0 - 0.999e-3),
+             (15.0, 1000, 1.0 - 1.001e-3)]
+    for _ in range(300):
+        d = 1.0 - (1.0 - 10.0 ** rng.uniform(-14.0, 0.0))
+        k = int(10.0 ** rng.uniform(0.0, 3.3))
+        cases.append((float(rng.uniform(1.0, 2.0 * k)), k, 1.0 - d))
+    return cases
+
+
+def test_run_kernel_is_within_its_per_run_bound_of_the_exact_run():
+    cases = _kernel_cases()
+    a, k, s = (np.array(c, dtype=float) for c in zip(*cases))
+    sums, exits = _run_kernel(a, k[None], s[None])
+    x = (1.0 - s) * k
+    assert np.any((0.0 < x) & (x < 1.0)) and np.any(x >= 1.0)
+    u = Fraction(1, 2**53)
+    for (a_i, k_i, s_i), total, exit_age in zip(cases, sums[0], exits[0]):
+        a_p, h, a_g, sh = _exact_run(a_i, k_i, s_i)
+        slack = Fraction(k_i * (int(a_i) + 2), 2**290)
+        carry = 2 if k_i == 1 or s_i == 1.0 else 4
+        assert abs(Fraction(exit_age) - (a_p + h)) <= (
+            carry * u * a_p + 8 * u * h + slack), (a_i, k_i, s_i)
+        assert abs(Fraction(total) - (a_g + sh)) <= (
+            10 * u * a_g + 18 * u * sh + slack), (a_i, k_i, s_i)
+
+
+def test_run_kernel_chains_runs_and_passes_empty_ones():
+    # a chain of runs is its runs one after the other; an empty run (k =
+    # 0, at any s) exits at its entry age and adds nothing
+    k = np.array([[40.0], [0.0], [1.0], [0.0], [300.0], [5.0]])
+    s = np.array([[0.75], [0.0], [0.3], [1.0], [1.0 - 1e-9], [1.0]])
+    sums, exits = _run_kernel(np.ones(1), k, s)
+    age = 1.0
+    for r in range(6):
+        alone, end = _run_kernel(np.array([age]), k[r:r + 1], s[r:r + 1])
+        assert (sums[r, 0], exits[r, 0]) == (alone[0, 0], end[0, 0])
+        age = end[0, 0]
+    assert sums[1, 0] == sums[3, 0] == 0.0
+    assert exits[1, 0] == exits[0, 0] and exits[3, 0] == exits[2, 0]

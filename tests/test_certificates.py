@@ -181,10 +181,12 @@ def test_audit_dense_sample_age_range_check_fires(monkeypatch):
 
 
 _VERTEX0, _THIRDS = np.array([1.0, 0.0, 0.0]), np.full(3, 1.0 / 3.0)
-# explicit pieces (a one-slot window, an s = 1 ramp under q on sub-carrier
-# 0) and copied runs (the clear stretches, the uniform window)
+# seven runs: clear stretches around a one-slot window, a 40-slot ramp
+# (q on sub-carrier 0 meets a surely blocked window, s = 1) and a window
+# of s = 2/3
 _SCREEN_SAMPLE = [(50, 51, _VERTEX0), (100, 140, _VERTEX0),
                   (200, 260, _THIRDS)]
+_SCREEN_RUNS = {"ramp": 3, "last": 6}
 
 
 def _screen_sample():
@@ -194,25 +196,24 @@ def _screen_sample():
 
 
 @pytest.mark.parametrize("bad", [0.5, 1e9], ids=["below-1", "above-t"])
-@pytest.mark.parametrize("piece", ["explicit", "copied"])
-def test_screen_age_range_check_fires(monkeypatch, piece, bad):
-    # the run walker hands the screen one kind of piece with a bad age
-    real = age_exact._walk_runs
-    kinds = set()
+@pytest.mark.parametrize("run", list(_SCREEN_RUNS))
+def test_screen_age_range_check_fires(monkeypatch, run, bad):
+    # the run kernel hands the screen one run-end age out of [1, t]
+    k, clear = age_exact._window_runs(
+        aoijam.validate_subcarrier_policy(_VERTEX0), [_SCREEN_SAMPLE], 400)
+    assert k[:, 0].tolist() == [50, 1, 49, 40, 60, 60, 139]
+    assert clear[_SCREEN_RUNS["ramp"], 0] == 0.0
+    real = age_exact._run_kernel
 
-    def walk(*args):
-        for values, fill, repeat, head in real(*args):
-            kind = "explicit" if head is None else "copied"
-            kinds.add(kind)
-            if kind == piece:
-                values, fill = np.full(len(values), bad), bad
-            yield values, fill, repeat, head
+    def kernel(*args):
+        sums, exits = real(*args)
+        exits[_SCREEN_RUNS[run]] = bad
+        return sums, exits
 
     assert _screen_sample().size == 1
-    monkeypatch.setattr(age_exact, "_walk_runs", walk)
+    monkeypatch.setattr(age_exact, "_run_kernel", kernel)
     with pytest.raises(CertificateError, match=r"outside \[1, t\]"):
         _screen_sample()
-    assert piece in kinds
 
 
 def test_audit_screen_margin_check_fires(monkeypatch):
@@ -232,20 +233,20 @@ import aoijam.equilibrium as equilibrium
 from aoijam import (CertificateError, SystemConfig, validate_policy,
                     validate_subcarrier_policy)
 
-real_walk, real_screen = age_exact._walk_runs, equilibrium._window_screen
+real_kernel, real_screen = age_exact._run_kernel, equilibrium._window_screen
 
-def walk(*args):
-    for values, fill, repeat, head in real_walk(*args):
-        yield np.zeros(len(values)), 0.0, repeat, head
+def kernel(*args):
+    sums, exits = real_kernel(*args)
+    return sums, np.zeros_like(exits)
 
-age_exact._walk_runs = walk
+age_exact._run_kernel = kernel
 try:
     age_exact._window_screen(
         validate_policy([0.5, 0.5]), validate_subcarrier_policy([0.5, 0.5]),
         [[(3, 9, np.array([0.5, 0.5]))]], 20)
 except CertificateError as exc:
     print("range", exc)
-age_exact._walk_runs = real_walk
+age_exact._run_kernel = real_kernel
 
 equilibrium._window_screen = lambda *args: real_screen(*args) + 1e-7
 cfg = SystemConfig(horizon_T=200, num_users=2, alpha=0.4, num_subcarriers=4)

@@ -921,15 +921,34 @@ def test_screen_agrees_with_the_dense_prices_within_the_margin(T, seed):
     assert np.all(margin > 0.0)
     assert np.all(np.abs(screened - dense) <= margin / 2), (
         np.abs(screened - dense) / margin)
-    # the margin's premise, that both routes add the same ages: every carry
-    # slot of a sample's runs is clear with the probability the evaluator
-    # reads off the sample's plan, bit for bit
-    starts, clear, bounds = _window_runs(subpolicy, samples, T)
-    for windows, runs, a, b in zip(samples, starts, bounds, bounds[1:]):
+    # the margin's premise, that both routes read the same survivals: every
+    # carry slot of a sample's runs is clear with the probability the
+    # evaluator reads off the sample's plan, bit for bit
+    lengths, clear = _window_runs(subpolicy, samples, T)
+    for windows, k, run_clear in zip(samples, lengths.T, clear.T):
         plan = _window_plan(windows, cfg).block_prob
-        lengths = np.diff(runs + [T - 1]).astype(int)
-        assert np.repeat(clear[a:b], lengths).tobytes() == (
+        assert np.repeat(run_clear, k.astype(int)).tobytes() == (
             1.0 - _intercepted(subpolicy.probs, plan))[:T - 1].tobytes()
+
+
+# random profiles per horizon, 406 in all: fewer at the long horizons,
+# where each dense price iterates its unsettled tiny-p rows slot by slot
+_STRESS_PROFILES = {1: 60, 2: 60, 3: 60, 5: 60, 17: 60, 60: 50, 400: 40,
+                    3000: 12, 20000: 4}
+
+
+@pytest.mark.parametrize("T", list(_STRESS_PROFILES))
+def test_screen_stays_within_half_the_margin_of_the_dense_prices(T):
+    # tiny p_i and q on one sub-carrier drive the run kernel's series and
+    # ramp branches; every sample's distance must stay within the half of
+    # the margin that the first-order bound takes
+    rng = np.random.default_rng(7700 + T)
+    for _ in range(_STRESS_PROFILES[T]):
+        policy, subpolicy, samples, cfg = _random_screen_case(rng, T)
+        screened, dense, margin = _screen_and_prices(policy, subpolicy,
+                                                     samples, cfg)
+        assert np.all(np.abs(screened - dense) <= margin / 2), (
+            np.abs(screened - dense) / margin)
 
 
 def _spy_dense_prices(monkeypatch):

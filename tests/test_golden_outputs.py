@@ -91,6 +91,18 @@ SCENARIOS = {
         "experiment": {"name": "nash-verify", "bs_samples": 30,
                        "adv_samples": 10, "seed": 2},
     },
+    # 49 entries of 1/49 do not fsum to 1, so the uniform row's raw price
+    # and that of the policy validate_policy makes of it differ in the
+    # last bit: the pin reads the re-priced witness
+    "nash-verify-diversity-bs-witness-49": {
+        "model": "diversity",
+        "system": {"horizon_T": 200, "num_users": 49, "alpha": 0.4,
+                   "num_subcarriers": 3},
+        "policy": {"source": "explicit", "probs": [0.02] * 48 + [0.04]},
+        "plan": {"source": "uniform-subcarrier"},
+        "experiment": {"name": "nash-verify", "bs_samples": 20,
+                       "adv_samples": 10, "seed": 8},
+    },
     "simulate-no-diversity": {
         "model": "no-diversity",
         "system": {"horizon_T": 120, "num_users": 3, "alpha": 0.25},
@@ -299,6 +311,11 @@ GOLDEN = {
         "equilibrium.csv": "714e9e097065f522bef59e9aa1f81f0a639fd5d32afd4deb1c00e2212adf7a74",
         "scenario.json": "146c9011b1f887619764c36a1fb7ee92d8557edb2e48435106bc106109677392",
         "stdout": "ac9cbd0c192f62c42573cf6897814bb52554752e4d5a27f5f55ce4bfe4a61b1e",
+    },
+    "nash-verify-diversity-bs-witness-49": {
+        "equilibrium.csv": "8ad39c2c3154430291ffe63a431ab9897b5b3f3a5beefaacc3580bac2bc699b7",
+        "scenario.json": "f4ef44c76ee7b31a335a6a956c36d0bf7dc88f9441ff21ee219b81a1aa3be7f6",
+        "stdout": "dece04ea7ee9707c9ec9043f2ed22519d58b5a3aca34a3ee849c65a3f2171202",
     },
     "nash-verify-diversity-witness": {
         "equilibrium.csv": "daa9941411b44fc158fb3013036f3cc79cc34f99eb485e346d534b5f9ff40ee6",
