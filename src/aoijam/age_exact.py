@@ -11,10 +11,10 @@ one vector r = sum_j q_j * block_prob[j] (_intercepted).  One body,
 _profile_series, prices every profile: it cuts each row into runs of
 constant r once, prices each distinct (row, p_i) pair once through the
 row core _run_ages, and copies that row to the pair's other users.  The
-diversity audit reads its rows' runs off its (start, stop, weights)
-windows (_window_table, _window_runs), building no plan and no N x T
-delivery matrix, and _window_screen prices them in closed form; the few
-samples it prices densely go through expected_age_trajectory_diversity.
+diversity audit reads its rows' runs off one flat table of its samples'
+windows (_window_runs), building no plan and no N x T delivery matrix,
+and _window_screen prices them in closed form; the few samples it
+prices densely go through expected_age_trajectory_diversity.
 The quadratic sum form of the recursion lives in the tests as a
 cross-check.
 
@@ -49,7 +49,6 @@ read off a whole plan or off the audit's windows.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -278,49 +277,38 @@ def expected_age_trajectory_diversity(
     return _profile_series(policy, subpolicy, plan, config)
 
 
-def _window_table(samples) -> tuple:
-    """The windows of a list of window samples as one flat table (owner,
-    start, stop, weights): window i is (start[i], stop[i], weights[i]) of
-    sample owner[i], the samples' windows in order, so owner is
-    nondecreasing.  weights has one row per window, or shape (0, 0)."""
-    owner = np.repeat(np.arange(len(samples)),
-                      [len(sample) for sample in samples])
-    if not owner.size:
-        return owner, owner, owner, np.zeros((0, 0))
-    start, stop, weights = zip(*chain.from_iterable(samples))
-    return (owner, np.fromiter(start, int, owner.size),
-            np.fromiter(stop, int, owner.size), np.array(weights, dtype=float))
-
-
-def _window_runs(subpolicy: SubcarrierPolicy, samples,
+def _window_runs(subpolicy: SubcarrierPolicy, table,
                  horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every window sample's runs as two (runs, samples) matrices (k,
-    clear): column o lists sample o's runs in carry order (see _run_ages),
-    run r taking k[r, o] carries over which the channel is clear with
-    probability clear[r, o].  They alternate, the clear stretch before
-    each window (clear 1), then the window (1 - sum_j q_j w_j), and end
-    with the stretch after the last window, so a column's runs tile the
-    T - 1 carries; windows are cut to them.  Empty runs (k = 0) stand for
-    the stretch between abutting windows, a window with no carry and the
-    padding below a column's last run."""
-    owner, start, stop, weights = _window_table(samples)
-    n, last = len(samples), horizon - 1
+    """The runs of the n samples of a window table (n, owner, start, stop,
+    weights), whose window i blocks sub-carrier j with probability
+    weights[i, j] (a windows x N_sub matrix) in slots start[i]+1..stop[i]
+    of sample owner[i]; windows come sample by sample (owner is
+    nondecreasing), in slot order, and a sample may hold none.
+
+    Returns two (runs, n) matrices (k, clear): column o lists sample o's
+    runs in carry order (see _run_ages), run r taking k[r, o] carries over
+    which the channel is clear with probability clear[r, o].  They
+    alternate, the clear stretch before each window (clear 1), then the
+    window (1 - sum_j q_j w_j), and end with the stretch after the last
+    window, so a column's runs tile the T - 1 carries; windows are cut to
+    them.  Empty runs (k = 0) stand for the stretch between abutting
+    windows, a window with no carry and the padding below a column's last
+    run."""
+    n, owner, start, stop, weights = table
+    last = horizon - 1
     per_sample = np.bincount(owner, minlength=n)
     k = np.zeros((2 * int(per_sample.max(initial=0)) + 1, n))
     clear = np.ones_like(k)
-    if owner.size:
-        lo, hi = np.minimum(start, last), np.minimum(stop, last)
-        # each window's place in its sample, and the carry its sample is
-        # free from: the end of the window before it, or 0
-        rank = np.arange(owner.size) - (np.cumsum(per_sample)
-                                        - per_sample)[owner]
-        free = np.zeros_like(hi)
-        free[1:] = hi[:-1]
-        free[rank == 0] = 0
-        k[2 * rank, owner] = lo - free
-        k[2 * rank + 1, owner] = hi - lo
-        clear[2 * rank + 1, owner] = 1.0 - _intercepted(subpolicy.probs,
-                                                        weights.T)
+    lo, hi = np.minimum(start, last), np.minimum(stop, last)
+    # each window's place in its sample, and the carry its sample is free
+    # from: the end of the window before it, or 0
+    rank = np.arange(owner.size) - (np.cumsum(per_sample) - per_sample)[owner]
+    free = np.zeros_like(hi)
+    free[1:] = hi[:-1]
+    free[rank == 0] = 0
+    k[2 * rank, owner] = lo - free
+    k[2 * rank + 1, owner] = hi - lo
+    clear[2 * rank + 1, owner] = 1.0 - _intercepted(subpolicy.probs, weights.T)
     k[2 * per_sample, np.arange(n)] = last - k.sum(axis=0)
     return k, clear
 
@@ -386,18 +374,18 @@ def _run_kernel(entry: np.ndarray, k: np.ndarray,
 
 
 def _window_screen(policy: SchedulingPolicy, subpolicy: SubcarrierPolicy,
-                   samples, horizon: int) -> np.ndarray:
-    """Every window sample's system age within _screen_margin of
-    expected_age_trajectory_diversity(...).system_avg of its plan, without
-    building any plan or delivery matrix.
+                   table, horizon: int) -> np.ndarray:
+    """The system age of every sample of a window table (see _window_runs)
+    within _screen_margin of expected_age_trajectory_diversity(...)
+    .system_avg of its plan, without building any plan or delivery matrix.
 
-    A sample is a sequence of disjoint (start, stop, weights) windows: its
-    plan blocks sub-carrier j with probability weights[j] in slots
-    start+1..stop and nowhere else.  The caller has checked the profile and
-    every sample's feasibility.  The samples' runs (_window_runs) give each
-    slot the survival s = 1 - p_i * clear that the evaluator reads off the
-    plan, bit for bit; every (sample, distinct p_i) row is priced by
-    _run_kernel across all samples at once, and no age is written.
+    A sample's plan blocks sub-carrier j with probability weights[i, j] in
+    slots start[i]+1..stop[i] of each of its windows i and nowhere else.
+    The caller has checked the profile and the table's feasibility.  The
+    table's runs (_window_runs) give each slot the survival s = 1 - p_i *
+    clear that the evaluator reads off the plan, bit for bit; every
+    (sample, distinct p_i) row is priced by _run_kernel across all samples
+    at once, and no age is written.
 
     Raises CertificateError unless every run's first and last ages lie in
     [1, t] within 1e-9 (a NaN fails too).  That covers the run: its ages
@@ -408,7 +396,7 @@ def _window_screen(policy: SchedulingPolicy, subpolicy: SubcarrierPolicy,
     for p in policy.probs.tolist():
         counts[p] = counts.get(p, 0) + 1
     p, count = np.array(list(counts)), np.array(list(counts.values()))
-    k, clear = _window_runs(subpolicy, samples, horizon)
+    k, clear = _window_runs(subpolicy, table, horizon)
     s = 1.0 - p[:, None] * clear[:, None]  # (runs, distinct p_i, samples)
     k = k[:, None]
     sums, exits = _run_kernel(np.ones(s.shape[1:]), k, s)

@@ -25,7 +25,6 @@ from .age_asymptotic import (
 from .age_exact import (
     _screen_margin,
     _window_screen,
-    _window_table,
     expected_age_trajectory_diversity,
 )
 from .best_response import (
@@ -282,30 +281,30 @@ def _sample_bs_deviations(N, N_sub, bs_samples, rng):
 
 
 def _sample_adv_deviations(config: SystemConfig, adv_samples, rng):
-    """Plans from the structured deviation families, each a list of
-    disjoint (start, stop, weights) windows (see _window_plan).
-
-    The draws are those of building every plan densely; a sample with no
-    budget is the empty list.  The samples are checked by _check_windows.
+    """Plans from the structured deviation families, one per sample in
+    turn, drawn straight into a window table (adv_samples, owner, start,
+    stop, weights) (see age_exact._window_runs) with the draws of building
+    every plan densely; a sample with no budget holds no window.  The table
+    is checked by _check_windows.
     """
     n_sub, horizon, budget = (config.num_subcarriers, config.horizon_T,
                               config.budget_B)
-    uniform = np.full(n_sub, 1.0 / n_sub)
-    samples = []
-    while len(samples) < adv_samples:
-        family = ADV_DEVIATION_FAMILIES[
-            len(samples) % len(ADV_DEVIATION_FAMILIES)]
-        if budget == 0:
-            samples.append([])
-            continue
+    drawn = adv_samples if budget else 0  # no budget, no window
+    owner = np.empty(2 * drawn, dtype=int)  # at most two windows a sample
+    start, stop = np.empty_like(owner), np.empty_like(owner)
+    # a row stays uniform unless its family draws its weights
+    weights = np.full((owner.size, n_sub), 1.0 / n_sub)
+    rows = 0
+    for k in range(drawn):
+        family = ADV_DEVIATION_FAMILIES[k % len(ADV_DEVIATION_FAMILIES)]
         if family == "window-shift":
-            start = int(rng.integers(0, horizon - budget + 1))
-            windows = [(start, start + budget, uniform)]
+            at = int(rng.integers(0, horizon - budget + 1))
+            spans = [(at, at + budget)]
         elif family == "vertex-split":
-            vertex = np.zeros(n_sub)
-            vertex[int(rng.integers(n_sub))] = 1.0
-            start = int(rng.integers(0, horizon - budget + 1))
-            windows = [(start, start + budget, vertex)]
+            weights[rows] = 0.0
+            weights[rows, int(rng.integers(n_sub))] = 1.0
+            at = int(rng.integers(0, horizon - budget + 1))
+            spans = [(at, at + budget)]
         elif family == "two-window":
             # each window fits its half of the horizon: [0, T//2), [T//2, T)
             first = budget if budget == 1 else int(rng.integers(
@@ -314,33 +313,35 @@ def _sample_adv_deviations(config: SystemConfig, adv_samples, rng):
             second = budget - first
             s1 = int(rng.integers(0, max(1, horizon // 2 - first)))
             s2 = int(rng.integers(horizon // 2, horizon - second + 1))
-            windows = [(s1, s1 + first, uniform)]
+            spans = [(s1, s1 + first)]
             if second:
-                windows.append((s2, s2 + second, uniform))
+                spans.append((s2, s2 + second))
         elif family == "nonuniform-split":
-            start, stop = middle_window(horizon - 1, budget)
-            windows = [(start, stop, rng.dirichlet(np.ones(n_sub)))]
+            spans = [middle_window(horizon - 1, budget)]
+            weights[rows] = rng.dirichlet(np.ones(n_sub))
         else:  # sub-budget
             short = int(rng.integers(0, budget))
-            start, _ = middle_window(horizon - 1, short)
-            windows = [(start, start + short, uniform)]
-        samples.append(windows)
-    _check_windows(samples, config)
-    return samples
+            at, _ = middle_window(horizon - 1, short)
+            spans = [(at, at + short)]
+        for a, b in spans:
+            owner[rows], start[rows], stop[rows] = k, a, b
+            rows += 1
+    table = (adv_samples, owner[:rows], start[:rows], stop[:rows],
+             weights[:rows])
+    _check_windows(table, config)
+    return table
 
 
-def _check_windows(samples, config: SystemConfig) -> None:
-    """Raise for a window sample whose plan BlockingPlan or
-    blocking_feasible would reject, with the error they raise: windows out
-    of slot order, overlapping or leaving the horizon
-    (DimensionMismatchError), weights not finite or outside [0, 1], with no
-    slack (NonPositiveEntryError), a per-slot mass above 1
+def _check_windows(table, config: SystemConfig) -> None:
+    """Raise for a sample of a window table (see age_exact._window_runs)
+    whose plan BlockingPlan or blocking_feasible would reject, with the
+    error they raise: windows out of slot order, overlapping or leaving the
+    horizon (DimensionMismatchError), weights not finite or outside [0, 1],
+    with no slack (NonPositiveEntryError), a per-slot mass above 1
     (NotNormalizedError), or more than budget_B blocked slots in all
-    (InvalidAlphaError).  The first bad window in sample order is named;
-    every check reads the windows' flat table (_window_table) at once."""
-    owner, start, stop, weights = _window_table(samples)
-    if not owner.size:
-        return
+    (InvalidAlphaError).  A misplaced window is named, the first in table
+    order; every check reads the table's columns at once."""
+    _, owner, start, stop, weights = table
     free = np.zeros_like(start)  # where each window's sample is free from
     follows = owner[1:] == owner[:-1]
     free[1:][follows] = stop[:-1][follows]
@@ -364,12 +365,15 @@ def _check_windows(samples, config: SystemConfig) -> None:
         raise InvalidAlphaError("blocking plan exceeds the adversary's budget")
 
 
-def _window_plan(windows, config: SystemConfig) -> BlockingPlan:
-    """The dense plan of a window sample: weights[j] on sub-carrier j in
-    slots start+1..stop of each (start, stop, weights) window, 0 elsewhere."""
+def _window_plan(table, k: int, config: SystemConfig) -> BlockingPlan:
+    """The dense plan of sample k of a window table: weights[i, j] on
+    sub-carrier j in slots start[i]+1..stop[i] of each of its windows i
+    (the rows where owner is k), 0 elsewhere."""
+    _, owner, start, stop, weights = table
     m = np.zeros((config.num_subcarriers, config.horizon_T))
-    for start, stop, weights in windows:
-        m[:, start:stop] = weights[:, None]
+    lo, hi = np.searchsorted(owner, (k, k + 1)).tolist()
+    for i in range(lo, hi):
+        m[:, start[i]:stop[i]] = weights[i, :, None]
     return BlockingPlan._adopt(m)
 
 
@@ -388,16 +392,17 @@ def verify_diversity_nash(point, config: SystemConfig, bs_samples: int,
     `adv_samples` feasible plans from ADV_DEVIATION_FAMILIES, priced by the
     exact recursion at the candidate's (p, q).  Both counts are integers >= 1.
 
-    Adversary samples stay (start, stop, weights) windows, with no plan or
-    delivery matrix: one flat table of the windows gives every (sample,
-    distinct p_i) row its runs, under the evaluator's interception rule,
-    so each slot reads the evaluator's survival s bit for bit.  Every
-    sample is first screened (_window_screen): each run's exit age and
-    age sum come from its closed form (_run_kernel), for all samples at
-    once, each run is certified in [1, t] at its first and last ages, and
-    no age is written.  The screened value and the dense price approximate
-    the same exact mean, each with the rounding of the recursion (at most
-    2u per step, u = 2**-53), the kernel's per-run error and the sums';
+    Adversary samples are drawn into one window table, flat columns of
+    their windows with no plan or delivery matrix, which the sampler checks
+    and the screen and the dense re-price read.  It gives every (sample,
+    distinct p_i) row its runs, under the evaluator's interception rule, so
+    each slot reads the evaluator's survival s bit for bit.  Every sample
+    is first screened (_window_screen): each run's exit age and age sum
+    come from its closed form (_run_kernel), for all samples at once, each
+    run is certified in [1, t] at its first and last ages, and no age is
+    written.  The screened value and the dense price approximate the same
+    exact mean, each with the rounding of the recursion (at most 2u per
+    step, u = 2**-53), the kernel's per-run error and the sums';
     _screen_margin, 4*(3T + N + 6)*u times the screened value, is twice
     their first-order distance.  Only a sample that screens within that
     margin of current + IMPROVEMENT_TOL, or above it, can price above it.
@@ -432,14 +437,14 @@ def verify_diversity_nash(point, config: SystemConfig, bs_samples: int,
 
     current_exact = expected_age_trajectory_diversity(
         policy, subpolicy, plan, config).system_avg
-    samples = _sample_adv_deviations(config, adv_samples, rng)
+    table = _sample_adv_deviations(config, adv_samples, rng)
     horizon, threshold = config.horizon_T, current_exact + IMPROVEMENT_TOL
-    screened = _window_screen(policy, subpolicy, samples, horizon)
+    screened = _window_screen(policy, subpolicy, table, horizon)
     margin = _screen_margin(screened, horizon, policy.n)
     # only these samples can price above the threshold
     near = np.flatnonzero(screened >= threshold - margin).tolist()
     for k in near:
-        candidate = _window_plan(samples[k], config)
+        candidate = _window_plan(table, k, config)
         value = expected_age_trajectory_diversity(
             policy, subpolicy, candidate, config).system_avg
         if abs(value - screened[k]) > margin[k]:

@@ -197,8 +197,10 @@ def estimate_average_age(policy: SchedulingPolicy, subpolicy, plan: BlockingPlan
     """Average the system age over `runs` independent runs.
 
     Pass subpolicy=None for the no-diversity model.  `master_seed` is an
-    int or a numpy integer, taken mod 2**64 and stored as an int; a bool,
-    float or str raises InsufficientRunsError.  Run k draws u(k, s, t) =
+    int or a numpy integer; the draws read it mod 2**64, and the result's
+    seed is int(master_seed), unreduced (seeds 1 and 2**64 + 1 draw the
+    same runs); a bool, float or str raises InsufficientRunsError.
+    Run k draws u(k, s, t) =
     (mix_seed(master_seed, (3k + s)T + t - 1) >> 11)·2**-53 on stream 0 to
     schedule a user, on stream 1 to pick the sub-carrier and, only when
     some plan entry lies strictly between 0 and 1, on stream 2 to pick the

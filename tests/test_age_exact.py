@@ -354,10 +354,10 @@ def _deviation_family(k):
     def build():
         cfg = SystemConfig(horizon_T=1500, num_users=3, alpha=0.2,
                            num_subcarriers=3)
-        samples = _sample_adv_deviations(
+        table = _sample_adv_deviations(
             cfg, len(ADV_DEVIATION_FAMILIES), np.random.default_rng(17))
         return _diversity_delivery([0.2, 0.5, 0.3],
-                                   _window_plan(samples[k], cfg).block_prob)
+                                   _window_plan(table, k, cfg).block_prob)
     return build
 
 

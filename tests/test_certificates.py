@@ -29,6 +29,7 @@ from aoijam import (
     stackelberg_equilibrium,
     validate_policy,
 )
+from window_samples import window_table
 
 
 def test_package_has_no_assert_statements():
@@ -184,15 +185,15 @@ _VERTEX0, _THIRDS = np.array([1.0, 0.0, 0.0]), np.full(3, 1.0 / 3.0)
 # seven runs: clear stretches around a one-slot window, a 40-slot ramp
 # (q on sub-carrier 0 meets a surely blocked window, s = 1) and a window
 # of s = 2/3
-_SCREEN_SAMPLE = [(50, 51, _VERTEX0), (100, 140, _VERTEX0),
-                  (200, 260, _THIRDS)]
+_SCREEN_TABLE = window_table(
+    [[(50, 51, _VERTEX0), (100, 140, _VERTEX0), (200, 260, _THIRDS)]], 3)
 _SCREEN_RUNS = {"ramp": 3, "last": 6}
 
 
 def _screen_sample():
     return age_exact._window_screen(
         validate_policy([0.5, 0.5]),
-        aoijam.validate_subcarrier_policy(_VERTEX0), [_SCREEN_SAMPLE], 400)
+        aoijam.validate_subcarrier_policy(_VERTEX0), _SCREEN_TABLE, 400)
 
 
 @pytest.mark.parametrize("bad", [0.5, 1e9], ids=["below-1", "above-t"])
@@ -200,7 +201,7 @@ def _screen_sample():
 def test_screen_age_range_check_fires(monkeypatch, run, bad):
     # the run kernel hands the screen one run-end age out of [1, t]
     k, clear = age_exact._window_runs(
-        aoijam.validate_subcarrier_policy(_VERTEX0), [_SCREEN_SAMPLE], 400)
+        aoijam.validate_subcarrier_policy(_VERTEX0), _SCREEN_TABLE, 400)
     assert k[:, 0].tolist() == [50, 1, 49, 40, 60, 60, 139]
     assert clear[_SCREEN_RUNS["ramp"], 0] == 0.0
     real = age_exact._run_kernel
@@ -227,11 +228,14 @@ def test_audit_screen_margin_check_fires(monkeypatch):
 
 
 _OPTIMIZED_SCREEN_CHECKS = """
+import sys
 import numpy as np
 import aoijam.age_exact as age_exact
 import aoijam.equilibrium as equilibrium
 from aoijam import (CertificateError, SystemConfig, validate_policy,
                     validate_subcarrier_policy)
+sys.path.insert(0, {tests!r})
+from window_samples import window_table
 
 real_kernel, real_screen = age_exact._run_kernel, equilibrium._window_screen
 
@@ -243,7 +247,7 @@ age_exact._run_kernel = kernel
 try:
     age_exact._window_screen(
         validate_policy([0.5, 0.5]), validate_subcarrier_policy([0.5, 0.5]),
-        [[(3, 9, np.array([0.5, 0.5]))]], 20)
+        window_table([[(3, 9, np.array([0.5, 0.5]))]], 2), 20)
 except CertificateError as exc:
     print("range", exc)
 age_exact._run_kernel = real_kernel
@@ -261,7 +265,8 @@ except CertificateError as exc:
 
 def test_screen_checks_survive_optimized_mode():
     proc = subprocess.run([sys.executable, "-O", "-c",
-                           _OPTIMIZED_SCREEN_CHECKS],
+                           _OPTIMIZED_SCREEN_CHECKS.format(
+                               tests=str(Path(__file__).parent))],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [

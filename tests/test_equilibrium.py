@@ -63,6 +63,7 @@ from aoijam.model import (
     validate_policy,
     validate_subcarrier_policy,
 )
+from window_samples import window_table
 
 
 def _one_hot_payoff(policy, target, share, T):
@@ -639,12 +640,13 @@ def test_two_window_deviations_spend_the_budget_in_both_halves(T, alpha,
     cfg = SystemConfig(horizon_T=T, num_users=2, alpha=alpha,
                        num_subcarriers=n_sub)
     families = ADV_DEVIATION_FAMILIES
-    samples = _sample_adv_deviations(cfg, 50, np.random.default_rng(T))
-    for windows in samples[families.index("two-window")::len(families)]:
-        (s1, e1, w1), (s2, e2, w2) = windows
+    table = _sample_adv_deviations(cfg, 50, np.random.default_rng(T))
+    _, owner, start, stop, _ = table
+    for k in range(families.index("two-window"), 50, len(families)):
+        (s1, s2), (e1, e2) = start[owner == k], stop[owner == k]
         assert 0 <= s1 < e1 <= T // 2 <= s2 < e2 <= T
         assert (e1 - s1) + (e2 - s2) == cfg.budget_B
-        mass = _window_plan(windows, cfg).block_prob.sum(axis=0)
+        mass = _window_plan(table, k, cfg).block_prob.sum(axis=0)
         np.testing.assert_allclose(mass[mass > 0], 1.0)
         assert np.count_nonzero(mass) == cfg.budget_B
 
@@ -699,12 +701,12 @@ def test_window_samples_are_the_dense_plans(T, alpha, n_sub, seed):
     cfg = SystemConfig(horizon_T=T, num_users=3, alpha=alpha,
                        num_subcarriers=n_sub)
     rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-    samples = _sample_adv_deviations(cfg, 23, rng)
+    table = _sample_adv_deviations(cfg, 23, rng)
     plans = _reference_adv_deviations(cfg, 23, reference)
     assert rng.bit_generator.state == reference.bit_generator.state
-    assert len(samples) == 23
-    for k, (windows, expected) in enumerate(zip(samples, plans)):
-        plan = _window_plan(windows, cfg)
+    assert table[0] == 23
+    for k, expected in enumerate(plans):
+        plan = _window_plan(table, k, cfg)
         assert plan.block_prob.tobytes() == expected.block_prob.tobytes(), (
             ADV_DEVIATION_FAMILIES[k % len(ADV_DEVIATION_FAMILIES)])
         assert blocking_feasible(plan, cfg)
@@ -728,11 +730,12 @@ def test_window_check_raises_what_the_plan_check_raises(windows, error):
     cfg = SystemConfig(horizon_T=40, num_users=2, alpha=0.2,
                        num_subcarriers=2)
     with pytest.raises(error):
-        _check_windows([[(0, 1, np.array([0.5, 0.5]))], windows], cfg)
+        _check_windows(
+            window_table([[(0, 1, np.array([0.5, 0.5]))], windows], 2), cfg)
     if error is not DimensionMismatchError:
         # the dense plan of the same windows fails with the same class
         with pytest.raises(error):
-            plan = _window_plan(windows, cfg)
+            plan = _window_plan(window_table([windows], 2), 0, cfg)
             check_profile(uniform_policy(2), uniform_subcarrier_policy(2),
                           plan, cfg)
 
@@ -768,17 +771,17 @@ def test_window_prices_of_edge_samples_are_the_evaluator_prices(q):
                        num_subcarriers=3)
     policy = validate_policy([0.35, 0.35, 0.2, 0.0999, 0.0001])
     subpolicy = validate_subcarrier_policy(q)
-    samples = list(_EDGE_SAMPLES.values())
-    _check_windows(samples, cfg)
+    table = window_table(list(_EDGE_SAMPLES.values()), 3)
+    _check_windows(table, cfg)
     dense = []
-    for name, windows in zip(_EDGE_SAMPLES, samples):
+    for k, name in enumerate(_EDGE_SAMPLES):
         series = expected_age_trajectory_diversity(
-            policy, subpolicy, _window_plan(windows, cfg), cfg)
+            policy, subpolicy, _window_plan(table, k, cfg), cfg)
         assert series.per_user[4, -2] < series.per_user[4, -1], name
         dense.append(series.system_avg)
     # the screen of the same samples: ramps under q on sub-carrier 0, the
     # 1e-4 user's unsettled runs, empty samples
-    screened = _window_screen(policy, subpolicy, samples, _EDGE_T)
+    screened = _window_screen(policy, subpolicy, table, _EDGE_T)
     assert np.all(np.abs(screened - dense)
                   <= _screen_margin(screened, _EDGE_T, 5) / 2)
 
@@ -879,22 +882,23 @@ def test_audit_prices_samples_across_chunks():
 # ===========================================================================
 
 
-def _screen_and_prices(policy, subpolicy, samples, cfg):
-    """(screened values, dense values, margins) of window samples, each
-    dense value expected_age_trajectory_diversity's of the sample's plan."""
+def _screen_and_prices(policy, subpolicy, table, cfg):
+    """(screened values, dense values, margins) of a window table's
+    samples, each dense value expected_age_trajectory_diversity's of the
+    sample's plan."""
     T = cfg.horizon_T
-    screened = _window_screen(policy, subpolicy, samples, T)
+    screened = _window_screen(policy, subpolicy, table, T)
     dense = np.array([expected_age_trajectory_diversity(
-        policy, subpolicy, _window_plan(windows, cfg), cfg).system_avg
-        for windows in samples])
+        policy, subpolicy, _window_plan(table, k, cfg), cfg).system_avg
+        for k in range(table[0])])
     return screened, dense, _screen_margin(screened, T, policy.n)
 
 
 def _random_screen_case(rng, T):
-    """A random diversity profile at horizon T, its adversary samples and
-    its config: some users share a p_i, one p_i may be tiny, q may sit on
-    one sub-carrier (a vertex window there is a sure block, s = 1), and a
-    small alpha leaves B = 0."""
+    """A random diversity profile at horizon T, its adversary samples'
+    window table and its config: some users share a p_i, one p_i may be
+    tiny, q may sit on one sub-carrier (a vertex window there is a sure
+    block, s = 1), and a small alpha leaves B = 0."""
     N, n_sub = int(rng.integers(1, 7)), int(rng.choice([2, 3, 5]))
     alpha = float(rng.choice([0.01, rng.uniform(0.05, 0.95)]))
     cfg = SystemConfig(horizon_T=T, num_users=N, alpha=alpha,
@@ -915,8 +919,8 @@ def _random_screen_case(rng, T):
 @pytest.mark.parametrize("seed", range(6))
 def test_screen_agrees_with_the_dense_prices_within_the_margin(T, seed):
     rng = np.random.default_rng(9100 + 10 * T + seed)
-    policy, subpolicy, samples, cfg = _random_screen_case(rng, T)
-    screened, dense, margin = _screen_and_prices(policy, subpolicy, samples,
+    policy, subpolicy, table, cfg = _random_screen_case(rng, T)
+    screened, dense, margin = _screen_and_prices(policy, subpolicy, table,
                                                  cfg)
     assert np.all(margin > 0.0)
     assert np.all(np.abs(screened - dense) <= margin / 2), (
@@ -924,9 +928,9 @@ def test_screen_agrees_with_the_dense_prices_within_the_margin(T, seed):
     # the margin's premise, that both routes read the same survivals: every
     # carry slot of a sample's runs is clear with the probability the
     # evaluator reads off the sample's plan, bit for bit
-    lengths, clear = _window_runs(subpolicy, samples, T)
-    for windows, k, run_clear in zip(samples, lengths.T, clear.T):
-        plan = _window_plan(windows, cfg).block_prob
+    lengths, clear = _window_runs(subpolicy, table, T)
+    for sample, (k, run_clear) in enumerate(zip(lengths.T, clear.T)):
+        plan = _window_plan(table, sample, cfg).block_prob
         assert np.repeat(run_clear, k.astype(int)).tobytes() == (
             1.0 - _intercepted(subpolicy.probs, plan))[:T - 1].tobytes()
 
@@ -944,21 +948,21 @@ def test_screen_stays_within_half_the_margin_of_the_dense_prices(T):
     # the margin that the first-order bound takes
     rng = np.random.default_rng(7700 + T)
     for _ in range(_STRESS_PROFILES[T]):
-        policy, subpolicy, samples, cfg = _random_screen_case(rng, T)
+        policy, subpolicy, table, cfg = _random_screen_case(rng, T)
         screened, dense, margin = _screen_and_prices(policy, subpolicy,
-                                                     samples, cfg)
+                                                     table, cfg)
         assert np.all(np.abs(screened - dense) <= margin / 2), (
             np.abs(screened - dense) / margin)
 
 
 def _spy_dense_prices(monkeypatch):
-    """Record the samples the audit prices densely, in order: the audit
-    builds the plan of those samples alone."""
+    """Record the samples the audit prices densely, by index, in order: the
+    audit builds the plan of those samples alone."""
     calls, real = [], equilibrium._window_plan
 
-    def spy(windows, config):
-        calls.append(windows)
-        return real(windows, config)
+    def spy(table, k, config):
+        calls.append(k)
+        return real(table, k, config)
 
     monkeypatch.setattr(equilibrium, "_window_plan", spy)
     return calls
@@ -975,8 +979,8 @@ def test_sample_within_the_margin_of_the_threshold_is_priced_densely(
     policy, subpolicy, full = diversity_nash_point(cfg)
     rng = np.random.default_rng(1)  # the audit's draws at seed 1
     _sample_bs_deviations(3, 3, 1, rng)
-    samples = _sample_adv_deviations(cfg, 40, rng)
-    screened = _window_screen(policy, subpolicy, samples, 300)
+    table = _sample_adv_deviations(cfg, 40, rng)
+    screened = _window_screen(policy, subpolicy, table, 300)
     margin = _screen_margin(screened, 300, 3)
     top = int(np.argmax(screened))
 
@@ -988,9 +992,6 @@ def test_sample_within_the_margin_of_the_threshold_is_priced_densely(
             policy, subpolicy, candidate(scale), cfg).system_avg
         return exact + IMPROVEMENT_TOL - screened[top]
 
-    def key(windows):
-        return [(start, stop, w.tobytes()) for start, stop, w in windows]
-
     low, high = 0.0, 1.0
     assert gap(low) < 0.0 < gap(high)
     while (low + high) / 2 not in (low, high):
@@ -1001,12 +1002,11 @@ def test_sample_within_the_margin_of_the_threshold_is_priced_densely(
     calls = _spy_dense_prices(monkeypatch)
     point = (policy, subpolicy, candidate(high))
     report = verify_diversity_nash(point, cfg, 1, 40, seed=1)
-    priced = [key(windows) for windows in calls]
-    assert key(samples[top]) in priced
-    near = [key(samples[k]) for k in np.flatnonzero(
-        screened >= screened[top] - 4 * margin[top])]
-    assert all(windows in near for windows in priced)
-    assert len(near) < len(samples)
+    assert top in calls
+    near = np.flatnonzero(
+        screened >= screened[top] - 4 * margin[top]).tolist()
+    assert all(k in near for k in calls)
+    assert len(near) < table[0]
     assert report.holds is True
     assert report.payoff.hex() == _reference_audit(
         point, cfg, 1, 40, 1)[1].hex()
@@ -1023,6 +1023,26 @@ def test_game_audit_prices_no_sample_densely(monkeypatch):
     assert calls == []
 
 
+def test_audit_checks_and_screens_one_window_table(monkeypatch):
+    # the sampler's table is the one the check and the screen read: a
+    # second build of it between them would hand the screen a copy
+    seen = {}
+    for name in ("_check_windows", "_window_screen"):
+        real = getattr(equilibrium, name)
+
+        def spy(*args, name=name, real=real):
+            seen[name] = args[0] if name == "_check_windows" else args[2]
+            return real(*args)
+
+        monkeypatch.setattr(equilibrium, name, spy)
+    cfg = SystemConfig(horizon_T=300, num_users=3, alpha=0.2,
+                       num_subcarriers=3)
+    report = verify_diversity_nash(diversity_nash_point(cfg), cfg, 5, 12)
+    assert report.holds is True
+    assert seen["_window_screen"] is seen["_check_windows"]
+    assert seen["_window_screen"][0] == 12
+
+
 def test_skewed_audit_prices_each_near_sample_once(monkeypatch):
     # a heavy sub-carrier at N = 2: 9 samples screen within the rounding
     # margin of the threshold, or above it, and the first is the witness.
@@ -1034,8 +1054,8 @@ def test_skewed_audit_prices_each_near_sample_once(monkeypatch):
     skew = validate_subcarrier_policy([0.7, 0.1, 0.1, 0.1])
     rng = np.random.default_rng(9)  # the audit's draws at seed 9
     _sample_bs_deviations(2, 4, 20, rng)
-    samples = _sample_adv_deviations(cfg, 60, rng)
-    screened = _window_screen(policy, skew, samples, 200)
+    table = _sample_adv_deviations(cfg, 60, rng)
+    screened = _window_screen(policy, skew, table, 200)
     threshold = expected_age_trajectory_diversity(
         policy, skew, plan, cfg).system_avg + IMPROVEMENT_TOL
     near = np.flatnonzero(
@@ -1052,7 +1072,7 @@ def test_skewed_audit_prices_each_near_sample_once(monkeypatch):
     report = verify_diversity_nash((policy, skew, plan), cfg, 20, 60, seed=9)
     assert report.witness.player == "adversary"
     assert report.witness.strategy.block_prob.tobytes() == (
-        _window_plan(samples[near[0]], cfg).block_prob.tobytes())
+        _window_plan(table, near[0], cfg).block_prob.tobytes())
     assert len(rows) == 2
 
 

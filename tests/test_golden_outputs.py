@@ -103,6 +103,15 @@ SCENARIOS = {
         "experiment": {"name": "nash-verify", "bs_samples": 20,
                        "adv_samples": 10, "seed": 8},
     },
+    # alpha*T = 0.5: B = 0, so every adversary sample holds no window and
+    # the audit's window table is empty
+    "nash-verify-diversity-zero-budget": {
+        "model": "diversity",
+        "system": {"horizon_T": 10, "num_users": 3, "alpha": 0.05,
+                   "num_subcarriers": 2},
+        "experiment": {"name": "nash-verify", "bs_samples": 5,
+                       "adv_samples": 7, "seed": 1},
+    },
     "simulate-no-diversity": {
         "model": "no-diversity",
         "system": {"horizon_T": 120, "num_users": 3, "alpha": 0.25},
@@ -321,6 +330,11 @@ GOLDEN = {
         "equilibrium.csv": "daa9941411b44fc158fb3013036f3cc79cc34f99eb485e346d534b5f9ff40ee6",
         "scenario.json": "c7c39165db8b0fbe727e4b866f5862a2f8479bfd7fc26667f7cec456b105243d",
         "stdout": "a302991064be900132f1660a5e00fa83c02796bfa980119f831585c00dcf7c16",
+    },
+    "nash-verify-diversity-zero-budget": {
+        "equilibrium.csv": "ebcfeb9589c5b2d0d478df67cf462e19584121863a042bc5c07b24eeb91427af",
+        "scenario.json": "427b6b3f5a0382094a6417f795969a0cd9135f585df71d823a3b0678a4bcd4f4",
+        "stdout": "1f02aee43be720cf728518cf1b20ebe8e10321b8cdedd191c98483bf8e0dfd0b",
     },
     "nash-verify-no-diversity-bs-witness": {
         "equilibrium.csv": "bfbf4caf7e4fa67a33408e3a07aaa8ff73bded3cdb59e49fabc24469ca937cd9",

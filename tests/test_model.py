@@ -30,6 +30,7 @@ from aoijam.model import (
     validate_policy,
     validate_subcarrier_policy,
 )
+from window_samples import window_table
 
 # ===========================================================================
 #  SystemConfig
@@ -490,7 +491,8 @@ def _constructor_plans():
              ("uniform-subcarrier", make_uniform_subcarrier_block(div)),
              ("empty", empty_plan(flat)),
              ("empty-diversity", empty_plan(div)),
-             ("window-plan", _window_plan(windows, div))]
+             ("window-plan", _window_plan(window_table([windows], 3), 0,
+                                          div))]
     return [(name, plan, np.array(plan.block_prob)) for name, plan in plans]
 
 

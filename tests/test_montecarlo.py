@@ -247,6 +247,18 @@ def test_seeds_equal_mod_2_64_give_identical_estimates():
         assert a.per_user_mean.tobytes() == b.per_user_mean.tobytes()
 
 
+def test_result_seed_is_the_seed_as_given():
+    # the draws read the seed mod 2**64; the result reports it unreduced
+    cfg = SystemConfig(horizon_T=40, num_users=2, alpha=0.3)
+    profile = (validate_policy([0.6, 0.4]), None, make_middle_block(cfg, 1),
+               cfg, 3)
+    a = estimate_average_age(*profile, 1)
+    b = estimate_average_age(*profile, 2**64 + 1)
+    assert a.mean_system_age.hex() == b.mean_system_age.hex()
+    assert a.seed == 1
+    assert b.seed == 18446744073709551617
+
+
 def test_run_validates_dimensions_and_budget():
     cfg = SystemConfig(horizon_T=10, num_users=2, alpha=0.2)
     pol = validate_policy([0.5, 0.5])
