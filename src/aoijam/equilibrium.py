@@ -281,53 +281,52 @@ def _sample_bs_deviations(N, N_sub, bs_samples, rng):
 
 
 def _sample_adv_deviations(config: SystemConfig, adv_samples, rng):
-    """Plans from the structured deviation families, one per sample in
-    turn, drawn straight into a window table (adv_samples, owner, start,
-    stop, weights) (see age_exact._window_runs) with the draws of building
-    every plan densely; a sample with no budget holds no window.  The table
-    is checked by _check_windows.
+    """Plans from the structured deviation families, sample k from family
+    k % 5, drawn into a window table (adv_samples, owner, start, stop,
+    weights) (see age_exact._window_runs) and checked by _check_windows.
+    With a budget, three array calls draw every sample, integers as
+    rng.integers(low, high) does: one integer per sample within its
+    family's bounds (window-shift's offset, vertex-split's offset * N_sub +
+    channel, two-window's first length, sub-budget's length; nonuniform-
+    split's range holds 0 alone); every two-window first start in [0,
+    T//2), then every second start in [T//2, T); standard exponentials,
+    each nonuniform-split row divided by its sum (Dirichlet(1) weights).
     """
     n_sub, horizon, budget = (config.num_subcarriers, config.horizon_T,
                               config.budget_B)
-    drawn = adv_samples if budget else 0  # no budget, no window
-    owner = np.empty(2 * drawn, dtype=int)  # at most two windows a sample
+    cycle, half = len(ADV_DEVIATION_FAMILIES), horizon // 2
+    k = np.arange(adv_samples if budget else 0)  # no budget, no draw
+    _, vertex, two, skew, short = (np.s_[f::cycle] for f in range(cycle))
+    # a two-window first window leaves the second room in the other half
+    low = 1 if budget == 1 else max(1, budget - (horizon + 1) // 2)
+    high = 2 if budget == 1 else min(budget - 1, half) + 1
+    fit = horizon - budget + 1  # the offsets of a B-slot window
+    at = rng.integers(np.array((fit, fit * n_sub, high - low, 1,
+                                budget))[k % cycle])
+    at[vertex], channel = np.divmod(at[vertex], n_sub)
+    at[two] += low
+    length = np.full(k.size, budget)
+    length[two], length[short] = at[two], at[short]
+    # s1 in [0, max(1, T//2 - first)), s2 - T//2 in [0, T - T//2 - second]
+    at[two], s2 = rng.integers(np.array((np.maximum(1, half - length[two]),
+                                         length[two] + (fit - half))))
+    skewed = rng.standard_exponential((k[skew].size, n_sub))
+    at[skew] = middle_window(horizon - 1, budget)[0]
+    at[short] = middle_window(horizon - 1, length[short])[0]
+    # each sample's first row follows the second windows before it
+    paired = k[two] if budget > 1 else k[:0]
+    row = k + np.searchsorted(paired, k)
+    tail = row[paired] + 1
+    owner = np.empty(k.size + tail.size, dtype=int)
     start, stop = np.empty_like(owner), np.empty_like(owner)
+    owner[row], start[row], stop[row] = k, at, at + length
+    owner[tail], start[tail] = paired, s2[:tail.size] + half
+    stop[tail] = start[tail] + budget - length[two][:tail.size]
     # a row stays uniform unless its family draws its weights
     weights = np.full((owner.size, n_sub), 1.0 / n_sub)
-    rows = 0
-    for k in range(drawn):
-        family = ADV_DEVIATION_FAMILIES[k % len(ADV_DEVIATION_FAMILIES)]
-        if family == "window-shift":
-            at = int(rng.integers(0, horizon - budget + 1))
-            spans = [(at, at + budget)]
-        elif family == "vertex-split":
-            weights[rows] = 0.0
-            weights[rows, int(rng.integers(n_sub))] = 1.0
-            at = int(rng.integers(0, horizon - budget + 1))
-            spans = [(at, at + budget)]
-        elif family == "two-window":
-            # each window fits its half of the horizon: [0, T//2), [T//2, T)
-            first = budget if budget == 1 else int(rng.integers(
-                max(1, budget - (horizon + 1) // 2),
-                min(budget - 1, horizon // 2) + 1))
-            second = budget - first
-            s1 = int(rng.integers(0, max(1, horizon // 2 - first)))
-            s2 = int(rng.integers(horizon // 2, horizon - second + 1))
-            spans = [(s1, s1 + first)]
-            if second:
-                spans.append((s2, s2 + second))
-        elif family == "nonuniform-split":
-            spans = [middle_window(horizon - 1, budget)]
-            weights[rows] = rng.dirichlet(np.ones(n_sub))
-        else:  # sub-budget
-            short = int(rng.integers(0, budget))
-            at, _ = middle_window(horizon - 1, short)
-            spans = [(at, at + short)]
-        for a, b in spans:
-            owner[rows], start[rows], stop[rows] = k, a, b
-            rows += 1
-    table = (adv_samples, owner[:rows], start[:rows], stop[:rows],
-             weights[:rows])
+    weights[row[vertex]] = channel[:, None] == np.arange(n_sub)
+    weights[row[skew]] = skewed / skewed.sum(axis=1, keepdims=True)
+    table = (adv_samples, owner, start, stop, weights)
     _check_windows(table, config)
     return table
 
@@ -352,16 +351,15 @@ def _check_windows(table, config: SystemConfig) -> None:
         raise DimensionMismatchError(
             f"window [{start[i]}, {stop[i]}) overlaps another or leaves "
             f"the {config.horizon_T} slots")
-    if not (np.isfinite(weights).all() and np.all(weights >= 0.0)
-            and np.all(weights <= 1.0)):
+    if not ((weights >= 0.0) & (weights <= 1.0)).all():  # NaN fails too
         raise NonPositiveEntryError("block probabilities must lie in [0, 1]")
     mass = weights.sum(axis=1)
-    if np.any(mass > 1.0 + SUM_ACCEPT_TOL):
+    if (mass > 1.0 + SUM_ACCEPT_TOL).any():
         raise NotNormalizedError(
             "per-slot blocking mass exceeds 1 (the adversary blocks at most "
             "one channel per slot)")
     spent = np.bincount(owner, weights=(stop - start) * mass)
-    if np.any(spent > config.budget_B + SUM_ACCEPT_TOL):
+    if (spent > config.budget_B + SUM_ACCEPT_TOL).any():
         raise InvalidAlphaError("blocking plan exceeds the adversary's budget")
 
 
@@ -392,28 +390,29 @@ def verify_diversity_nash(point, config: SystemConfig, bs_samples: int,
     `adv_samples` feasible plans from ADV_DEVIATION_FAMILIES, priced by the
     exact recursion at the candidate's (p, q).  Both counts are integers >= 1.
 
-    Adversary samples are drawn into one window table, flat columns of
-    their windows with no plan or delivery matrix, which the sampler checks
-    and the screen and the dense re-price read.  It gives every (sample,
+    Adversary samples are drawn into one window table, flat columns of their
+    windows with no plan or delivery matrix, which the sampler checks and
+    the screen and the dense re-price read.  Three array calls draw them all
+    (_sample_adv_deviations): per-sample integers, the two-window starts,
+    the nonuniform-split exponentials.  The table gives every (sample,
     distinct p_i) row its runs, under the evaluator's interception rule, so
-    each slot reads the evaluator's survival s bit for bit.  Every sample
-    is first screened (_window_screen): each run's exit age and age sum
-    come from its closed form (_run_kernel), for all samples at once, each
-    run is certified in [1, t] at its first and last ages, and no age is
-    written.  The screened value and the dense price approximate the same
-    exact mean, each with the rounding of the recursion (at most 2u per
-    step, u = 2**-53), the kernel's per-run error and the sums';
-    _screen_margin, 4*(3T + N + 6)*u times the screened value, is twice
-    their first-order distance.  Only a sample that screens within that
-    margin of current + IMPROVEMENT_TOL, or above it, can price above it.
-    Those samples alone, in sample order, become a BlockingPlan and are
-    priced densely by expected_age_trajectory_diversity, whose [1, t]
-    certificate covers them; a densely priced sample farther from its
-    screened value than the margin raises CertificateError.  The first
-    sample whose dense price is above the candidate by more than
-    IMPROVEMENT_TOL is the witness, the one that pricing every sample
-    densely finds.  The payoff is the large-horizon age, or the exact age
-    beside an adversary witness.
+    each slot reads the evaluator's survival s bit for bit.  Every sample is
+    first screened (_window_screen): each run's exit age and age sum come
+    from its closed form (_run_kernel), for all samples at once, each run is
+    certified in [1, t] at its first and last ages, and no age is written.
+    The screened value and the dense price approximate the same exact mean,
+    each with the rounding of the recursion (at most 2u per step, u =
+    2**-53), the kernel's per-run error and the sums'; _screen_margin, 4*(3T
+    + N + 6)*u times the screened value, is twice their first-order
+    distance.  Only a sample that screens within that margin of current +
+    IMPROVEMENT_TOL, or above it, can price above it.  Those samples alone,
+    in sample order, become a BlockingPlan and are priced densely by
+    expected_age_trajectory_diversity, whose [1, t] certificate covers them;
+    a densely priced sample farther from its screened value than the margin
+    raises CertificateError.  The first sample whose dense price is above
+    the candidate by more than IMPROVEMENT_TOL is the witness, the one that
+    pricing every sample densely finds.  The payoff is the large-horizon
+    age, or the exact age beside an adversary witness.
     """
     _check_count("bs_samples", bs_samples, 1)
     _check_count("adv_samples", adv_samples, 1)

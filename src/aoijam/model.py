@@ -300,9 +300,9 @@ def middle_window(horizon_T: int, budget_B: int) -> tuple[int, int]:
 
     start = ceil((T - B) / 2), so 1-based blocked slots are start+1 .. start+B;
     when T - B is even this is exactly the (T - B)/2 offset of the centered
-    window, and the window is empty when B = 0.
+    window, and the window is empty when B = 0 (elementwise for arrays).
     """
-    start = math.ceil((horizon_T - budget_B) / 2)
+    start = (horizon_T + 1 - budget_B) // 2
     return start, start + budget_B
 
 

@@ -651,42 +651,147 @@ def test_two_window_deviations_spend_the_budget_in_both_halves(T, alpha,
         assert np.count_nonzero(mass) == cfg.budget_B
 
 
+def _uniform_counts(counts):
+    """True unless a chi-square test rejects equal cell probabilities for
+    `counts` at level 1e-4 (the Wilson-Hilferty quantile)."""
+    counts = np.asarray(counts, dtype=float)
+    dof, expected = counts.size - 1, counts.mean()
+    stat = float(((counts - expected) ** 2).sum() / expected)
+    z = 3.719  # the standard normal's 1 - 1e-4 quantile
+    h = 2.0 / (9.0 * dof)
+    return stat <= dof * (1.0 - h + z * math.sqrt(h)) ** 3
+
+
+_LAW_SAMPLES = 5 * 4000  # 4,000 samples of each family
+
+
+@pytest.mark.parametrize("n_sub", [2, 3, 5])
+@pytest.mark.parametrize("T, alpha, B", [
+    (40, 0.025, 1), (40, 0.05, 2), (40, 0.975, 39), (41, 0.66, 27)])
+def test_adversary_families_keep_their_law_and_geometry(T, alpha, B, n_sub):
+    cfg = SystemConfig(horizon_T=T, num_users=2, alpha=alpha,
+                       num_subcarriers=n_sub)
+    assert cfg.budget_B == B
+    n, owner, start, stop, weights = _sample_adv_deviations(
+        cfg, _LAW_SAMPLES, np.random.default_rng(40 + B + n_sub))
+    assert n == _LAW_SAMPLES
+    windows = np.bincount(owner, minlength=n)
+    first = np.searchsorted(owner, np.arange(n))  # each sample's first row
+    length, mass = stop - start, weights.sum(axis=1)
+    spent = np.bincount(owner, weights=length * mass, minlength=n)
+    rows = {family: first[k::len(ADV_DEVIATION_FAMILIES)]
+            for k, family in enumerate(ADV_DEVIATION_FAMILIES)}
+
+    # the whole budget in one window
+    for family in ("window-shift", "vertex-split", "nonuniform-split"):
+        r = rows[family]
+        assert np.all(windows[owner[r]] == 1) and np.all(length[r] == B)
+        assert np.all(np.abs(mass[r] - 1.0) <= SUM_ACCEPT_TOL), family
+    shift, vertex, skew = (rows["window-shift"], rows["vertex-split"],
+                           rows["nonuniform-split"])
+    assert np.all(weights[shift] == 1.0 / n_sub)
+    assert np.all(np.sort(weights[vertex], axis=1)[:, -1] == 1.0)
+    assert np.all(mass[vertex] == 1.0)
+    assert np.all(start[skew] == middle_window(T - 1, B)[0])
+    assert np.all(weights[skew] > 0.0)
+    # the budget in one window in each half, or in the first at B = 1
+    two = rows["two-window"]
+    assert np.all(windows[owner[two]] == (2 if B > 1 else 1))
+    assert np.all(np.abs(spent[owner[two]] - B) <= SUM_ACCEPT_TOL)
+    assert np.all((0 <= start[two]) & (stop[two] <= T // 2))
+    if B > 1:
+        assert np.all((T // 2 <= start[two + 1]) & (stop[two + 1] <= T))
+        assert np.all(length[two + 1] > 0)
+    # less than the budget in the middle
+    short = rows["sub-budget"]
+    assert np.all(windows[owner[short]] == 1) and np.all(length[short] < B)
+    assert np.all(start[short] == middle_window(T - 1, length[short])[0])
+    assert np.all(weights[short] == 1.0 / n_sub)
+
+    for k in range(500):  # 100 dense plans of each family
+        plan = BlockingPlan(_window_plan((n, owner, start, stop, weights),
+                                         k, cfg).block_prob)
+        assert blocking_feasible(plan, cfg)
+
+    # uniform offsets, channels, lengths and Dirichlet(1) first weights,
+    # whose law is Beta(1, N_sub - 1)
+    assert _uniform_counts(np.bincount(start[shift], minlength=T - B + 1))
+    assert _uniform_counts(np.bincount(start[vertex], minlength=T - B + 1))
+    assert _uniform_counts(np.bincount(np.argmax(weights[vertex], axis=1),
+                                       minlength=n_sub))
+    if B > 1:
+        assert _uniform_counts(np.bincount(length[short], minlength=B))
+    cells = 1.0 - (1.0 - np.linspace(0.0, 1.0, 11)) ** (1.0 / (n_sub - 1))
+    assert _uniform_counts(np.histogram(weights[skew, 0], cells)[0])
+
+
+@pytest.mark.parametrize("n_sub", [2, 3, 5])
+def test_zero_budget_samples_draw_nothing(n_sub):
+    cfg = SystemConfig(horizon_T=10, num_users=2, alpha=0.05,
+                       num_subcarriers=n_sub)  # B = 0
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    n, owner, start, stop, weights = _sample_adv_deviations(cfg, 12, rng)
+    assert rng.bit_generator.state == before
+    assert n == 12
+    assert owner.size == start.size == stop.size == 0
+    assert weights.shape == (0, n_sub)
+
+
 def _reference_adv_deviations(config, adv_samples, rng):
-    """The adversary samples built as dense plans, one family per sample in
-    turn, as the audit built them before it kept them as windows."""
+    """The adversary samples built as dense plans, one sample at a time,
+    sample k from family k % 5, from the sampler's three array draws in its
+    order: one integer per sample within its family's bounds (a
+    vertex-split sample's offset and channel in one), the first then the
+    second window's start of every two-window sample, and the
+    nonuniform-split exponentials."""
     n_sub, horizon, budget = (config.num_subcarriers, config.horizon_T,
                               config.budget_B)
+    half = horizon // 2
+    families = [ADV_DEVIATION_FAMILIES[k % len(ADV_DEVIATION_FAMILIES)]
+                for k in range(adv_samples)]
+    if budget == 0:
+        return [BlockingPlan(np.zeros((n_sub, horizon))) for _ in families]
+    bounds = {
+        "window-shift": (0, horizon - budget + 1),
+        "vertex-split": (0, (horizon - budget + 1) * n_sub),
+        "two-window": (1, 2) if budget == 1 else (
+            max(1, budget - (horizon + 1) // 2), min(budget - 1, half) + 1),
+        "nonuniform-split": (0, 1),  # draws nothing
+        "sub-budget": (0, budget),
+    }
+    low, high = zip(*(bounds[family] for family in families))
+    values = rng.integers(low, high).tolist()
+    firsts = [v for v, family in zip(values, families)
+              if family == "two-window"]
+    starts = rng.integers(
+        [0] * len(firsts) + [half] * len(firsts),
+        [max(1, half - first) for first in firsts]
+        + [horizon - (budget - first) + 1 for first in firsts]).tolist()
+    starts = iter(zip(starts[:len(firsts)], starts[len(firsts):]))
+    exponentials = iter(rng.standard_exponential(
+        (families.count("nonuniform-split"), n_sub)))
     plans = []
-    while len(plans) < adv_samples:
-        family = ADV_DEVIATION_FAMILIES[len(plans) % len(ADV_DEVIATION_FAMILIES)]
+    for family, value in zip(families, values):
         m = np.zeros((n_sub, horizon))
-        if budget == 0:
-            plans.append(BlockingPlan(m))
-            continue
         if family == "window-shift":
-            start = int(rng.integers(0, horizon - budget + 1))
-            m[:, start:start + budget] = 1.0 / n_sub
+            m[:, value:value + budget] = 1.0 / n_sub
         elif family == "vertex-split":
-            j = int(rng.integers(n_sub))
-            start = int(rng.integers(0, horizon - budget + 1))
-            m[j, start:start + budget] = 1.0
+            start, channel = divmod(value, n_sub)
+            m[channel, start:start + budget] = 1.0
         elif family == "two-window":
-            first = budget if budget == 1 else int(rng.integers(
-                max(1, budget - (horizon + 1) // 2),
-                min(budget - 1, horizon // 2) + 1))
-            second = budget - first
-            s1 = int(rng.integers(0, max(1, horizon // 2 - first)))
-            s2 = int(rng.integers(horizon // 2, horizon - second + 1))
+            first, second = value, budget - value
+            s1, s2 = next(starts)
             m[:, s1:s1 + first] = 1.0 / n_sub
             if second:
                 m[:, s2:s2 + second] = 1.0 / n_sub
         elif family == "nonuniform-split":
             start, stop = middle_window(horizon - 1, budget)
-            m[:, start:stop] = rng.dirichlet(np.ones(n_sub))[:, None]
+            e = next(exponentials)
+            m[:, start:stop] = (e / e.sum())[:, None]
         else:  # sub-budget
-            short = int(rng.integers(0, budget))
-            start, _ = middle_window(horizon - 1, short)
-            m[:, start:start + short] = 1.0 / n_sub
+            start, _ = middle_window(horizon - 1, value)
+            m[:, start:start + value] = 1.0 / n_sub
         plans.append(BlockingPlan(m))
     return plans
 
@@ -1044,10 +1149,10 @@ def test_audit_checks_and_screens_one_window_table(monkeypatch):
 
 
 def test_skewed_audit_prices_each_near_sample_once(monkeypatch):
-    # a heavy sub-carrier at N = 2: 9 samples screen within the rounding
-    # margin of the threshold, or above it, and the first is the witness.
-    # The users share one p, so the evaluator writes one row per price:
-    # the candidate's and the witness's, and no other.
+    # a heavy sub-carrier at N = 2: several samples screen within the
+    # rounding margin of the threshold, or above it, and the first is the
+    # witness.  The users share one p, so the evaluator writes one row per
+    # price: the candidate's and the witness's, and no other.
     cfg = SystemConfig(horizon_T=200, num_users=2, alpha=0.4,
                        num_subcarriers=4)
     policy, _, plan = diversity_nash_point(cfg)
@@ -1055,12 +1160,16 @@ def test_skewed_audit_prices_each_near_sample_once(monkeypatch):
     rng = np.random.default_rng(9)  # the audit's draws at seed 9
     _sample_bs_deviations(2, 4, 20, rng)
     table = _sample_adv_deviations(cfg, 60, rng)
-    screened = _window_screen(policy, skew, table, 200)
+    screened, dense, margin = _screen_and_prices(policy, skew, table, cfg)
     threshold = expected_age_trajectory_diversity(
         policy, skew, plan, cfg).system_avg + IMPROVEMENT_TOL
-    near = np.flatnonzero(
-        screened >= threshold - _screen_margin(screened, 200, 2))
-    assert near.size == 9
+    near = np.flatnonzero(screened >= threshold - margin)
+    # no dense price lies within the screen's half margin of the cut, so
+    # the near samples are those whose dense price clears it
+    assert np.all(np.abs(dense - (threshold - margin)) > margin / 2)
+    assert near.tolist() == np.flatnonzero(
+        dense >= threshold - margin).tolist()
+    assert near.size > 1 and dense[near[0]] > threshold
 
     rows, real = [], age_exact._run_ages
 
